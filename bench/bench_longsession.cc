@@ -17,8 +17,7 @@
 // per-event cost grows with total session length.
 //
 // Events are fed through IngestBatch in service-sized batches — the same
-// path the server's drain worker uses — so the measurement covers the
-// arena-backed engine batching, not just single-event Ingest.
+// path the server's drain worker uses.
 //
 // Correctness cross-check: a second certifier with pruning disabled
 // ingests the same stream (at the smallest checkpoint only; it is

@@ -4,10 +4,10 @@
 //  * default: google-benchmark over the reduction engine (Def 16 /
 //    Theorem 1) — wall time as a function of roots, depth, and fan-out.
 //  * `--json <out>`: plain-chrono driver that measures the dense-engine
-//    batch reduction on the E10 layered-DAG workload at 1/2/4 pool
-//    threads plus multi-trace sweep throughput, and emits the committed
-//    BENCH_reduction.json (with the pre-rewrite map/set baseline
-//    embedded for the before/after comparison).
+//    batch reduction on the E10 layered-DAG workload (one reduction is
+//    serial) plus multi-trace sweep throughput at 1/2/4 pool threads, and
+//    emits the committed BENCH_reduction.json (with the pre-rewrite
+//    map/set baseline embedded for the before/after comparison).
 
 #include <benchmark/benchmark.h>
 
@@ -153,7 +153,6 @@ int RunJsonMode(const std::string& out_path) {
   struct Row {
     uint32_t roots;
     size_t nodes;
-    size_t threads;
     double run_us;
     double baseline_us;
   };
@@ -170,13 +169,10 @@ int RunJsonMode(const std::string& out_path) {
     CompositeSystem cs = MakeE10System(base.roots);
     // Warm up allocator/caches once per system before sampling.
     (void)MedianRunMicros(cs, 1);
-    for (size_t threads : {1ul, 2ul, 4ul}) {
-      ThreadPool::SetGlobalThreads(threads);
-      const double us = MedianRunMicros(cs, repeats);
-      rows.push_back({base.roots, cs.NodeCount(), threads, us, base.run_us});
-      std::cerr << "roots=" << base.roots << " threads=" << threads
-                << " run_us=" << us << " (main: " << base.run_us << ")\n";
-    }
+    const double us = MedianRunMicros(cs, repeats);
+    rows.push_back({base.roots, cs.NodeCount(), us, base.run_us});
+    std::cerr << "roots=" << base.roots << " run_us=" << us
+              << " (main: " << base.run_us << ")\n";
   }
 
   // Multi-trace sweep throughput: 32 independent E10 systems checked
@@ -231,7 +227,7 @@ int RunJsonMode(const std::string& out_path) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     json << "    {\"roots\": " << r.roots << ", \"nodes\": " << r.nodes
-         << ", \"threads\": " << r.threads << ", \"run_us\": " << r.run_us
+         << ", \"run_us\": " << r.run_us
          << ", \"baseline_main_us\": " << r.baseline_us
          << ", \"speedup_vs_main\": " << r.baseline_us / r.run_us << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";

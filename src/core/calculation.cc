@@ -6,7 +6,6 @@
 #include "graph/cycle_finder.h"
 #include "graph/quotient.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace comptx {
 
@@ -23,59 +22,41 @@ graph::Digraph BuildCalculationConstraintGraph(const SystemContext& ctx,
 
   // 2. Observed orders bind when the pair conflicts (generalized CON);
   //    commuting pairs may be swapped when constructing F** (Def 16.1).
-  //    Sharded row-wise; folding in row order reproduces the serial edge
-  //    insertion sequence exactly (witness cycles depend on it).
-  using EdgeList = std::vector<std::pair<uint32_t, uint32_t>>;
-  {
-    const size_t row_count = front.observed.SourceCount();
-    std::vector<EdgeList> shards(row_count);
-    ThreadPool::Global().ParallelFor(row_count, [&](size_t i) {
-      const NodeId a = front.observed.SourceAt(i);
-      const uint32_t la = index.LocalOf(a);
-      const ScheduleId ha = ctx.host_schedule[a.index()];
-      EdgeList& out = shards[i];
-      for (uint32_t to : front.observed.SuccessorsAt(i)) {
-        const NodeId b(to);
-        // GeneralizedConflict specialized to a pair already known to be in
-        // the observed order: cross-schedule pairs conflict by Def 11.2
-        // outright; only same-schedule pairs consult the schedule's CON_S
-        // (minus spec-proven commuting pairs).
-        const ScheduleId hb = ctx.host_schedule[to];
-        if (!ha.valid() || ha != hb || cs.EffectiveConflict(ha, a, b)) {
-          out.emplace_back(la, index.LocalOf(b));
-        }
+  //    Edges are inserted in row order; witness cycles depend on it.
+  for (size_t i = 0; i < front.observed.SourceCount(); ++i) {
+    const NodeId a = front.observed.SourceAt(i);
+    const uint32_t la = index.LocalOf(a);
+    const ScheduleId ha = ctx.host_schedule[a.index()];
+    for (uint32_t to : front.observed.SuccessorsAt(i)) {
+      const NodeId b(to);
+      // GeneralizedConflict specialized to a pair already known to be in
+      // the observed order: cross-schedule pairs conflict by Def 11.2
+      // outright; only same-schedule pairs consult the schedule's CON_S
+      // (minus spec-proven commuting pairs).
+      const ScheduleId hb = ctx.host_schedule[to];
+      if (!ha.valid() || ha != hb || cs.EffectiveConflict(ha, a, b)) {
+        g.AddEdge(la, index.LocalOf(b));
       }
-    });
-    for (const EdgeList& shard : shards) {
-      for (const auto& [la, lb] : shard) g.AddEdge(la, lb);
     }
   }
 
   // 3. Serialization decisions of the schedules: conflicting operation
-  //    pairs ordered by their schedule's weak output order.  One shard per
-  //    schedule, folded in schedule order.  Schedules at or below the
-  //    front's level were already grouped — their operations are no longer
-  //    in the index, so they are skipped outright.
-  {
-    const size_t schedule_count = cs.ScheduleCount();
-    std::vector<EdgeList> shards(schedule_count);
-    ThreadPool::Global().ParallelFor(schedule_count, [&](size_t s) {
-      if (ctx.ig.schedule_level[s] <= front.level) return;
-      const Schedule& sched = cs.schedule(ScheduleId(s));
-      const Relation& closed_output = ctx.closed_weak_output[s];
-      EdgeList& out = shards[s];
-      sched.conflicts.ForEach([&](NodeId a, NodeId b) {
-        if (cs.SemanticallyCommutes(a, b)) return;
-        auto la = index.TryLocalOf(a);
-        auto lb = index.TryLocalOf(b);
-        if (!la || !lb) return;
-        if (closed_output.Contains(a, b)) out.emplace_back(*la, *lb);
-        if (closed_output.Contains(b, a)) out.emplace_back(*lb, *la);
-      });
+  //    pairs ordered by their schedule's weak output order, in schedule
+  //    order.  Schedules at or below the front's level were already
+  //    grouped — their operations are no longer in the index, so they are
+  //    skipped outright.
+  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
+    if (ctx.ig.schedule_level[s] <= front.level) continue;
+    const Schedule& sched = cs.schedule(ScheduleId(s));
+    const Relation& closed_output = ctx.closed_weak_output[s];
+    sched.conflicts.ForEach([&](NodeId a, NodeId b) {
+      if (cs.SemanticallyCommutes(a, b)) return;
+      auto la = index.TryLocalOf(a);
+      auto lb = index.TryLocalOf(b);
+      if (!la || !lb) return;
+      if (closed_output.Contains(a, b)) g.AddEdge(*la, *lb);
+      if (closed_output.Contains(b, a)) g.AddEdge(*lb, *la);
     });
-    for (const EdgeList& shard : shards) {
-      for (const auto& [la, lb] : shard) g.AddEdge(la, lb);
-    }
   }
   return g;
 }
@@ -128,15 +109,11 @@ std::optional<CycleWitness> FindCalculationViolation(
   }
 
   // Intra-block test: each group's constraints together with the
-  // transaction's weak intra order must be acyclic.  Groups are checked
-  // independently on the pool; the lowest-indexed violation is reported,
-  // which is exactly the one the serial loop would have found first.
-  std::vector<std::optional<CycleWitness>> violations(
-      group_transactions.size());
-  ThreadPool::Global().ParallelFor(group_transactions.size(), [&](size_t k) {
-    const NodeId txn = group_transactions[k];
+  // transaction's weak intra order must be acyclic.  The first violating
+  // group is reported.
+  for (NodeId txn : group_transactions) {
     const Node& t = cs.node(txn);
-    if (t.children.size() < 2) return;
+    if (t.children.size() < 2) continue;
     NodeIndexMap members(t.children);
     graph::Digraph intra(members.size());
     for (NodeId a : t.children) {
@@ -160,11 +137,8 @@ std::optional<CycleWitness> FindCalculationViolation(
           StrCat("no calculation for transaction ", t.name,
                  ": the observed order contradicts its intra-transaction ",
                  "order (Def 14)");
-      violations[k] = std::move(witness);
+      return witness;
     }
-  });
-  for (std::optional<CycleWitness>& violation : violations) {
-    if (violation.has_value()) return std::move(*violation);
   }
   return std::nullopt;
 }

@@ -6,7 +6,6 @@
 #include "core/indexing.h"
 #include "graph/cycle_finder.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace comptx {
 
@@ -22,16 +21,12 @@ SystemContext::SystemContext(const CompositeSystem& system)
             << result.status().ToString();
         return std::move(result).value();
       }()) {
-  // Every per-schedule and per-transaction closure is independent, so the
-  // construction fans out over the pool; each task writes only its own
-  // preallocated slot, which keeps the result identical at any thread
-  // count.
   const size_t schedule_count = cs.ScheduleCount();
   closed_weak_output.resize(schedule_count);
   closed_strong_output.resize(schedule_count);
   closed_weak_input.resize(schedule_count);
   closed_strong_input.resize(schedule_count);
-  ThreadPool::Global().ParallelFor(schedule_count, [&](size_t s) {
+  for (size_t s = 0; s < schedule_count; ++s) {
     const Schedule& sched = cs.schedule(ScheduleId(s));
     const std::vector<NodeId> ops = cs.OperationsOf(ScheduleId(s));
     closed_weak_output[s] = ClosureWithin(sched.weak_output, ops);
@@ -39,15 +34,15 @@ SystemContext::SystemContext(const CompositeSystem& system)
     closed_weak_input[s] = ClosureWithin(sched.weak_input, sched.transactions);
     closed_strong_input[s] =
         ClosureWithin(sched.strong_input, sched.transactions);
-  });
+  }
   closed_weak_intra.resize(cs.NodeCount());
   closed_strong_intra.resize(cs.NodeCount());
-  ThreadPool::Global().ParallelFor(cs.NodeCount(), [&](size_t v) {
-    const Node& n = cs.node(NodeId(static_cast<uint32_t>(v)));
-    if (!n.IsTransaction()) return;
+  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
+    const Node& n = cs.node(NodeId(v));
+    if (!n.IsTransaction()) continue;
     closed_weak_intra[v] = ClosureWithin(n.weak_intra, n.children);
     closed_strong_intra[v] = ClosureWithin(n.strong_intra, n.children);
-  });
+  }
   host_schedule.resize(cs.NodeCount());
   for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
     host_schedule[v] = cs.HostScheduleOf(NodeId(v));
@@ -56,13 +51,12 @@ SystemContext::SystemContext(const CompositeSystem& system)
 
 namespace {
 
-/// Collects (x, y) for every front pair with x in subtree(a), y in
+/// Adds (x, y) to `out` for every front pair with x in subtree(a), y in
 /// subtree(b).  This is the pull-down of a strong constraint a ≪ b to the
 /// front.
-void CollectPulledDownPairs(const SystemContext& ctx,
-                            const std::vector<NodeId>& front_nodes, NodeId a,
-                            NodeId b,
-                            std::vector<std::pair<NodeId, NodeId>>& out) {
+void AddPulledDownPairs(const SystemContext& ctx,
+                        const std::vector<NodeId>& front_nodes, NodeId a,
+                        NodeId b, Relation& out) {
   // Collect front members of each subtree (a front node is in at most one
   // of them since a and b are siblings or co-scheduled transactions, whose
   // subtrees are disjoint).
@@ -76,7 +70,7 @@ void CollectPulledDownPairs(const SystemContext& ctx,
     }
   }
   for (NodeId x : in_a) {
-    for (NodeId y : in_b) out.emplace_back(x, y);
+    for (NodeId y : in_b) out.Add(x, y);
   }
 }
 
@@ -88,46 +82,23 @@ void ComputeFrontInputOrders(const SystemContext& ctx, Front& front) {
   const CompositeSystem& cs = ctx.cs;
   const NodeBitSet membership(front.nodes);
 
-  // One shard per schedule plus one per node; each collects its weak and
-  // strong pairs locally, and the shards are folded in index order.  The
-  // folded relations are sets with canonical iteration order, so the
-  // outcome is independent of shard scheduling.
-  const size_t schedule_count = cs.ScheduleCount();
-  const size_t shard_count = schedule_count + cs.NodeCount();
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> weak_shards(shard_count);
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> strong_shards(
-      shard_count);
-  ThreadPool::Global().ParallelFor(shard_count, [&](size_t k) {
-    std::vector<std::pair<NodeId, NodeId>>& weak = weak_shards[k];
-    std::vector<std::pair<NodeId, NodeId>>& strong = strong_shards[k];
-    if (k < schedule_count) {
-      // Weak input orders: pairs directly in the front.
-      ctx.closed_weak_input[k].ForEach([&](NodeId t1, NodeId t2) {
-        if (membership.Contains(t1) && membership.Contains(t2)) {
-          weak.emplace_back(t1, t2);
-        }
-      });
-      // Strong temporal orders: pulled down from every strong constraint.
-      ctx.closed_strong_input[k].ForEach([&](NodeId t1, NodeId t2) {
-        CollectPulledDownPairs(ctx, front.nodes, t1, t2, strong);
-      });
-    } else {
-      const size_t v = k - schedule_count;
-      ctx.closed_weak_intra[v].ForEach([&](NodeId a, NodeId b) {
-        if (membership.Contains(a) && membership.Contains(b)) {
-          weak.emplace_back(a, b);
-        }
-      });
-      ctx.closed_strong_intra[v].ForEach([&](NodeId a, NodeId b) {
-        CollectPulledDownPairs(ctx, front.nodes, a, b, strong);
-      });
+  auto add_weak = [&](NodeId x, NodeId y) {
+    if (membership.Contains(x) && membership.Contains(y)) {
+      front.weak_input.Add(x, y);
     }
-  });
-  for (const auto& shard : weak_shards) {
-    for (const auto& [a, b] : shard) front.weak_input.Add(a, b);
+  };
+  auto add_strong = [&](NodeId x, NodeId y) {
+    AddPulledDownPairs(ctx, front.nodes, x, y, front.strong_input);
+  };
+  // Weak input orders are pairs directly in the front; strong temporal
+  // orders are pulled down from every strong constraint.
+  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
+    ctx.closed_weak_input[s].ForEach(add_weak);
+    ctx.closed_strong_input[s].ForEach(add_strong);
   }
-  for (const auto& shard : strong_shards) {
-    for (const auto& [a, b] : shard) front.strong_input.Add(a, b);
+  for (size_t v = 0; v < cs.NodeCount(); ++v) {
+    ctx.closed_weak_intra[v].ForEach(add_weak);
+    ctx.closed_strong_intra[v].ForEach(add_strong);
   }
 
   // Strong orders are also weak orders (Def 1).

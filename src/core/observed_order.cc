@@ -4,32 +4,23 @@
 #include <utility>
 
 #include "core/indexing.h"
-#include "util/thread_pool.h"
 
 namespace comptx {
 
 void ApplyLeafRuleObserved(const SystemContext& ctx, Front& front) {
   const CompositeSystem& cs = ctx.cs;
   const NodeBitSet membership(front.nodes);
-  // Per-schedule scans are independent; collect per-shard and fold in
-  // schedule order (the folded relation is order-insensitive anyway).
   // A level-k schedule's operations left the front when the level-k front
   // was built, so schedules at or below the front's level are skipped —
   // their pairs could only fail the membership test anyway.
-  const size_t schedule_count = cs.ScheduleCount();
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> shards(schedule_count);
-  ThreadPool::Global().ParallelFor(schedule_count, [&](size_t s) {
-    if (ctx.ig.schedule_level[s] <= front.level) return;
-    std::vector<std::pair<NodeId, NodeId>>& out = shards[s];
+  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
+    if (ctx.ig.schedule_level[s] <= front.level) continue;
     ctx.closed_weak_output[s].ForEach([&](NodeId a, NodeId b) {
       if (!membership.Contains(a) || !membership.Contains(b)) return;
       if (cs.node(a).IsLeaf() || cs.node(b).IsLeaf()) {
-        out.emplace_back(a, b);
+        front.observed.Add(a, b);
       }
     });
-  });
-  for (const auto& shard : shards) {
-    for (const auto& [a, b] : shard) front.observed.Add(a, b);
   }
 }
 
@@ -38,39 +29,28 @@ void ComputeGeneralizedConflicts(const SystemContext& ctx, Front& front) {
   front.conflicts = SymmetricPairSet();
   const NodeBitSet membership(front.nodes);
   // Same-schedule pairs: the schedule's own conflict predicate (Def 11.1).
-  const size_t schedule_count = cs.ScheduleCount();
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> shards(schedule_count);
-  ThreadPool::Global().ParallelFor(schedule_count, [&](size_t s) {
-    if (ctx.ig.schedule_level[s] <= front.level) return;  // ops left the front
-    std::vector<std::pair<NodeId, NodeId>>& out = shards[s];
+  // Schedules at or below the front's level have no operations left in it.
+  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
+    if (ctx.ig.schedule_level[s] <= front.level) continue;
     cs.schedule(ScheduleId(s)).conflicts.ForEach([&](NodeId a, NodeId b) {
       if (membership.Contains(a) && membership.Contains(b) &&
           !cs.SemanticallyCommutes(a, b)) {
-        out.emplace_back(a, b);
+        front.conflicts.Add(a, b);
       }
     });
-  });
-  for (const auto& shard : shards) {
-    for (const auto& [a, b] : shard) front.conflicts.Add(a, b);
   }
   // Other pairs: pessimistically conflict iff observed-order related
-  // (Def 11.2).  Sharded row-wise over the observed order.
-  const size_t row_count = front.observed.SourceCount();
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> row_shards(row_count);
-  ThreadPool::Global().ParallelFor(row_count, [&](size_t i) {
+  // (Def 11.2).
+  for (size_t i = 0; i < front.observed.SourceCount(); ++i) {
     const NodeId a = front.observed.SourceAt(i);
     const ScheduleId ha = ctx.host_schedule[a.index()];
-    std::vector<std::pair<NodeId, NodeId>>& out = row_shards[i];
     for (uint32_t to : front.observed.SuccessorsAt(i)) {
       const NodeId b(to);
       if (a == b) continue;
       const ScheduleId hb = ctx.host_schedule[to];
       if (ha.valid() && ha == hb) continue;  // governed by CON_S above.
-      out.emplace_back(a, b);
+      front.conflicts.Add(a, b);
     }
-  });
-  for (const auto& shard : row_shards) {
-    for (const auto& [a, b] : shard) front.conflicts.Add(a, b);
   }
 }
 

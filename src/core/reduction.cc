@@ -7,7 +7,6 @@
 #include "core/calculation.h"
 #include "core/observed_order.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace comptx {
 
@@ -51,31 +50,22 @@ void PullUpObserved(const SystemContext& ctx, const Front& prev,
 
 /// Adds the serialization orders of the level-i schedules (Def 10.2): for
 /// conflicting operations of distinct transactions ordered by the weak
-/// output order, the parents become observed-ordered.  Each schedule is
-/// scanned independently on the pool; the per-schedule pair lists are
-/// folded in schedule order (the observed order is a set with canonical
-/// iteration order, so the fold is thread-count-invariant).
+/// output order, the parents become observed-ordered.
 void AddScheduleSerializationOrders(const SystemContext& ctx,
                                     const std::vector<ScheduleId>& schedules,
                                     Front& next) {
   const CompositeSystem& cs = ctx.cs;
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> shards(schedules.size());
-  ThreadPool::Global().ParallelFor(schedules.size(), [&](size_t k) {
-    const ScheduleId s = schedules[k];
+  for (ScheduleId s : schedules) {
     const Schedule& sched = cs.schedule(s);
     const Relation& closed_output = ctx.closed_weak_output[s.index()];
-    std::vector<std::pair<NodeId, NodeId>>& out = shards[k];
     sched.conflicts.ForEach([&](NodeId o1, NodeId o2) {
       if (cs.SemanticallyCommutes(o1, o2)) return;
       NodeId t1 = cs.node(o1).parent;
       NodeId t2 = cs.node(o2).parent;
       if (t1 == t2) return;
-      if (closed_output.Contains(o1, o2)) out.emplace_back(t1, t2);
-      if (closed_output.Contains(o2, o1)) out.emplace_back(t2, t1);
+      if (closed_output.Contains(o1, o2)) next.observed.Add(t1, t2);
+      if (closed_output.Contains(o2, o1)) next.observed.Add(t2, t1);
     });
-  });
-  for (const auto& shard : shards) {
-    for (const auto& [t1, t2] : shard) next.observed.Add(t1, t2);
   }
 }
 

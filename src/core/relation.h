@@ -120,7 +120,7 @@ class Relation {
   }
 
   /// Number of distinct sources (rows); with SourceAt/SuccessorsAt this
-  /// lets parallel stages shard a relation row-wise.
+  /// lets a scan hoist per-source work out of its inner loop.
   size_t SourceCount() const { return store_.SourceCount(); }
   NodeId SourceAt(size_t i) const { return NodeId(store_.SourceAt(i)); }
   std::span<const uint32_t> SuccessorsAt(size_t i) const {

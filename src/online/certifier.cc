@@ -67,6 +67,26 @@ void Certifier::MarkPruned(NodeId id) {
 
 Status Certifier::Ingest(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
+  return IngestCountedLocked(event);
+}
+
+size_t Certifier::IngestBatch(const std::vector<TraceEvent>& events,
+                              std::vector<Status>* statuses) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (statuses) {
+    statuses->clear();
+    statuses->reserve(events.size());
+  }
+  size_t rejected = 0;
+  for (const TraceEvent& event : events) {
+    Status status = IngestCountedLocked(event);
+    if (!status.ok()) ++rejected;
+    if (statuses) statuses->push_back(std::move(status));
+  }
+  return rejected;
+}
+
+Status Certifier::IngestCountedLocked(const TraceEvent& event) {
   if (fallback_wanted_) FallbackLocked();
   Status status = IngestLocked(event);
   if (!status.ok()) {
@@ -77,46 +97,6 @@ Status Certifier::Ingest(const TraceEvent& event) {
   ++events_since_prune_;
   MaybePruneLocked();
   return status;
-}
-
-size_t Certifier::IngestBatch(const std::vector<TraceEvent>& events,
-                              std::vector<Status>* statuses) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (statuses) {
-    statuses->clear();
-    statuses->reserve(events.size());
-  }
-  if (fallback_wanted_) FallbackLocked();
-  // One Pearce-Kelly maintenance window for the whole batch: cycle-graph
-  // edges defer into the arena and apply in order at the flush.  The
-  // accept/reject decision for each event reads only cs_, the closures
-  // and the seal bits — never the deferred graphs — so per-event statuses
-  // are identical to the sequential Ingest sequence.  Pruning (which does
-  // read the graphs) runs at most once, after the flush.
-  const bool dynamic = DynamicActive();
-  if (dynamic) engine_.BeginBatch(&arena_);
-  in_batch_ = true;
-  size_t rejected = 0;
-  for (const TraceEvent& event : events) {
-    Status status = IngestLocked(event);
-    if (status.ok()) {
-      ++events_accepted_;
-      ++events_since_prune_;
-      MaybePruneLocked();
-    } else {
-      ++events_rejected_;
-      ++rejected;
-    }
-    if (statuses) statuses->push_back(std::move(status));
-  }
-  in_batch_ = false;
-  if (dynamic) engine_.FlushBatch();
-  if (prune_pending_) {
-    prune_pending_ = false;
-    PruneLocked();
-  }
-  arena_.Reset();
-  return rejected;
 }
 
 Status Certifier::CheckNotSealed(NodeId id) const {
@@ -186,8 +166,7 @@ void Certifier::Rebuild() {
   // order is irrelevant and the result equals a fresh session's state.
   for (uint32_t s = 0; s < cs_.ScheduleCount(); ++s) {
     const ScheduleId sid(s);
-    ScheduleShard& sh = shard(sid);
-    std::lock_guard<std::mutex> lock(sh.mu);
+    const ScheduleShard& sh = shard(sid);
     sh.weak_output.ForEach(
         [&](NodeId a, NodeId b) { engine_.OnClosedWeakOutput(sid, a, b); });
     sh.weak_input.ForEach(
@@ -209,7 +188,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
   switch (e.kind) {
     case TraceEventKind::kSchedule: {
       cs_.AddSchedule(e.name);
-      shards_.push_back(std::make_unique<ScheduleShard>());
+      shards_.emplace_back();
       invokes_.emplace_back();
       // The level vector grew (and the order may have), so the engine's
       // level assignment is stale either way: rebuild.  This is cheap in
@@ -264,14 +243,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
-      bool wo_ab = false, wo_ba = false;
-      {
-        ScheduleShard& sh = shard(host);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        wo_ab = sh.weak_output.Contains(a, b);
-        wo_ba = sh.weak_output.Contains(b, a);
-      }
-      engine_.OnConflict(a, b, wo_ab, wo_ba);
+      const IncrementalClosure& weak_output = shard(host).weak_output;
+      engine_.OnConflict(a, b, weak_output.Contains(a, b),
+                         weak_output.Contains(b, a));
       return Status::OK();
     }
     case TraceEventKind::kWeakOutput:
@@ -289,11 +263,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
       std::vector<std::pair<NodeId, NodeId>> new_pairs;
-      {
-        ScheduleShard& sh = shard(host);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        sh.weak_output.Add(a, b, new_pairs);
-      }
+      shard(host).weak_output.Add(a, b, new_pairs);
       for (const auto& [x, y] : new_pairs) {
         engine_.OnClosedWeakOutput(host, x, y);
       }
@@ -311,12 +281,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       if (!DynamicActive()) return Status::OK();
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      {
-        ScheduleShard& sh = shard(sched);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (strong) sh.strong_input.Add(a, b, new_strong);
-        sh.weak_input.Add(a, b, new_weak);  // strong pairs are weak pairs.
-      }
+      ScheduleShard& sh = shard(sched);
+      if (strong) sh.strong_input.Add(a, b, new_strong);
+      sh.weak_input.Add(a, b, new_weak);  // strong pairs are weak pairs.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongInput(x, y);
       for (const auto& [x, y] : new_weak) engine_.OnClosedWeakInput(x, y);
       return Status::OK();
@@ -335,12 +302,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       if (!DynamicActive()) return Status::OK();
       const ScheduleId owner = cs_.node(txn).owner_schedule;
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      {
-        ScheduleShard& sh = shard(owner);
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (strong) sh.strong_intra[txn].Add(a, b, new_strong);
-        sh.weak_intra[txn].Add(a, b, new_weak);  // strong implies weak.
-      }
+      ScheduleShard& sh = shard(owner);
+      if (strong) sh.strong_intra[txn].Add(a, b, new_strong);
+      sh.weak_intra[txn].Add(a, b, new_weak);  // strong implies weak.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongIntra(x, y);
       for (const auto& [x, y] : new_weak) {
         engine_.OnClosedWeakIntra(txn, x, y);
@@ -354,7 +318,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
             StrCat("commit of ", e.parent, ": not a root transaction"));
       }
       if (!SealRootLocked(root)) return Status::OK();  // idempotent.
-      if (options_.auto_prune) SchedulePruneLocked();
+      if (options_.auto_prune) PruneLocked();
       return Status::OK();
     }
     case TraceEventKind::kCommitThrough: {
@@ -374,7 +338,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
         sealed_any = SealRootLocked(roots_[i]) || sealed_any;
       }
       commit_watermark_ = std::max(commit_watermark_, through);
-      if (sealed_any && options_.auto_prune) SchedulePruneLocked();
+      if (sealed_any && options_.auto_prune) PruneLocked();
       return Status::OK();
     }
     case TraceEventKind::kAdtDecl:
@@ -421,17 +385,6 @@ void Certifier::RestoreCounters(uint64_t accepted, uint64_t rejected) {
   analysis_cached_at_ = ~uint64_t{0};
 }
 
-void Certifier::SchedulePruneLocked() {
-  if (in_batch_) {
-    // Pruning reads the engine's cycle graphs, which are deferred while
-    // a batch is open; the batch epilogue runs one pass after the flush.
-    prune_pending_ = true;
-    events_since_prune_ = 0;
-    return;
-  }
-  PruneLocked();
-}
-
 void Certifier::MaybePruneLocked() {
   if (!options_.auto_prune || options_.epoch_interval == 0) return;
   if (events_since_prune_ < options_.epoch_interval) return;
@@ -439,7 +392,7 @@ void Certifier::MaybePruneLocked() {
     events_since_prune_ = 0;
     return;
   }
-  SchedulePruneLocked();
+  PruneLocked();
 }
 
 bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
@@ -460,7 +413,6 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
       // the subtree whenever the block is), so a clean graph suffices.
       if (!engine_.IntraGraphClean(n)) return false;
       const ScheduleShard& sh = shard(node.owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       if (sh.weak_input.HasIncomingFromOutside(n, inside) ||
           sh.strong_input.HasIncomingFromOutside(n, inside)) {
         return false;
@@ -470,14 +422,12 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
       // Closure in-edges could later manufacture derived in-edges by
       // transitivity without any event naming `n`; require that none
       // cross the boundary.
-      {
-        const ScheduleShard& sh = shard(cs_.HostScheduleOf(n));
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (sh.weak_output.HasIncomingFromOutside(n, inside)) return false;
+      if (shard(cs_.HostScheduleOf(n))
+              .weak_output.HasIncomingFromOutside(n, inside)) {
+        return false;
       }
       const NodeId parent = node.parent;
       const ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       auto check = [&](const auto& map) {
         auto it = map.find(parent);
         return it != map.end() && it->second.HasIncomingFromOutside(n, inside);
@@ -495,21 +445,15 @@ void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
     if (node.IsTransaction()) {
       engine_.RemoveIntraGraphOf(n);
       ScheduleShard& sh = shard(node.owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       sh.weak_input.RemoveNode(n);
       sh.strong_input.RemoveNode(n);
       sh.weak_intra.erase(n);
       sh.strong_intra.erase(n);
     }
     if (!node.IsRoot()) {
-      {
-        ScheduleShard& sh = shard(cs_.HostScheduleOf(n));
-        std::lock_guard<std::mutex> lock(sh.mu);
-        sh.weak_output.RemoveNode(n);
-      }
+      shard(cs_.HostScheduleOf(n)).weak_output.RemoveNode(n);
       const NodeId parent = node.parent;
       ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      std::lock_guard<std::mutex> lock(sh.mu);
       if (auto it = sh.weak_intra.find(parent); it != sh.weak_intra.end()) {
         it->second.RemoveNode(n);
       }
@@ -757,13 +701,12 @@ CertifierStats Certifier::Stats() const {
   stats.observed_pairs = engine_.ObservedPairCount();
   stats.cc_edges = engine_.CcEdgeCount();
   stats.calc_edges = engine_.CalcEdgeCount();
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> shard_lock(sh->mu);
-    stats.closure_pairs += sh->weak_output.PairCount() +
-                           sh->weak_input.PairCount() +
-                           sh->strong_input.PairCount();
-    for (const auto& [p, c] : sh->weak_intra) stats.closure_pairs += c.PairCount();
-    for (const auto& [p, c] : sh->strong_intra) {
+  for (const ScheduleShard& sh : shards_) {
+    stats.closure_pairs += sh.weak_output.PairCount() +
+                           sh.weak_input.PairCount() +
+                           sh.strong_input.PairCount();
+    for (const auto& [p, c] : sh.weak_intra) stats.closure_pairs += c.PairCount();
+    for (const auto& [p, c] : sh.strong_intra) {
       stats.closure_pairs += c.PairCount();
     }
   }

@@ -2,7 +2,6 @@
 #define COMPTX_ONLINE_CERTIFIER_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 
 #include "core/composite_system.h"
 #include "online/online_front.h"
-#include "util/arena.h"
 #include "util/status.h"
 #include "workload/trace.h"
 
@@ -98,7 +96,7 @@ struct CertifierStats {
 /// far below re-running batch CheckCompC on every prefix:
 ///
 ///   - per-schedule transitive closures are maintained incrementally and
-///     emit only newly closed pairs (sharded, one small lock per schedule);
+///     emit only newly closed pairs (one shard of closures per schedule);
 ///   - each new fact is routed to the affected front levels, where
 ///     acyclicity is maintained by incremental topological ordering
 ///     (Pearce-Kelly) rather than full DFS;
@@ -126,10 +124,10 @@ struct CertifierStats {
 /// per session, each drained by one worker at a time).  Within one
 /// instance, Ingest/IngestBatch/Commit/Prune and the verdict readers
 /// (Verdict/Certifiable/SerialWitness/Stats) serialize on the session
-/// lock `mu_`; the per-schedule shard locks additionally protect closure
-/// state so concurrent readers see consistent shards while an ingest is
-/// in flight.  Two caveats define the supported contract, enforced by
-/// ServiceStress/CertifierConcurrency tests:
+/// lock `mu_`, the only lock: it guards every structure, closure shards
+/// included, and there is no intra-instance parallelism.  Two caveats
+/// define the supported contract, enforced by ServiceStress/
+/// CertifierConcurrency tests:
 ///   * concurrent *writers* are safe but pointless — events interleave in
 ///     an unspecified order, and a stream's meaning depends on its order,
 ///     so keep one ingesting thread per instance (readers are free);
@@ -147,12 +145,9 @@ class Certifier {
   /// introducing `sub` events) leave the session unchanged.
   Status Ingest(const workload::TraceEvent& event);
 
-  /// Applies `events` in order under one lock acquisition, with the
-  /// engine's cycle-graph edges deferred into an arena-backed batch and
-  /// flushed once, and at most one pruning pass at the end.  Each event
-  /// is accepted or rejected exactly as the equivalent Ingest sequence
-  /// would decide (the handlers never read cycle-graph state, so edge
-  /// deferral cannot change an accept/reject outcome).  Returns the
+  /// Applies `events` in order under one lock acquisition: exactly the
+  /// equivalent Ingest sequence, epoch and commit pruning included, so
+  /// every status, verdict, witness and counter matches.  Returns the
   /// number of rejected events; per-event statuses go to `statuses` when
   /// non-null (resized to events.size()).
   size_t IngestBatch(const std::vector<workload::TraceEvent>& events,
@@ -198,9 +193,8 @@ class Certifier {
  private:
   /// Per-schedule shard: the incrementally maintained transitive closures
   /// of that schedule's orders, plus the intra-transaction closures of the
-  /// transactions it owns.  `mu` guards all of them.
+  /// transactions it owns.
   struct ScheduleShard {
-    mutable std::mutex mu;
     IncrementalClosure weak_output;
     IncrementalClosure weak_input;
     IncrementalClosure strong_input;
@@ -217,6 +211,9 @@ class Certifier {
 
   bool DynamicActive() const { return mode_ != Mode::kStatic; }
 
+  /// Ingest's body: applies one event, counts it and runs epoch pruning.
+  Status IngestCountedLocked(const workload::TraceEvent& event);
+  /// Applies one event; rejected events leave the session unchanged.
   Status IngestLocked(const workload::TraceEvent& event);
   Status CheckNotSealed(NodeId id) const;
 
@@ -234,10 +231,6 @@ class Certifier {
   /// Resets the engine for the current levels and replays all closures.
   void Rebuild();
 
-  /// Requests a prune: immediate outside a batch, deferred to the batch
-  /// epilogue inside one (pruning reads engine state that batching
-  /// defers, and one pass per batch is the point of the epoch design).
-  void SchedulePruneLocked();
   void MaybePruneLocked();
   size_t PruneLocked();
   bool CanPrune(const std::vector<NodeId>& subtree) const;
@@ -260,16 +253,16 @@ class Certifier {
   void MarkSealed(NodeId id);
   void MarkPruned(NodeId id);
 
-  ScheduleShard& shard(ScheduleId s) { return *shards_[s.index()]; }
-  const ScheduleShard& shard(ScheduleId s) const { return *shards_[s.index()]; }
+  ScheduleShard& shard(ScheduleId s) { return shards_[s.index()]; }
+  const ScheduleShard& shard(ScheduleId s) const { return shards_[s.index()]; }
 
   const CertifierOptions options_;
   Mode mode_ = Mode::kDynamic;
 
-  mutable std::mutex mu_;  // session lock: cs_, engine_, levels, seals.
+  mutable std::mutex mu_;  // session lock: guards all mutable state.
   CompositeSystem cs_;
   OnlineFrontEngine engine_;
-  std::vector<std::unique_ptr<ScheduleShard>> shards_;
+  std::vector<ScheduleShard> shards_;
 
   /// Schedule invocation adjacency (edge = host schedule invokes the
   /// subtransaction's schedule), kept for the recursion pre-check and the
@@ -301,12 +294,6 @@ class Certifier {
   /// Highest kCommitThrough watermark applied (count of roots in
   /// creation order known committed).
   uint64_t commit_watermark_ = 0;
-
-  /// Per-epoch scratch: backs the engine's deferred-edge buffers during
-  /// IngestBatch; Reset after each flush+prune.
-  MonotonicArena arena_;
-  bool in_batch_ = false;
-  bool prune_pending_ = false;
 
   /// True once any conflict or order event has been accepted.  A semantic
   /// event (commute/clash/tag) arriving later is retroactive — it can

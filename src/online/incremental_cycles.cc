@@ -77,12 +77,6 @@ bool IncrementalCycleGraph::AddEdge(NodeId a, NodeId b) {
   return true;
 }
 
-bool IncrementalCycleGraph::AddEdges(
-    const std::vector<std::pair<NodeId, NodeId>>& edges) {
-  for (const auto& [a, b] : edges) AddEdge(a, b);
-  return !cycle_;
-}
-
 bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
   const uint64_t lb = vertices_.at(b).ord;
   const uint64_t ub = vertices_.at(a).ord;

@@ -48,12 +48,6 @@ class IncrementalCycleGraph {
   /// this edge closed a cycle, or a previous one did).
   bool AddEdge(NodeId a, NodeId b);
 
-  /// Adds every edge of `edges` in order, exactly as the equivalent
-  /// AddEdge sequence would (same sticky-failure semantics, same
-  /// witness).  Returns the final acyclicity: true iff no inserted edge —
-  /// this batch or earlier — closed a cycle.
-  bool AddEdges(const std::vector<std::pair<NodeId, NodeId>>& edges);
-
   bool HasEdge(NodeId a, NodeId b) const;
   bool Contains(NodeId id) const { return vertices_.count(id) > 0; }
 

@@ -110,47 +110,8 @@ void OnlineFrontEngine::Reset(const CompositeSystem* cs,
   step_.assign(order_ + 1, StepState{});
   strong_of_.clear();
   failure_.reset();
-  // A mid-batch Reset (schedule levels shifted) invalidates the deferred
-  // ops' routing; drop them — the caller re-feeds its closures, which
-  // defer afresh against the new levels.
-  if (pending_) pending_->clear();
   for (uint32_t v = 0; v < cs_->NodeCount(); ++v) {
-    if (cs_->node(NodeId(v)).IsRoot()) {
-      if (pending_) {
-        pending_->push_back(PendingOp{PendingOp::Kind::kEnsureTop, 0, NodeId(),
-                                      NodeId(v), NodeId()});
-      } else {
-        level_[order_].cc.EnsureNode(NodeId(v));
-      }
-    }
-  }
-}
-
-void OnlineFrontEngine::BeginBatch(MonotonicArena* arena) {
-  pending_.emplace(ArenaAllocator<PendingOp>(arena));
-}
-
-void OnlineFrontEngine::FlushBatch() {
-  if (!pending_) return;
-  // Detach before applying so the *Now bodies (IntraEdgeNow in
-  // particular, reached from kCalc routing) don't re-defer.
-  auto ops = std::move(*pending_);
-  pending_.reset();
-  for (const PendingOp& op : ops) {
-    switch (op.kind) {
-      case PendingOp::Kind::kEnsureTop:
-        level_[order_].cc.EnsureNode(op.a);
-        break;
-      case PendingOp::Kind::kCc:
-        CcEdgeNow(op.idx, op.a, op.b);
-        break;
-      case PendingOp::Kind::kCalc:
-        CalcEdgeNow(op.idx, op.a, op.b);
-        break;
-      case PendingOp::Kind::kIntra:
-        IntraEdgeNow(op.idx, op.p, op.a, op.b);
-        break;
-    }
+    if (cs_->node(NodeId(v)).IsRoot()) level_[order_].cc.EnsureNode(NodeId(v));
   }
 }
 
@@ -214,14 +175,6 @@ void OnlineFrontEngine::Fail(uint32_t level, OnlineFailure::Step step,
 }
 
 void OnlineFrontEngine::CcEdge(uint32_t j, NodeId a, NodeId b) {
-  if (pending_) {
-    pending_->push_back(PendingOp{PendingOp::Kind::kCc, j, NodeId(), a, b});
-    return;
-  }
-  CcEdgeNow(j, a, b);
-}
-
-void OnlineFrontEngine::CcEdgeNow(uint32_t j, NodeId a, NodeId b) {
   IncrementalCycleGraph& cc = level_[j].cc;
   if (!cc.AddEdge(a, b) && !failure_) {
     Fail(j, OnlineFailure::Step::kConflictConsistency, cc.cycle_witness(),
@@ -231,24 +184,13 @@ void OnlineFrontEngine::CcEdgeNow(uint32_t j, NodeId a, NodeId b) {
 
 void OnlineFrontEngine::CalcEdge(uint32_t i, NodeId a, NodeId b) {
   if (i < 1 || i > order_) return;
-  if (pending_) {
-    // Routing inputs (Rep, schedule levels) are stable until the next
-    // Reset, and a Reset discards the pending list — so routing at flush
-    // time is identical to routing here.
-    pending_->push_back(PendingOp{PendingOp::Kind::kCalc, i, NodeId(), a, b});
-    return;
-  }
-  CalcEdgeNow(i, a, b);
-}
-
-void OnlineFrontEngine::CalcEdgeNow(uint32_t i, NodeId a, NodeId b) {
   NodeId ra = Rep(a, i);
   NodeId rb = Rep(b, i);
   const bool grouped = (ra != a) || (rb != b);
   if (ra == rb && grouped) {
     // Both endpoints collapse into one level-i transaction: the constraint
     // is internal to that block (Def 14 intra test).
-    IntraEdgeNow(i, ra, a, b);
+    IntraEdge(i, ra, a, b);
     return;
   }
   IncrementalCycleGraph& q = step_[i].quotient;
@@ -262,14 +204,6 @@ void OnlineFrontEngine::CalcEdgeNow(uint32_t i, NodeId a, NodeId b) {
 
 void OnlineFrontEngine::IntraEdge(uint32_t i, NodeId p, NodeId a, NodeId b) {
   if (i < 1 || i > order_) return;
-  if (pending_) {
-    pending_->push_back(PendingOp{PendingOp::Kind::kIntra, i, p, a, b});
-    return;
-  }
-  IntraEdgeNow(i, p, a, b);
-}
-
-void OnlineFrontEngine::IntraEdgeNow(uint32_t i, NodeId p, NodeId a, NodeId b) {
   IncrementalCycleGraph& g = step_[i].intra[p];
   if (!g.AddEdge(a, b) && !failure_) {
     Fail(i, OnlineFailure::Step::kCalculation, g.cycle_witness(),

@@ -11,7 +11,6 @@
 
 #include "core/composite_system.h"
 #include "online/incremental_cycles.h"
-#include "util/arena.h"
 
 namespace comptx::online {
 
@@ -131,33 +130,8 @@ class OnlineFrontEngine {
 
   /// (Re)initializes for `cs` with the given schedule levels and order.
   /// `cs` must outlive the engine; `forgetting` as in ReductionOptions.
-  /// Discards any deferred batch edges (a reset regenerates complete
-  /// state from the certifier's retained closures) but stays in batch
-  /// mode if one is open, so the replay defers again.
   void Reset(const CompositeSystem* cs, std::vector<uint32_t> schedule_levels,
              uint32_t order, bool forgetting);
-
-  // ---- Edge batching ----------------------------------------------------
-
-  /// Enters batch mode: cycle-graph mutations (CC, quotient and intra
-  /// edges, top-level root registration) are recorded into a pending list
-  /// allocated from `arena` instead of applied immediately.  The handlers
-  /// never read cycle-graph state, so deferral is invisible to them;
-  /// routing decisions (level spans, block representatives) are taken at
-  /// record time and are stable until the next Reset.  The point: one
-  /// Pearce-Kelly maintenance window per APPEND batch instead of per
-  /// edge, with all bookkeeping allocation arena-backed.
-  ///
-  /// `arena` must stay valid (and must not be Reset) until FlushBatch.
-  void BeginBatch(MonotonicArena* arena);
-
-  /// Applies the pending edges strictly in record order — identical
-  /// semantics, failure witness included, to the unbatched sequence —
-  /// and leaves batch mode.  Callers must flush before reading any
-  /// verdict, order key, or pruning predicate.
-  void FlushBatch();
-
-  bool batching() const { return pending_.has_value(); }
 
   // ---- Event handlers (called with facts not seen before) ---------------
 
@@ -262,38 +236,21 @@ class OnlineFrontEngine {
   void AddObserved(uint32_t j, NodeId a, NodeId b);
 
   /// Adds a conflict-consistency edge at level j; records failure on cycle.
-  /// Deferred while batching.
   void CcEdge(uint32_t j, NodeId a, NodeId b);
-  void CcEdgeNow(uint32_t j, NodeId a, NodeId b);
 
   /// Adds a calculation constraint edge between front-(i-1) members a, b
   /// for step i, routed to the quotient graph (distinct blocks) or the
-  /// grouping transaction's intra graph (same block).  Deferred while
-  /// batching (the Rep routing inputs are stable between Resets, so
-  /// flush-time routing equals record-time routing).
+  /// grouping transaction's intra graph (same block).
   void CalcEdge(uint32_t i, NodeId a, NodeId b);
-  void CalcEdgeNow(uint32_t i, NodeId a, NodeId b);
 
   /// Adds an edge directly to the intra graph of group transaction p.
-  /// Deferred while batching.
   void IntraEdge(uint32_t i, NodeId p, NodeId a, NodeId b);
-  void IntraEdgeNow(uint32_t i, NodeId p, NodeId a, NodeId b);
 
   /// Records a closed strong pair and pulls it down onto every front.
   void StrongPair(NodeId u, NodeId v);
 
   void Fail(uint32_t level, OnlineFailure::Step step,
             const std::vector<NodeId>& witness, const std::string& what);
-
-  /// One deferred cycle-graph mutation; applied in FIFO order at flush.
-  struct PendingOp {
-    enum class Kind : uint8_t { kEnsureTop, kCc, kCalc, kIntra };
-    Kind kind;
-    uint32_t idx;  // level j (kCc) or step i (kCalc / kIntra)
-    NodeId p;      // kIntra group transaction
-    NodeId a;
-    NodeId b;
-  };
 
   const CompositeSystem* cs_ = nullptr;
   std::vector<uint32_t> schedule_levels_;
@@ -305,9 +262,6 @@ class OnlineFrontEngine {
   /// endpoint -> (other endpoint, true iff this endpoint is the source).
   std::unordered_map<NodeId, std::vector<std::pair<NodeId, bool>>> strong_of_;
   std::optional<OnlineFailure> failure_;
-
-  /// Engaged while batching; backed by the caller's per-epoch arena.
-  std::optional<std::vector<PendingOp, ArenaAllocator<PendingOp>>> pending_;
 };
 
 }  // namespace comptx::online

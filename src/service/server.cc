@@ -149,8 +149,7 @@ CertificationServer::CertificationServer(const ServerOptions& options)
     : options_(options),
       durability_(StartDurability(options.durability, &metrics_.durability,
                                   &init_status_)),
-      sessions_(options.max_sessions, &metrics_, durability_.get()),
-      pool_(std::make_unique<ThreadPool>(std::max<size_t>(1, options.workers))) {
+      sessions_(options.max_sessions, &metrics_, durability_.get()) {
   // Recover before anything serves or ticks: the table must hold every
   // crashed-but-live session before the first OPEN can reuse an id and
   // before the eviction sweep can observe a half-built table.
@@ -166,9 +165,10 @@ CertificationServer::CertificationServer(const ServerOptions& options)
     }
   }
   const size_t workers = std::max<size_t>(1, options_.workers);
-  pool_host_ = std::thread([this, workers] {
-    pool_->ParallelFor(workers, [this](size_t) { WorkerLoop(); });
-  });
+  workers_.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   if (options_.idle_timeout_ms > 0 || options_.stats_interval_ms > 0) {
     ticker_ = std::thread([this] { TickerLoop(); });
   }
@@ -640,7 +640,9 @@ void CertificationServer::Shutdown() {
     stop_workers_ = true;
     run_cv_.notify_all();
   }
-  if (pool_host_.joinable()) pool_host_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 
   // 4. Tear down the network.  EventLoop::Stop is graceful: it stops
   //    accepting and reading, lets the handler pool answer every request

@@ -69,8 +69,8 @@ struct ServerOptions {
 /// in-process tests, the stress suite and bench_service call Handle
 /// directly.  Inside, an OPEN admits a session (SessionManager), APPEND
 /// enqueues events into the session's bounded queue and hands the session
-/// to the run queue, and the worker pool (util/thread_pool hosting
-/// `workers` resident loops) drains scheduled sessions batch by batch
+/// to the run queue, and `workers` worker threads drain scheduled
+/// sessions batch by batch
 /// through their online certifiers.  QUERY/CLOSE are drain barriers: they
 /// wait for the session's queue to empty, then read the verdict.
 ///
@@ -187,11 +187,8 @@ class CertificationServer {
   std::deque<std::shared_ptr<Session>> run_queue_;
   bool stop_workers_ = false;
 
-  // The worker pool: a util/thread_pool whose ParallelFor hosts one
-  // resident WorkerLoop per worker; pool_host_ is the caller thread that
-  // parks inside ParallelFor until shutdown.
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread pool_host_;
+  // One WorkerLoop thread per worker, joined in Shutdown.
+  std::vector<std::thread> workers_;
 
   std::thread ticker_;  // idle eviction + periodic stats line
   std::mutex ticker_mu_;

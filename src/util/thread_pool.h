@@ -15,10 +15,11 @@ namespace comptx {
 /// The number of threads comptx uses by default: the COMPTX_THREADS
 /// environment variable when set to a positive integer, otherwise the
 /// hardware concurrency (at least 1).  COMPTX_THREADS=1 forces every
-/// parallel stage onto the caller's thread (the fully serial path).
+/// cross-trace stage (sweeps, prefix checks, campaigns) onto the caller's
+/// thread; a single reduction is serial at any setting.
 size_t DefaultThreadCount();
 
-/// A small work-stealing thread pool for data-parallel loops.
+/// A small work-stealing thread pool for data-parallel loops over traces.
 ///
 /// ParallelFor splits an index range into one shard per participant
 /// (workers + the calling thread); each participant drains its own shard
@@ -29,7 +30,7 @@ size_t DefaultThreadCount();
 /// Determinism contract: ParallelFor only guarantees that fn is invoked
 /// exactly once per index.  Callers that fold results into an order-
 /// sensitive structure must write into per-index slots and merge in index
-/// order afterwards (see SystemContext and the reduction shards).
+/// order afterwards (see ParallelMap and SweepCompC).
 ///
 /// Nested ParallelFor calls from inside a worker run inline on that
 /// worker (no deadlock, no oversubscription).

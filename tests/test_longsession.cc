@@ -5,8 +5,8 @@
 //     equivalence with the corresponding kCommit sequence, monotonicity,
 //     and rejection of watermarks past the created-root count;
 //   * IngestBatch equivalence: arbitrary batch splits produce the same
-//     per-event statuses, verdicts and stats as sequential Ingest;
-//   * MonotonicArena unit behavior (the allocator behind batch mode);
+//     per-event statuses, stats and serial witness as sequential Ingest,
+//     checked after every batch;
 //   * the 500-trace property sweep: a pruned certifier (watermarks
 //     interleaved at safe positions) stays prefix-identical to an
 //     unpruned certifier and to analysis::BatchPrefixVerdicts, with
@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -33,7 +32,6 @@
 #include "core/correctness.h"
 #include "online/certifier.h"
 #include "service/protocol.h"
-#include "util/arena.h"
 #include "util/string_util.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
@@ -255,6 +253,23 @@ TEST(CommitThrough, RejectsWatermarkPastCreatedRoots) {
 
 // ------------------------------------------------ batch-path equivalence
 
+/// Every counter of two certifiers that ingested the same stream.
+void ExpectSameStats(const CertifierStats& a, const CertifierStats& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.events_accepted, b.events_accepted) << where;
+  EXPECT_EQ(a.events_rejected, b.events_rejected) << where;
+  EXPECT_EQ(a.rebuilds, b.rebuilds) << where;
+  EXPECT_EQ(a.prune_passes, b.prune_passes) << where;
+  EXPECT_EQ(a.pruned_nodes, b.pruned_nodes) << where;
+  EXPECT_EQ(a.sealed_roots, b.sealed_roots) << where;
+  EXPECT_EQ(a.commit_watermark, b.commit_watermark) << where;
+  EXPECT_EQ(a.live_nodes, b.live_nodes) << where;
+  EXPECT_EQ(a.observed_pairs, b.observed_pairs) << where;
+  EXPECT_EQ(a.cc_edges, b.cc_edges) << where;
+  EXPECT_EQ(a.calc_edges, b.calc_edges) << where;
+  EXPECT_EQ(a.closure_pairs, b.closure_pairs) << where;
+}
+
 TEST(IngestBatch, MatchesSequentialIngestOnRandomTraces) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     workload::WorkloadSpec spec;
@@ -267,23 +282,17 @@ TEST(IngestBatch, MatchesSequentialIngestOnRandomTraces) {
     spec.execution.conflict_prob = 0.3;
     spec.execution.disorder_prob = (seed % 2 == 0) ? 0.0 : 0.3;
     auto events = GeneratedEvents(spec, 4200 + seed);
-    // Watermarks in the middle of the batch exercise the deferred-prune
-    // epilogue.
+    // Watermarks in the middle of a batch make commit and epoch pruning
+    // run inside it, exactly where the sequential stream runs them.
     events = InterleaveWatermarks(events, 2);
     const std::string repro =
         StrCat(workload::DescribeWorkloadSpec(spec), " seed=", 4200 + seed);
 
-    Certifier sequential;
-    std::vector<bool> expected_ok;
-    std::vector<bool> expected_verdict;
-    for (const auto& event : events) {
-      expected_ok.push_back(sequential.Ingest(event).ok());
-      expected_verdict.push_back(sequential.Certifiable());
-    }
-
-    // Split the same stream into batches of varying size (the seed picks
-    // the split), including batches holding the whole stream.
+    // Split the stream into batches of varying size (the seed picks the
+    // split), including batches holding the whole stream, and feed the
+    // sequential certifier the same events one at a time in lockstep.
     const size_t batch_size = 1 + (seed % 2 == 0 ? seed % 7 : events.size());
+    Certifier sequential;
     Certifier batched;
     size_t cursor = 0;
     while (cursor < events.size()) {
@@ -295,77 +304,21 @@ TEST(IngestBatch, MatchesSequentialIngestOnRandomTraces) {
       ASSERT_EQ(statuses.size(), n) << repro;
       size_t rejected_expected = 0;
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(statuses[i].ok(), !!expected_ok[cursor + i])
+        const bool expected_ok = sequential.Ingest(chunk[i]).ok();
+        EXPECT_EQ(statuses[i].ok(), expected_ok)
             << repro << " event " << cursor + i << ": "
             << statuses[i].ToString();
-        if (!expected_ok[cursor + i]) ++rejected_expected;
+        if (!expected_ok) ++rejected_expected;
       }
       EXPECT_EQ(rejected, rejected_expected) << repro;
       cursor += n;
+
+      const std::string where = StrCat(repro, " after event ", cursor);
+      EXPECT_EQ(batched.Certifiable(), sequential.Certifiable()) << where;
+      ExpectSameStats(batched.Stats(), sequential.Stats(), where);
+      EXPECT_EQ(batched.SerialWitness(), sequential.SerialWitness()) << where;
     }
-
-    EXPECT_EQ(batched.Certifiable(), expected_verdict.back()) << repro;
-    const CertifierStats a = batched.Stats();
-    const CertifierStats b = sequential.Stats();
-    EXPECT_EQ(a.events_accepted, b.events_accepted) << repro;
-    EXPECT_EQ(a.events_rejected, b.events_rejected) << repro;
-    EXPECT_EQ(a.sealed_roots, b.sealed_roots) << repro;
-    EXPECT_EQ(a.pruned_nodes, b.pruned_nodes) << repro;
-    EXPECT_EQ(a.live_nodes, b.live_nodes) << repro;
-    // The witness is *a* valid serial order of the live roots, not a
-    // canonical one — batch edge flushing may break Pearce-Kelly ties
-    // differently — so compare the root sets, not the sequences.
-    std::vector<NodeId> wa = batched.SerialWitness();
-    std::vector<NodeId> wb = sequential.SerialWitness();
-    auto by_index = [](NodeId x, NodeId y) { return x.index() < y.index(); };
-    std::sort(wa.begin(), wa.end(), by_index);
-    std::sort(wb.begin(), wb.end(), by_index);
-    EXPECT_EQ(wa, wb) << repro;
   }
-}
-
-// ---------------------------------------------------------- arena unit
-
-TEST(MonotonicArena, ReusesCapacityAcrossResets) {
-  MonotonicArena arena;
-  EXPECT_EQ(arena.UsedBytes(), 0u);
-  void* first = arena.Allocate(64, 8);
-  ASSERT_NE(first, nullptr);
-  EXPECT_GE(arena.UsedBytes(), 64u);
-  const size_t capacity_after_growth = [&] {
-    for (int i = 0; i < 1000; ++i) arena.Allocate(128, 8);
-    return arena.CapacityBytes();
-  }();
-  arena.Reset();
-  EXPECT_EQ(arena.UsedBytes(), 0u);
-  // Reset keeps the chunks: steady-state allocation must not grow.
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 1000; ++i) arena.Allocate(128, 8);
-    EXPECT_EQ(arena.CapacityBytes(), capacity_after_growth)
-        << "round " << round;
-    arena.Reset();
-  }
-  arena.Release();
-  EXPECT_EQ(arena.CapacityBytes(), 0u);
-}
-
-TEST(MonotonicArena, AlignsAndServesOversizedBlocks) {
-  MonotonicArena arena;
-  // The arena's contract tops out at new[] alignment (fresh chunk bases
-  // are not over-aligned), which covers every POD the certifier stores.
-  for (size_t align : {size_t{1}, size_t{2}, size_t{8},
-                       alignof(std::max_align_t)}) {
-    void* p = arena.Allocate(3, align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << align;
-  }
-  // Larger than any chunk the arena would grow to on its own.
-  void* big = arena.Allocate(1 << 22, 16);
-  ASSERT_NE(big, nullptr);
-  memset(big, 0xAB, 1 << 22);
-
-  std::vector<int, ArenaAllocator<int>> vec{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 10000; ++i) vec.push_back(i);
-  EXPECT_EQ(vec[9999], 9999);
 }
 
 // ----------------------------------------------------- property sweep

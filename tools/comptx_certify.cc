@@ -10,6 +10,10 @@
 //                       [--stats] [--threads N] <trace-file>
 //        comptx_certify --demo [--check]
 //
+// --threads N (default COMPTX_THREADS, else the core count) sizes only
+// the --check prefix cross-validation, one prefix per task.  Each
+// reduction, and the online replay, runs on one thread.
+//
 // --static runs the static configuration analyzer on the fully replayed
 // trace first; on SAFE (exact on stack/fork/join/flat shapes, Theorems
 // 2-4) the per-event online replay is skipped entirely.  --paranoid keeps
@@ -40,6 +44,12 @@
 namespace {
 
 using namespace comptx;  // NOLINT
+
+constexpr char kUsage[] =
+    "usage: comptx_certify [--check] [--static] [--paranoid] [--no-prune] "
+    "[--stats] [--threads N] <trace-file> | --demo\n"
+    "  --threads N  prefixes cross-validated in parallel by --check; each "
+    "reduction is serial\n";
 
 const char* StepName(online::OnlineFailure::Step step) {
   switch (step) {
@@ -222,9 +232,7 @@ int main(int argc, char** argv) {
       PrintToolVersion("comptx_certify");
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: comptx_certify [--check] [--static] [--paranoid] "
-                   "[--no-prune] [--stats] [--threads N] <trace-file> | "
-                   "--demo\n";
+      std::cout << kUsage;
       return 0;
     } else if (arg == "--check") {
       cli.check = true;
@@ -261,9 +269,7 @@ int main(int argc, char** argv) {
     }
   }
   if (demo == !path.empty()) {  // exactly one of --demo / <trace-file>
-    std::cerr << "usage: comptx_certify [--check] [--static] [--paranoid] "
-                 "[--no-prune] [--stats] [--threads N] <trace-file> | "
-                 "--demo\n";
+    std::cerr << kUsage;
     return 2;
   }
   if (demo) {

@@ -13,6 +13,10 @@
 //                 [--no-metamorphic] [--max-shrink-calls N] [--quiet]
 //   comptx_shrink --replay FILE...   re-check stored witnesses
 //
+// --threads N (default COMPTX_THREADS, else the core count) sizes the
+// campaign's cross-trace fan-out; each trace's reduction runs on one
+// thread.
+//
 // Exit codes: 0 = all deciders agree (or all witnesses replay clean),
 // 1 = disagreement found (or a replayed witness fails), 2 = usage/IO
 // error.  --inject-bug exists to prove end to end that a real decider
@@ -44,7 +48,9 @@ int Usage() {
          "                                  flip-static|flip-commutes]\n"
          "                     [--no-metamorphic] [--threads N]\n"
          "                     [--max-shrink-calls N] [--quiet]\n"
-         "       comptx_shrink --replay FILE...\n";
+         "       comptx_shrink --replay FILE...\n"
+         "  --threads N  traces checked in parallel; each reduction is "
+         "serial\n";
   return 2;
 }
 
