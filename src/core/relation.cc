@@ -20,6 +20,12 @@ bool Row::Insert(uint32_t id) {
   return true;
 }
 
+bool Row::Erase(uint32_t id) {
+  if (!bits.Reset(id)) return false;
+  elems.erase(std::lower_bound(elems.begin(), elems.end(), id));
+  return true;
+}
+
 Row& RowStore::RowOf(uint32_t source) {
   // Grow the position window to cover `source`, keeping existing slots.
   if (sources_.empty()) {
@@ -52,6 +58,29 @@ Row& RowStore::RowOf(uint32_t source) {
   return rows_[p];
 }
 
+void RowStore::DropRow(uint32_t source) {
+  uint32_t& slot = pos_[source - base_];
+  const size_t p = slot - 1;
+  slot = 0;
+  sources_.erase(sources_.begin() + p);
+  rows_.erase(rows_.begin() + p);
+  if (sources_.empty()) {
+    base_ = 0;
+    pos_.clear();
+    return;
+  }
+  for (size_t i = p; i < sources_.size(); ++i) {
+    pos_[sources_[i] - base_] = static_cast<uint32_t>(i) + 1;
+  }
+  // Shrink the window to [front source, back source].
+  pos_.resize(sources_.back() - base_ + 1);
+  const uint32_t lead = sources_.front() - base_;
+  if (lead > 0) {
+    pos_.erase(pos_.begin(), pos_.begin() + lead);
+    base_ = sources_.front();
+  }
+}
+
 bool RowStore::operator==(const RowStore& other) const {
   if (sources_ != other.sources_) return false;
   for (size_t i = 0; i < rows_.size(); ++i) {
@@ -68,6 +97,23 @@ bool Relation::Add(NodeId a, NodeId b) {
   const bool inserted = store_.RowOf(a.index()).Insert(b.index());
   if (inserted) ++pair_count_;
   return inserted;
+}
+
+bool Relation::Remove(NodeId a, NodeId b) {
+  relation_internal::Row* row = store_.FindRow(a.index());
+  if (row == nullptr || !row->Erase(b.index())) return false;
+  --pair_count_;
+  if (row->elems.empty()) store_.DropRow(a.index());
+  return true;
+}
+
+size_t Relation::RemoveSource(NodeId a) {
+  const relation_internal::Row* row = store_.FindRow(a.index());
+  if (row == nullptr) return 0;
+  const size_t removed = row->elems.size();
+  pair_count_ -= removed;
+  store_.DropRow(a.index());
+  return removed;
 }
 
 void Relation::AddAll(NodeId src, const std::vector<uint32_t>& targets) {

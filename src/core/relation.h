@@ -23,6 +23,8 @@ struct Row {
 
   /// Inserts `id`; returns true iff it was new.
   bool Insert(uint32_t id);
+  /// Removes `id`; returns true iff it was present.
+  bool Erase(uint32_t id);
 };
 
 /// Shared storage of Relation and SymmetricPairSet: rows keyed by source
@@ -31,7 +33,10 @@ struct Row {
 /// of source ids actually present (sources are sparse in the global id
 /// space — a per-transaction intra order touches a handful of ids out of
 /// thousands — so the window, like the rows' bitsets, keeps memory
-/// proportional to the pairs stored while every probe is O(1)).
+/// proportional to the pairs stored while every probe is O(1)).  Dropping
+/// a row shrinks the window from either end, so a store whose oldest
+/// sources are removed stays as wide as its live sources, not as wide as
+/// every id it ever held.
 class RowStore {
  public:
   /// The row of `source`, creating it if absent.
@@ -43,6 +48,11 @@ class RowStore {
     if (slot >= pos_.size() || pos_[slot] == 0) return nullptr;
     return &rows_[pos_[slot] - 1];
   }
+  Row* FindRow(uint32_t source) {
+    return const_cast<Row*>(std::as_const(*this).FindRow(source));
+  }
+  /// Drops the row of `source` (which must exist).
+  void DropRow(uint32_t source);
 
   size_t SourceCount() const { return sources_.size(); }
   uint32_t SourceAt(size_t i) const { return sources_[i]; }
@@ -68,13 +78,23 @@ class RowStore {
 /// the exact order the previous map-of-sets layout produced, so failure
 /// witnesses and generated workloads stay reproducible bit-for-bit), and a
 /// windowed bitset row answers Contains in O(1).  Const member functions
-/// are safe to call concurrently; mutation is single-threaded.
+/// are safe to call concurrently; mutation is single-threaded.  Batch
+/// callers only ever add; the online engine also removes the pairs of
+/// pruned nodes (online::LiveRelation).
 class Relation {
  public:
   Relation() = default;
 
   /// Adds the ordered pair (a, b).  Returns true if it was new.
   bool Add(NodeId a, NodeId b);
+
+  /// Removes the pair (a, b).  Returns true if it was present.  A row left
+  /// empty is dropped, so SourceCount and iteration still cover exactly
+  /// the sources that have pairs.
+  bool Remove(NodeId a, NodeId b);
+
+  /// Removes every pair with source `a`; returns how many there were.
+  size_t RemoveSource(NodeId a);
 
   /// Adds (src, t) for every t in `targets`, resolving the row only once.
   /// The bulk path for closure materialization, where one source gains

@@ -5,10 +5,9 @@
 namespace comptx::graph {
 
 TransitiveClosure::TransitiveClosure(const Digraph& g)
-    : node_count_(g.NodeCount()),
-      words_per_row_((node_count_ + 63) / 64),
-      bits_(node_count_ * words_per_row_, 0) {
-  if (node_count_ == 0) return;
+    : words_per_row_((g.NodeCount() + 63) / 64),
+      bits_(g.NodeCount() * words_per_row_, 0) {
+  if (g.NodeCount() == 0) return;
   // Tarjan emits components in reverse topological order of the
   // condensation: when we process components in order 0, 1, ..., every
   // successor component of the one being processed is already final.
@@ -38,14 +37,6 @@ TransitiveClosure::TransitiveClosure(const Digraph& g)
 
 bool TransitiveClosure::Reaches(NodeIndex from, NodeIndex to) const {
   return TestBit(from, to);
-}
-
-Digraph TransitiveClosure::ToDigraph() const {
-  Digraph out(node_count_);
-  for (NodeIndex v = 0; v < node_count_; ++v) {
-    ForEachReachable(v, [&](NodeIndex w) { out.AddEdge(v, w); });
-  }
-  return out;
 }
 
 }  // namespace comptx::graph

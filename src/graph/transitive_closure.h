@@ -23,11 +23,6 @@ class TransitiveClosure {
   /// True iff there is a non-empty directed path from `from` to `to`.
   bool Reaches(NodeIndex from, NodeIndex to) const;
 
-  size_t NodeCount() const { return node_count_; }
-
-  /// Materializes the closed graph (every reachable pair becomes an edge).
-  Digraph ToDigraph() const;
-
   /// Invokes `f(NodeIndex to)` for every node reachable from `from`, in
   /// ascending index order, scanning whole 64-bit words at a time.  This
   /// is how callers should enumerate a closure (O(n / 64 + reachable)
@@ -46,7 +41,6 @@ class TransitiveClosure {
   }
 
  private:
-  size_t node_count_;
   size_t words_per_row_;
   std::vector<uint64_t> bits_;
 

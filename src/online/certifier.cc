@@ -243,7 +243,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
-      const IncrementalClosure& weak_output = shard(host).weak_output;
+      const LiveRelation& weak_output = shard(host).weak_output;
       engine_.OnConflict(a, b, weak_output.Contains(a, b),
                          weak_output.Contains(b, a));
       return Status::OK();
@@ -263,7 +263,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
       std::vector<std::pair<NodeId, NodeId>> new_pairs;
-      shard(host).weak_output.Add(a, b, new_pairs);
+      shard(host).weak_output.AddClosing(a, b, new_pairs);
       for (const auto& [x, y] : new_pairs) {
         engine_.OnClosedWeakOutput(host, x, y);
       }
@@ -282,8 +282,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       if (!DynamicActive()) return Status::OK();
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
       ScheduleShard& sh = shard(sched);
-      if (strong) sh.strong_input.Add(a, b, new_strong);
-      sh.weak_input.Add(a, b, new_weak);  // strong pairs are weak pairs.
+      if (strong) sh.strong_input.AddClosing(a, b, new_strong);
+      sh.weak_input.AddClosing(a, b, new_weak);  // strong pairs are weak.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongInput(x, y);
       for (const auto& [x, y] : new_weak) engine_.OnClosedWeakInput(x, y);
       return Status::OK();
@@ -303,8 +303,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       const ScheduleId owner = cs_.node(txn).owner_schedule;
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
       ScheduleShard& sh = shard(owner);
-      if (strong) sh.strong_intra[txn].Add(a, b, new_strong);
-      sh.weak_intra[txn].Add(a, b, new_weak);  // strong implies weak.
+      if (strong) sh.strong_intra[txn].AddClosing(a, b, new_strong);
+      sh.weak_intra[txn].AddClosing(a, b, new_weak);  // strong implies weak.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongIntra(x, y);
       for (const auto& [x, y] : new_weak) {
         engine_.OnClosedWeakIntra(txn, x, y);
@@ -395,7 +395,8 @@ void Certifier::MaybePruneLocked() {
   PruneLocked();
 }
 
-bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
+bool Certifier::CanPrune(NodeId root,
+                         const std::vector<NodeId>& subtree) const {
   // In-edges whose source lies inside the subtree are removed together
   // with it, so only edges crossing the boundary from outside pin the
   // subtree down.  This is sound because PruneLocked only runs while the
@@ -403,7 +404,8 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
   // subtree carries no internal cycle whose evidence removal could lose,
   // and with a zero external in-degree no future event (which may not
   // reference sealed nodes) can ever route a cycle through the subtree.
-  const std::unordered_set<NodeId> inside(subtree.begin(), subtree.end());
+  // Membership walks at most `order` parent links.
+  const auto inside = [&](NodeId x) { return cs_.RootOf(x) == root; };
   for (NodeId n : subtree) {
     // No external in-edge in any front-level or quotient structure.
     if (engine_.HasIncomingEdges(n, inside)) return false;
@@ -413,8 +415,8 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
       // the subtree whenever the block is), so a clean graph suffices.
       if (!engine_.IntraGraphClean(n)) return false;
       const ScheduleShard& sh = shard(node.owner_schedule);
-      if (sh.weak_input.HasIncomingFromOutside(n, inside) ||
-          sh.strong_input.HasIncomingFromOutside(n, inside)) {
+      if (sh.weak_input.HasPredecessorOutside(n, inside) ||
+          sh.strong_input.HasPredecessorOutside(n, inside)) {
         return false;
       }
     }
@@ -423,14 +425,14 @@ bool Certifier::CanPrune(const std::vector<NodeId>& subtree) const {
       // transitivity without any event naming `n`; require that none
       // cross the boundary.
       if (shard(cs_.HostScheduleOf(n))
-              .weak_output.HasIncomingFromOutside(n, inside)) {
+              .weak_output.HasPredecessorOutside(n, inside)) {
         return false;
       }
       const NodeId parent = node.parent;
       const ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
       auto check = [&](const auto& map) {
         auto it = map.find(parent);
-        return it != map.end() && it->second.HasIncomingFromOutside(n, inside);
+        return it != map.end() && it->second.HasPredecessorOutside(n, inside);
       };
       if (check(sh.weak_intra) || check(sh.strong_intra)) return false;
     }
@@ -500,7 +502,7 @@ size_t Certifier::PruneLocked() {
       const NodeId root = unpruned_sealed_[idx];
       std::vector<NodeId> subtree = {root};
       for (NodeId d : cs_.Descendants(root)) subtree.push_back(d);
-      if (!CanPrune(subtree)) {
+      if (!CanPrune(root, subtree)) {
         ++idx;
         continue;
       }

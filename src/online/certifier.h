@@ -96,7 +96,8 @@ struct CertifierStats {
 /// far below re-running batch CheckCompC on every prefix:
 ///
 ///   - per-schedule transitive closures are maintained incrementally and
-///     emit only newly closed pairs (one shard of closures per schedule);
+///     emit only newly closed pairs (one shard of closures per schedule,
+///     each a LiveRelation on core Relation rows);
 ///   - each new fact is routed to the affected front levels, where
 ///     acyclicity is maintained by incremental topological ordering
 ///     (Pearce-Kelly) rather than full DFS;
@@ -115,7 +116,9 @@ struct CertifierStats {
 /// structure once nothing points into it anymore (such nodes can never lie
 /// on a future violation cycle, so the verdict is unaffected).  The prune
 /// pass walks only the sealed-but-unpruned roots, so its cost is bounded
-/// by the live window, not the session's history (DESIGN.md §13.1).
+/// by the live window, not the session's history (DESIGN.md §13.1); it
+/// tests subtree membership by walking parent links (RootOf), so it
+/// allocates nothing per candidate.
 ///
 /// Thread safety (audited for the certification service, PR 5): a
 /// Certifier has *no* static or global mutable state — every structure
@@ -193,13 +196,13 @@ class Certifier {
  private:
   /// Per-schedule shard: the incrementally maintained transitive closures
   /// of that schedule's orders, plus the intra-transaction closures of the
-  /// transactions it owns.
+  /// transactions it owns, each kept closed by LiveRelation::AddClosing.
   struct ScheduleShard {
-    IncrementalClosure weak_output;
-    IncrementalClosure weak_input;
-    IncrementalClosure strong_input;
-    std::unordered_map<NodeId, IncrementalClosure> weak_intra;
-    std::unordered_map<NodeId, IncrementalClosure> strong_intra;
+    LiveRelation weak_output;
+    LiveRelation weak_input;
+    LiveRelation strong_input;
+    std::unordered_map<NodeId, LiveRelation> weak_intra;
+    std::unordered_map<NodeId, LiveRelation> strong_intra;
   };
 
   /// How verdicts are produced.  kStatic sessions maintain only cs_ and
@@ -233,7 +236,9 @@ class Certifier {
 
   void MaybePruneLocked();
   size_t PruneLocked();
-  bool CanPrune(const std::vector<NodeId>& subtree) const;
+  /// True iff the sealed subtree of `root` (`subtree`, root included)
+  /// has no in-edge from outside it in any maintained structure.
+  bool CanPrune(NodeId root, const std::vector<NodeId>& subtree) const;
   void RemoveSubtree(const std::vector<NodeId>& subtree);
 
   /// One-time static -> dynamic switch: rebuilds the full dynamic state

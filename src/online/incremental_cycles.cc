@@ -4,6 +4,37 @@
 
 namespace comptx::online {
 
+// ---- LiveRelation ---------------------------------------------------------
+
+void LiveRelation::AddClosing(
+    NodeId a, NodeId b, std::vector<std::pair<NodeId, NodeId>>& new_pairs) {
+  // (a, b) already closed: any path using the new pair factors through
+  // existing closed pairs, so nothing new can appear.
+  if (Contains(a, b)) return;
+  // Copied out: the spans are invalidated by the insertions below.
+  std::vector<uint32_t> sources(1, a.index());
+  const std::span<const uint32_t> pred = Predecessors(a);
+  sources.insert(sources.end(), pred.begin(), pred.end());
+  std::vector<uint32_t> targets(1, b.index());
+  const std::span<const uint32_t> succ = Successors(b);
+  targets.insert(targets.end(), succ.begin(), succ.end());
+  for (uint32_t x : sources) {
+    for (uint32_t y : targets) {
+      const NodeId from(x), to(y);
+      if (Add(from, to)) new_pairs.emplace_back(from, to);
+    }
+  }
+}
+
+void LiveRelation::RemoveNode(NodeId id) {
+  for (uint32_t y : fwd_.SuccessorIds(id)) rev_.Remove(NodeId(y), id);
+  fwd_.RemoveSource(id);
+  for (uint32_t x : rev_.SuccessorIds(id)) fwd_.Remove(NodeId(x), id);
+  rev_.RemoveSource(id);
+}
+
+// ---- IncrementalCycleGraph ------------------------------------------------
+
 IncrementalCycleGraph::Vertex& IncrementalCycleGraph::Ensure(NodeId id) {
   auto [it, inserted] = vertices_.try_emplace(id);
   if (inserted) it->second.ord = next_ord_++;
@@ -13,23 +44,7 @@ IncrementalCycleGraph::Vertex& IncrementalCycleGraph::Ensure(NodeId id) {
 void IncrementalCycleGraph::EnsureNode(NodeId id) { Ensure(id); }
 
 bool IncrementalCycleGraph::HasEdge(NodeId a, NodeId b) const {
-  auto it = vertices_.find(a);
-  return it != vertices_.end() && it->second.out.count(b) > 0;
-}
-
-size_t IncrementalCycleGraph::InDegree(NodeId id) const {
-  auto it = vertices_.find(id);
-  return it == vertices_.end() ? 0 : it->second.in.size();
-}
-
-bool IncrementalCycleGraph::HasInEdgeFromOutside(
-    NodeId id, const std::unordered_set<NodeId>& inside) const {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) return false;
-  for (NodeId pred : it->second.in) {
-    if (inside.count(pred) == 0) return true;
-  }
-  return false;
+  return edges_.Contains(a, b);
 }
 
 uint64_t IncrementalCycleGraph::OrderKey(NodeId id) const {
@@ -38,37 +53,20 @@ uint64_t IncrementalCycleGraph::OrderKey(NodeId id) const {
 }
 
 void IncrementalCycleGraph::RemoveNode(NodeId id) {
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) return;
-  for (NodeId succ : it->second.out) {
-    vertices_.at(succ).in.erase(id);
-    --edge_count_;
-  }
-  for (NodeId pred : it->second.in) {
-    vertices_.at(pred).out.erase(id);
-    --edge_count_;
-  }
-  vertices_.erase(it);
+  if (vertices_.erase(id) > 0) edges_.RemoveNode(id);
 }
 
 bool IncrementalCycleGraph::AddEdge(NodeId a, NodeId b) {
+  if (edges_.Contains(a, b)) return !cycle_;
   Vertex& va = Ensure(a);
-  if (va.out.count(b) > 0) return !cycle_;
+  Vertex& vb = Ensure(b);
+  edges_.Add(a, b);
+  if (cycle_) return false;
   if (a == b) {
-    va.out.insert(b);
-    va.in.insert(a);
-    ++edge_count_;
-    if (!cycle_) {
-      cycle_ = true;
-      witness_ = {a};
-    }
+    cycle_ = true;
+    witness_ = {a};
     return false;
   }
-  Vertex& vb = Ensure(b);
-  va.out.insert(b);
-  vb.in.insert(a);
-  ++edge_count_;
-  if (cycle_) return false;
   if (va.ord < vb.ord) return true;  // order already consistent: O(1).
   if (!Reorder(a, b)) {
     cycle_ = true;
@@ -102,13 +100,13 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
       std::reverse(witness_.begin(), witness_.end());
       return false;
     }
-    for (NodeId w : vertices_.at(u).out) {
-      Vertex& vw = vertices_.at(w);
+    for (uint32_t w : edges_.Successors(u)) {
+      Vertex& vw = vertices_.at(NodeId(w));
       if (vw.ord > ub) continue;
       if (vw.fwd_stamp != stamp) {
         vw.fwd_stamp = stamp;
         vw.parent = u;
-        stack_.push_back(w);
+        stack_.push_back(NodeId(w));
       }
     }
   }
@@ -122,12 +120,12 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
     NodeId u = stack_.back();
     stack_.pop_back();
     backward_.push_back(u);
-    for (NodeId w : vertices_.at(u).in) {
-      Vertex& vw = vertices_.at(w);
+    for (uint32_t w : edges_.Predecessors(u)) {
+      Vertex& vw = vertices_.at(NodeId(w));
       if (vw.ord < lb) continue;
       if (vw.bwd_stamp != stamp) {
         vw.bwd_stamp = stamp;
-        stack_.push_back(w);
+        stack_.push_back(NodeId(w));
       }
     }
   }

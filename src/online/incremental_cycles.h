@@ -3,14 +3,74 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/ids.h"
+#include "core/relation.h"
 
 namespace comptx::online {
+
+/// A prunable relation: a core Relation plus its converse, so both the
+/// successors and the predecessors of a node are sorted spans and every
+/// pair incident to a node can be removed.  This is the online engine's
+/// one adjacency substrate — shard closures, observed orders, strong
+/// pairs and the edges of IncrementalCycleGraph — on the same dense rows
+/// the batch engine uses.  Iteration is in ascending id order.
+class LiveRelation {
+ public:
+  /// Adds (a, b); returns true if new.
+  bool Add(NodeId a, NodeId b) {
+    if (!fwd_.Add(a, b)) return false;
+    rev_.Add(b, a);
+    return true;
+  }
+
+  /// Adds the generating pair (a, b) to a transitively closed relation and
+  /// appends every newly closed pair to `new_pairs`: the new pairs are
+  /// ({a} ∪ pred(a)) × ({b} ∪ succ(b)) minus those already present.  Kept
+  /// closed this way the relation equals core ClosureWithin of its
+  /// generators (in particular, a node is closed to itself only when it
+  /// lies on a cycle).
+  void AddClosing(NodeId a, NodeId b,
+                  std::vector<std::pair<NodeId, NodeId>>& new_pairs);
+
+  bool Contains(NodeId a, NodeId b) const { return fwd_.Contains(a, b); }
+  size_t PairCount() const { return fwd_.PairCount(); }
+
+  /// Successor / predecessor ids of `id` in ascending order.  Spans are
+  /// invalidated by any mutation.
+  std::span<const uint32_t> Successors(NodeId id) const {
+    return fwd_.SuccessorIds(id);
+  }
+  std::span<const uint32_t> Predecessors(NodeId id) const {
+    return rev_.SuccessorIds(id);
+  }
+
+  /// True iff some pair (x, id) exists with `!inside(x)`.
+  template <typename Inside>
+  bool HasPredecessorOutside(NodeId id, const Inside& inside) const {
+    for (uint32_t x : Predecessors(id)) {
+      if (!inside(NodeId(x))) return true;
+    }
+    return false;
+  }
+
+  /// Invokes f(a, b) for every pair, in (a, b) lexicographic order.
+  template <typename F>
+  void ForEach(F f) const {
+    fwd_.ForEach(f);
+  }
+
+  /// Drops every pair with `id` as an endpoint.
+  void RemoveNode(NodeId id);
+
+ private:
+  Relation fwd_;
+  Relation rev_;  // converse of fwd_
+};
 
 /// Dynamic acyclicity maintenance for a growing constraint digraph, using
 /// incremental topological ordering (Pearce & Kelly, "A Dynamic
@@ -23,7 +83,9 @@ namespace comptx::online {
 /// below re-running a full DFS per event.
 ///
 /// Vertices are identified by NodeId (sparse); unknown endpoints are
-/// created on first use and appended at the end of the order.  The
+/// created on first use and appended at the end of the order.  Edges are
+/// a LiveRelation, so the Reorder walks visit neighbours in ascending id
+/// order and witnesses do not depend on hash order.  The
 /// structure is *sticky* on failure: the first edge that closes a cycle
 /// records a witness and freezes the topological order, but later edges
 /// are still recorded so that adjacency (and hence epoch pruning
@@ -33,9 +95,9 @@ namespace comptx::online {
 ///
 /// Allocation discipline: the Reorder pass marks visited vertices with a
 /// monotone stamp stored inline in each Vertex and accumulates its
-/// frontier in member scratch vectors, so steady-state edge insertion
-/// performs no per-call heap allocation (the scratch keeps its high-water
-/// capacity across calls).
+/// frontier in member scratch vectors, so a reorder performs no per-call
+/// heap allocation (the scratch keeps its high-water capacity across
+/// calls).
 class IncrementalCycleGraph {
  public:
   IncrementalCycleGraph() = default;
@@ -60,18 +122,16 @@ class IncrementalCycleGraph {
   const std::vector<NodeId>& cycle_witness() const { return witness_; }
 
   size_t NodeCount() const { return vertices_.size(); }
-  size_t EdgeCount() const { return edge_count_; }
+  size_t EdgeCount() const { return edges_.PairCount(); }
 
-  /// Number of in-edges of `id` (0 for unknown vertices).  Used by the
-  /// certifier's epoch pruning: a sealed vertex with no in-edges can never
-  /// join a future cycle.
-  size_t InDegree(NodeId id) const;
-
-  /// True iff `id` has an in-edge whose source is NOT in `inside`.  Epoch
+  /// True iff `id` has an in-edge whose source x has `!inside(x)`.  Epoch
   /// pruning removes whole sealed subtrees at once, so in-edges between
-  /// members of the removed set don't pin the subtree down.
-  bool HasInEdgeFromOutside(NodeId id,
-                            const std::unordered_set<NodeId>& inside) const;
+  /// members of the removed set don't pin the subtree down, and a sealed
+  /// vertex with no other in-edge can never join a future cycle.
+  template <typename Inside>
+  bool HasInEdgeFromOutside(NodeId id, const Inside& inside) const {
+    return edges_.HasPredecessorOutside(id, inside);
+  }
 
   /// Removes `id` and every incident edge.  Intended for vertices whose
   /// in-degree is 0 (epoch pruning); safe for any vertex, but removing a
@@ -85,8 +145,6 @@ class IncrementalCycleGraph {
  private:
   struct Vertex {
     uint64_t ord = 0;
-    std::unordered_set<NodeId> out;
-    std::unordered_set<NodeId> in;
     // Reorder scratch, inline so visited-set membership is one stamp
     // compare instead of a hash probe (and zero allocation).
     uint64_t fwd_stamp = 0;
@@ -101,8 +159,8 @@ class IncrementalCycleGraph {
   bool Reorder(NodeId a, NodeId b);
 
   std::unordered_map<NodeId, Vertex> vertices_;
+  LiveRelation edges_;
   uint64_t next_ord_ = 0;
-  size_t edge_count_ = 0;
   bool cycle_ = false;
   std::vector<NodeId> witness_;
 

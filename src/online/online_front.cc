@@ -8,97 +8,6 @@
 
 namespace comptx::online {
 
-// ---- PairSet --------------------------------------------------------------
-
-bool PairSet::Add(NodeId a, NodeId b) {
-  if (!fwd_[a].insert(b).second) return false;
-  rev_[b].insert(a);
-  ++pair_count_;
-  return true;
-}
-
-bool PairSet::Contains(NodeId a, NodeId b) const {
-  auto it = fwd_.find(a);
-  return it != fwd_.end() && it->second.count(b) > 0;
-}
-
-void PairSet::RemoveNode(NodeId id) {
-  auto fit = fwd_.find(id);
-  if (fit != fwd_.end()) {
-    for (NodeId b : fit->second) {
-      rev_[b].erase(id);
-      --pair_count_;
-    }
-    fwd_.erase(fit);
-  }
-  auto rit = rev_.find(id);
-  if (rit != rev_.end()) {
-    for (NodeId a : rit->second) {
-      fwd_[a].erase(id);
-      --pair_count_;
-    }
-    rev_.erase(rit);
-  }
-}
-
-// ---- IncrementalClosure ---------------------------------------------------
-
-void IncrementalClosure::Add(NodeId a, NodeId b,
-                             std::vector<std::pair<NodeId, NodeId>>& new_pairs) {
-  {
-    auto it = succ_.find(a);
-    if (it != succ_.end() && it->second.count(b) > 0) {
-      // (a, b) already closed: any path using the new edge factors through
-      // existing closed pairs, so nothing new can appear.
-      return;
-    }
-  }
-  std::vector<NodeId> sources = {a};
-  if (auto it = pred_.find(a); it != pred_.end()) {
-    sources.insert(sources.end(), it->second.begin(), it->second.end());
-  }
-  std::vector<NodeId> targets = {b};
-  if (auto it = succ_.find(b); it != succ_.end()) {
-    targets.insert(targets.end(), it->second.begin(), it->second.end());
-  }
-  for (NodeId x : sources) {
-    auto& out = succ_[x];
-    for (NodeId y : targets) {
-      if (out.insert(y).second) {
-        pred_[y].insert(x);
-        ++pair_count_;
-        new_pairs.emplace_back(x, y);
-      }
-    }
-  }
-}
-
-bool IncrementalClosure::Contains(NodeId a, NodeId b) const {
-  auto it = succ_.find(a);
-  return it != succ_.end() && it->second.count(b) > 0;
-}
-
-void IncrementalClosure::RemoveNode(NodeId id) {
-  auto sit = succ_.find(id);
-  if (sit != succ_.end()) {
-    for (NodeId y : sit->second) {
-      pred_[y].erase(id);
-      --pair_count_;
-    }
-    succ_.erase(sit);
-  }
-  auto pit = pred_.find(id);
-  if (pit != pred_.end()) {
-    for (NodeId x : pit->second) {
-      succ_[x].erase(id);
-      --pair_count_;
-    }
-    pred_.erase(pit);
-  }
-}
-
-// ---- OnlineFrontEngine ----------------------------------------------------
-
 void OnlineFrontEngine::Reset(const CompositeSystem* cs,
                               std::vector<uint32_t> schedule_levels,
                               uint32_t order, bool forgetting) {
@@ -108,7 +17,7 @@ void OnlineFrontEngine::Reset(const CompositeSystem* cs,
   forgetting_ = forgetting;
   level_.assign(order_ + 1, LevelState{});
   step_.assign(order_ + 1, StepState{});
-  strong_of_.clear();
+  strong_ = LiveRelation();
   failure_.reset();
   for (uint32_t v = 0; v < cs_->NodeCount(); ++v) {
     if (cs_->node(NodeId(v)).IsRoot()) level_[order_].cc.EnsureNode(NodeId(v));
@@ -238,23 +147,22 @@ void OnlineFrontEngine::OnNodeAdded(NodeId x) {
   // also constrain x (x joined that ancestor's subtree).
   const uint32_t x_begin = SpanBegin(x);
   const uint32_t x_end = SpanEnd(x);
-  for (NodeId anc = n.parent;; anc = cs_->node(anc).parent) {
-    auto it = strong_of_.find(anc);
-    if (it != strong_of_.end()) {
-      for (const auto& [other, is_source] : it->second) {
-        const uint32_t hi = std::min(x_end, SpanEnd(other));
-        for (uint32_t j = x_begin; j <= hi; ++j) {
-          for (NodeId y : FrontMembersOfSubtree(other, j)) {
-            if (is_source) {
-              CcEdge(j, x, y);
-              CalcEdge(j + 1, x, y);
-            } else {
-              CcEdge(j, y, x);
-              CalcEdge(j + 1, y, x);
-            }
-          }
-        }
+  auto pull_down = [&](NodeId other, bool x_first) {
+    const uint32_t hi = std::min(x_end, SpanEnd(other));
+    for (uint32_t j = x_begin; j <= hi; ++j) {
+      for (NodeId y : FrontMembersOfSubtree(other, j)) {
+        const auto [u, v] = x_first ? std::pair(x, y) : std::pair(y, x);
+        CcEdge(j, u, v);
+        CalcEdge(j + 1, u, v);
       }
+    }
+  };
+  for (NodeId anc = n.parent;; anc = cs_->node(anc).parent) {
+    for (uint32_t other : strong_.Successors(anc)) {
+      pull_down(NodeId(other), true);
+    }
+    for (uint32_t other : strong_.Predecessors(anc)) {
+      pull_down(NodeId(other), false);
     }
     if (cs_->node(anc).IsRoot()) break;
   }
@@ -278,7 +186,7 @@ void OnlineFrontEngine::OnConflict(NodeId a, NodeId b, bool weak_out_ab,
     if (weak_out_ba) CalcEdge(j + 1, b, a);
     // The conflict turns existing observed pairs binding (calculation
     // rule 2) and un-forgets their pull-up (Def 10 rule 3).
-    PairSet& observed = level_[j].observed;
+    const LiveRelation& observed = level_[j].observed;
     for (auto [x, y] : {std::pair(a, b), std::pair(b, a)}) {
       if (!observed.Contains(x, y)) continue;
       CalcEdge(j + 1, x, y);
@@ -341,8 +249,9 @@ void OnlineFrontEngine::OnClosedStrongIntra(NodeId a, NodeId b) {
 }
 
 void OnlineFrontEngine::StrongPair(NodeId u, NodeId v) {
-  strong_of_[u].emplace_back(v, true);
-  strong_of_[v].emplace_back(u, false);
+  // A repeated pair was pulled down when first seen, and onto later
+  // nodes by OnNodeAdded.
+  if (!strong_.Add(u, v)) return;
   // Pull the constraint down onto every front (Def 16 / front strong
   // orders): all front pairs across the two disjoint subtrees, which are
   // both CC edges and calculation rule 1 edges at the next step.
@@ -364,35 +273,13 @@ uint64_t OnlineFrontEngine::TopOrderKey(NodeId root) const {
   return level_[order_].cc.OrderKey(root);
 }
 
-bool OnlineFrontEngine::HasIncomingEdges(
-    NodeId n, const std::unordered_set<NodeId>& inside) const {
-  for (const LevelState& l : level_) {
-    if (l.cc.HasInEdgeFromOutside(n, inside)) return true;
-  }
-  for (const StepState& s : step_) {
-    if (s.quotient.HasInEdgeFromOutside(n, inside)) return true;
-  }
-  return false;
-}
-
 void OnlineFrontEngine::RemoveNode(NodeId n) {
   for (LevelState& l : level_) {
     l.observed.RemoveNode(n);
     l.cc.RemoveNode(n);
   }
   for (StepState& s : step_) s.quotient.RemoveNode(n);
-  auto it = strong_of_.find(n);
-  if (it != strong_of_.end()) {
-    for (const auto& [other, is_source] : it->second) {
-      auto oit = strong_of_.find(other);
-      if (oit == strong_of_.end()) continue;
-      auto& peers = oit->second;
-      peers.erase(std::remove_if(peers.begin(), peers.end(),
-                                 [&](const auto& e) { return e.first == n; }),
-                  peers.end());
-    }
-    strong_of_.erase(it);
-  }
+  strong_.RemoveNode(n);
 }
 
 bool OnlineFrontEngine::IntraGraphClean(NodeId p) const {

@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -13,82 +12,6 @@
 #include "online/incremental_cycles.h"
 
 namespace comptx::online {
-
-/// A prunable set of ordered NodeId pairs with forward and reverse
-/// adjacency.  Functionally a subset of core Relation, but supports
-/// RemoveNode (core Relation is append-only) so the certifier can GC the
-/// observed orders of committed, fully reduced roots.
-class PairSet {
- public:
-  /// Adds (a, b); returns true if new.
-  bool Add(NodeId a, NodeId b);
-  bool Contains(NodeId a, NodeId b) const;
-  size_t PairCount() const { return pair_count_; }
-
-  /// True iff some pair (x, id) exists.
-  bool HasIncoming(NodeId id) const {
-    auto it = rev_.find(id);
-    return it != rev_.end() && !it->second.empty();
-  }
-
-  /// Drops every pair with `id` as an endpoint.
-  void RemoveNode(NodeId id);
-
- private:
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> fwd_;
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> rev_;
-  size_t pair_count_ = 0;
-};
-
-/// An incrementally maintained transitive closure of a growing relation.
-/// Mirrors core ClosureWithin exactly (in particular, a node is closed to
-/// itself only when it lies on a cycle), but each generating-edge insertion
-/// reports just the *newly* closed pairs so downstream structures can be
-/// patched instead of recomputed: on Add(a, b) the new pairs are
-/// ({a} ∪ pred(a)) × ({b} ∪ succ(b)) minus the pairs already closed.
-class IncrementalClosure {
- public:
-  /// Adds the generating edge a -> b and appends every newly closed pair
-  /// to `new_pairs` (possibly none if (a, b) was already closed).
-  void Add(NodeId a, NodeId b,
-           std::vector<std::pair<NodeId, NodeId>>& new_pairs);
-
-  bool Contains(NodeId a, NodeId b) const;
-  size_t PairCount() const { return pair_count_; }
-
-  bool HasIncoming(NodeId id) const {
-    auto it = pred_.find(id);
-    return it != pred_.end() && !it->second.empty();
-  }
-
-  /// True iff some closed pair (x, id) exists with x outside `inside`.
-  bool HasIncomingFromOutside(NodeId id,
-                              const std::unordered_set<NodeId>& inside) const {
-    auto it = pred_.find(id);
-    if (it == pred_.end()) return false;
-    for (NodeId pred : it->second) {
-      if (inside.count(pred) == 0) return true;
-    }
-    return false;
-  }
-
-  /// Invokes f(a, b) for every closed pair (unspecified order).
-  template <typename F>
-  void ForEach(F f) const {
-    for (const auto& [a, succs] : succ_) {
-      for (NodeId b : succs) f(a, b);
-    }
-  }
-
-  /// Drops every closed pair with `id` as an endpoint.  Only safe for
-  /// nodes that will never be referenced again (sealed subtrees).
-  void RemoveNode(NodeId id);
-
- private:
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> succ_;
-  std::unordered_map<NodeId, std::unordered_set<NodeId>> pred_;
-  size_t pair_count_ = 0;
-};
 
 /// Where an online certification failed, mirroring core ReductionFailure.
 struct OnlineFailure {
@@ -120,6 +43,11 @@ struct OnlineFailure {
 /// agree pair-for-pair.  All structures are monotone in the event prefix
 /// while schedule levels are stable; the certifier rebuilds the engine
 /// whenever a structural event changes levels.
+///
+/// Every relation here — the observed orders, the strong pairs and the
+/// edges of each graph — is a LiveRelation, i.e. core Relation rows plus
+/// their converse, so pruning removes a node's pairs from the same dense
+/// substrate the batch reducer uses.
 ///
 /// Failure is sticky for reporting (the first violation is kept) but the
 /// structures keep absorbing edges afterwards, so pruning bookkeeping and
@@ -174,12 +102,20 @@ class OnlineFrontEngine {
 
   // ---- Pruning support --------------------------------------------------
 
-  /// True iff `n` has an in-edge from outside `inside` in any
+  /// True iff `n` has an in-edge from some x with `!inside(x)` in any
   /// conflict-consistency or quotient graph (observed pairs are CC edges,
-  /// so they are covered).  `inside` is the sealed subtree being pruned:
-  /// its internal edges disappear together with the subtree.
-  bool HasIncomingEdges(NodeId n,
-                        const std::unordered_set<NodeId>& inside) const;
+  /// so they are covered).  `inside` is membership in the sealed subtree
+  /// being pruned: its internal edges disappear together with the subtree.
+  template <typename Inside>
+  bool HasIncomingEdges(NodeId n, const Inside& inside) const {
+    for (const LevelState& l : level_) {
+      if (l.cc.HasInEdgeFromOutside(n, inside)) return true;
+    }
+    for (const StepState& s : step_) {
+      if (s.quotient.HasInEdgeFromOutside(n, inside)) return true;
+    }
+    return false;
+  }
 
   /// Removes `n` from every level structure.
   void RemoveNode(NodeId n);
@@ -200,7 +136,7 @@ class OnlineFrontEngine {
 
  private:
   struct LevelState {
-    PairSet observed;
+    LiveRelation observed;
     IncrementalCycleGraph cc;
   };
   struct StepState {
@@ -259,8 +195,9 @@ class OnlineFrontEngine {
 
   std::vector<LevelState> level_;  // [0, order]
   std::vector<StepState> step_;    // index i in [1, order] used
-  /// endpoint -> (other endpoint, true iff this endpoint is the source).
-  std::unordered_map<NodeId, std::vector<std::pair<NodeId, bool>>> strong_of_;
+  /// Every closed strong pair seen so far (input and intra orders), kept
+  /// so OnNodeAdded can pull existing pairs down onto new forest nodes.
+  LiveRelation strong_;
   std::optional<OnlineFailure> failure_;
 };
 

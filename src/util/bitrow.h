@@ -43,6 +43,26 @@ class BitRow {
     return true;
   }
 
+  /// Clears the bit for `id`; returns true iff it was set.  Zero words at
+  /// either edge of the window are released, so a row whose ids drift
+  /// upward over a long session keeps a window as wide as its live ids.
+  bool Reset(uint32_t id) {
+    const uint32_t w = id >> 6;
+    if (w < base_word_ || w - base_word_ >= words_.size()) return false;
+    uint64_t& word = words_[w - base_word_];
+    const uint64_t mask = uint64_t{1} << (id & 63);
+    if ((word & mask) == 0) return false;
+    word &= ~mask;
+    while (!words_.empty() && words_.back() == 0) words_.pop_back();
+    size_t lead = 0;
+    while (lead < words_.size() && words_[lead] == 0) ++lead;
+    if (lead > 0) {
+      words_.erase(words_.begin(), words_.begin() + lead);
+      base_word_ += static_cast<uint32_t>(lead);
+    }
+    return true;
+  }
+
   /// Invokes `f(uint32_t id)` for every set bit in ascending id order.
   template <typename F>
   void ForEachSet(F f) const {

@@ -1,13 +1,17 @@
 // Tests for online::IncrementalCycleGraph (Pearce-Kelly dynamic
 // acyclicity): cross-checks against the batch cycle finder after every
 // insertion, and exercises the witness contract, node removal and the
-// maintained topological order.
+// maintained topological order.  Also checks online::LiveRelation, the
+// adjacency under it, against the static closure.
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <algorithm>
+#include <iterator>
+#include <utility>
 #include <vector>
 
+#include "core/indexing.h"
 #include "graph/cycle_finder.h"
 #include "graph/digraph.h"
 #include "online/incremental_cycles.h"
@@ -120,12 +124,23 @@ TEST(IncrementalCycleGraph, InDegreeAndRemoveNode) {
   ASSERT_TRUE(g.AddEdge(NodeId(0), NodeId(2)));
   ASSERT_TRUE(g.AddEdge(NodeId(1), NodeId(2)));
   ASSERT_TRUE(g.AddEdge(NodeId(2), NodeId(3)));
-  EXPECT_EQ(g.InDegree(NodeId(2)), 2u);
-  EXPECT_EQ(g.InDegree(NodeId(0)), 0u);
-  EXPECT_EQ(g.InDegree(NodeId(99)), 0u);  // unknown node
+  const auto nowhere = [](NodeId) { return false; };
+  EXPECT_TRUE(g.HasEdge(NodeId(0), NodeId(2)));
+  EXPECT_TRUE(g.HasEdge(NodeId(1), NodeId(2)));
+  EXPECT_TRUE(g.HasInEdgeFromOutside(NodeId(2), nowhere));
+  // Both in-edges of 2 come from {0, 1}, so none is from outside it.
+  EXPECT_FALSE(g.HasInEdgeFromOutside(
+      NodeId(2), [](NodeId x) { return x.index() <= 1; }));
+  // The in-edge 1 -> 2 crosses the boundary of {0}.
+  EXPECT_TRUE(g.HasInEdgeFromOutside(
+      NodeId(2), [](NodeId x) { return x.index() == 0; }));
+  EXPECT_FALSE(g.HasInEdgeFromOutside(NodeId(0), nowhere));
+  EXPECT_FALSE(g.HasInEdgeFromOutside(NodeId(99), nowhere));  // unknown node
   g.RemoveNode(NodeId(2));
   EXPECT_FALSE(g.Contains(NodeId(2)));
-  EXPECT_EQ(g.InDegree(NodeId(3)), 0u);
+  EXPECT_FALSE(g.HasEdge(NodeId(0), NodeId(2)));
+  EXPECT_FALSE(g.HasEdge(NodeId(2), NodeId(3)));
+  EXPECT_FALSE(g.HasInEdgeFromOutside(NodeId(3), nowhere));
   EXPECT_EQ(g.EdgeCount(), 0u);
   // The survivors can still take edges.
   EXPECT_TRUE(g.AddEdge(NodeId(0), NodeId(3)));
@@ -188,6 +203,69 @@ TEST(IncrementalCycleGraph, RandomizedDagNeverFails) {
     }
     for (const auto& [a, b] : edges) {
       ASSERT_LT(g.OrderKey(NodeId(a)), g.OrderKey(NodeId(b)));
+    }
+  }
+}
+
+using PairList = std::vector<std::pair<NodeId, NodeId>>;
+
+PairList PairsOf(const LiveRelation& rel) {
+  PairList out;
+  rel.ForEach([&](NodeId a, NodeId b) { out.emplace_back(a, b); });
+  return out;
+}
+
+/// AddClosing keeps the relation equal to the static ClosureWithin of the
+/// generators inserted so far (cycles included), reporting exactly the
+/// pairs each insertion added; RemoveNode keeps the two directions each
+/// other's converse.
+TEST(LiveRelation, AddClosingMatchesClosureWithin) {
+  constexpr uint32_t kNodes = 16;
+  std::vector<NodeId> domain;
+  for (uint32_t v = 0; v < kNodes; ++v) domain.push_back(NodeId(v));
+  auto random_node = [](Rng& rng) {
+    return NodeId(static_cast<uint32_t>(rng.UniformInt(kNodes)));
+  };
+  for (int round = 0; round < 100; ++round) {
+    Rng rng(5150 + static_cast<uint64_t>(round));
+    LiveRelation live;
+    Relation generators;
+    const int adds = static_cast<int>(rng.UniformRange(1, 40));
+    for (int e = 0; e < adds; ++e) {
+      const NodeId a = random_node(rng);
+      const NodeId b = random_node(rng);
+      const PairList before = PairsOf(live);
+      PairList new_pairs;
+      live.AddClosing(a, b, new_pairs);
+      generators.Add(a, b);
+      const PairList closed = ClosureWithin(generators, domain).Pairs();
+      ASSERT_EQ(PairsOf(live), closed) << "round " << round << " edge " << e;
+      ASSERT_EQ(live.PairCount(), closed.size());
+      PairList added;
+      std::set_difference(closed.begin(), closed.end(), before.begin(),
+                          before.end(), std::back_inserter(added));
+      std::sort(new_pairs.begin(), new_pairs.end());
+      ASSERT_EQ(new_pairs, added) << "round " << round << " edge " << e;
+    }
+    for (int k = 0; k < 6; ++k) {
+      const NodeId victim = random_node(rng);
+      live.RemoveNode(victim);
+      EXPECT_TRUE(live.Successors(victim).empty());
+      EXPECT_TRUE(live.Predecessors(victim).empty());
+      PairList forward;
+      PairList converse;
+      for (uint32_t v = 0; v < kNodes; ++v) {
+        for (uint32_t w : live.Successors(NodeId(v))) {
+          forward.emplace_back(NodeId(v), NodeId(w));
+        }
+        for (uint32_t u : live.Predecessors(NodeId(v))) {
+          converse.emplace_back(NodeId(u), NodeId(v));
+        }
+      }
+      std::sort(converse.begin(), converse.end());
+      ASSERT_EQ(forward, converse) << "round " << round << " removal " << k;
+      ASSERT_EQ(forward, PairsOf(live));
+      ASSERT_EQ(live.PairCount(), forward.size());
     }
   }
 }

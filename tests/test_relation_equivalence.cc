@@ -22,6 +22,24 @@ class MapRelation {
  public:
   bool Add(uint32_t a, uint32_t b) { return rows_[a].insert(b).second; }
 
+  /// Erases (a, b), dropping the row once it is empty.
+  bool Remove(uint32_t a, uint32_t b) {
+    auto it = rows_.find(a);
+    if (it == rows_.end() || it->second.erase(b) == 0) return false;
+    if (it->second.empty()) rows_.erase(it);
+    return true;
+  }
+
+  size_t RemoveSource(uint32_t a) {
+    auto it = rows_.find(a);
+    if (it == rows_.end()) return 0;
+    const size_t n = it->second.size();
+    rows_.erase(it);
+    return n;
+  }
+
+  size_t SourceCount() const { return rows_.size(); }
+
   bool Contains(uint32_t a, uint32_t b) const {
     auto it = rows_.find(a);
     return it != rows_.end() && it->second.count(b) > 0;
@@ -69,14 +87,34 @@ TEST(RelationEquivalence, RandomOpsMatchReferenceModel) {
     for (int i = 0; i < ops; ++i) {
       const uint32_t a = static_cast<uint32_t>(rng.UniformInt(id_space));
       const uint32_t b = static_cast<uint32_t>(rng.UniformInt(id_space));
-      switch (rng.UniformInt(3)) {
+      switch (rng.UniformInt(6)) {
         case 0:
-        case 1: {
+        case 1:
+        case 2: {
           const bool added_dense = dense.Add(NodeId(a), NodeId(b));
           const bool added_ref = reference.Add(a, b);
           ASSERT_EQ(added_dense, added_ref) << "seed " << seed << " op " << i;
           break;
         }
+        case 3:
+          // Removal picks an existing pair half the time so rows empty out.
+          if (rng.Bernoulli(0.5) && dense.PairCount() > 0) {
+            const auto pairs = reference.Pairs();
+            const auto& pick = pairs[rng.UniformInt(pairs.size())];
+            ASSERT_TRUE(dense.Remove(NodeId(pick.first), NodeId(pick.second)));
+            ASSERT_TRUE(reference.Remove(pick.first, pick.second));
+          } else {
+            ASSERT_EQ(dense.Remove(NodeId(a), NodeId(b)),
+                      reference.Remove(a, b))
+                << "seed " << seed << " op " << i;
+          }
+          break;
+        case 4:
+          if (rng.Bernoulli(0.05)) {
+            ASSERT_EQ(dense.RemoveSource(NodeId(a)), reference.RemoveSource(a))
+                << "seed " << seed << " op " << i;
+          }
+          break;
         default:
           ASSERT_EQ(dense.Contains(NodeId(a), NodeId(b)),
                     reference.Contains(a, b))
@@ -84,8 +122,15 @@ TEST(RelationEquivalence, RandomOpsMatchReferenceModel) {
       }
     }
     ASSERT_EQ(dense.PairCount(), reference.PairCount()) << "seed " << seed;
+    ASSERT_EQ(dense.SourceCount(), reference.SourceCount()) << "seed " << seed;
     // The full iteration order must equal the reference's map/set order.
     ASSERT_EQ(RawPairs(dense), reference.Pairs()) << "seed " << seed;
+    // Removal leaves no trace: equal to a relation built from the pairs.
+    Relation rebuilt;
+    for (const auto& [a, b] : reference.Pairs()) {
+      rebuilt.Add(NodeId(a), NodeId(b));
+    }
+    ASSERT_TRUE(dense == rebuilt) << "seed " << seed;
     // Row accessors agree with the reference per source.
     for (uint32_t a = 0; a < id_space; ++a) {
       const std::vector<uint32_t> expect = reference.Successors(a);
