@@ -4,8 +4,6 @@
 #include <deque>
 #include <functional>
 
-#include "core/correctness.h"
-#include "staticcheck/analyzer.h"
 #include "util/string_util.h"
 
 namespace comptx::online {
@@ -13,29 +11,7 @@ namespace comptx::online {
 using workload::TraceEvent;
 using workload::TraceEventKind;
 
-namespace {
-
-OnlineFailure FailureFromReduction(const ReductionFailure& failure) {
-  OnlineFailure out;
-  out.level = failure.level;
-  out.step = failure.step == ReductionFailureStep::kCalculation
-                 ? OnlineFailure::Step::kCalculation
-                 : OnlineFailure::Step::kConflictConsistency;
-  out.witness = failure.witness.nodes;
-  out.description = failure.witness.description;
-  return out;
-}
-
-}  // namespace
-
 Certifier::Certifier(const CertifierOptions& options) : options_(options) {
-  if (options_.paranoid) {
-    mode_ = Mode::kParanoid;
-  } else if (options_.static_admission && options_.forgetting) {
-    // The analyzer verdict is exact only under the paper's semantics
-    // (forgetting enabled); the E8 ablation must stay dynamic.
-    mode_ = Mode::kStatic;
-  }
   engine_.Reset(&cs_, {}, 0, options_.forgetting);
 }
 
@@ -49,11 +25,7 @@ bool Certifier::IsPruned(NodeId id) const {
 
 void Certifier::MarkSealed(NodeId id) {
   if (node_flags_.size() < cs_.NodeCount()) node_flags_.resize(cs_.NodeCount());
-  uint8_t& flags = node_flags_[id.index()];
-  if ((flags & 1u) == 0) {
-    flags |= 1u;
-    ++sealed_node_count_;
-  }
+  node_flags_[id.index()] |= 1u;
 }
 
 void Certifier::MarkPruned(NodeId id) {
@@ -87,7 +59,6 @@ size_t Certifier::IngestBatch(const std::vector<TraceEvent>& events,
 }
 
 Status Certifier::IngestCountedLocked(const TraceEvent& event) {
-  if (fallback_wanted_) FallbackLocked();
   Status status = IngestLocked(event);
   if (!status.ok()) {
     ++events_rejected_;
@@ -194,14 +165,14 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       // level assignment is stale either way: rebuild.  This is cheap in
       // practice because schedules arrive before the bulk of the stream.
       RecomputeLevels();
-      if (DynamicActive()) Rebuild();
+      Rebuild();
       return Status::OK();
     }
     case TraceEventKind::kRoot: {
       COMPTX_ASSIGN_OR_RETURN(
           NodeId root, cs_.AddRootTransaction(ScheduleId(e.schedule), e.name));
       roots_.push_back(root);
-      if (DynamicActive()) engine_.OnNodeAdded(root);
+      engine_.OnNodeAdded(root);
       return Status::OK();
     }
     case TraceEventKind::kSub: {
@@ -222,8 +193,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                               cs_.AddSubtransaction(parent, sched, e.name));
       invokes_[cs_.node(parent).owner_schedule.index()].insert(sched.index());
       if (RecomputeLevels()) {
-        if (DynamicActive()) Rebuild();
-      } else if (DynamicActive()) {
+        Rebuild();
+      } else {
         engine_.OnNodeAdded(sub);
       }
       return Status::OK();
@@ -232,7 +203,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       const NodeId parent(e.parent);
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(parent));
       COMPTX_ASSIGN_OR_RETURN(NodeId leaf, cs_.AddLeaf(parent, e.name));
-      if (DynamicActive()) engine_.OnNodeAdded(leaf);
+      engine_.OnNodeAdded(leaf);
       return Status::OK();
     }
     case TraceEventKind::kConflict: {
@@ -241,7 +212,6 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(b));
       COMPTX_RETURN_IF_ERROR(cs_.AddConflict(a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
       const LiveRelation& weak_output = shard(host).weak_output;
       engine_.OnConflict(a, b, weak_output.Contains(a, b),
@@ -260,7 +230,6 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                  ? cs_.AddWeakOutput(a, b)
                                  : cs_.AddStrongOutput(a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       const ScheduleId host = cs_.HostScheduleOf(a);
       std::vector<std::pair<NodeId, NodeId>> new_pairs;
       shard(host).weak_output.AddClosing(a, b, new_pairs);
@@ -279,7 +248,6 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddStrongInput(sched, a, b)
                                     : cs_.AddWeakInput(sched, a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
       ScheduleShard& sh = shard(sched);
       if (strong) sh.strong_input.AddClosing(a, b, new_strong);
@@ -299,7 +267,6 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddIntraStrong(txn, a, b)
                                     : cs_.AddIntraWeak(txn, a, b));
       saw_relational_event_ = true;
-      if (!DynamicActive()) return Status::OK();
       const ScheduleId owner = cs_.node(txn).owner_schedule;
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
       ScheduleShard& sh = shard(owner);
@@ -352,14 +319,14 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                  : cs_.DeclareClash(e.a, e.b));
       // Retroactive spec change: conflicts already ingested may have been
       // derived under the old table.  Replay from the retained closures.
-      if (saw_relational_event_ && DynamicActive()) Rebuild();
+      if (saw_relational_event_) Rebuild();
       return Status::OK();
     }
     case TraceEventKind::kTag: {
       const NodeId target(e.parent);
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(target));
       COMPTX_RETURN_IF_ERROR(cs_.TagOperation(target, e.a, e.b));
-      if (saw_relational_event_ && DynamicActive()) Rebuild();
+      if (saw_relational_event_) Rebuild();
       return Status::OK();
     }
   }
@@ -382,7 +349,6 @@ void Certifier::RestoreCounters(uint64_t accepted, uint64_t rejected) {
   std::lock_guard<std::mutex> lock(mu_);
   events_accepted_ = accepted;
   events_rejected_ = rejected;
-  analysis_cached_at_ = ~uint64_t{0};
 }
 
 void Certifier::MaybePruneLocked() {
@@ -468,24 +434,6 @@ void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
 
 size_t Certifier::PruneLocked() {
   events_since_prune_ = 0;
-  if (mode_ == Mode::kStatic) {
-    // No derived per-node state exists to free; mark the sealed window
-    // pruned so live_nodes reports the same O(window) envelope as a
-    // dynamic session (the append-only cs_ is excluded either way).
-    size_t removed = 0;
-    for (NodeId root : unpruned_sealed_) {
-      MarkPruned(root);
-      ++removed;
-      for (NodeId d : cs_.Descendants(root)) {
-        MarkPruned(d);
-        ++removed;
-      }
-      ++pruned_root_count_;
-    }
-    unpruned_sealed_.clear();
-    if (removed > 0) ++prune_passes_;
-    return removed;
-  }
   // Once failed, keep everything: the failure evidence (a cycle in some
   // maintained graph) must survive rebuilds, and pruning is only a memory
   // optimization for live sessions anyway.
@@ -508,7 +456,6 @@ size_t Certifier::PruneLocked() {
       }
       RemoveSubtree(subtree);
       for (NodeId n : subtree) MarkPruned(n);
-      ++pruned_root_count_;
       removed += subtree.size();
       unpruned_sealed_[idx] = unpruned_sealed_.back();
       unpruned_sealed_.pop_back();
@@ -524,160 +471,22 @@ size_t Certifier::Prune() {
   return PruneLocked();
 }
 
-void Certifier::FallbackLocked() {
-  fallback_wanted_ = false;
-  if (mode_ != Mode::kStatic) return;
-  // Rebuild full dynamic state by replaying the accumulated system, the
-  // exact discipline of a durability restore (online/state_io.cc): replay
-  // the SaveTrace event order — every derived structure is a monotone
-  // function of the facts, so order is irrelevant — then re-seal in the
-  // original seal order, then prune.  The stream counters and watermark
-  // describe the original stream, not the replay, so they are preserved.
-  auto trace = workload::SaveTrace(cs_);
-  if (!trace.ok()) return;  // unserializable system: stay static.
-  auto events = workload::ParseTraceEvents(*trace);
-  if (!events.ok()) return;
-  const std::vector<NodeId> sealed = sealed_roots_;
-  const uint64_t accepted = events_accepted_;
-  const uint64_t rejected = events_rejected_;
-  const uint64_t watermark = commit_watermark_;
-
-  mode_ = Mode::kDynamic;
-  cs_ = CompositeSystem();
-  shards_.clear();
-  invokes_.clear();
-  schedule_levels_.clear();
-  order_ = 0;
-  roots_.clear();
-  node_flags_.clear();
-  sealed_node_count_ = pruned_node_count_ = pruned_root_count_ = 0;
-  sealed_roots_.clear();
-  unpruned_sealed_.clear();
-  commit_watermark_ = 0;
-  engine_.Reset(&cs_, {}, 0, options_.forgetting);
-  for (const TraceEvent& event : *events) {
-    (void)IngestLocked(event);  // replay of accepted history: cannot fail.
-  }
-  for (NodeId root : sealed) {
-    TraceEvent commit;
-    commit.kind = TraceEventKind::kCommit;
-    commit.parent = root.index();
-    (void)IngestLocked(commit);
-  }
-  PruneLocked();
-  events_accepted_ = accepted;
-  events_rejected_ = rejected;
-  commit_watermark_ = watermark;
-  analysis_cached_at_ = ~uint64_t{0};
-  ++static_fallback_count_;
-}
-
-void Certifier::RefreshAnalysisLocked() const {
-  if (analysis_cached_at_ == events_accepted_) return;
-  analysis_cached_at_ = events_accepted_;
-  ++static_analysis_count_;
-  staticcheck::AnalyzerOptions opts;
-  opts.explain = false;  // verdict only; no per-scheduler rows needed.
-  const staticcheck::StaticAnalysis analysis =
-      staticcheck::AnalyzeConfiguration(cs_, opts);
-  analysis_exact_ = false;
-  analysis_certifiable_ = true;
-  analysis_failure_.reset();
-  if (analysis.well_formed &&
-      analysis.verdict == staticcheck::SafetyVerdict::kSafe) {
-    analysis_exact_ = true;
-  } else if (analysis.well_formed &&
-             analysis.verdict == staticcheck::SafetyVerdict::kUnsafe) {
-    analysis_exact_ = true;
-    analysis_certifiable_ = false;
-    if (analysis.witness) {
-      OnlineFailure failure;
-      failure.step = OnlineFailure::Step::kConflictConsistency;
-      failure.witness = analysis.witness->nodes;
-      failure.description = analysis.witness->description;
-      analysis_failure_ = std::move(failure);
-    }
-  }
-  if (mode_ == Mode::kParanoid) {
-    // The dynamic answer stays authoritative; an exact analyzer verdict
-    // that disagrees is a bug in one of the two and is counted (once per
-    // refresh — the cache keys on the accepted-event count).
-    if (analysis_exact_ && analysis_certifiable_ != engine_.certifiable()) {
-      ++paranoid_mismatch_count_;
-    }
-    return;
-  }
-  if (analysis_exact_) return;
-  // NEEDS_DYNAMIC, or a prefix still violating the completeness rules of
-  // Defs 3-4.  Answer with batch CheckCompC (validation off, as always
-  // for prefixes).  Only a well-formed system proves the *configuration*
-  // defeats static reasoning; that asks for the one-time dynamic
-  // fallback — an incomplete prefix is transient and does not.
-  if (analysis.well_formed) fallback_wanted_ = true;
-  ReductionOptions ropts;
-  ropts.validate = false;
-  ropts.keep_fronts = false;
-  ropts.forgetting = options_.forgetting;
-  auto result = CheckCompC(cs_, ropts);
-  if (!result.ok()) {
-    analysis_certifiable_ = false;
-    OnlineFailure failure;
-    failure.description = StrCat("batch check failed: ",
-                                 result.status().message());
-    analysis_failure_ = std::move(failure);
-    return;
-  }
-  analysis_certifiable_ = result->correct;
-  if (!result->correct && result->failure) {
-    analysis_failure_ = FailureFromReduction(*result->failure);
-  }
-}
-
 CertifierVerdict Certifier::Verdict() const {
   std::lock_guard<std::mutex> lock(mu_);
   CertifierVerdict verdict;
   verdict.order = order_;
-  if (mode_ == Mode::kStatic) {
-    RefreshAnalysisLocked();
-    verdict.certifiable = analysis_certifiable_;
-    verdict.failure = analysis_failure_;
-    verdict.static_decided = true;
-    return verdict;
-  }
   verdict.certifiable = engine_.certifiable();
   verdict.failure = engine_.failure();
-  if (mode_ == Mode::kParanoid) RefreshAnalysisLocked();
   return verdict;
 }
 
 bool Certifier::Certifiable() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (mode_ == Mode::kStatic) {
-    RefreshAnalysisLocked();
-    return analysis_certifiable_;
-  }
-  if (mode_ == Mode::kParanoid) RefreshAnalysisLocked();
   return engine_.certifiable();
 }
 
 std::vector<NodeId> Certifier::SerialWitness() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (mode_ == Mode::kStatic) {
-    // No maintained topological order exists; derive a witness from the
-    // batch procedure on demand (this is a diagnostic path, not the hot
-    // path).
-    ReductionOptions ropts;
-    ropts.validate = false;
-    ropts.keep_fronts = false;
-    ropts.forgetting = options_.forgetting;
-    auto result = CheckCompC(cs_, ropts);
-    if (!result.ok() || !result->correct) return {};
-    std::vector<NodeId> out;
-    for (NodeId r : result->serial_order) {
-      if (!IsPruned(r)) out.push_back(r);
-    }
-    return out;
-  }
   if (!engine_.certifiable()) return {};
   std::vector<NodeId> roots;
   for (NodeId r : roots_) {
@@ -712,10 +521,6 @@ CertifierStats Certifier::Stats() const {
       stats.closure_pairs += c.PairCount();
     }
   }
-  stats.static_mode = mode_ == Mode::kStatic;
-  stats.static_analyses = static_analysis_count_;
-  stats.static_fallbacks = static_fallback_count_;
-  stats.paranoid_mismatches = paranoid_mismatch_count_;
   return stats;
 }
 

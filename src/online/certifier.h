@@ -26,28 +26,6 @@ struct CertifierOptions {
 
   /// Prune automatically on Commit() and at epoch boundaries.
   bool auto_prune = true;
-
-  /// Static-analysis admission (DESIGN.md §13.4): skip the dynamic
-  /// certification machinery entirely and decide verdicts with the PR 4
-  /// whole-configuration analyzer.  Ingest then only maintains the
-  /// composite system and the seal bookkeeping — per-event cost drops to
-  /// the cs_ append — and Verdict() lazily analyzes the current system.
-  /// A SAFE or UNSAFE analysis is exact; a NEEDS_DYNAMIC analysis of a
-  /// well-formed system flags the session for a one-time irreversible
-  /// fallback to the dynamic engine (performed by the next Ingest), with
-  /// the interim verdict answered by batch CheckCompC.
-  ///
-  /// The analyzer verdict is exact only under the paper's semantics
-  /// (forgetting enabled), so this flag is ignored when `forgetting` is
-  /// false — such sessions always run dynamically.
-  bool static_admission = false;
-
-  /// Cross-check mode: run the full dynamic machinery as usual AND the
-  /// static analyzer at every (cache-missing) Verdict, counting
-  /// disagreements in CertifierStats::paranoid_mismatches.  The dynamic
-  /// answer stays authoritative.  Implies nothing about static_admission;
-  /// when both are set, paranoid wins (the session runs dynamically).
-  bool paranoid = false;
 };
 
 /// The answer to "is the execution ingested so far still certifiable?".
@@ -61,9 +39,6 @@ struct CertifierVerdict {
   bool certifiable = true;
   uint32_t order = 0;
   std::optional<OnlineFailure> failure;
-  /// True when the answer came from the static analyzer (or batch
-  /// CheckCompC while awaiting fallback) rather than the dynamic engine.
-  bool static_decided = false;
 };
 
 struct CertifierStats {
@@ -79,10 +54,6 @@ struct CertifierStats {
   size_t cc_edges = 0;
   size_t calc_edges = 0;
   size_t closure_pairs = 0;
-  bool static_mode = false;       // currently skipping dynamic certification
-  uint64_t static_analyses = 0;   // analyzer runs (static + paranoid)
-  uint64_t static_fallbacks = 0;  // one-time static -> dynamic switches
-  uint64_t paranoid_mismatches = 0;  // analyzer/engine disagreements
 };
 
 /// An online, incremental Comp-C certifier session.
@@ -182,9 +153,7 @@ class Certifier {
 
   /// While certifiable: live (unpruned) roots in a serializable order,
   /// read off the maintained topological order of the top-level front
-  /// (Theorem 1).  Empty when not certifiable.  Static-admission
-  /// sessions maintain no topological order; they derive the witness
-  /// from batch CheckCompC on demand (a diagnostic path, not hot).
+  /// (Theorem 1).  Empty when not certifiable.
   std::vector<NodeId> SerialWitness() const;
 
   CertifierStats Stats() const;
@@ -204,15 +173,6 @@ class Certifier {
     std::unordered_map<NodeId, LiveRelation> weak_intra;
     std::unordered_map<NodeId, LiveRelation> strong_intra;
   };
-
-  /// How verdicts are produced.  kStatic sessions maintain only cs_ and
-  /// the seal bookkeeping; a NEEDS_DYNAMIC analysis of a well-formed
-  /// system downgrades them (once, irreversibly) to kDynamic via
-  /// FallbackLocked.  kParanoid is kDynamic plus an analyzer cross-check
-  /// at Verdict time.
-  enum class Mode : uint8_t { kDynamic, kStatic, kParanoid };
-
-  bool DynamicActive() const { return mode_ != Mode::kStatic; }
 
   /// Ingest's body: applies one event, counts it and runs epoch pruning.
   Status IngestCountedLocked(const workload::TraceEvent& event);
@@ -241,17 +201,6 @@ class Certifier {
   bool CanPrune(NodeId root, const std::vector<NodeId>& subtree) const;
   void RemoveSubtree(const std::vector<NodeId>& subtree);
 
-  /// One-time static -> dynamic switch: rebuilds the full dynamic state
-  /// by replaying the accumulated system through a fresh self (the
-  /// state_io restore discipline: SaveTrace order, then re-seal, then
-  /// prune).  Stream counters and the commit watermark survive.
-  void FallbackLocked();
-
-  /// Lazily (re)runs the static analyzer against the current system;
-  /// cached by events_accepted_.  Used by kStatic verdicts and kParanoid
-  /// cross-checks.  Must be called with mu_ held.
-  void RefreshAnalysisLocked() const;
-
   // Seal/prune bit accessors (node_flags_ is indexed by NodeId::index()).
   bool IsSealed(NodeId id) const;
   bool IsPruned(NodeId id) const;
@@ -262,7 +211,6 @@ class Certifier {
   const ScheduleShard& shard(ScheduleId s) const { return shards_[s.index()]; }
 
   const CertifierOptions options_;
-  Mode mode_ = Mode::kDynamic;
 
   mutable std::mutex mu_;  // session lock: guards all mutable state.
   CompositeSystem cs_;
@@ -285,9 +233,7 @@ class Certifier {
   /// the former unordered_sets: O(1) lookups with 1 byte/node instead of
   /// hash nodes, which matters at 10M-event scale.
   std::vector<uint8_t> node_flags_;
-  size_t sealed_node_count_ = 0;
   size_t pruned_node_count_ = 0;
-  size_t pruned_root_count_ = 0;
 
   std::vector<NodeId> sealed_roots_;  // seal order, pruned or not
 
@@ -312,17 +258,6 @@ class Certifier {
   uint64_t rebuilds_ = 0;
   uint64_t prune_passes_ = 0;
   uint32_t events_since_prune_ = 0;
-  uint64_t static_fallback_count_ = 0;
-
-  // Static-analysis cache and cross-check state; mutated by const verdict
-  // readers under mu_, hence mutable.
-  mutable uint64_t analysis_cached_at_ = ~uint64_t{0};
-  mutable bool analysis_certifiable_ = true;
-  mutable bool analysis_exact_ = false;  // SAFE/UNSAFE on well-formed input
-  mutable std::optional<OnlineFailure> analysis_failure_;
-  mutable bool fallback_wanted_ = false;
-  mutable uint64_t static_analysis_count_ = 0;
-  mutable uint64_t paranoid_mismatch_count_ = 0;
 };
 
 }  // namespace comptx::online

@@ -50,9 +50,6 @@ SessionVerdict ServiceClient::VerdictFrom(const Response& response) {
   verdict.pruned_nodes = response.FieldInt("pruned_nodes");
   verdict.sealed_roots = response.FieldInt("sealed_roots");
   verdict.commit_watermark = response.FieldInt("commit_watermark");
-  verdict.static_mode = response.FieldInt("static_mode") == 1;
-  verdict.static_fallbacks = response.FieldInt("static_fallbacks");
-  verdict.paranoid_mismatches = response.FieldInt("paranoid_mismatches");
   verdict.failure = response.body;
   return verdict;
 }

@@ -32,7 +32,9 @@ namespace comptx::service {
 /// Request payloads: a command line, then an optional body.
 ///
 ///     OPEN [key=value ...]        options: forgetting, epoch_interval,
-///                                 auto_prune, queue_capacity, resume
+///                                 auto_prune, queue_capacity, resume,
+///                                 stream (static_admission, paranoid:
+///                                 accepted and ignored)
 ///     APPEND <session-id>         body: one trace event line per line
 ///     QUERY <session-id>          drain barrier + verdict
 ///     CLOSE <session-id>          drain + final verdict + free the slot

@@ -59,16 +59,6 @@ void AppendVerdictFields(const SessionVerdict& verdict, Response& response) {
   response.fields.emplace_back("sealed_roots", StrCat(verdict.sealed_roots));
   response.fields.emplace_back("commit_watermark",
                                StrCat(verdict.commit_watermark));
-  if (verdict.static_mode || verdict.static_fallbacks > 0) {
-    response.fields.emplace_back("static_mode",
-                                 verdict.static_mode ? "1" : "0");
-    response.fields.emplace_back("static_fallbacks",
-                                 StrCat(verdict.static_fallbacks));
-  }
-  if (verdict.paranoid_mismatches > 0) {
-    response.fields.emplace_back("paranoid_mismatches",
-                                 StrCat(verdict.paranoid_mismatches));
-  }
   // The failure diagnosis contains spaces, so it travels in the body.
   if (!verdict.failure.empty()) response.body = verdict.failure;
 }

@@ -22,10 +22,16 @@ const char* StepName(online::OnlineFailure::Step step) {
 }
 
 StatusOr<uint64_t> ParseUint(const std::string& key, const std::string& value) {
+  // strtoull alone accepts leading blanks and a sign ("-1" wraps to
+  // 2^64-1), so insist on plain decimal digits; errno catches overflow.
+  const bool digits =
+      !value.empty() && std::all_of(value.begin(), value.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
   errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || errno != 0 || end == nullptr || *end != '\0') {
+  const unsigned long long parsed =
+      digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+  if (!digits || errno != 0) {
     return Status::InvalidArgument(
         StrCat("option ", key, " needs a non-negative integer, got '", value,
                "'"));
@@ -62,6 +68,10 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
                               ParseBool(key, value));
     } else if (key == "epoch_interval") {
       COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint(key, value));
+      if (parsed > UINT32_MAX) {
+        return Status::InvalidArgument(
+            StrCat("epoch_interval ", parsed, " exceeds ", UINT32_MAX));
+      }
       options.certifier.epoch_interval = static_cast<uint32_t>(parsed);
     } else if (key == "queue_capacity") {
       COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint(key, value));
@@ -69,12 +79,9 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
         return Status::InvalidArgument("queue_capacity must be positive");
       }
       options.queue_capacity = static_cast<size_t>(parsed);
-    } else if (key == "static_admission") {
-      COMPTX_ASSIGN_OR_RETURN(options.certifier.static_admission,
-                              ParseBool(key, value));
-    } else if (key == "paranoid") {
-      COMPTX_ASSIGN_OR_RETURN(options.certifier.paranoid,
-                              ParseBool(key, value));
+    } else if (key == "static_admission" || key == "paranoid") {
+      // Retired modes (same verdicts): ignored, so old data dirs recover.
+      COMPTX_RETURN_IF_ERROR(ParseBool(key, value).status());
     } else if (key == "resume") {
       COMPTX_ASSIGN_OR_RETURN(options.resume, ParseUint(key, value));
       if (options.resume == 0) {
@@ -342,9 +349,6 @@ SessionVerdict Session::Verdict() const {
   out.pruned_nodes = stats.pruned_nodes;
   out.sealed_roots = stats.sealed_roots;
   out.commit_watermark = stats.commit_watermark;
-  out.static_mode = stats.static_mode;
-  out.static_fallbacks = stats.static_fallbacks;
-  out.paranoid_mismatches = stats.paranoid_mismatches;
   if (!verdict.certifiable && verdict.failure.has_value()) {
     out.failure = StrCat("level ", verdict.failure->level, " ",
                          StepName(verdict.failure->step), ": ",

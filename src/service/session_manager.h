@@ -48,8 +48,8 @@ struct SessionOptions {
 };
 
 /// Parses "key=value ..." OPEN options (forgetting, epoch_interval,
-/// auto_prune, static_admission, paranoid, queue_capacity, resume,
-/// stream) over `defaults`.
+/// auto_prune, queue_capacity, resume, stream) over `defaults`.  The
+/// retired static_admission and paranoid keys are accepted and ignored.
 StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
                                              const SessionOptions& defaults);
 
@@ -66,9 +66,6 @@ struct SessionVerdict {
   uint64_t pruned_nodes = 0;
   uint64_t sealed_roots = 0;
   uint64_t commit_watermark = 0;
-  bool static_mode = false;
-  uint64_t static_fallbacks = 0;
-  uint64_t paranoid_mismatches = 0;
   std::string failure;  // empty while certifiable
 };
 

@@ -133,7 +133,7 @@ TEST(CertifyCliTest, CertifiesAGeneratedTraceWithBatchCheck) {
   EXPECT_TRUE(Contains(r.stdout_text, "batch agreement")) << r.stdout_text;
 }
 
-TEST(CertifyCliTest, StaticFastPathCertifiesATreeTrace) {
+TEST(CertifyCliTest, LintVerdictMatchesCertifyOnAStackTrace) {
   workload::WorkloadSpec spec;
   spec.topology.kind = workload::TopologyKind::kStack;
   spec.execution.conflict_prob = 0.3;
@@ -142,15 +142,22 @@ TEST(CertifyCliTest, StaticFastPathCertifiesATreeTrace) {
   auto text = workload::SaveTrace(*cs);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   const auto path = WriteFile("static_stack.trace", *text);
-  RunResult r =
+  // Theorem 2 decides stacks, so the analyzer's verdict is exact and the
+  // online replay's exit code must follow it.
+  RunResult lint =
+      RunCli(StrCat(COMPTX_LINT_BIN, " --verdict ", path.string()));
+  EXPECT_EQ(lint.exit_code, 0) << lint.stdout_text << lint.stderr_text;
+  const bool safe = Contains(lint.stdout_text, "verdict: SAFE");
+  const bool unsafe = Contains(lint.stdout_text, "verdict: UNSAFE");
+  ASSERT_TRUE(safe != unsafe) << lint.stdout_text;
+  RunResult r = RunCli(StrCat(COMPTX_CERTIFY_BIN, " ", path.string()));
+  EXPECT_EQ(r.exit_code, safe ? 0 : 1) << r.stdout_text << r.stderr_text;
+  // The static pre-pass is gone; its flag is now a usage error.
+  RunResult removed =
       RunCli(StrCat(COMPTX_CERTIFY_BIN, " --static ", path.string()));
-  EXPECT_TRUE(r.exit_code == 0 || r.exit_code == 1) << r.stderr_text;
-  EXPECT_TRUE(Contains(r.stdout_text, "static verdict")) << r.stdout_text;
-  // Paranoid mode re-runs the replay and must confirm the static verdict.
-  RunResult p =
-      RunCli(StrCat(COMPTX_CERTIFY_BIN, " --paranoid ", path.string()));
-  EXPECT_EQ(p.exit_code, r.exit_code) << p.stdout_text << p.stderr_text;
-  EXPECT_TRUE(Contains(p.stdout_text, "static agreement")) << p.stdout_text;
+  EXPECT_EQ(removed.exit_code, 2);
+  EXPECT_TRUE(Contains(removed.stderr_text, "usage: comptx_certify"))
+      << removed.stderr_text;
 }
 
 // ------------------------------------------------------------------- lint

@@ -3,8 +3,8 @@
 // five spec event kinds across every serialization surface (text trace,
 // binary wire protocol, WAL), the deterministic shared-bottom semantic
 // rule of the static analyzer, the 1000-trace semantic-static vs dynamic
-// agreement sweep over ADT workloads, and certifier static-admission /
-// paranoid equivalence on semantically decided sessions.
+// agreement sweep over ADT workloads, and agreement of the online
+// certifier with batch CheckCompC and the analyzer on semantic sessions.
 
 #include <gtest/gtest.h>
 
@@ -405,62 +405,38 @@ TEST(SemanticStatic, AnalyzerAgreesWithDynamicOnThousandAdtTraces) {
   EXPECT_GT(semantic_fired, 0u);
 }
 
-// ---- Certifier: static admission and paranoid cross-check ---------------
+// ---- Certifier: online verdicts vs batch and the analyzer ---------------
 
-TEST(SemanticCertifier, StaticAdmissionDecidesSemanticallySafeSessions) {
-  CompositeSystem cs = MakeSharedBottomSemantic(/*commuting=*/true);
-  auto events = testing::SystemToEvents(cs);
-  ASSERT_TRUE(events.ok());
-  online::CertifierOptions options;
-  options.static_admission = true;
-  online::Certifier certifier(options);
-  for (const workload::TraceEvent& e : *events) {
-    ASSERT_TRUE(certifier.Ingest(e).ok());
+TEST(SemanticCertifier, SharedBottomTwinsMatchBatchAndAnalyzer) {
+  // The commuting twin is semantically SAFE; the clashing twin keeps a
+  // real cross-root conflict on the shared bottom, so no theorem decides
+  // it.  The online engine must match batch CheckCompC on both.
+  for (bool commuting : {true, false}) {
+    SCOPED_TRACE(commuting ? "commuting" : "clashing");
+    CompositeSystem cs = MakeSharedBottomSemantic(commuting);
+    auto events = testing::SystemToEvents(cs);
+    ASSERT_TRUE(events.ok());
+    online::Certifier certifier;
+    for (const workload::TraceEvent& e : *events) {
+      ASSERT_TRUE(certifier.Ingest(e).ok());
+    }
+    auto batch = CheckCompC(cs, PrefixOptions());
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(certifier.Verdict().certifiable, batch->correct);
+    staticcheck::StaticAnalysis analysis =
+        AnalyzeConfiguration(certifier.system());
+    EXPECT_TRUE(analysis.well_formed);
+    EXPECT_EQ(analysis.verdict, commuting ? SafetyVerdict::kSafe
+                                          : SafetyVerdict::kNeedsDynamic)
+        << staticcheck::FormatStaticAnalysis(analysis);
+    EXPECT_EQ(analysis.semantic, commuting);
   }
-  online::CertifierVerdict verdict = certifier.Verdict();
-  EXPECT_TRUE(verdict.certifiable);
-  EXPECT_TRUE(verdict.static_decided);
-  online::CertifierStats stats = certifier.Stats();
-  EXPECT_TRUE(stats.static_mode);
-  EXPECT_GE(stats.static_analyses, 1u);
-  EXPECT_EQ(stats.static_fallbacks, 0u);
-  auto batch = CheckCompC(cs, PrefixOptions());
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(verdict.certifiable, batch->correct);
 }
 
-TEST(SemanticCertifier, StaticAdmissionFallsBackOnUndecidedShapes) {
-  // The clashing shared-bottom twin is correct but NEEDS_DYNAMIC (the
-  // real cross-root conflict defeats every theorem including the
-  // semantic rule), so a static-admission session must take the
-  // one-time fallback and keep answering right.
-  CompositeSystem cs = MakeSharedBottomSemantic(/*commuting=*/false);
-  auto events = testing::SystemToEvents(cs);
-  ASSERT_TRUE(events.ok());
-  online::CertifierOptions options;
-  options.static_admission = true;
-  online::Certifier certifier(options);
-  for (const workload::TraceEvent& e : *events) {
-    ASSERT_TRUE(certifier.Ingest(e).ok());
-  }
-  auto batch = CheckCompC(cs, PrefixOptions());
-  ASSERT_TRUE(batch.ok());
-  // Interim verdict (batch-backed) while the fallback is pending.
-  EXPECT_EQ(certifier.Verdict().certifiable, batch->correct);
-  // Any further ingest performs the downgrade.
-  workload::TraceEvent commit;
-  commit.kind = workload::TraceEventKind::kCommit;
-  commit.parent = 0;  // T1 is the first node created
-  ASSERT_TRUE(certifier.Ingest(commit).ok());
-  online::CertifierStats stats = certifier.Stats();
-  EXPECT_FALSE(stats.static_mode);
-  EXPECT_EQ(stats.static_fallbacks, 1u);
-  EXPECT_EQ(certifier.Verdict().certifiable, batch->correct);
-}
-
-TEST(SemanticCertifier, ParanoidModeSeesNoMismatchesOnAdtTraces) {
+TEST(SemanticCertifier, AnalyzerAgreesWithOnlineOnAdtTraces) {
   using workload::AdtMix;
   const AdtMix mixes[] = {AdtMix::kCounter, AdtMix::kEscrow, AdtMix::kMixed};
+  size_t decided = 0;
   for (AdtMix mix : mixes) {
     for (uint64_t seed = 0; seed < 20; ++seed) {
       Rng rng(7 + seed * 97 + static_cast<uint64_t>(mix));
@@ -475,21 +451,29 @@ TEST(SemanticCertifier, ParanoidModeSeesNoMismatchesOnAdtTraces) {
       ASSERT_TRUE(workload::PopulateExecution(cs, espec, rng).ok());
       auto events = testing::SystemToEvents(cs);
       ASSERT_TRUE(events.ok());
-      online::CertifierOptions options;
-      options.paranoid = true;
-      online::Certifier certifier(options);
+      online::Certifier certifier;
       size_t rejected = certifier.IngestBatch(*events);
       ASSERT_EQ(rejected, 0u);
       auto batch = CheckCompC(cs, PrefixOptions());
       ASSERT_TRUE(batch.ok());
       EXPECT_EQ(certifier.Verdict().certifiable, batch->correct)
           << workload::AdtMixToString(mix) << " seed " << seed;
-      online::CertifierStats stats = certifier.Stats();
-      EXPECT_EQ(stats.paranoid_mismatches, 0u)
-          << workload::AdtMixToString(mix) << " seed " << seed;
-      EXPECT_GE(stats.static_analyses, 1u);
+      // An exact analyzer verdict (SAFE/UNSAFE on a well-formed system)
+      // must equal the online engine's.
+      staticcheck::StaticAnalysis analysis =
+          AnalyzeConfiguration(certifier.system());
+      if (!analysis.well_formed ||
+          analysis.verdict == SafetyVerdict::kNeedsDynamic) {
+        continue;
+      }
+      ++decided;
+      EXPECT_EQ(analysis.verdict == SafetyVerdict::kSafe,
+                certifier.Certifiable())
+          << workload::AdtMixToString(mix) << " seed " << seed << "\n"
+          << staticcheck::FormatStaticAnalysis(analysis);
     }
   }
+  EXPECT_GT(decided, 0u);
 }
 
 }  // namespace

@@ -167,6 +167,26 @@ TEST(SessionOptionsTest, ParseOverridesDefaults) {
   EXPECT_EQ(parsed->certifier.epoch_interval, 3u);
   EXPECT_FALSE(ParseSessionOptions("queue_capacity=banana", defaults).ok());
   EXPECT_FALSE(ParseSessionOptions("no_such_option=1", defaults).ok());
+  // Integers are plain decimal digits: no sign (strtoull would wrap "-1"
+  // to 2^64-1 and switch off backpressure) and no overflow.
+  EXPECT_FALSE(ParseSessionOptions("queue_capacity=-1", defaults).ok());
+  EXPECT_FALSE(ParseSessionOptions("queue_capacity=+16", defaults).ok());
+  EXPECT_FALSE(
+      ParseSessionOptions("queue_capacity=99999999999999999999", defaults)
+          .ok());
+  EXPECT_FALSE(ParseSessionOptions("epoch_interval=-1", defaults).ok());
+  EXPECT_FALSE(ParseSessionOptions("resume=-7", defaults).ok());
+  // epoch_interval is 32-bit: 2^32 must not wrap to 0 (no pruning).
+  EXPECT_FALSE(ParseSessionOptions("epoch_interval=4294967296", defaults).ok());
+  auto widest = ParseSessionOptions("epoch_interval=4294967295", defaults);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->certifier.epoch_interval, UINT32_MAX);
+  // The retired static_admission/paranoid keys parse (and are ignored) so
+  // logged OPEN options keep recovering; their value is still checked.
+  auto retired = ParseSessionOptions("static_admission=1 paranoid=true",
+                                     defaults);
+  ASSERT_TRUE(retired.ok()) << retired.status().ToString();
+  EXPECT_FALSE(ParseSessionOptions("paranoid=maybe", defaults).ok());
 }
 
 // ------------------------------------------------------------- helpers

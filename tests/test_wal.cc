@@ -21,6 +21,8 @@
 #include "durability/wal.h"
 #include "online/certifier.h"
 #include "online/state_io.h"
+#include "service/metrics.h"
+#include "service/session_manager.h"
 #include "util/string_util.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
@@ -706,6 +708,42 @@ TEST(RecoveryTest, TornTailIsRepairedOnAdoptAndTheSuffixSurvives) {
   auto rescan = ReadWalFile(wal_path);
   ASSERT_TRUE(rescan.ok());
   EXPECT_TRUE(rescan->clean) << rescan->damage;
+}
+
+TEST(RecoveryTest, RetiredStaticOptionsInTheOpenRecordStillRecover) {
+  // Data dirs written while the certifier had static-admission and
+  // paranoid modes store those keys in their OPEN options; startup
+  // recovery must still parse them and rebuild the session.
+  const fs::path dir = Scratch() / "retired_options";
+  Options options;
+  options.dir = dir.string();
+  options.fsync = FsyncPolicy::kNone;
+  options.snapshot_events = 0;
+  Counters counters;
+
+  const auto events = GeneratedEvents(6, 808);
+  {
+    auto manager = Manager::Start(options, &counters);
+    ASSERT_TRUE(manager.ok());
+    auto log = (*manager)->CreateLog(
+        9, "static_admission=1 paranoid=1 epoch_interval=8");
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_TRUE((*log)->LogAppend(events).ok());
+  }
+
+  auto manager = Manager::Start(options, &counters);
+  ASSERT_TRUE(manager.ok());
+  service::ServiceMetrics metrics;
+  service::SessionManager sessions(4, &metrics, manager->get());
+  auto recovered = sessions.RecoverAll(service::SessionOptions{},
+                                       /*verify=*/true);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*recovered, 1u);
+  auto session = sessions.Find(9);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const service::SessionVerdict verdict = (*session)->Verdict();
+  EXPECT_EQ(verdict.events_accepted + verdict.events_rejected, events.size());
+  EXPECT_EQ(verdict.certifiable, BatchVerdict(events));
 }
 
 TEST(RecoveryTest, VerifyRecoveryCatchesMissingEvents) {

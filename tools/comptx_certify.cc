@@ -6,28 +6,23 @@
 // completeness rules of Defs 3-4); the per-prefix batch runs fan out over
 // the thread pool after the online pass.
 //
-// Usage: comptx_certify [--check] [--static] [--paranoid] [--no-prune]
-//                       [--stats] [--threads N] <trace-file>
+// Usage: comptx_certify [--check] [--no-prune] [--stats] [--threads N]
+//                       <trace-file>
 //        comptx_certify --demo [--check]
 //
 // --threads N (default COMPTX_THREADS, else the core count) sizes only
 // the --check prefix cross-validation, one prefix per task.  Each
 // reduction, and the online replay, runs on one thread.
 //
-// --static runs the static configuration analyzer on the fully replayed
-// trace first; on SAFE (exact on stack/fork/join/flat shapes, Theorems
-// 2-4) the per-event online replay is skipped entirely.  --paranoid keeps
-// the fast path but replays anyway and cross-checks the static verdict
-// (a disagreement is a comptx bug and exits 2).
+// The static configuration analyzer's verdict for a trace file is
+// `comptx_lint --verdict`; this tool always runs the online engine.
 //
 // Exit codes: 0 = certifiable, 1 = not certifiable, 2 = usage/IO error
-// (including a --check or --paranoid disagreement, which indicates a
-// comptx bug).
+// (including a --check disagreement, which indicates a comptx bug).
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,7 +31,6 @@
 #include "analysis/sweep.h"
 #include "core/correctness.h"
 #include "online/certifier.h"
-#include "staticcheck/analyzer.h"
 #include "util/thread_pool.h"
 #include "util/version.h"
 #include "workload/trace.h"
@@ -46,8 +40,8 @@ namespace {
 using namespace comptx;  // NOLINT
 
 constexpr char kUsage[] =
-    "usage: comptx_certify [--check] [--static] [--paranoid] [--no-prune] "
-    "[--stats] [--threads N] <trace-file> | --demo\n"
+    "usage: comptx_certify [--check] [--no-prune] [--stats] [--threads N] "
+    "<trace-file> | --demo\n"
     "  --threads N  prefixes cross-validated in parallel by --check; each "
     "reduction is serial\n";
 
@@ -65,51 +59,13 @@ struct CliOptions {
   bool check = false;
   bool stats = false;
   bool prune = true;
-  bool static_pass = false;
-  bool paranoid = false;
 };
-
-/// Runs the static pre-pass on the fully replayed trace.  Returns the
-/// analysis when the system builds; nullopt sends the caller down the
-/// normal online path (a trace the certifier itself will diagnose).
-std::optional<staticcheck::StaticAnalysis> StaticPrePass(
-    const std::vector<workload::TraceEvent>& events) {
-  CompositeSystem full;
-  for (const workload::TraceEvent& event : events) {
-    if (!workload::ApplyTraceEvent(full, event).ok()) return std::nullopt;
-  }
-  return staticcheck::AnalyzeConfiguration(full);
-}
 
 int Certify(const std::string& text, const CliOptions& cli) {
   auto events = workload::ParseTraceEvents(text);
   if (!events.ok()) {
     std::cerr << "trace parse error: " << events.status() << "\n";
     return 2;
-  }
-
-  std::optional<staticcheck::StaticAnalysis> analysis;
-  if (cli.static_pass) {
-    analysis = StaticPrePass(*events);
-    if (analysis.has_value() && analysis->well_formed) {
-      const char* verdict = staticcheck::SafetyVerdictToString(
-          analysis->verdict);
-      std::cout << "static verdict: " << verdict << " (shape "
-                << staticcheck::ConfigShapeToString(analysis->shape)
-                << ", order " << analysis->order << ")\n";
-      if (analysis->verdict == staticcheck::SafetyVerdict::kSafe &&
-          !cli.paranoid) {
-        // Exact on the shapes it fires for — the replay adds nothing.
-        std::cout << "certifiable (static fast path, order "
-                  << analysis->order << ", " << events->size()
-                  << " events)\n";
-        return 0;
-      }
-    } else {
-      std::cout << "static verdict: unavailable (trace does not build a "
-                   "well-formed system); running the online replay\n";
-      analysis.reset();
-    }
   }
 
   online::CertifierOptions options;
@@ -120,13 +76,11 @@ int Certify(const std::string& text, const CliOptions& cli) {
   std::vector<bool> online_verdicts;
 
   size_t index = 0;
-  size_t rejected = 0;
   bool reported_failure = false;
   for (const workload::TraceEvent& event : *events) {
     ++index;
     Status status = certifier.Ingest(event);
     if (!status.ok()) {
-      ++rejected;
       std::cerr << "event " << index << " ("
                 << workload::FormatTraceEvent(event)
                 << ") rejected: " << status << "\n";
@@ -173,23 +127,6 @@ int Certify(const std::string& text, const CliOptions& cli) {
   }
 
   online::CertifierVerdict verdict = certifier.Verdict();
-  if (analysis.has_value() && rejected == 0 &&
-      analysis->verdict != staticcheck::SafetyVerdict::kNeedsDynamic) {
-    // --paranoid (or a statically UNSAFE trace): the static verdict is
-    // exact on the shape it fired for, so the replay must agree.
-    const bool static_safe =
-        analysis->verdict == staticcheck::SafetyVerdict::kSafe;
-    if (static_safe != verdict.certifiable) {
-      std::cerr << "STATIC DISAGREEMENT: analyzer says "
-                << staticcheck::SafetyVerdictToString(analysis->verdict)
-                << ", online replay says "
-                << (verdict.certifiable ? "certifiable" : "not certifiable")
-                << " (" << analysis->reason << ")\n";
-      return 2;
-    }
-    std::cout << "static agreement: " << (static_safe ? "SAFE" : "UNSAFE")
-              << " confirmed by the replay\n";
-  }
   if (verdict.certifiable) {
     std::cout << "certifiable (order " << verdict.order << ", " << index
               << " events";
@@ -236,11 +173,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--check") {
       cli.check = true;
-    } else if (arg == "--static") {
-      cli.static_pass = true;
-    } else if (arg == "--paranoid") {
-      cli.static_pass = true;
-      cli.paranoid = true;
     } else if (arg == "--stats") {
       cli.stats = true;
     } else if (arg == "--no-prune") {
@@ -259,7 +191,7 @@ int main(int argc, char** argv) {
       }
       comptx::ThreadPool::SetGlobalThreads(static_cast<size_t>(threads));
     } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag " << arg << "\n";
+      std::cerr << "unknown flag " << arg << "\n" << kUsage;
       return 2;
     } else if (path.empty()) {
       path = arg;

@@ -12,17 +12,6 @@
 //                     [--fsync always|interval|none]
 //                     [--fsync-interval-ms N] [--snapshot-events N]
 //                     [--verify-recovery]
-//                     [--static-admission] [--paranoid]
-//
-//   --static-admission makes new sessions default to the admission-time
-//   static analyzer (DESIGN.md §13.4): sessions whose configuration the
-//   PR 4 analyzer proves SAFE skip dynamic certification entirely, with
-//   a one-time fallback to the dynamic engine when the configuration
-//   turns out to need it.  --paranoid runs the dynamic engine as usual
-//   but cross-checks every verdict against the analyzer, counting
-//   disagreements (a debugging aid for the static path).  Both are
-//   per-session defaults; an OPEN may override with
-//   static_admission=0/1 paranoid=0/1.
 //
 //   The front end is an epoll event loop: --io-threads non-blocking
 //   reactor threads own the connections, --handler-threads run the
@@ -95,7 +84,6 @@ int Usage(int code) {
          "                    [--fsync always|interval|none]\n"
          "                    [--fsync-interval-ms N] [--snapshot-events N]\n"
          "                    [--verify-recovery]\n"
-         "                    [--static-admission] [--paranoid]\n"
          "\n"
          "Runs the comptx certification service until SHUTDOWN or\n"
          "SIGINT/SIGTERM, then drains every session and exits 0.\n"
@@ -190,10 +178,6 @@ int main(int argc, char** argv) {
           std::strtoull(next("--snapshot-events"), nullptr, 10);
     } else if (arg == "--verify-recovery") {
       options.durability.verify_recovery = true;
-    } else if (arg == "--static-admission") {
-      options.session.certifier.static_admission = true;
-    } else if (arg == "--paranoid") {
-      options.session.certifier.paranoid = true;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
       return Usage(2);
