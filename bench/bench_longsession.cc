@@ -19,6 +19,13 @@
 // Events are fed through IngestBatch in service-sized batches — the same
 // path the server's drain worker uses.
 //
+// Memory and recovery cost: each checkpoint also records the process's
+// peak RSS (VmHWM), the size of the session's encoded durability snapshot
+// (DESIGN.md §11.3) and the fastest of 15 decodes + restores of it.  The
+// session holds only its live window, so all three stay flat: snapshot
+// bytes and restore time at the last checkpoint must be within 2x of the
+// first.
+//
 // Correctness cross-check: a second certifier with pruning disabled
 // ingests the same stream (at the smallest checkpoint only; it is
 // O(total) by design) and must agree with the pruned session's verdict.
@@ -29,15 +36,21 @@
 // Usage: bench_longsession [output.json] [--events N] [--window N]
 //                          [--batch N]
 
+#include <algorithm>
 #include <cstdint>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "durability/snapshot.h"
 #include "online/certifier.h"
+#include "online/state_io.h"
 #include "util/logging.h"
 #include "workload/trace.h"
 
@@ -116,6 +129,61 @@ class WindowStream {
   uint32_t prev_leaf_ = kInvalidIndex;
 };
 
+/// Peak resident set of this process so far, in KiB (0 if unknown).
+uint64_t ReadVmHwmKb() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "VmHWM:") {
+      uint64_t kb = 0;
+      in >> kb;
+      return kb;
+    }
+    in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// The checked-out commit ("-dirty" when the tree has local changes),
+/// when run from a git work tree.
+std::string GitSha() {
+  std::string sha;
+  if (FILE* pipe =
+          popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
+    char buf[80] = {};
+    if (fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
+/// Encodes `certifier`'s snapshot; returns its size and sets `restore_ms`
+/// to the fastest of several decode + restore runs (a restore takes well
+/// under a millisecond, so the minimum is the stable statistic).
+size_t MeasureSnapshot(const online::Certifier& certifier,
+                       const online::CertifierOptions& options,
+                       double* restore_ms) {
+  constexpr int kRepeats = 15;
+  durability::Snapshot snapshot;
+  auto state = online::CaptureCertifierState(certifier);
+  COMPTX_CHECK(state.ok()) << state.status().ToString();
+  snapshot.state = std::move(state).value();
+  const std::string bytes = durability::EncodeSnapshot(snapshot);
+  *restore_ms = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kRepeats; ++i) {
+    const Clock::time_point start = Clock::now();
+    auto decoded = durability::DecodeSnapshot(bytes);
+    COMPTX_CHECK(decoded.ok()) << decoded.status().ToString();
+    auto restored = online::RestoreCertifierState(decoded->state, options);
+    COMPTX_CHECK(restored.ok()) << restored.status().ToString();
+    *restore_ms = std::min(*restore_ms, MicrosSince(start) / 1000.0);
+  }
+  return bytes.size();
+}
+
 struct Checkpoint {
   uint64_t events = 0;          // cumulative events ingested
   double segment_us = 0;        // time over the preceding segment
@@ -124,6 +192,9 @@ struct Checkpoint {
   uint64_t pruned_nodes = 0;
   uint64_t prune_passes = 0;
   bool certifiable = false;
+  uint64_t vm_hwm_kb = 0;       // process peak RSS so far
+  size_t snapshot_bytes = 0;    // encoded durability snapshot
+  double restore_ms = 0;        // fastest decode + restore of it
 
   double PerEventUs() const {
     return segment_events == 0 ? 0 : segment_us / double(segment_events);
@@ -192,10 +263,15 @@ int main(int argc, char** argv) {
       cp.pruned_nodes = stats.pruned_nodes;
       cp.prune_passes = stats.prune_passes;
       cp.certifiable = certifier.Certifiable();
+      cp.vm_hwm_kb = ReadVmHwmKb();
+      cp.snapshot_bytes = MeasureSnapshot(certifier, options, &cp.restore_ms);
       checkpoints.push_back(cp);
       std::cout << "events=" << cp.events << " per_event=" << cp.PerEventUs()
                 << "us live=" << cp.live_nodes << " pruned=" << cp.pruned_nodes
-                << " certifiable=" << (cp.certifiable ? "yes" : "NO") << "\n";
+                << " hwm=" << cp.vm_hwm_kb << "KiB snapshot="
+                << cp.snapshot_bytes << "B restore=" << cp.restore_ms
+                << "ms certifiable=" << (cp.certifiable ? "yes" : "NO")
+                << "\n";
       segment_start_events = ingested;
       ++next_mark;
       segment_start = Clock::now();
@@ -242,11 +318,18 @@ int main(int argc, char** argv) {
     live_bounded = live_bounded && cp.live_nodes <= 2 * window_nodes;
     all_certifiable = all_certifiable && cp.certifiable;
   }
+  const double snapshot_ratio =
+      double(last.snapshot_bytes) / double(first.snapshot_bytes);
+  const double restore_ratio = last.restore_ms / first.restore_ms;
+  const bool snapshot_flat = snapshot_ratio <= 2.0 && restore_ratio <= 2.0;
 
   std::ostringstream json;
   json << "{\n"
        << "  \"experiment\": \"E15_long_session\",\n"
        << "  \"workload\": \"streaming_window_chain\",\n"
+       << "  \"git_sha\": \"" << GitSha() << "\",\n"
+       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+       << ",\n"
        << "  \"total_events\": " << last.events << ",\n"
        << "  \"commit_window_roots\": " << window << ",\n"
        << "  \"ingest_batch\": " << batch << ",\n"
@@ -257,6 +340,11 @@ int main(int argc, char** argv) {
        << "  \"flat_hot_path\": " << (flat ? "true" : "false") << ",\n"
        << "  \"live_nodes_bounded_by_window\": "
        << (live_bounded ? "true" : "false") << ",\n"
+       << "  \"snapshot_bytes_ratio_last_over_first\": " << snapshot_ratio
+       << ",\n"
+       << "  \"restore_ms_ratio_last_over_first\": " << restore_ratio << ",\n"
+       << "  \"snapshot_and_restore_flat\": "
+       << (snapshot_flat ? "true" : "false") << ",\n"
        << "  \"all_checkpoints_certifiable\": "
        << (all_certifiable ? "true" : "false") << ",\n"
        << "  \"unpruned_crosscheck_agrees\": "
@@ -272,7 +360,10 @@ int main(int argc, char** argv) {
          << ", \"pruned_nodes\": " << cp.pruned_nodes
          << ", \"prune_passes\": " << cp.prune_passes
          << ", \"certifiable\": " << (cp.certifiable ? "true" : "false")
-         << "}" << (i + 1 < checkpoints.size() ? "," : "") << "\n";
+         << ", \"vm_hwm_kb\": " << cp.vm_hwm_kb
+         << ", \"snapshot_bytes\": " << cp.snapshot_bytes
+         << ", \"restore_ms\": " << cp.restore_ms << "}"
+         << (i + 1 < checkpoints.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
 
@@ -284,5 +375,8 @@ int main(int argc, char** argv) {
   out << json.str();
   std::cout << "wrote " << out_path << " (ratio="
             << last.PerEventUs() / first.PerEventUs() << ")\n";
-  return flat && live_bounded && all_certifiable && crosscheck_agrees ? 0 : 1;
+  return flat && live_bounded && all_certifiable && crosscheck_agrees &&
+                 snapshot_flat
+             ? 0
+             : 1;
 }

@@ -11,9 +11,15 @@ namespace comptx {
 CompositeSystem CompositeSystem::Clone() const {
   CompositeSystem copy;
   copy.nodes_ = nodes_;
+  copy.live_nodes_ = live_nodes_;
   copy.schedules_ = schedules_;
   if (spec_) copy.spec_ = std::make_unique<CommutativitySpec>(*spec_);
   return copy;
+}
+
+void CompositeSystem::AppendNode(Node n) {
+  nodes_.push_back(std::move(n));
+  ++live_nodes_;
 }
 
 ScheduleId CompositeSystem::AddSchedule(std::string name) {
@@ -31,13 +37,13 @@ StatusOr<NodeId> CompositeSystem::AddRootTransaction(ScheduleId scheduler,
     return Status::InvalidArgument(
         StrCat("unknown schedule ", scheduler, " for root ", name));
   }
-  NodeId id(static_cast<uint32_t>(nodes_.size()));
+  const NodeId id = NextNodeId();
   Node n;
   n.id = id;
   n.name = std::move(name);
   n.kind = NodeKind::kTransaction;
   n.owner_schedule = scheduler;
-  nodes_.push_back(std::move(n));
+  AppendNode(std::move(n));
   schedules_[scheduler.index()].transactions.push_back(id);
   return id;
 }
@@ -62,14 +68,14 @@ StatusOr<NodeId> CompositeSystem::AddSubtransaction(NodeId parent,
         StrCat("subtransaction ", name, " would make ", scheduler,
                " invoke itself"));
   }
-  NodeId id(static_cast<uint32_t>(nodes_.size()));
+  const NodeId id = NextNodeId();
   Node n;
   n.id = id;
   n.name = std::move(name);
   n.kind = NodeKind::kTransaction;
   n.parent = parent;
   n.owner_schedule = scheduler;
-  nodes_.push_back(std::move(n));
+  AppendNode(std::move(n));
   nodes_[parent.index()].children.push_back(id);
   schedules_[scheduler.index()].transactions.push_back(id);
   return id;
@@ -80,13 +86,13 @@ StatusOr<NodeId> CompositeSystem::AddLeaf(NodeId parent, std::string name) {
     return Status::InvalidArgument(
         StrCat("parent ", parent, " is not a transaction"));
   }
-  NodeId id(static_cast<uint32_t>(nodes_.size()));
+  const NodeId id = NextNodeId();
   Node n;
   n.id = id;
   n.name = std::move(name);
   n.kind = NodeKind::kLeaf;
   n.parent = parent;
-  nodes_.push_back(std::move(n));
+  AppendNode(std::move(n));
   nodes_[parent.index()].children.push_back(id);
   return id;
 }
@@ -259,20 +265,81 @@ ScheduleId CompositeSystem::HostScheduleOf(NodeId id) const {
   return node(n.parent).owner_schedule;
 }
 
+std::vector<NodeId> CompositeSystem::LiveNodes() const {
+  std::vector<NodeId> out;
+  out.reserve(live_nodes_);
+  for (uint64_t v = nodes_.begin(); v < nodes_.end(); ++v) {
+    if (nodes_[v].id.valid()) out.push_back(nodes_[v].id);
+  }
+  return out;
+}
+
 std::vector<NodeId> CompositeSystem::Roots() const {
   std::vector<NodeId> out;
-  for (const Node& n : nodes_) {
-    if (n.IsRoot()) out.push_back(n.id);
+  for (uint64_t v = nodes_.begin(); v < nodes_.end(); ++v) {
+    const Node& n = nodes_[v];
+    if (n.id.valid() && n.IsRoot()) out.push_back(n.id);
   }
   return out;
 }
 
 std::vector<NodeId> CompositeSystem::Leaves() const {
   std::vector<NodeId> out;
-  for (const Node& n : nodes_) {
-    if (n.IsLeaf()) out.push_back(n.id);
+  for (uint64_t v = nodes_.begin(); v < nodes_.end(); ++v) {
+    const Node& n = nodes_[v];
+    if (n.id.valid() && n.IsLeaf()) out.push_back(n.id);
   }
   return out;
+}
+
+Status CompositeSystem::ReleaseSubtree(NodeId root) {
+  if (!HasNode(root) || !node(root).IsRoot()) {
+    return Status::InvalidArgument(
+        StrCat("release of ", root, ": not a live root transaction"));
+  }
+  std::vector<NodeId> subtree = Descendants(root);
+  subtree.push_back(root);
+  std::vector<ScheduleId> owners;
+  for (NodeId n : subtree) {
+    const Node& nd = node(n);
+    if (nd.parent.valid()) {
+      Schedule& host = schedules_[HostScheduleOf(n).index()];
+      host.conflicts.RemoveNode(n);
+      host.weak_output.RemoveSource(n);
+      host.strong_output.RemoveSource(n);
+    }
+    if (nd.IsTransaction()) {
+      Schedule& owner = schedules_[nd.owner_schedule.index()];
+      owner.weak_input.RemoveSource(n);
+      owner.strong_input.RemoveSource(n);
+      if (std::find(owners.begin(), owners.end(), nd.owner_schedule) ==
+          owners.end()) {
+        owners.push_back(nd.owner_schedule);
+      }
+    }
+  }
+  // Tombstone the slots only after every lookup above is done.
+  for (NodeId n : subtree) nodes_[n.index()] = Node();
+  live_nodes_ -= subtree.size();
+  for (ScheduleId s : owners) {
+    std::erase_if(schedules_[s.index()].transactions,
+                  [&](NodeId t) { return !HasNode(t); });
+  }
+  while (!nodes_.empty() && !nodes_.front().id.valid()) {
+    nodes_.DropBefore(nodes_.begin() + 1);
+  }
+  return Status::OK();
+}
+
+Status CompositeSystem::RequireWholeForest() const {
+  if (!HasReleased()) return Status::OK();
+  return Status::FailedPrecondition(
+      StrCat(NodeCount() - live_nodes_, " of ", NodeCount(),
+             " node ids are released; batch analyses need the whole forest"));
+}
+
+void CompositeSystem::SkipReleasedIds(uint32_t next_id) {
+  nodes_.ExtendTo(next_id, Node());
 }
 
 std::vector<NodeId> CompositeSystem::OperationsOf(ScheduleId scheduler) const {

@@ -10,6 +10,7 @@
 #include "core/commutativity.h"
 #include "core/node.h"
 #include "core/schedule.h"
+#include "util/id_window.h"
 #include "util/status.h"
 #include "util/status_or.h"
 
@@ -26,6 +27,13 @@ namespace comptx {
 /// referential rules eagerly and return Status; the global model rules of
 /// Defs 3 and 4 (order containment, conflict ordering, recursion freedom,
 /// order propagation between schedules) are checked by Validate().
+///
+/// A long-lived online consumer may also *release* a finished root's
+/// subtree (ReleaseSubtree).  Node ids keep their meaning and are never
+/// reused: NodeCount() is the number of ids ever assigned, HasNode() is
+/// false for a released id, and node storage spans only the ids from the
+/// oldest live node on.  Batch analyses need the whole forest, so
+/// Validate() and the reduction refuse a system with released ids.
 class CompositeSystem {
  public:
   CompositeSystem() = default;
@@ -133,14 +141,27 @@ class CompositeSystem {
 
   // ---- Accessors ----------------------------------------------------------
 
-  size_t NodeCount() const { return nodes_.size(); }
+  /// Node ids ever assigned; the next node created gets this id.
+  size_t NodeCount() const { return static_cast<size_t>(nodes_.end()); }
   size_t ScheduleCount() const { return schedules_.size(); }
+  /// Nodes not released.
+  size_t LiveNodeCount() const { return live_nodes_; }
+  /// True iff some id below NodeCount() was released.
+  bool HasReleased() const { return live_nodes_ != NodeCount(); }
+  /// The lowest live node id, or NodeCount() when no node is live.
+  uint32_t OldestLiveId() const {
+    return static_cast<uint32_t>(nodes_.begin());
+  }
+  /// Live node ids, ascending.
+  std::vector<NodeId> LiveNodes() const;
 
   const Node& node(NodeId id) const;
   const Schedule& schedule(ScheduleId id) const;
 
-  /// True iff `id` names an existing node.
-  bool HasNode(NodeId id) const { return id.index() < nodes_.size(); }
+  /// True iff `id` names an existing (assigned and not released) node.
+  bool HasNode(NodeId id) const {
+    return nodes_.Contains(id.index()) && nodes_[id.index()].id.valid();
+  }
   bool HasSchedule(ScheduleId id) const {
     return id.index() < schedules_.size();
   }
@@ -191,8 +212,29 @@ class CompositeSystem {
   /// Checks all global model rules (Defs 2-4).  Thin compatibility wrapper
   /// over CollectModelDiagnostics (core/validate.h): returns OK iff no
   /// error diagnostic, else the first error's message.  Analyses
-  /// (reduction, criteria) require a valid system.
+  /// (reduction, criteria) require a valid system.  FailedPrecondition on
+  /// a system with released ids.
   Status Validate() const;
+
+  // ---- Windowing (long-lived online sessions) ----------------------------
+
+  /// Releases the subtree of root transaction `root`: its Node records
+  /// (tags included), its entries in every schedule's transaction list,
+  /// its CON pairs and every schedule or intra order pair whose source
+  /// lies in it.  Order pairs must not *enter* the subtree from outside
+  /// (the online certifier releases only subtrees nothing points into);
+  /// such a pair would be left naming a released id.  Storage of the
+  /// released prefix of the id space is compacted in amortised O(1).
+  Status ReleaseSubtree(NodeId root);
+
+  /// OK iff no id was released; otherwise FailedPrecondition.  The guard
+  /// of every batch entry point, which needs the whole forest.
+  Status RequireWholeForest() const;
+
+  /// Advances the next node id to `next_id` as if the skipped ids had been
+  /// created and released.  Used to rebuild a windowed system from its
+  /// live nodes with their original ids.
+  void SkipReleasedIds(uint32_t next_id);
 
   // ---- Internal mutation (used by generators) ----------------------------
 
@@ -202,8 +244,15 @@ class CompositeSystem {
 
  private:
   Status CheckOperationPair(NodeId a, NodeId b, ScheduleId* host) const;
+  NodeId NextNodeId() const {
+    return NodeId(static_cast<uint32_t>(nodes_.end()));
+  }
+  void AppendNode(Node n);
 
-  std::vector<Node> nodes_;
+  /// Slots of ids [OldestLiveId(), NodeCount()); a released id inside the
+  /// window holds a default Node (invalid id).
+  IdWindow<Node> nodes_;
+  size_t live_nodes_ = 0;
   std::vector<Schedule> schedules_;
   std::unique_ptr<CommutativitySpec> spec_;
 };

@@ -21,6 +21,9 @@ SystemContext::SystemContext(const CompositeSystem& system)
             << result.status().ToString();
         return std::move(result).value();
       }()) {
+  COMPTX_CHECK(!cs.HasReleased())
+      << "SystemContext requires the whole forest: "
+      << cs.RequireWholeForest().ToString();
   const size_t schedule_count = cs.ScheduleCount();
   closed_weak_output.resize(schedule_count);
   closed_strong_output.resize(schedule_count);

@@ -87,6 +87,7 @@ Reducer::Reducer(const CompositeSystem& cs, const ReductionOptions& options)
 
 StatusOr<Reducer> Reducer::Create(const CompositeSystem& cs,
                                   const ReductionOptions& options) {
+  COMPTX_RETURN_IF_ERROR(cs.RequireWholeForest());
   if (options.validate) {
     COMPTX_RETURN_IF_ERROR(cs.Validate());
   }

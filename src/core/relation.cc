@@ -162,6 +162,20 @@ bool SymmetricPairSet::Add(NodeId a, NodeId b) {
   return inserted;
 }
 
+size_t SymmetricPairSet::RemoveNode(NodeId a) {
+  const relation_internal::Row* row = store_.FindRow(a.index());
+  if (row == nullptr) return 0;
+  const std::vector<uint32_t> peers = row->elems;
+  for (uint32_t peer : peers) {
+    relation_internal::Row* back = store_.FindRow(peer);
+    back->Erase(a.index());
+    if (back->elems.empty()) store_.DropRow(peer);
+  }
+  store_.DropRow(a.index());
+  pair_count_ -= peers.size();
+  return peers.size();
+}
+
 std::vector<NodeId> SymmetricPairSet::PeersOf(NodeId a) const {
   std::vector<NodeId> out;
   const std::span<const uint32_t> ids = PeerIds(a);

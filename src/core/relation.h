@@ -187,6 +187,9 @@ class SymmetricPairSet {
   /// Adds the unordered pair {a, b}; requires a != b.  Returns true if new.
   bool Add(NodeId a, NodeId b);
 
+  /// Removes every pair containing `a`; returns how many there were.
+  size_t RemoveNode(NodeId a);
+
   /// True iff {a, b} is in the set.
   bool Contains(NodeId a, NodeId b) const {
     const relation_internal::Row* row = store_.FindRow(a.index());

@@ -239,6 +239,7 @@ Status CompositeSystem::Validate() const {
   // Thin compatibility wrapper over CollectModelDiagnostics: legacy
   // callers get the first violation as a flat Status; new callers use the
   // diagnostic collection to see every violation at once.
+  COMPTX_RETURN_IF_ERROR(RequireWholeForest());
   for (const Diagnostic& d : CollectModelDiagnostics(*this)) {
     if (d.severity == DiagSeverity::kError) {
       return Status::FailedPrecondition(d.message);

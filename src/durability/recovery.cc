@@ -8,6 +8,7 @@
 
 #include "core/correctness.h"
 #include "online/state_io.h"
+#include "workload/trace.h"
 
 namespace comptx::durability {
 
@@ -182,10 +183,23 @@ Status VerifyRecovery(const online::Certifier& certifier,
         " events but " + std::to_string(expected_events) +
         " were durably logged");
   }
+  // The batch oracle runs on the session's live window: pruned subtrees
+  // are gone from the certifier, and nothing outside the window can lie
+  // on a violation cycle (docs/THEORY.md, "The window decides the verdict").
+  auto state = online::CaptureCertifierState(certifier);
+  if (!state.ok()) {
+    return Status::Internal("cannot capture recovered window: " +
+                            state.status().ToString());
+  }
+  auto window = workload::LoadTrace(state->trace);
+  if (!window.ok()) {
+    return Status::Internal("cannot load recovered window: " +
+                            window.status().ToString());
+  }
   ReductionOptions options;
   options.validate = false;
   options.keep_fronts = false;
-  auto batch = CheckCompC(certifier.system(), options);
+  auto batch = CheckCompC(*window, options);
   if (!batch.ok()) {
     return Status::Internal("batch replay of recovered system failed: " +
                             batch.status().ToString());

@@ -80,9 +80,9 @@ StatusOr<std::unique_ptr<online::Certifier>> RebuildCertifier(
     const SessionDurableState& state, const online::CertifierOptions& options,
     std::vector<workload::TraceEvent>* accepted_stream = nullptr);
 
-/// The RecoveryVerifier differential check (reuses the PR 3 harness): a
-/// recovered session's online verdict must match batch CheckCompC over
-/// its accumulated system, and its counters must account for every
+/// The RecoveryVerifier differential check: a recovered session's online
+/// verdict must match batch CheckCompC over its live window (the trace a
+/// snapshot of it would hold), and its counters must account for every
 /// durably logged event (`accepted + rejected == expected_events`).
 /// Returns kInternal with a description on any disagreement.
 Status VerifyRecovery(const online::Certifier& certifier,

@@ -85,18 +85,33 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 }  // namespace
 
 std::string EncodeSnapshot(const Snapshot& snapshot) {
+  const online::CertifierState& state = snapshot.state;
   std::string payload;
   PutU64(payload, snapshot.session_id);
   PutU64(payload, snapshot.event_seq);
-  PutU64(payload, snapshot.state.accepted);
-  PutU64(payload, snapshot.state.rejected);
-  PutU8(payload, snapshot.state.certifiable ? 1 : 0);
+  PutU64(payload, state.accepted);
+  PutU64(payload, state.rejected);
+  PutU8(payload, state.certifiable ? 1 : 0);
   PutU32(payload, static_cast<uint32_t>(snapshot.options.size()));
   payload.append(snapshot.options);
-  PutU32(payload, static_cast<uint32_t>(snapshot.state.sealed.size()));
-  for (const uint32_t root : snapshot.state.sealed) PutU32(payload, root);
-  PutU64(payload, snapshot.state.trace.size());
-  payload.append(snapshot.state.trace);
+  PutU32(payload, static_cast<uint32_t>(state.sealed.size()));
+  for (const uint32_t root : state.sealed) PutU32(payload, root);
+  PutU32(payload, state.node_count);
+  PutU64(payload, state.root_count);
+  PutU64(payload, state.commit_watermark);
+  PutU32(payload, static_cast<uint32_t>(state.live_ids.size()));
+  for (const uint32_t id : state.live_ids) PutU32(payload, id);
+  PutU32(payload, static_cast<uint32_t>(state.live_root_ordinals.size()));
+  for (const uint32_t ordinal : state.live_root_ordinals) {
+    PutU32(payload, ordinal);
+  }
+  PutU32(payload, static_cast<uint32_t>(state.invokes.size()));
+  for (const auto& [caller, callee] : state.invokes) {
+    PutU32(payload, caller);
+    PutU32(payload, callee);
+  }
+  PutU64(payload, state.trace.size());
+  payload.append(state.trace);
 
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
   PutU32(out, static_cast<uint32_t>(payload.size()));
@@ -106,8 +121,13 @@ std::string EncodeSnapshot(const Snapshot& snapshot) {
 }
 
 StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
-  if (bytes.size() < sizeof(kSnapshotMagic) + 8 ||
-      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+  const bool v2 =
+      bytes.size() >= sizeof(kSnapshotMagic) &&
+      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) == 0;
+  const bool v1 = bytes.size() >= sizeof(kSnapshotMagicV1) &&
+                  std::memcmp(bytes.data(), kSnapshotMagicV1,
+                              sizeof(kSnapshotMagicV1)) == 0;
+  if (bytes.size() < sizeof(kSnapshotMagic) + 8 || (!v1 && !v2)) {
     return Status::InvalidArgument("not a comptx snapshot (bad magic)");
   }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
@@ -122,31 +142,47 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
     return Status::OutOfRange("snapshot crc mismatch");
   }
 
+  const Status undecodable = Status::OutOfRange("snapshot payload undecodable");
   Cursor cur{data + payload_off, len};
+  // Reads a u32 count followed by that many u32 values.
+  const auto get_u32_list = [&](std::vector<uint32_t>& out) {
+    const uint32_t count = cur.GetU32();
+    if (!cur.ok || count > len / 4) {
+      cur.ok = false;
+      return;
+    }
+    out.reserve(count);
+    for (uint32_t i = 0; i < count; ++i) out.push_back(cur.GetU32());
+  };
   Snapshot snapshot;
+  online::CertifierState& state = snapshot.state;
   snapshot.session_id = cur.GetU64();
   snapshot.event_seq = cur.GetU64();
-  snapshot.state.accepted = cur.GetU64();
-  snapshot.state.rejected = cur.GetU64();
-  snapshot.state.certifiable = cur.GetU8() != 0;
+  state.accepted = cur.GetU64();
+  state.rejected = cur.GetU64();
+  state.certifiable = cur.GetU8() != 0;
   const uint32_t options_len = cur.GetU32();
   snapshot.options = cur.GetBytes(options_len);
-  const uint32_t sealed_count = cur.GetU32();
-  if (!cur.ok || sealed_count > len / 4) {
-    return Status::OutOfRange("snapshot payload undecodable");
-  }
-  snapshot.state.sealed.reserve(sealed_count);
-  for (uint32_t i = 0; i < sealed_count; ++i) {
-    snapshot.state.sealed.push_back(cur.GetU32());
+  get_u32_list(state.sealed);
+  if (v2) {
+    // comptxs1 stops here: its trace is the whole history, numbered by
+    // id, so the window fields keep their empty defaults.
+    state.node_count = cur.GetU32();
+    state.root_count = cur.GetU64();
+    state.commit_watermark = cur.GetU64();
+    get_u32_list(state.live_ids);
+    get_u32_list(state.live_root_ordinals);
+    const uint32_t edges = cur.GetU32();
+    if (!cur.ok || edges > len / 8) return undecodable;
+    for (uint32_t i = 0; i < edges; ++i) {
+      const uint32_t caller = cur.GetU32();
+      state.invokes.emplace_back(caller, cur.GetU32());
+    }
   }
   const uint64_t trace_len = cur.GetU64();
-  if (!cur.ok || trace_len > len) {
-    return Status::OutOfRange("snapshot payload undecodable");
-  }
-  snapshot.state.trace = cur.GetBytes(trace_len);
-  if (!cur.ok || cur.pos != len) {
-    return Status::OutOfRange("snapshot payload undecodable");
-  }
+  if (!cur.ok || trace_len > len) return undecodable;
+  state.trace = cur.GetBytes(trace_len);
+  if (!cur.ok || cur.pos != len) return undecodable;
   return snapshot;
 }
 

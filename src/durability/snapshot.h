@@ -21,11 +21,19 @@ struct Snapshot {
   online::CertifierState state;
 };
 
-/// Serializes `snapshot` into the on-disk byte string:
-///   magic "comptxs1" | u32 payload_len | u32 crc32(payload) | payload
+/// Serializes `snapshot` into the on-disk byte string (DESIGN.md §11.3):
+///   magic "comptxs2" | u32 payload_len | u32 crc32(payload) | payload
+/// where the payload holds, little-endian: session id, event seq,
+/// accepted, rejected (u64 each), certifiable (u8), the options text and
+/// the sealed live roots (u32-counted), node count (u32), root count and
+/// commit watermark (u64), the live id table and live root ordinals
+/// (u32-counted u32 lists), the invocation edges (u32-counted u32 pairs)
+/// and the window trace (u64-length text).
 std::string EncodeSnapshot(const Snapshot& snapshot);
 
-/// Decodes a snapshot file image.  Unlike the WAL reader there is no
+/// Decodes a snapshot file image, either format.  A "comptxs1" image
+/// (no window fields; its trace is the whole history) restores by full
+/// replay.  Unlike the WAL reader there is no
 /// partial result: a snapshot is valid as a whole or not at all (it is
 /// published atomically, so damage means disk corruption, not a torn
 /// write mid-stream — recovery then falls back to the WAL alone if the
@@ -41,7 +49,10 @@ Status WriteSnapshotFile(const std::string& path, const Snapshot& snapshot);
 StatusOr<Snapshot> ReadSnapshotFile(const std::string& path);
 
 inline constexpr char kSnapshotMagic[8] = {'c', 'o', 'm', 'p',
-                                           't', 'x', 's', '1'};
+                                           't', 'x', 's', '2'};
+/// The pre-window format, still decoded.
+inline constexpr char kSnapshotMagicV1[8] = {'c', 'o', 'm', 'p',
+                                             't', 'x', 's', '1'};
 
 }  // namespace comptx::durability
 

@@ -16,24 +16,17 @@ Certifier::Certifier(const CertifierOptions& options) : options_(options) {
 }
 
 bool Certifier::IsSealed(NodeId id) const {
-  return id.index() < node_flags_.size() && (node_flags_[id.index()] & 1u) != 0;
+  if (id.index() >= cs_.NodeCount()) return false;
+  if (!cs_.HasNode(id)) return true;  // pruned: released from cs_.
+  return node_flags_[id.index()] != 0;
 }
 
-bool Certifier::IsPruned(NodeId id) const {
-  return id.index() < node_flags_.size() && (node_flags_[id.index()] & 2u) != 0;
-}
+void Certifier::MarkSealed(NodeId id) { node_flags_[id.index()] = 1; }
 
-void Certifier::MarkSealed(NodeId id) {
-  if (node_flags_.size() < cs_.NodeCount()) node_flags_.resize(cs_.NodeCount());
-  node_flags_[id.index()] |= 1u;
-}
-
-void Certifier::MarkPruned(NodeId id) {
-  if (node_flags_.size() < cs_.NodeCount()) node_flags_.resize(cs_.NodeCount());
-  uint8_t& flags = node_flags_[id.index()];
-  if ((flags & 2u) == 0) {
-    flags |= 2u;
-    ++pruned_node_count_;
+void Certifier::CompactWindowsLocked() {
+  node_flags_.DropBefore(cs_.OldestLiveId());
+  while (!roots_.empty() && !cs_.HasNode(roots_.front())) {
+    roots_.DropBefore(roots_.begin() + 1);
   }
 }
 
@@ -71,17 +64,20 @@ Status Certifier::IngestCountedLocked(const TraceEvent& event) {
 }
 
 Status Certifier::CheckNotSealed(NodeId id) const {
-  if (IsSealed(id)) {
+  if (!IsSealed(id)) return Status::OK();
+  if (!cs_.HasNode(id)) {
     return Status::FailedPrecondition(
-        StrCat("node ", id.index(), " (", cs_.node(id).name,
-               ") belongs to a committed root's sealed subtree"));
+        StrCat("node ", id.index(),
+               " belongs to a committed root's pruned subtree"));
   }
-  return Status::OK();
+  return Status::FailedPrecondition(
+      StrCat("node ", id.index(), " (", cs_.node(id).name,
+             ") belongs to a committed root's sealed subtree"));
 }
 
 bool Certifier::SealRootLocked(NodeId root) {
   if (IsSealed(root)) return false;
-  sealed_roots_.push_back(root);
+  ++sealed_root_count_;
   unpruned_sealed_.push_back(root);
   MarkSealed(root);
   for (NodeId d : cs_.Descendants(root)) MarkSealed(d);
@@ -131,6 +127,9 @@ bool Certifier::RecomputeLevels() {
 void Certifier::Rebuild() {
   ++rebuilds_;
   engine_.Reset(&cs_, schedule_levels_, order_, options_.forgetting);
+  for (uint64_t i = roots_.begin(); i < roots_.end(); ++i) {
+    if (cs_.HasNode(roots_[i])) engine_.OnNodeAdded(roots_[i]);
+  }
   // Replay every retained closed pair.  All derived structures are
   // monotone functions of these facts (the conflict-dependent rules
   // consult the complete CON relations of cs_ at replay time), so replay
@@ -172,6 +171,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_ASSIGN_OR_RETURN(
           NodeId root, cs_.AddRootTransaction(ScheduleId(e.schedule), e.name));
       roots_.push_back(root);
+      node_flags_.push_back(0);
       engine_.OnNodeAdded(root);
       return Status::OK();
     }
@@ -191,6 +191,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       }
       COMPTX_ASSIGN_OR_RETURN(NodeId sub,
                               cs_.AddSubtransaction(parent, sched, e.name));
+      node_flags_.push_back(0);
       invokes_[cs_.node(parent).owner_schedule.index()].insert(sched.index());
       if (RecomputeLevels()) {
         Rebuild();
@@ -203,6 +204,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       const NodeId parent(e.parent);
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(parent));
       COMPTX_ASSIGN_OR_RETURN(NodeId leaf, cs_.AddLeaf(parent, e.name));
+      node_flags_.push_back(0);
       engine_.OnNodeAdded(leaf);
       return Status::OK();
     }
@@ -280,6 +282,11 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
     }
     case TraceEventKind::kCommit: {
       const NodeId root(e.parent);
+      // Only committed subtrees are released, so committing a pruned id
+      // is the idempotent no-op committing a sealed root is.
+      if (root.index() < cs_.NodeCount() && !cs_.HasNode(root)) {
+        return Status::OK();
+      }
       if (!cs_.HasNode(root) || !cs_.node(root).IsRoot()) {
         return Status::InvalidArgument(
             StrCat("commit of ", e.parent, ": not a root transaction"));
@@ -294,15 +301,19 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       // the previous watermark and the per-event cost is bounded by the
       // number of newly covered roots — O(window) across the session.
       const uint64_t through = e.a;
-      if (through > roots_.size()) {
+      if (through > roots_.end()) {
         return Status::InvalidArgument(
-            StrCat("commit_through ", through, ": only ", roots_.size(),
+            StrCat("commit_through ", through, ": only ", roots_.end(),
                    " root transactions exist"));
       }
+      // Ordinals below the window's start belong to pruned roots.
       bool sealed_any = false;
-      for (uint64_t i = std::min(commit_watermark_, through); i < through;
-           ++i) {
-        sealed_any = SealRootLocked(roots_[i]) || sealed_any;
+      for (uint64_t i = std::max(std::min(commit_watermark_, through),
+                                 roots_.begin());
+           i < through; ++i) {
+        if (roots_[i].valid()) {
+          sealed_any = SealRootLocked(roots_[i]) || sealed_any;
+        }
       }
       commit_watermark_ = std::max(commit_watermark_, through);
       if (sealed_any && options_.auto_prune) PruneLocked();
@@ -342,13 +353,51 @@ Status Certifier::Commit(NodeId root) {
 
 std::vector<NodeId> Certifier::SealedRoots() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sealed_roots_;
+  std::vector<NodeId> roots = unpruned_sealed_;
+  std::sort(roots.begin(), roots.end());
+  return roots;
 }
 
 void Certifier::RestoreCounters(uint64_t accepted, uint64_t rejected) {
   std::lock_guard<std::mutex> lock(mu_);
   events_accepted_ = accepted;
   events_rejected_ = rejected;
+}
+
+Status Certifier::SkipReleased(uint32_t next_node, uint64_t next_root) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (next_node < cs_.NodeCount() || next_root < roots_.end()) {
+    return Status::InvalidArgument(
+        StrCat("cannot skip back to node ", next_node, " / root ", next_root,
+               ": ", cs_.NodeCount(), " nodes and ", roots_.end(),
+               " roots exist"));
+  }
+  // Only sealed roots are pruned.
+  sealed_root_count_ += next_root - roots_.end();
+  cs_.SkipReleasedIds(next_node);
+  node_flags_.ExtendTo(next_node, 0);
+  roots_.ExtendTo(next_root, NodeId());
+  return Status::OK();
+}
+
+Status Certifier::RestoreInvocations(
+    const std::vector<std::pair<uint32_t, uint32_t>>& edges) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [from, to] : edges) {
+    if (from >= invokes_.size() || to >= invokes_.size()) {
+      return Status::InvalidArgument(
+          StrCat("invocation edge ", from, " -> ", to, ": only ",
+                 invokes_.size(), " schedules exist"));
+    }
+    if (invokes_[from].count(to) != 0) continue;
+    if (WouldCreateRecursion(ScheduleId(from), ScheduleId(to))) {
+      return Status::FailedPrecondition(
+          StrCat("invocation edge ", from, " -> ", to, " is recursive"));
+    }
+    invokes_[from].insert(to);
+  }
+  if (RecomputeLevels()) Rebuild();
+  return Status::OK();
 }
 
 void Certifier::MaybePruneLocked() {
@@ -455,14 +504,18 @@ size_t Certifier::PruneLocked() {
         continue;
       }
       RemoveSubtree(subtree);
-      for (NodeId n : subtree) MarkPruned(n);
+      const Status released = cs_.ReleaseSubtree(root);
+      COMPTX_CHECK(released.ok()) << released.ToString();
       removed += subtree.size();
       unpruned_sealed_[idx] = unpruned_sealed_.back();
       unpruned_sealed_.pop_back();
       progress = true;  // the swapped-in root is re-examined at idx.
     }
   }
-  if (removed > 0) ++prune_passes_;
+  if (removed > 0) {
+    ++prune_passes_;
+    CompactWindowsLocked();
+  }
   return removed;
 }
 
@@ -489,8 +542,8 @@ std::vector<NodeId> Certifier::SerialWitness() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!engine_.certifiable()) return {};
   std::vector<NodeId> roots;
-  for (NodeId r : roots_) {
-    if (!IsPruned(r)) roots.push_back(r);
+  for (uint64_t i = roots_.begin(); i < roots_.end(); ++i) {
+    if (cs_.HasNode(roots_[i])) roots.push_back(roots_[i]);
   }
   std::stable_sort(roots.begin(), roots.end(), [&](NodeId x, NodeId y) {
     return engine_.TopOrderKey(x) < engine_.TopOrderKey(y);
@@ -505,10 +558,11 @@ CertifierStats Certifier::Stats() const {
   stats.events_rejected = events_rejected_;
   stats.rebuilds = rebuilds_;
   stats.prune_passes = prune_passes_;
-  stats.pruned_nodes = pruned_node_count_;
-  stats.sealed_roots = sealed_roots_.size();
+  stats.pruned_nodes = cs_.NodeCount() - cs_.LiveNodeCount();
+  stats.sealed_roots = sealed_root_count_;
   stats.commit_watermark = commit_watermark_;
-  stats.live_nodes = cs_.NodeCount() - pruned_node_count_;
+  stats.live_nodes = cs_.LiveNodeCount();
+  stats.window_span = cs_.NodeCount() - cs_.OldestLiveId();
   stats.observed_pairs = engine_.ObservedPairCount();
   stats.cc_edges = engine_.CcEdgeCount();
   stats.calc_edges = engine_.CalcEdgeCount();

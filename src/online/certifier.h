@@ -2,6 +2,7 @@
 #define COMPTX_ONLINE_CERTIFIER_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -10,10 +11,14 @@
 
 #include "core/composite_system.h"
 #include "online/online_front.h"
+#include "util/id_window.h"
 #include "util/status.h"
+#include "util/status_or.h"
 #include "workload/trace.h"
 
 namespace comptx::online {
+
+struct CertifierState;  // online/state_io.h
 
 struct CertifierOptions {
   /// Forgetting of commuting same-schedule observed pairs on pull-up
@@ -50,6 +55,10 @@ struct CertifierStats {
   uint64_t sealed_roots = 0;    // committed roots, pruned or not
   uint64_t commit_watermark = 0;  // highest commit_through applied
   size_t live_nodes = 0;        // nodes not garbage-collected
+  /// NodeCount() minus the oldest live id: the id span the session's
+  /// node storage covers.  Tracks live_nodes while the window slides; a
+  /// root that never commits pins it, and it then grows with the stream.
+  size_t window_span = 0;
   size_t observed_pairs = 0;
   size_t cc_edges = 0;
   size_t calc_edges = 0;
@@ -85,11 +94,17 @@ struct CertifierStats {
 /// Committed roots are sealed: later events referencing their subtree are
 /// rejected, and epoch-based pruning removes a sealed subtree from every
 /// structure once nothing points into it anymore (such nodes can never lie
-/// on a future violation cycle, so the verdict is unaffected).  The prune
-/// pass walks only the sealed-but-unpruned roots, so its cost is bounded
-/// by the live window, not the session's history (DESIGN.md §13.1); it
-/// tests subtree membership by walking parent links (RootOf), so it
-/// allocates nothing per candidate.
+/// on a future violation cycle, so the verdict is unaffected).  The
+/// subtree also leaves the composite system itself
+/// (CompositeSystem::ReleaseSubtree), so every structure indexed by node
+/// id — the system, the seal bits, the root list — spans only the live
+/// window, never the history.  Ids are never reused: a node keeps its
+/// creation index for the whole session, and an event naming a pruned id
+/// is rejected like one naming a sealed id.  The prune pass walks only the
+/// sealed-but-unpruned roots, so its cost is bounded by the live window,
+/// not the session's history (DESIGN.md §13.1); it tests subtree
+/// membership by walking parent links (RootOf), so it allocates nothing
+/// per candidate.
 ///
 /// Thread safety (audited for the certification service, PR 5): a
 /// Certifier has *no* static or global mutable state — every structure
@@ -139,10 +154,8 @@ class Certifier {
   /// Runs a pruning pass now; returns the number of nodes removed.
   size_t Prune();
 
-  /// Sealed roots in seal order, including already-pruned ones.  The
-  /// durability snapshot persists these so a restore can re-seal
-  /// (online/state_io.h); sealing order matters because re-sealing
-  /// replays commits through Ingest.
+  /// Sealed roots not yet pruned, ascending.  The durability snapshot
+  /// persists these so a restore can re-seal them (online/state_io.h).
   std::vector<NodeId> SealedRoots() const;
 
   /// Overwrites the stream counters.  Recovery-only: a restored session
@@ -151,6 +164,19 @@ class Certifier {
   /// synthesized commit events).
   void RestoreCounters(uint64_t accepted, uint64_t rejected);
 
+  /// Restore-only: the next node created gets id `next_node` and the next
+  /// root the creation ordinal `next_root`; the ids and ordinals skipped
+  /// were released before the snapshot was taken.  Invalid when either
+  /// value is below the current count.
+  Status SkipReleased(uint32_t next_node, uint64_t next_root);
+
+  /// Restore-only: adds schedule invocation edges (caller schedule,
+  /// callee schedule) that the restored window may no longer witness with
+  /// a `sub`, so the session keeps its levels and its recursion
+  /// rejections.  Rejects unknown schedules and recursive edges.
+  Status RestoreInvocations(
+      const std::vector<std::pair<uint32_t, uint32_t>>& edges);
+
   /// While certifiable: live (unpruned) roots in a serializable order,
   /// read off the maintained topological order of the top-level front
   /// (Theorem 1).  Empty when not certifiable.
@@ -158,11 +184,18 @@ class Certifier {
 
   CertifierStats Stats() const;
 
-  /// The composite system accumulated so far (includes sealed subtrees:
-  /// the system itself is append-only, only derived state is pruned).
+  /// The composite system's live window: every node not yet pruned
+  /// (pruned subtrees are released from it).  Batch analyses refuse it
+  /// once something was pruned; save it with SaveTrace for a checkable
+  /// copy of the window.
   const CompositeSystem& system() const { return cs_; }
 
  private:
+  // The snapshot writer reads the window layout (root ordinals,
+  // invocation edges) that no verdict reader needs.
+  friend StatusOr<CertifierState> CaptureCertifierState(
+      const Certifier& certifier);
+
   /// Per-schedule shard: the incrementally maintained transitive closures
   /// of that schedule's orders, plus the intra-transaction closures of the
   /// transactions it owns, each kept closed by LiveRelation::AddClosing.
@@ -201,11 +234,11 @@ class Certifier {
   bool CanPrune(NodeId root, const std::vector<NodeId>& subtree) const;
   void RemoveSubtree(const std::vector<NodeId>& subtree);
 
-  // Seal/prune bit accessors (node_flags_ is indexed by NodeId::index()).
+  /// True iff `id` is sealed or was pruned (released from cs_).
   bool IsSealed(NodeId id) const;
-  bool IsPruned(NodeId id) const;
   void MarkSealed(NodeId id);
-  void MarkPruned(NodeId id);
+  /// Drops the released prefix of node_flags_ and roots_.
+  void CompactWindowsLocked();
 
   ScheduleShard& shard(ScheduleId s) { return shards_[s.index()]; }
   const ScheduleShard& shard(ScheduleId s) const { return shards_[s.index()]; }
@@ -224,18 +257,17 @@ class Certifier {
   std::vector<uint32_t> schedule_levels_;
   uint32_t order_ = 0;
 
-  /// Root transactions in creation order.  cs_.Roots() scans every node;
-  /// this keeps SerialWitness and commit-watermark sealing O(roots) and
-  /// O(window) respectively.
-  std::vector<NodeId> roots_;
+  /// Root transactions by creation ordinal, windowed like cs_: the slots
+  /// of ordinals from the oldest live root on (a pruned root's slot keeps
+  /// its id until the prefix is dropped; skipped ordinals of a restored
+  /// session hold the invalid id).  Keeps SerialWitness and commit-
+  /// watermark sealing O(window) without scanning cs_.
+  IdWindow<NodeId> roots_;
 
-  /// Per-node seal/prune bits (bit 0 = sealed, bit 1 = pruned), replacing
-  /// the former unordered_sets: O(1) lookups with 1 byte/node instead of
-  /// hash nodes, which matters at 10M-event scale.
-  std::vector<uint8_t> node_flags_;
-  size_t pruned_node_count_ = 0;
-
-  std::vector<NodeId> sealed_roots_;  // seal order, pruned or not
+  /// Seal bit per live node id, windowed like cs_.  A pruned id is no
+  /// longer in cs_ and counts as sealed without a slot.
+  IdWindow<uint8_t> node_flags_;
+  uint64_t sealed_root_count_ = 0;  // roots ever sealed, pruned or not
 
   /// Sealed roots not yet pruned — the prune pass's entire worklist
   /// (swap-removed when pruned), which is what makes PruneLocked

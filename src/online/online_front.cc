@@ -19,9 +19,6 @@ void OnlineFrontEngine::Reset(const CompositeSystem* cs,
   step_.assign(order_ + 1, StepState{});
   strong_ = LiveRelation();
   failure_.reset();
-  for (uint32_t v = 0; v < cs_->NodeCount(); ++v) {
-    if (cs_->node(NodeId(v)).IsRoot()) level_[order_].cc.EnsureNode(NodeId(v));
-  }
 }
 
 uint32_t OnlineFrontEngine::SpanBegin(NodeId x) const {

@@ -56,8 +56,10 @@ class OnlineFrontEngine {
  public:
   OnlineFrontEngine() = default;
 
-  /// (Re)initializes for `cs` with the given schedule levels and order.
-  /// `cs` must outlive the engine; `forgetting` as in ReductionOptions.
+  /// (Re)initializes for `cs` with the given schedule levels and order,
+  /// empty: the caller re-registers the live roots (OnNodeAdded) and
+  /// replays its facts.  `cs` must outlive the engine; `forgetting` as in
+  /// ReductionOptions.
   void Reset(const CompositeSystem* cs, std::vector<uint32_t> schedule_levels,
              uint32_t order, bool forgetting);
 

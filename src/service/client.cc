@@ -50,6 +50,7 @@ SessionVerdict ServiceClient::VerdictFrom(const Response& response) {
   verdict.pruned_nodes = response.FieldInt("pruned_nodes");
   verdict.sealed_roots = response.FieldInt("sealed_roots");
   verdict.commit_watermark = response.FieldInt("commit_watermark");
+  verdict.window_span = response.FieldInt("window_span");
   verdict.failure = response.body;
   return verdict;
 }

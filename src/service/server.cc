@@ -59,6 +59,7 @@ void AppendVerdictFields(const SessionVerdict& verdict, Response& response) {
   response.fields.emplace_back("sealed_roots", StrCat(verdict.sealed_roots));
   response.fields.emplace_back("commit_watermark",
                                StrCat(verdict.commit_watermark));
+  response.fields.emplace_back("window_span", StrCat(verdict.window_span));
   // The failure diagnosis contains spaces, so it travels in the body.
   if (!verdict.failure.empty()) response.body = verdict.failure;
 }

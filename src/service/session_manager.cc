@@ -349,6 +349,7 @@ SessionVerdict Session::Verdict() const {
   out.pruned_nodes = stats.pruned_nodes;
   out.sealed_roots = stats.sealed_roots;
   out.commit_watermark = stats.commit_watermark;
+  out.window_span = stats.window_span;
   if (!verdict.certifiable && verdict.failure.has_value()) {
     out.failure = StrCat("level ", verdict.failure->level, " ",
                          StepName(verdict.failure->step), ": ",

@@ -66,6 +66,9 @@ struct SessionVerdict {
   uint64_t pruned_nodes = 0;
   uint64_t sealed_roots = 0;
   uint64_t commit_watermark = 0;
+  /// Id span the session's node storage covers (CertifierStats): grows
+  /// with the stream while some old root stays uncommitted.
+  uint64_t window_span = 0;
   std::string failure;  // empty while certifiable
 };
 

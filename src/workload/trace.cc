@@ -278,55 +278,76 @@ StatusOr<std::string> SaveTrace(const CompositeSystem& cs) {
           << " " << c2 << "\n";
     }
   }
-  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    const Node& n = cs.node(NodeId(v));
+  // Nodes are numbered by rank among the live ids, which is the identity
+  // unless the system released some (a windowed online session).
+  const std::vector<NodeId> live = cs.LiveNodes();
+  const uint32_t first = live.empty() ? 0 : live.front().index();
+  std::vector<uint32_t> rank(live.empty() ? 0 : live.back().index() - first + 1,
+                             kInvalidIndex);
+  for (uint32_t r = 0; r < live.size(); ++r) {
+    rank[live[r].index() - first] = r;
+  }
+  Status dangling = Status::OK();
+  const auto num = [&](NodeId id) -> uint32_t {
+    const uint32_t v = id.index();
+    if (v >= first && v - first < rank.size() &&
+        rank[v - first] != kInvalidIndex) {
+      return rank[v - first];
+    }
+    if (dangling.ok()) {
+      dangling = Status::Internal(StrCat("pair references released node ", v));
+    }
+    return kInvalidIndex;
+  };
+  for (NodeId id : live) {
+    const Node& n = cs.node(id);
     COMPTX_RETURN_IF_ERROR(CheckName(n.name));
     if (n.IsRoot()) {
       out << "root " << n.owner_schedule.index() << " " << n.name << "\n";
     } else if (n.IsTransaction()) {
-      out << "sub " << n.parent.index() << " " << n.owner_schedule.index()
+      out << "sub " << num(n.parent) << " " << n.owner_schedule.index()
           << " " << n.name << "\n";
     } else {
-      out << "leaf " << n.parent.index() << " " << n.name << "\n";
+      out << "leaf " << num(n.parent) << " " << n.name << "\n";
     }
   }
-  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    const Node& n = cs.node(NodeId(v));
+  for (NodeId id : live) {
+    const Node& n = cs.node(id);
     if (n.sem_class != kInvalidIndex) {
-      out << "tag " << v << " " << n.sem_class << " " << n.sem_instance
+      out << "tag " << num(id) << " " << n.sem_class << " " << n.sem_instance
           << "\n";
     }
   }
   for (uint32_t s = 0; s < cs.ScheduleCount(); ++s) {
     const Schedule& sched = cs.schedule(ScheduleId(s));
     sched.conflicts.ForEach([&](NodeId a, NodeId b) {
-      out << "conflict " << a.index() << " " << b.index() << "\n";
+      out << "conflict " << num(a) << " " << num(b) << "\n";
     });
     sched.weak_output.ForEach([&](NodeId a, NodeId b) {
-      out << "weak_out " << a.index() << " " << b.index() << "\n";
+      out << "weak_out " << num(a) << " " << num(b) << "\n";
     });
     sched.strong_output.ForEach([&](NodeId a, NodeId b) {
-      out << "strong_out " << a.index() << " " << b.index() << "\n";
+      out << "strong_out " << num(a) << " " << num(b) << "\n";
     });
     sched.weak_input.ForEach([&](NodeId a, NodeId b) {
-      out << "weak_in " << s << " " << a.index() << " " << b.index() << "\n";
+      out << "weak_in " << s << " " << num(a) << " " << num(b) << "\n";
     });
     sched.strong_input.ForEach([&](NodeId a, NodeId b) {
-      out << "strong_in " << s << " " << a.index() << " " << b.index()
-          << "\n";
+      out << "strong_in " << s << " " << num(a) << " " << num(b) << "\n";
     });
   }
-  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    const Node& n = cs.node(NodeId(v));
+  for (NodeId id : live) {
+    const Node& n = cs.node(id);
     n.weak_intra.ForEach([&](NodeId a, NodeId b) {
-      out << "intra_weak " << v << " " << a.index() << " " << b.index()
+      out << "intra_weak " << num(id) << " " << num(a) << " " << num(b)
           << "\n";
     });
     n.strong_intra.ForEach([&](NodeId a, NodeId b) {
-      out << "intra_strong " << v << " " << a.index() << " " << b.index()
+      out << "intra_strong " << num(id) << " " << num(a) << " " << num(b)
           << "\n";
     });
   }
+  COMPTX_RETURN_IF_ERROR(dangling);
   out << "end\n";
   return out.str();
 }

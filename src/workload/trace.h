@@ -84,9 +84,12 @@ StatusOr<std::vector<TraceEvent>> ParseTraceEvents(const std::string& text);
 Status ApplyTraceEvent(CompositeSystem& cs, const TraceEvent& event);
 
 /// Serializes a composite execution to a line-oriented text trace
-/// ("comptx-trace v1").  Node and schedule references use creation-order
-/// indices, so a round trip reproduces identical ids.  Names must not
-/// contain whitespace (InvalidArgument otherwise).
+/// ("comptx-trace v1").  Node references are ranks among the live node
+/// ids and schedule references creation-order indices, so a round trip
+/// of a system that released nothing reproduces identical ids; a windowed
+/// system (CompositeSystem::ReleaseSubtree) is saved as its live window,
+/// renumbered densely.  Names must not contain whitespace
+/// (InvalidArgument otherwise).
 StatusOr<std::string> SaveTrace(const CompositeSystem& cs);
 
 /// Parses a trace produced by SaveTrace.  Structural and referential

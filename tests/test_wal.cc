@@ -393,6 +393,69 @@ TEST(WalReaderTest, GarbageAndEmptyFilesNeverCrash) {
 
 // ------------------------------------------------------------- snapshots
 
+/// A streaming-window chain (the stream_window workload's shape): roots
+/// forever, each leaf conflicting with and ordered after its
+/// predecessor's, a commit_through every `window` roots lagging by
+/// `window`, so most of the session is pruned while it runs.
+std::vector<workload::TraceEvent> WindowChainEvents(size_t count,
+                                                    uint32_t window) {
+  std::vector<workload::TraceEvent> events;
+  workload::TraceEvent e;
+  e.kind = workload::TraceEventKind::kSchedule;
+  e.name = "S";
+  events.push_back(e);
+  uint32_t roots = 0;
+  uint32_t next_id = 0;
+  uint32_t prev_leaf = kInvalidIndex;
+  while (events.size() < count) {
+    e = {};
+    e.kind = workload::TraceEventKind::kRoot;
+    e.schedule = 0;
+    e.name = StrCat("T", roots);
+    events.push_back(e);
+    e = {};
+    e.kind = workload::TraceEventKind::kLeaf;
+    e.parent = next_id++;
+    e.name = StrCat("x", roots);
+    events.push_back(e);
+    const uint32_t leaf = next_id++;
+    if (prev_leaf != kInvalidIndex) {
+      e = {};
+      e.kind = workload::TraceEventKind::kConflict;
+      e.a = prev_leaf;
+      e.b = leaf;
+      events.push_back(e);
+      e.kind = workload::TraceEventKind::kWeakOutput;
+      events.push_back(e);
+    }
+    prev_leaf = leaf;
+    ++roots;
+    if (roots % window == 0 && roots > window) {
+      e = {};
+      e.kind = workload::TraceEventKind::kCommitThrough;
+      e.a = roots - window;
+      events.push_back(e);
+    }
+  }
+  return events;
+}
+
+/// Every stream field of CertifierStats.
+void ExpectSameStreamStats(const online::Certifier& a,
+                           const online::Certifier& b,
+                           const std::string& where) {
+  const online::CertifierStats x = a.Stats();
+  const online::CertifierStats y = b.Stats();
+  EXPECT_EQ(x.events_accepted, y.events_accepted) << where;
+  EXPECT_EQ(x.events_rejected, y.events_rejected) << where;
+  EXPECT_EQ(x.sealed_roots, y.sealed_roots) << where;
+  EXPECT_EQ(x.commit_watermark, y.commit_watermark) << where;
+  EXPECT_EQ(x.pruned_nodes, y.pruned_nodes) << where;
+  EXPECT_EQ(x.live_nodes, y.live_nodes) << where;
+  EXPECT_EQ(x.window_span, y.window_span) << where;
+}
+
+
 TEST(SnapshotTest, RoundTripsAndRejectsCorruption) {
   const auto events = GeneratedEvents(6, 909);
   online::CertifierOptions copts;
@@ -418,6 +481,13 @@ TEST(SnapshotTest, RoundTripsAndRejectsCorruption) {
   EXPECT_EQ(decoded->state.accepted, state->accepted);
   EXPECT_EQ(decoded->state.rejected, state->rejected);
   EXPECT_EQ(decoded->state.certifiable, state->certifiable);
+  EXPECT_EQ(decoded->state.live_ids, state->live_ids);
+  EXPECT_EQ(decoded->state.live_root_ordinals, state->live_root_ordinals);
+  EXPECT_EQ(decoded->state.node_count, state->node_count);
+  EXPECT_EQ(decoded->state.root_count, state->root_count);
+  EXPECT_EQ(decoded->state.commit_watermark, state->commit_watermark);
+  EXPECT_EQ(decoded->state.invokes, state->invokes);
+  EXPECT_FALSE(state->invokes.empty());
 
   // All-or-nothing: every single-byte flip makes the decode fail.
   for (size_t offset = 0; offset < bytes.size(); offset += 7) {
@@ -438,33 +508,133 @@ TEST(SnapshotTest, RoundTripsAndRejectsCorruption) {
   EXPECT_EQ(absent.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotTest, RestoresAComptxs1Image) {
+  // A pre-window image: the trace is the whole history numbered by id and
+  // the sealed list names every sealed root, pruned or not, in seal order.
+  // It restores by full replay to the same window.
+  const auto events = WindowChainEvents(600, 8);
+  online::Certifier original{online::CertifierOptions{}};
+  CompositeSystem history;
+  for (const auto& event : events) {
+    ASSERT_TRUE(original.Ingest(event).ok());
+    ASSERT_TRUE(workload::ApplyTraceEvent(history, event).ok());
+  }
+  const online::CertifierStats stats = original.Stats();
+  ASSERT_GT(stats.pruned_nodes, 0u);
+  auto trace = workload::SaveTrace(history);
+  ASSERT_TRUE(trace.ok());
+
+  std::string payload;
+  const auto put = [&](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      payload.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  const std::string options = "auto_prune=true";
+  put(5, 8);                      // session id
+  put(events.size(), 8);          // event seq
+  put(stats.events_accepted, 8);
+  put(stats.events_rejected, 8);
+  put(original.Certifiable() ? 1 : 0, 1);
+  put(options.size(), 4);
+  payload += options;
+  put(stats.commit_watermark, 4);  // roots 0..W-1, sealed in that order
+  for (uint64_t r = 0; r < stats.commit_watermark; ++r) put(2 * r, 4);
+  put(trace->size(), 8);
+  payload += *trace;
+  std::string bytes(kSnapshotMagicV1, sizeof(kSnapshotMagicV1));
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  for (uint32_t v : {len, crc}) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  bytes += payload;
+
+  auto decoded = DecodeSnapshot(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->session_id, 5u);
+  EXPECT_EQ(decoded->options, options);
+  EXPECT_TRUE(decoded->state.live_ids.empty());
+  auto restored = online::RestoreCertifierState(decoded->state, {});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const online::CertifierStats back = (*restored)->Stats();
+  EXPECT_EQ((*restored)->Certifiable(), original.Certifiable());
+  EXPECT_EQ(back.events_accepted, stats.events_accepted);
+  EXPECT_EQ(back.events_rejected, stats.events_rejected);
+  EXPECT_EQ(back.sealed_roots, stats.sealed_roots);
+  EXPECT_EQ(back.pruned_nodes, stats.pruned_nodes);
+  EXPECT_EQ(back.live_nodes, stats.live_nodes);
+  EXPECT_EQ((*restored)->SerialWitness(), original.SerialWitness());
+  // comptxs1 never stored the watermark.
+  EXPECT_EQ(back.commit_watermark, 0u);
+}
+
 // -------------------------------------------- certifier state round trip
 
 TEST(StateIoTest, CaptureRestoreIsReplayEquivalent) {
+  struct Case {
+    std::string name;
+    std::vector<workload::TraceEvent> events;
+    bool seal_by_hand;  // commit the first root, then commit_through 2
+  };
+  std::vector<Case> cases;
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
-    const auto events = GeneratedEvents(8, seed);
+    cases.push_back({StrCat("seed ", seed), GeneratedEvents(8, seed), true});
+  }
+  cases.push_back({"window chain", WindowChainEvents(2000, 16), false});
+  size_t pruned_cases = 0;
+  for (const Case& c : cases) {
+    const auto& events = c.events;
     online::CertifierOptions copts;
     copts.epoch_interval = 8;
     online::Certifier original(copts);
     const size_t half = events.size() / 2;
     for (size_t i = 0; i < half; ++i) (void)original.Ingest(events[i]);
-    // Seal a couple of roots so the sealed list is exercised too.
-    auto roots = original.system().Roots();
-    for (size_t i = 0; i < roots.size() && i < 2; ++i) {
-      ASSERT_TRUE(original.Commit(roots[i]).ok());
+    if (c.seal_by_hand) {
+      // Seal a couple of roots so the sealed list and the watermark are
+      // exercised too.
+      auto roots = original.system().Roots();
+      ASSERT_GE(roots.size(), 2u) << c.name;
+      ASSERT_TRUE(original.Commit(roots[0]).ok());
+      workload::TraceEvent mark;
+      mark.kind = workload::TraceEventKind::kCommitThrough;
+      mark.a = 2;
+      ASSERT_TRUE(original.Ingest(mark).ok());
     }
+    ASSERT_GT(original.Stats().commit_watermark, 0u) << c.name;
 
     auto state = online::CaptureCertifierState(original);
     ASSERT_TRUE(state.ok()) << state.status().ToString();
+    // The image is the live window: pruned ids are in neither the trace
+    // nor the id table, and batch on the window gives the verdict.  The
+    // session's own system, with released ids, refuses batch analysis.
+    const online::CertifierStats stats = original.Stats();
+    EXPECT_EQ(state->live_ids.size(), stats.live_nodes) << c.name;
+    EXPECT_EQ(state->node_count, original.system().NodeCount()) << c.name;
+    auto window = workload::LoadTrace(state->trace);
+    ASSERT_TRUE(window.ok()) << window.status().ToString();
+    EXPECT_EQ(window->NodeCount(), stats.live_nodes) << c.name;
+    ReductionOptions batch_options;
+    batch_options.validate = false;
+    auto batch = CheckCompC(*window, batch_options);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->correct, original.Certifiable()) << c.name;
+    if (stats.pruned_nodes > 0) {
+      EXPECT_EQ(CheckCompC(original.system(), batch_options).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(original.system().Validate().code(),
+                StatusCode::kFailedPrecondition);
+    }
     auto restored = online::RestoreCertifierState(*state, copts);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
-    // Identical verdict and counters at the capture point...
-    EXPECT_EQ((*restored)->Certifiable(), original.Certifiable());
-    EXPECT_EQ((*restored)->Stats().events_accepted,
-              original.Stats().events_accepted);
-    EXPECT_EQ((*restored)->Stats().events_rejected,
-              original.Stats().events_rejected);
+    // Identical verdict and stream counters at the capture point...
+    EXPECT_EQ((*restored)->Certifiable(), original.Certifiable()) << c.name;
+    ExpectSameStreamStats(**restored, original, c.name + " at capture");
+    EXPECT_EQ((*restored)->SerialWitness(), original.SerialWitness())
+        << c.name;
 
     // ...and identical behavior on the rest of the stream: the restored
     // session and the original must accept/reject and judge the suffix
@@ -472,13 +642,63 @@ TEST(StateIoTest, CaptureRestoreIsReplayEquivalent) {
     for (size_t i = half; i < events.size(); ++i) {
       const bool a = original.Ingest(events[i]).ok();
       const bool b = (*restored)->Ingest(events[i]).ok();
-      EXPECT_EQ(a, b) << "seed " << seed << " event " << i;
+      EXPECT_EQ(a, b) << c.name << " event " << i;
     }
-    EXPECT_EQ((*restored)->Certifiable(), original.Certifiable())
-        << "seed " << seed;
-    EXPECT_EQ((*restored)->Stats().events_accepted,
-              original.Stats().events_accepted);
+    EXPECT_EQ((*restored)->Certifiable(), original.Certifiable()) << c.name;
+    ExpectSameStreamStats(**restored, original, c.name + " at the end");
+    if (stats.pruned_nodes > 0) ++pruned_cases;
   }
+  EXPECT_GT(pruned_cases, 0u);
+}
+
+TEST(StateIoTest, RestoreKeepsInvocationEdgesThatPruningRemoved) {
+  // Schedules R(0) > A(1) > B(2).  Root T0's A subtransaction invokes B —
+  // the only A -> B link — and T0 is then committed and pruned.  The
+  // window alone would put A at level 1; the session keeps level 2, so a
+  // `sub` making B invoke A is still recursion, before and after a
+  // capture/restore.
+  const std::vector<std::string> lines = {
+      "schedule R", "schedule A", "schedule B",
+      "root 0 T0", "sub 0 1 a0", "sub 1 2 b0", "leaf 2 y0",   // ids 0-3
+      "root 0 T1", "sub 4 1 a1", "leaf 5 x1",                  // ids 4-6
+      "sub 4 2 d1", "leaf 7 z1",                               // ids 7-8
+      "commit_through 1"};
+  online::Certifier original{online::CertifierOptions{}};
+  for (const std::string& line : lines) {
+    auto event = workload::ParseTraceEventLine(line);
+    ASSERT_TRUE(event.ok()) << line;
+    ASSERT_TRUE(original.Ingest(*event).ok()) << line;
+  }
+  ASSERT_EQ(original.Stats().pruned_nodes, 4u);
+  ASSERT_FALSE(original.system().HasNode(NodeId(2)));
+  ASSERT_EQ(original.Verdict().order, 3u);
+
+  auto state = online::CaptureCertifierState(original);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  auto window = workload::LoadTrace(state->trace);
+  ASSERT_TRUE(window.ok());
+  EXPECT_EQ(window->NodeCount(), 5u);
+  auto restored = online::RestoreCertifierState(*state, {});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->Verdict().order, original.Verdict().order);
+  EXPECT_EQ((*restored)->system().NodeCount(), 9u);
+  EXPECT_FALSE((*restored)->system().HasNode(NodeId(3)));
+  EXPECT_TRUE((*restored)->system().HasNode(NodeId(8)));
+  ExpectSameStreamStats(**restored, original, "after restore");
+
+  auto recursive = workload::ParseTraceEventLine("sub 7 1 X");
+  ASSERT_TRUE(recursive.ok());
+  EXPECT_EQ(original.Ingest(*recursive).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*restored)->Ingest(*recursive).code(),
+            StatusCode::kFailedPrecondition);
+  // A pruned id is rejected like a sealed one, before and after restore.
+  auto stale = workload::ParseTraceEventLine("leaf 1 late");
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(original.Ingest(*stale).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*restored)->Ingest(*stale).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*restored)->Verdict().order, original.Verdict().order);
 }
 
 TEST(StateIoTest, CorruptTraceFailsTheRestore) {

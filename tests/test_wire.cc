@@ -20,6 +20,7 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/socket.h"
+#include "util/string_util.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
@@ -503,6 +504,57 @@ TEST(EventLoopFramingTest, StatsExposeCertifierLiveNodes) {
   const size_t eol = stats->find('\n', at);
   const std::string line = stats->substr(at, eol - at);
   EXPECT_EQ(line.find(" 0"), std::string::npos) << line;
+  ASSERT_TRUE(client->Close(*session).ok());
+}
+
+TEST(EventLoopFramingTest, QueryShowsAWindowPinnedByAnOpenRoot) {
+  // Root P never commits; a chain of roots behind it commits each
+  // predecessor as soon as its successor is ordered after it.  The chain
+  // is pruned as it goes, so live_nodes stays small, but P keeps the
+  // oldest live id at 0: window_span follows the stream, and QUERY must
+  // show it.
+  LiveServer live;
+  auto client = ServiceClient::Dial(live.endpoint, WireProtocol::kV2);
+  ASSERT_TRUE(client.ok());
+  auto session = client->Open();
+  ASSERT_TRUE(session.ok());
+  std::vector<workload::TraceEvent> events;
+  for (const std::string& line : {std::string("schedule S"),
+                                  std::string("root 0 P"),
+                                  std::string("leaf 0 p")}) {
+    events.push_back(*workload::ParseTraceEventLine(line));
+  }
+  uint32_t next_id = 2;
+  uint32_t prev_root = kInvalidIndex;
+  uint32_t prev_leaf = kInvalidIndex;
+  uint64_t previous_span = 0;
+  for (uint32_t i = 0; i < 1200; ++i) {
+    const uint32_t root = next_id++;
+    const uint32_t leaf = next_id++;
+    events.push_back(*workload::ParseTraceEventLine(StrCat("root 0 T", i)));
+    events.push_back(
+        *workload::ParseTraceEventLine(StrCat("leaf ", root, " x", i)));
+    if (prev_leaf != kInvalidIndex) {
+      events.push_back(*workload::ParseTraceEventLine(
+          StrCat("conflict ", prev_leaf, " ", leaf)));
+      events.push_back(*workload::ParseTraceEventLine(
+          StrCat("weak_out ", prev_leaf, " ", leaf)));
+      events.push_back(
+          *workload::ParseTraceEventLine(StrCat("commit ", prev_root)));
+    }
+    prev_root = root;
+    prev_leaf = leaf;
+    if (i % 300 != 299) continue;
+    ASSERT_TRUE(client->Append(*session, events).ok());
+    events.clear();
+    auto verdict = client->Query(*session);
+    ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+    EXPECT_EQ(verdict->events_rejected, 0u);
+    EXPECT_LE(verdict->live_nodes, 8u) << "after root " << i;
+    EXPECT_EQ(verdict->window_span, next_id) << "after root " << i;
+    EXPECT_GT(verdict->window_span, previous_span);
+    previous_span = verdict->window_span;
+  }
   ASSERT_TRUE(client->Close(*session).ok());
 }
 
