@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -53,6 +52,8 @@
 #include "online/state_io.h"
 #include "util/logging.h"
 #include "workload/trace.h"
+
+#include "git_sha.h"
 
 namespace {
 
@@ -142,22 +143,6 @@ uint64_t ReadVmHwmKb() {
     in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
   }
   return 0;
-}
-
-/// The checked-out commit ("-dirty" when the tree has local changes),
-/// when run from a git work tree.
-std::string GitSha() {
-  std::string sha;
-  if (FILE* pipe =
-          popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
-    char buf[80] = {};
-    if (fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
-    pclose(pipe);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unknown" : sha;
 }
 
 /// Encodes `certifier`'s snapshot; returns its size and sets `restore_ms`
@@ -327,7 +312,7 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"experiment\": \"E15_long_session\",\n"
        << "  \"workload\": \"streaming_window_chain\",\n"
-       << "  \"git_sha\": \"" << GitSha() << "\",\n"
+       << "  \"git_sha\": \"" << bench::GitSha() << "\",\n"
        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
        << ",\n"
        << "  \"total_events\": " << last.events << ",\n"

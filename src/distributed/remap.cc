@@ -1,8 +1,8 @@
 #include "distributed/remap.h"
 
 #include "core/ids.h"
-#include "service/protocol.h"
 #include "util/string_util.h"
+#include "workload/event_codec.h"
 
 namespace comptx::distributed {
 
@@ -12,8 +12,8 @@ using workload::TraceEventKind;
 void AppendDeltaEntry(std::string& delta, DeltaKind kind, uint32_t remote,
                       uint32_t local) {
   delta.push_back(static_cast<char>(kind));
-  service::AppendVarint(delta, remote);
-  service::AppendVarint(delta, local);
+  workload::AppendVarint(delta, remote);
+  workload::AppendVarint(delta, local);
 }
 
 StatusOr<std::vector<DeltaEntry>> ParseDelta(const std::string& delta) {
@@ -28,9 +28,9 @@ StatusOr<std::vector<DeltaEntry>> ParseDelta(const std::string& delta) {
     }
     entry.kind = static_cast<DeltaKind>(kind);
     uint64_t value = 0;
-    COMPTX_RETURN_IF_ERROR(service::ReadVarint(delta, pos, value));
+    COMPTX_RETURN_IF_ERROR(workload::ReadVarint(delta, pos, value));
     entry.remote = static_cast<uint32_t>(value);
-    COMPTX_RETURN_IF_ERROR(service::ReadVarint(delta, pos, value));
+    COMPTX_RETURN_IF_ERROR(workload::ReadVarint(delta, pos, value));
     entry.local = static_cast<uint32_t>(value);
     entries.push_back(entry);
   }

@@ -1,86 +1,20 @@
 #include "durability/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "durability/wal.h"
+#include "workload/event_codec.h"
 
 namespace comptx::durability {
 
 namespace {
 
-// Snapshot payloads reuse the WAL's little-endian primitive layout; the
-// codec here is deliberately tiny and local rather than a shared
-// "serialization framework".
-
-void PutU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-struct Cursor {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  uint8_t GetU8() {
-    if (pos + 1 > size) {
-      ok = false;
-      return 0;
-    }
-    return data[pos++];
-  }
-  uint32_t GetU32() {
-    if (pos + 4 > size) {
-      ok = false;
-      return 0;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  uint64_t GetU64() {
-    if (pos + 8 > size) {
-      ok = false;
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::string GetBytes(size_t n) {
-    if (pos + n > size || n > size) {
-      ok = false;
-      return std::string();
-    }
-    std::string v(reinterpret_cast<const char*>(data + pos), n);
-    pos += n;
-    return v;
-  }
-};
-
-Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::Internal(what + " " + path + ": " + std::strerror(errno));
-}
+using workload::ByteCursor;
+using workload::PutU32;
+using workload::PutU64;
+using workload::PutU8;
 
 }  // namespace
 
@@ -130,20 +64,19 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
   if (bytes.size() < sizeof(kSnapshotMagic) + 8 || (!v1 && !v2)) {
     return Status::InvalidArgument("not a comptx snapshot (bad magic)");
   }
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  Cursor header{data + sizeof(kSnapshotMagic), 8};
+  ByteCursor header{std::string_view(bytes).substr(sizeof(kSnapshotMagic), 8)};
   const uint32_t len = header.GetU32();
   const uint32_t crc = header.GetU32();
   const size_t payload_off = sizeof(kSnapshotMagic) + 8;
   if (len != bytes.size() - payload_off) {
     return Status::OutOfRange("snapshot length mismatch (truncated file?)");
   }
-  if (Crc32(data + payload_off, len) != crc) {
+  if (Crc32(bytes.data() + payload_off, len) != crc) {
     return Status::OutOfRange("snapshot crc mismatch");
   }
 
   const Status undecodable = Status::OutOfRange("snapshot payload undecodable");
-  Cursor cur{data + payload_off, len};
+  ByteCursor cur{std::string_view(bytes).substr(payload_off)};
   // Reads a u32 count followed by that many u32 values.
   const auto get_u32_list = [&](std::vector<uint32_t>& out) {
     const uint32_t count = cur.GetU32();
@@ -187,44 +120,8 @@ StatusOr<Snapshot> DecodeSnapshot(const std::string& bytes) {
 }
 
 Status WriteSnapshotFile(const std::string& path, const Snapshot& snapshot) {
-  const std::string bytes = EncodeSnapshot(snapshot);
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) return ErrnoStatus("open", tmp);
-  size_t left = bytes.size();
-  const char* p = bytes.data();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return ErrnoStatus("write", tmp);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return ErrnoStatus("fsync", tmp);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return ErrnoStatus("rename", tmp);
-  }
-  std::string dir = ".";
-  const size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) dir = path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd < 0) return ErrnoStatus("open dir", dir);
-  const int rc = ::fsync(dir_fd);
-  ::close(dir_fd);
-  if (rc != 0) return ErrnoStatus("fsync dir", dir);
-  return Status::OK();
+  return PublishFile(path, EncodeSnapshot(snapshot), /*keep_open=*/false)
+      .status();
 }
 
 StatusOr<Snapshot> ReadSnapshotFile(const std::string& path) {

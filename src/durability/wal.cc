@@ -9,107 +9,74 @@
 #include <fstream>
 #include <sstream>
 
+#include "workload/event_codec.h"
+
 namespace comptx::durability {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Little-endian primitive codec.  The WAL is a disk format, so widths and
-// byte order are pinned rather than inherited from the host (even though
-// every supported host is little-endian today).
+using workload::ByteCursor;
+using workload::PutU32;
+using workload::PutU64;
+using workload::PutU8;
 
-void PutU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
+// The smallest w1 APPEND event: a kind byte, four u32 references and a
+// u32 name length.  In either format a count claiming more events than
+// the rest of the payload could hold is damage, caught before anything
+// is allocated for it.
+constexpr size_t kMinEventBytesW1 = 21;
 
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-// Bounds-checked cursor over a decoded payload.  Every Get* reports
-// exhaustion through `ok`; decode functions check it once at the end so a
-// short payload is one error path, not eight.
-struct Cursor {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  uint8_t GetU8() {
-    if (pos + 1 > size) {
-      ok = false;
-      return 0;
-    }
-    return data[pos++];
-  }
-  uint32_t GetU32() {
-    if (pos + 4 > size) {
-      ok = false;
-      return 0;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  uint64_t GetU64() {
-    if (pos + 8 > size) {
-      ok = false;
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::string GetBytes(size_t n) {
-    if (pos + n > size || n > size) {
-      ok = false;
-      return std::string();
-    }
-    std::string v(reinterpret_cast<const char*>(data + pos), n);
-    pos += n;
-    return v;
-  }
-};
-
-void PutEvent(std::string& out, const workload::TraceEvent& event) {
-  PutU8(out, static_cast<uint8_t>(event.kind));
-  PutU32(out, event.schedule);
-  PutU32(out, event.parent);
-  PutU32(out, event.a);
-  PutU32(out, event.b);
-  PutU32(out, static_cast<uint32_t>(event.name.size()));
-  out.append(event.name);
-}
-
-bool GetEvent(Cursor& cur, workload::TraceEvent& event) {
-  const uint8_t kind = cur.GetU8();
-  event.schedule = cur.GetU32();
-  event.parent = cur.GetU32();
-  event.a = cur.GetU32();
-  event.b = cur.GetU32();
-  const uint32_t name_len = cur.GetU32();
-  event.name = cur.GetBytes(name_len);
-  if (!cur.ok) return false;
-  if (kind > static_cast<uint8_t>(workload::TraceEventKind::kTag)) {
+// APPEND body in w2: a varint event count, then the packed events.
+bool DecodeEvents(ByteCursor& cur, std::vector<workload::TraceEvent>& events,
+                  std::string& error) {
+  uint64_t count = 0;
+  if (!workload::ReadVarint(cur.data, cur.pos, count).ok() ||
+      count > cur.remaining() / workload::kMinEventBinaryBytes) {
+    error = "implausible event count";
     return false;
   }
-  event.kind = static_cast<workload::TraceEventKind>(kind);
+  events.resize(static_cast<size_t>(count));
+  for (workload::TraceEvent& event : events) {
+    if (!workload::ReadEventBinary(cur.data, cur.pos, event).ok()) {
+      error = "undecodable event";
+      return false;
+    }
+  }
   return true;
 }
 
-bool DecodePayload(const uint8_t* data, size_t size, WalRecord& record,
+// APPEND body in w1, read only while a comptxw1 file is scanned (it is
+// rewritten as w2 before anything is appended to it): a u32 event count,
+// then per event a kind byte, the four references as u32 and a
+// u32-length name.
+bool DecodeW1Events(ByteCursor& cur, std::vector<workload::TraceEvent>& events,
+                    std::string& error) {
+  const uint32_t count = cur.GetU32();
+  if (!cur.ok || count > cur.remaining() / kMinEventBytesW1) {
+    error = "implausible event count";
+    return false;
+  }
+  events.resize(count);
+  for (workload::TraceEvent& event : events) {
+    const uint8_t kind = cur.GetU8();
+    event.schedule = cur.GetU32();
+    event.parent = cur.GetU32();
+    event.a = cur.GetU32();
+    event.b = cur.GetU32();
+    event.name = cur.GetBytes(cur.GetU32());
+    if (!cur.ok ||
+        kind > static_cast<uint8_t>(workload::TraceEventKind::kTag)) {
+      error = "undecodable event";
+      return false;
+    }
+    event.kind = static_cast<workload::TraceEventKind>(kind);
+  }
+  return true;
+}
+
+bool DecodePayload(std::string_view payload, bool w1, WalRecord& record,
                    std::string& error) {
-  Cursor cur{data, size};
+  ByteCursor cur{payload};
   const uint8_t type = cur.GetU8();
   record.seq = cur.GetU64();
   if (!cur.ok || type < static_cast<uint8_t>(WalRecordType::kOpen) ||
@@ -120,23 +87,13 @@ bool DecodePayload(const uint8_t* data, size_t size, WalRecord& record,
   record.type = static_cast<WalRecordType>(type);
   switch (record.type) {
     case WalRecordType::kOpen: {
-      const uint32_t len = cur.GetU32();
-      record.options = cur.GetBytes(len);
+      record.options = cur.GetBytes(cur.GetU32());
       break;
     }
     case WalRecordType::kAppend: {
-      const uint32_t count = cur.GetU32();
-      if (!cur.ok || count > kMaxWalPayloadBytes / 21) {
-        error = "implausible event count";
-        return false;
-      }
-      record.events.resize(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        if (!GetEvent(cur, record.events[i])) {
-          error = "undecodable event";
-          return false;
-        }
-      }
+      const bool decoded = w1 ? DecodeW1Events(cur, record.events, error)
+                              : DecodeEvents(cur, record.events, error);
+      if (!decoded) return false;
       break;
     }
     case WalRecordType::kSeal: {
@@ -152,8 +109,7 @@ bool DecodePayload(const uint8_t* data, size_t size, WalRecord& record,
     case WalRecordType::kStreamCursor: {
       record.edge = cur.GetU64();
       record.cursor_seq = cur.GetU64();
-      const uint32_t len = cur.GetU32();
-      record.mapping = cur.GetBytes(len);
+      record.mapping = cur.GetBytes(cur.GetU32());
       break;
     }
     case WalRecordType::kEvict:
@@ -165,7 +121,7 @@ bool DecodePayload(const uint8_t* data, size_t size, WalRecord& record,
     error = "short payload";
     return false;
   }
-  if (cur.pos != size) {
+  if (cur.pos != payload.size()) {
     error = "trailing bytes in payload";
     return false;
   }
@@ -191,7 +147,49 @@ Status SyncParentDir(const std::string& path) {
   return Status::OK();
 }
 
+// write(2) until done; false (errno set) on a real error.
+bool WriteAll(int fd, const char* data, size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// A whole w2 WAL image: the magic, then one frame per record.
+std::string EncodeWalFile(const std::vector<WalRecord>& records) {
+  std::string content(kWalMagic, sizeof(kWalMagic));
+  for (const auto& record : records) content += EncodeWalRecord(record);
+  return content;
+}
+
 }  // namespace
+
+StatusOr<int> PublishFile(const std::string& path, const std::string& bytes,
+                          bool keep_open) {
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
+  if (fd < 0) return ErrnoStatus("open", tmp);
+  const auto abandon = [&](const char* what) {
+    const Status status = ErrnoStatus(what, tmp);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return status;
+  };
+  if (!WriteAll(fd, bytes.data(), bytes.size())) return abandon("write");
+  if (::fsync(fd) != 0) return abandon("fsync");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) return abandon("rename");
+  const Status dir_synced = SyncParentDir(path);
+  if (!dir_synced.ok() || !keep_open) ::close(fd);
+  COMPTX_RETURN_IF_ERROR(dir_synced);
+  return keep_open ? fd : -1;
+}
 
 uint32_t Crc32(const void* data, size_t size) {
   // Table generated once from the reflected polynomial 0xEDB88320.
@@ -266,8 +264,10 @@ std::string EncodeWalRecord(const WalRecord& record) {
       payload.append(record.options);
       break;
     case WalRecordType::kAppend:
-      PutU32(payload, static_cast<uint32_t>(record.events.size()));
-      for (const auto& event : record.events) PutEvent(payload, event);
+      workload::AppendVarint(payload, record.events.size());
+      for (const auto& event : record.events) {
+        workload::AppendEventBinary(payload, event);
+      }
       break;
     case WalRecordType::kSeal:
       PutU64(payload, record.accepted);
@@ -302,43 +302,48 @@ StatusOr<WalReadResult> ReadWalFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string content = buf.str();
-  if (content.size() < sizeof(kWalMagic) ||
-      std::memcmp(content.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+  const auto starts_with = [&](const char (&magic)[8]) {
+    return content.size() >= sizeof(magic) &&
+           std::memcmp(content.data(), magic, sizeof(magic)) == 0;
+  };
+  WalReadResult result;
+  result.w1 = starts_with(kWalMagicV1);
+  if (!result.w1 && !starts_with(kWalMagic)) {
     return Status::InvalidArgument(path + " is not a comptx WAL (bad magic)");
   }
 
-  WalReadResult result;
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(content.data());
+  const std::string_view bytes(content);
   size_t pos = sizeof(kWalMagic);
   result.valid_bytes = pos;
-  while (pos < content.size()) {
+  while (pos < bytes.size()) {
     const auto fail = [&](const std::string& why) {
       result.clean = false;
       result.damage = "lsn " + std::to_string(result.records.size()) +
                       " at offset " + std::to_string(pos) + ": " + why;
     };
-    if (pos + 8 > content.size()) {
+    if (pos + 8 > bytes.size()) {
       fail("torn frame header");
       break;
     }
-    Cursor header{data + pos, 8};
+    ByteCursor header{bytes.substr(pos, 8)};
     const uint32_t len = header.GetU32();
     const uint32_t crc = header.GetU32();
     if (len < 9 || len > kMaxWalPayloadBytes) {
       fail("frame length " + std::to_string(len) + " out of range");
       break;
     }
-    if (pos + 8 + len > content.size()) {
+    if (pos + 8 + len > bytes.size()) {
       fail("torn frame payload");
       break;
     }
-    if (Crc32(data + pos + 8, len) != crc) {
+    const std::string_view payload = bytes.substr(pos + 8, len);
+    if (Crc32(payload.data(), payload.size()) != crc) {
       fail("crc mismatch");
       break;
     }
     WalRecord record;
     std::string error;
-    if (!DecodePayload(data + pos + 8, len, record, error)) {
+    if (!DecodePayload(payload, result.w1, record, error)) {
       fail(error);
       break;
     }
@@ -396,23 +401,27 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::OpenExisting(
     return Status::FailedPrecondition(
         "refusing to append to a torn WAL (repair first): " + scan.damage);
   }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return ErrnoStatus("open", path);
+  if (!scan.w1) {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd < 0) return ErrnoStatus("open", path);
+    return std::unique_ptr<WalWriter>(
+        new WalWriter(path, fd, policy, counters, scan.records.size()));
+  }
+  // A comptxw1 log: rewrite it once as w2, atomically, before anything is
+  // appended, so no file ever holds frames of both formats.
+  const std::string content = EncodeWalFile(scan.records);
+  COMPTX_ASSIGN_OR_RETURN(const int fd, PublishFile(path, content, true));
+  if (counters != nullptr) {
+    counters->fsyncs.fetch_add(1, std::memory_order_relaxed);
+    counters->wal_bytes.fetch_add(content.size(), std::memory_order_relaxed);
+  }
   return std::unique_ptr<WalWriter>(
       new WalWriter(path, fd, policy, counters, scan.records.size()));
 }
 
 Status WalWriter::WriteFully(const void* data, size_t size) {
-  const char* p = static_cast<const char*>(data);
-  size_t left = size;
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("write", path_);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
+  if (!WriteAll(fd_, static_cast<const char*>(data), size)) {
+    return ErrnoStatus("write", path_);
   }
   return Status::OK();
 }
@@ -516,41 +525,12 @@ Status WalWriter::CompactThrough(uint64_t watermark, const WalRecord& open,
   // that the new file no longer carries.
   const uint64_t dropped = scan.records.size() + 2 - records.size();
 
-  std::string content(kWalMagic, sizeof(kWalMagic));
-  for (const auto& record : records) content += EncodeWalRecord(record);
-
-  const std::string tmp = path_ + ".tmp";
-  const int tmp_fd =
-      ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (tmp_fd < 0) return ErrnoStatus("open", tmp);
-  size_t left = content.size();
-  const char* p = content.data();
-  while (left > 0) {
-    const ssize_t n = ::write(tmp_fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(tmp_fd);
-      ::unlink(tmp.c_str());
-      return ErrnoStatus("write", tmp);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-  }
-  if (::fsync(tmp_fd) != 0) {
-    ::close(tmp_fd);
-    ::unlink(tmp.c_str());
-    return ErrnoStatus("fsync", tmp);
-  }
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    ::close(tmp_fd);
-    ::unlink(tmp.c_str());
-    return ErrnoStatus("rename", tmp);
-  }
-  COMPTX_RETURN_IF_ERROR(SyncParentDir(path_));
+  const std::string content = EncodeWalFile(records);
+  COMPTX_ASSIGN_OR_RETURN(const int fd, PublishFile(path_, content, true));
   // The old fd now points at the unlinked inode; appends must go to the
   // rewritten file.
   ::close(fd_);
-  fd_ = tmp_fd;  // same inode as the renamed file: keep appending to it
+  fd_ = fd;
   if (counters_ != nullptr) {
     counters_->fsyncs.fetch_add(1, std::memory_order_relaxed);
     counters_->wal_bytes.fetch_add(content.size(), std::memory_order_relaxed);

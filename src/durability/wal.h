@@ -114,22 +114,36 @@ struct WalReadResult {
   uint64_t truncation_lsn = 0;  // == records.size()
   bool clean = true;            // false iff bytes follow valid_bytes
   std::string damage;           // human-readable reason scanning stopped
+  bool w1 = false;              // a comptxw1 file (fixed-width events);
+                                // OpenExisting rewrites it as w2
 };
 
-/// Scans `path`.  Returns an error only when the file cannot be read at
-/// all or its 8-byte magic header is wrong (not a WAL); torn or corrupt
-/// tails are reported through WalReadResult, never as a Status.
+/// Scans `path`, either format (kWalMagic or the older kWalMagicV1).
+/// Returns an error only when the file cannot be read at all or its
+/// 8-byte magic header is wrong (not a WAL); torn or corrupt tails are
+/// reported through WalReadResult, never as a Status.
 StatusOr<WalReadResult> ReadWalFile(const std::string& path);
 
 /// Truncates `path` to `result.valid_bytes`, discarding a torn tail in
 /// place.  No-op when the scan was clean.
 Status RepairWalFile(const std::string& path, const WalReadResult& result);
 
-/// Encodes one record as a framed byte string:
+/// Encodes one record as a framed byte string (DESIGN.md §11.1):
 ///   [u32 payload_len][u32 crc32(payload)][payload]
-/// with payload = [u8 type][u64 seq][type-specific body].  Exposed for
-/// tests and comptx_walcheck.
+/// with payload = [u8 type][u64 seq][type-specific body].  An APPEND body
+/// is a varint event count followed by the events in the shared packed
+/// encoding (workload/event_codec.h), byte for byte what a v2
+/// BATCH_APPEND frame carries.  Exposed for tests and comptx_walcheck.
 std::string EncodeWalRecord(const WalRecord& record);
+
+/// Publishes `bytes` at `path` atomically: a temp file beside it, fsync,
+/// rename over `path`, fsync of the directory.  With `keep_open` the
+/// result is a descriptor of the published file, open for writing at its
+/// end and owned by the caller; otherwise the file is closed and the
+/// result is -1.  WAL compaction, the one-time w1 -> w2 rewrite and
+/// snapshot publication all go through here.
+StatusOr<int> PublishFile(const std::string& path, const std::string& bytes,
+                          bool keep_open);
 
 /// Append-only writer for one session's WAL.  Thread safety: Append and
 /// the Sync* entry points may be called from different threads; the
@@ -144,7 +158,8 @@ class WalWriter {
 
   /// Opens an existing, already-repaired WAL for appending.  `scan` must
   /// be a clean read of the current file contents (recovery repairs the
-  /// tail first).
+  /// tail first).  A comptxw1 file is first rewritten whole as w2 (via
+  /// PublishFile), so appends never mix the two formats in one file.
   static StatusOr<std::unique_ptr<WalWriter>> OpenExisting(
       const std::string& path, FsyncPolicy policy, Counters* counters,
       const WalReadResult& scan);
@@ -199,11 +214,15 @@ class WalWriter {
   std::atomic<uint64_t> next_lsn_{0};
 };
 
-/// The 8-byte file magic ("comptxw1") and the maximum frame payload the
-/// reader accepts.  A frame claiming more is treated as corruption: the
-/// wire protocol caps request frames at 4 MiB, so no legitimate record
-/// approaches this.
-inline constexpr char kWalMagic[8] = {'c', 'o', 'm', 'p', 't', 'x', 'w', '1'};
+/// The 8-byte file magic ("comptxw2": varint-packed APPEND events) and
+/// the maximum frame payload the reader accepts.  A frame claiming more
+/// is treated as corruption: the wire protocol caps request frames at
+/// 4 MiB, so no legitimate record approaches this.
+inline constexpr char kWalMagic[8] = {'c', 'o', 'm', 'p', 't', 'x', 'w', '2'};
+/// The pre-codec format: APPEND events as a kind byte, four u32 fields
+/// and a u32-length name.  Still read; never written.
+inline constexpr char kWalMagicV1[8] = {'c', 'o', 'm', 'p',
+                                        't', 'x', 'w', '1'};
 inline constexpr uint32_t kMaxWalPayloadBytes = 8u << 20;
 
 }  // namespace comptx::durability

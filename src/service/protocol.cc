@@ -8,8 +8,17 @@
 #include <cstring>
 
 #include "util/string_util.h"
+#include "workload/event_codec.h"
 
 namespace comptx::service {
+
+using workload::AppendEventBinary;
+using workload::AppendVarint;
+using workload::PutU16;
+using workload::PutU32;
+using workload::PutU64;
+using workload::ReadEventBinary;
+using workload::ReadVarint;
 
 namespace {
 
@@ -316,229 +325,9 @@ Status WriteFrame(int fd, const std::string& payload) {
   return WriteAll(fd, frame.data(), frame.size());
 }
 
-// ---- varint + packed-event codec (v2 payload layer) ------------------
-
-void AppendVarint(std::string& out, uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
-}
-
-Status ReadVarint(const std::string& data, size_t& pos, uint64_t& value) {
-  value = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    if (pos >= data.size()) {
-      return Status::InvalidArgument("truncated varint");
-    }
-    const uint8_t byte = static_cast<uint8_t>(data[pos++]);
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      if (shift == 63 && (byte & 0x7e) != 0) break;  // overflowed 64 bits
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("varint exceeds 64 bits");
-}
-
-namespace {
-
-constexpr uint8_t kMaxEventKind =
-    static_cast<uint8_t>(workload::TraceEventKind::kTag);
-
-void AppendString(std::string& out, const std::string& value) {
-  AppendVarint(out, value.size());
-  out += value;
-}
-
-Status ReadString(const std::string& data, size_t& pos, std::string& value) {
-  uint64_t size = 0;
-  COMPTX_RETURN_IF_ERROR(ReadVarint(data, pos, size));
-  if (size > data.size() - pos) {
-    return Status::InvalidArgument("truncated string");
-  }
-  value.assign(data, pos, static_cast<size_t>(size));
-  pos += static_cast<size_t>(size);
-  return Status::OK();
-}
-
-Status ReadIndex(const std::string& data, size_t& pos, uint32_t& value) {
-  uint64_t parsed = 0;
-  COMPTX_RETURN_IF_ERROR(ReadVarint(data, pos, parsed));
-  if (parsed > UINT32_MAX) {
-    return Status::InvalidArgument("index exceeds 32 bits");
-  }
-  value = static_cast<uint32_t>(parsed);
-  return Status::OK();
-}
-
-}  // namespace
-
-void AppendEventBinary(std::string& out, const workload::TraceEvent& event) {
-  using workload::TraceEventKind;
-  out.push_back(static_cast<char>(event.kind));
-  // Field presence mirrors the text grammar (workload/trace.h): unused
-  // fields are not shipped, so a single-reference event costs a kind
-  // byte plus one or two varints.
-  switch (event.kind) {
-    case TraceEventKind::kSchedule:
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kRoot:
-      AppendVarint(out, event.schedule);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kSub:
-      AppendVarint(out, event.parent);
-      AppendVarint(out, event.schedule);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kLeaf:
-      AppendVarint(out, event.parent);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput:
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput:
-      AppendVarint(out, event.schedule);
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong:
-      AppendVarint(out, event.parent);
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kCommit:
-      AppendVarint(out, event.parent);
-      break;
-    case TraceEventKind::kCommitThrough:
-      AppendVarint(out, event.a);
-      break;
-    case TraceEventKind::kAdtDecl:
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kAdtOp:
-      AppendVarint(out, event.a);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kCommute:
-    case TraceEventKind::kClash:
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kTag:
-      AppendVarint(out, event.parent);
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-  }
-}
-
-Status ReadEventBinary(const std::string& data, size_t& pos,
-                       workload::TraceEvent& event) {
-  using workload::TraceEventKind;
-  if (pos >= data.size()) return Status::InvalidArgument("truncated event");
-  const uint8_t kind = static_cast<uint8_t>(data[pos++]);
-  if (kind > kMaxEventKind) {
-    return Status::InvalidArgument(StrCat("unknown event kind ", kind));
-  }
-  event = workload::TraceEvent{};
-  event.kind = static_cast<TraceEventKind>(kind);
-  switch (event.kind) {
-    case TraceEventKind::kSchedule:
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kRoot:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.schedule));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kSub:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.schedule));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kLeaf:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.schedule));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kCommit:
-      return ReadIndex(data, pos, event.parent);
-    case TraceEventKind::kCommitThrough:
-      return ReadIndex(data, pos, event.a);
-    case TraceEventKind::kAdtDecl:
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kAdtOp:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kCommute:
-    case TraceEventKind::kClash:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kTag:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-  }
-  return Status::InvalidArgument("unreachable event kind");
-}
-
 // ---- frame layer ------------------------------------------------------
 
 namespace {
-
-void PutU16(std::string& out, uint16_t value) {
-  out.push_back(static_cast<char>(value & 0xff));
-  out.push_back(static_cast<char>(value >> 8));
-}
-
-void PutU32(std::string& out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint16_t GetU16(const char* data) {
-  const auto* bytes = reinterpret_cast<const uint8_t*>(data);
-  return static_cast<uint16_t>(bytes[0] | (bytes[1] << 8));
-}
-
-uint32_t GetU32(const char* data) {
-  const auto* bytes = reinterpret_cast<const uint8_t*>(data);
-  return static_cast<uint32_t>(bytes[0]) |
-         (static_cast<uint32_t>(bytes[1]) << 8) |
-         (static_cast<uint32_t>(bytes[2]) << 16) |
-         (static_cast<uint32_t>(bytes[3]) << 24);
-}
-
-uint64_t GetU64(const char* data) {
-  return static_cast<uint64_t>(GetU32(data)) |
-         (static_cast<uint64_t>(GetU32(data + 4)) << 32);
-}
 
 bool ValidOpcode(uint8_t opcode) {
   return (opcode >= static_cast<uint8_t>(Opcode::kOpen) &&
@@ -609,8 +398,10 @@ StatusOr<bool> FrameParser::Next(WireFrame& frame) {
   // v2: anything non-digit must open a valid header.  Validate the fixed
   // fields as soon as their bytes arrive, so a garbage first byte fails
   // fast instead of waiting for 20 bytes that may never come.
+  workload::ByteCursor header{
+      std::string_view(buffer_).substr(pos_, kWireHeaderBytes)};
   if (available >= 4) {
-    if (GetU32(buffer_.data() + pos_) != kWireMagicV2) {
+    if (header.GetU32() != kWireMagicV2) {
       return Status::InvalidArgument("bad frame magic");
     }
   } else {
@@ -623,21 +414,22 @@ StatusOr<bool> FrameParser::Next(WireFrame& frame) {
     return false;
   }
   if (available < kWireHeaderBytes) return false;
-  const char* header = buffer_.data() + pos_;
-  if (static_cast<uint8_t>(header[4]) != kWireVersion2) {
+  const uint8_t version = header.GetU8();
+  if (version != kWireVersion2) {
     return Status::InvalidArgument(
         StrCat("unsupported protocol version ",
-               static_cast<unsigned>(static_cast<uint8_t>(header[4]))));
+               static_cast<unsigned>(version)));
   }
-  const uint8_t opcode = static_cast<uint8_t>(header[5]);
+  const uint8_t opcode = header.GetU8();
   if (!ValidOpcode(opcode)) {
     return Status::InvalidArgument(
         StrCat("unknown opcode ", static_cast<unsigned>(opcode)));
   }
-  if (GetU16(header + 6) != 0) {
+  if (header.GetU16() != 0) {
     return Status::InvalidArgument("reserved flags must be zero");
   }
-  const uint32_t size = GetU32(header + 16);
+  const uint64_t session = header.GetU64();
+  const uint32_t size = header.GetU32();
   if (size > max_bytes_) {
     return Status::OutOfRange(StrCat("frame of ", size, " bytes exceeds the ",
                                      max_bytes_, "-byte limit"));
@@ -645,7 +437,7 @@ StatusOr<bool> FrameParser::Next(WireFrame& frame) {
   if (available < kWireHeaderBytes + size) return false;
   frame.protocol = WireProtocol::kV2;
   frame.opcode = static_cast<Opcode>(opcode);
-  frame.session = GetU64(header + 8);
+  frame.session = session;
   frame.payload.assign(buffer_, pos_ + kWireHeaderBytes, size);
   pos_ += kWireHeaderBytes + size;
   return true;
@@ -760,9 +552,10 @@ StatusOr<Request> DecodeRequestFrame(const WireFrame& frame) {
       request.kind = CommandKind::kAppend;
       uint64_t count = 0;
       COMPTX_RETURN_IF_ERROR(ReadVarint(frame.payload, pos, count));
-      // Each packed event costs >= 2 bytes, so a hostile count cannot
-      // reserve more than the frame itself justifies.
-      if (count > frame.payload.size()) {
+      // A hostile count cannot reserve more than the frame itself
+      // justifies.
+      if (count >
+          (frame.payload.size() - pos) / workload::kMinEventBinaryBytes) {
         return Status::InvalidArgument(
             StrCat("BATCH_APPEND count ", count, " exceeds the payload"));
       }

@@ -87,9 +87,11 @@ namespace comptx::service {
 /// a varint event count then that many packed events (one frame, one
 /// enqueue, one certifier hand-off and one WAL group commit for the
 /// whole batch — the amortization the protocol exists for); QUERY /
-/// CLOSE / STATS / PING / SHUTDOWN have empty payloads.  Events pack as
-/// a kind byte followed by the kind's fields: node/schedule references
-/// as LEB128 varints, names as varint-length-prefixed bytes.
+/// CLOSE / STATS / PING / SHUTDOWN have empty payloads.  Events pack with
+/// the shared event codec (workload/event_codec.h): a kind byte followed
+/// by the kind's fields, node/schedule references as LEB128 varints,
+/// names as varint-length-prefixed bytes — the same bytes a WAL APPEND
+/// record stores.
 ///
 /// Response frames use opcode REPLY with the request's session id echoed
 /// and the textual v1 response rendering ("OK key=value ..." / "ERR code
@@ -190,19 +192,6 @@ Response ErrorResponse(const std::string& code, const std::string& message);
 /// prefix.
 Status WriteFrame(int fd, const std::string& payload);
 StatusOr<std::string> ReadFrame(int fd, size_t max_bytes = kMaxFrameBytes);
-
-// ---- varint + packed-event codec (v2 payload layer) ------------------
-
-/// LEB128.  AppendVarint writes `value`; ReadVarint advances `pos` and
-/// fails on truncation or a >64-bit encoding.
-void AppendVarint(std::string& out, uint64_t value);
-Status ReadVarint(const std::string& data, size_t& pos, uint64_t& value);
-
-/// One trace event as kind byte + the kind's fields (varint references,
-/// varint-length-prefixed names).  ReadEventBinary advances `pos`.
-void AppendEventBinary(std::string& out, const workload::TraceEvent& event);
-Status ReadEventBinary(const std::string& data, size_t& pos,
-                       workload::TraceEvent& event);
 
 // ---- frame layer ------------------------------------------------------
 

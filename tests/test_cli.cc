@@ -20,6 +20,8 @@
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
+#include "wal_w1.h"
+
 namespace comptx {
 namespace {
 
@@ -430,6 +432,51 @@ TEST(WalcheckCliTest, VerifyDetectRepairCycleOnARealWal) {
   EXPECT_EQ(again.exit_code, 0) << again.stdout_text;
   EXPECT_TRUE(Contains(again.stdout_text, "1 record(s)"))
       << again.stdout_text;
+}
+
+TEST(WalcheckCliTest, DumpsBothWalFormats) {
+  // An old data dir may still hold comptxw1 files next to comptxw2 ones
+  // (an evicted session is rewritten only when it is resumed): walcheck
+  // reads both, names each file's format, and leaves the w1 file as is.
+  const std::filesystem::path dir = Scratch() / "walcheck_formats";
+  std::filesystem::create_directories(dir);
+  const std::string w1 = durability::WalPath(dir.string(), 1);
+  const std::string w1_bytes = testing::HexBytes(testing::kCapturedW1WalHex);
+  {
+    std::ofstream out(w1, std::ios::binary | std::ios::trunc);
+    out.write(w1_bytes.data(), static_cast<std::streamsize>(w1_bytes.size()));
+  }
+  auto scan = durability::ReadWalFile(w1);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  {
+    durability::Counters counters;
+    auto writer = durability::WalWriter::Create(
+        durability::WalPath(dir.string(), 2), durability::FsyncPolicy::kNone,
+        &counters);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const auto& record : scan->records) {
+      ASSERT_TRUE((*writer)->Append(record).ok());
+    }
+  }
+
+  RunResult dump =
+      RunCli(StrCat(COMPTX_WALCHECK_BIN, " --dump ", dir.string()));
+  EXPECT_EQ(dump.exit_code, 0) << dump.stdout_text << dump.stderr_text;
+  EXPECT_TRUE(Contains(dump.stdout_text, "s1.wal: comptxw1, 2 record(s)"))
+      << dump.stdout_text;
+  EXPECT_TRUE(Contains(dump.stdout_text, "s2.wal: comptxw2, 2 record(s)"))
+      << dump.stdout_text;
+  // Both files print the same four events.
+  for (const char* line : {"schedule S", "root 0 T", "leaf 0 x", "commit 0"}) {
+    const std::string text = dump.stdout_text;
+    const size_t first = text.find(line);
+    ASSERT_NE(first, std::string::npos) << line << "\n" << text;
+    EXPECT_NE(text.find(line, first + 1), std::string::npos) << line;
+  }
+  std::ifstream in(w1, std::ios::binary);
+  std::ostringstream after;
+  after << in.rdbuf();
+  EXPECT_EQ(after.str(), w1_bytes);
 }
 
 // ----------------------------------------------------------- topology

@@ -20,10 +20,10 @@
 #include "core/correctness.h"
 #include "durability/wal.h"
 #include "online/certifier.h"
-#include "service/protocol.h"
 #include "staticcheck/analyzer.h"
 #include "testing/events.h"
 #include "util/rng.h"
+#include "workload/event_codec.h"
 #include "workload/schedule_gen.h"
 #include "workload/topology_gen.h"
 #include "workload/trace.h"
@@ -244,13 +244,13 @@ TEST(SemanticPersistence, BinaryWireCodecRoundTripsSpecEvents) {
   ASSERT_TRUE(events.ok());
   std::string buf;
   for (const workload::TraceEvent& e : *events) {
-    service::AppendEventBinary(buf, e);
+    workload::AppendEventBinary(buf, e);
   }
   std::vector<workload::TraceEvent> decoded;
   size_t pos = 0;
   while (pos < buf.size()) {
     workload::TraceEvent e;
-    ASSERT_TRUE(service::ReadEventBinary(buf, pos, e).ok()) << pos;
+    ASSERT_TRUE(workload::ReadEventBinary(buf, pos, e).ok()) << pos;
     decoded.push_back(std::move(e));
   }
   ASSERT_EQ(decoded.size(), events->size());

@@ -22,10 +22,13 @@
 #include "online/certifier.h"
 #include "online/state_io.h"
 #include "service/metrics.h"
+#include "service/protocol.h"
 #include "service/session_manager.h"
 #include "util/string_util.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
+
+#include "wal_w1.h"
 
 namespace comptx::durability {
 namespace {
@@ -193,6 +196,59 @@ TEST(WalCodecTest, AllRecordTypesRoundTripThroughTheReader) {
   }
 }
 
+/// The captured w1 file's two records.
+std::vector<WalRecord> CapturedW1Records() {
+  WalRecord open;
+  open.type = WalRecordType::kOpen;
+  open.options = "epoch_interval=8";
+  WalRecord append;
+  append.type = WalRecordType::kAppend;
+  append.seq = 1;
+  for (const char* line : {"schedule S", "root 0 T", "leaf 0 x", "commit 0"}) {
+    auto event = workload::ParseTraceEventLine(line);
+    EXPECT_TRUE(event.ok()) << line;
+    append.events.push_back(*event);
+  }
+  return {open, append};
+}
+
+TEST(WalCodecTest, AComptxw1FileStillDecodes) {
+  const std::vector<WalRecord> records = CapturedW1Records();
+  const std::string captured = testing::HexBytes(testing::kCapturedW1WalHex);
+  // The test's w1 packer reproduces a real w1 writer byte for byte, so the
+  // old-data-dir tests below exercise the format servers actually wrote.
+  EXPECT_EQ(testing::W1WalBytes(records), captured);
+
+  const fs::path path = Scratch() / "captured_w1.wal";
+  WriteBytes(path, captured);
+  auto scan = ReadWalFile(path.string());
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_TRUE(scan->w1);
+  EXPECT_TRUE(scan->clean) << scan->damage;
+  ASSERT_EQ(scan->records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    ExpectSameRecord(scan->records[i], records[i], i);
+  }
+}
+
+TEST(WalCodecTest, AnAppendBodyIsTheBatchAppendPayload) {
+  // One event codec: after the record header ([u8 type][u64 seq]) a w2
+  // APPEND payload is byte for byte the payload of a v2 BATCH_APPEND
+  // frame carrying the same events.
+  const WalRecord append = CapturedW1Records()[1];
+  const std::string frame = EncodeWalRecord(append);
+  service::Request request;
+  request.kind = service::CommandKind::kAppend;
+  request.session = 1;
+  request.events = append.events;
+  const std::string wire =
+      service::EncodeRequestFrame(service::WireProtocol::kV2, request);
+  EXPECT_EQ(frame.substr(8 + 9), wire.substr(service::kWireHeaderBytes));
+  // Frame header, record header, then a 14-byte body (the w1 body of the
+  // same four events took 91).
+  EXPECT_EQ(frame.size(), 8u + 9u + 14u);
+}
+
 TEST(WalWriterTest, CreateAppendReadBackAndCounters) {
   const fs::path path = Scratch() / "writer.wal";
   Counters counters;
@@ -239,6 +295,7 @@ TEST(WalReaderTest, EveryTruncationPointYieldsThePrefixAndThePreciseLsn) {
   const std::vector<WalRecord> records = SampleRecords(4);
   BuildWal(clean, records, &counters);
   const std::string bytes = ReadBytes(clean);
+  ASSERT_EQ(bytes.substr(0, 8), "comptxw2");
 
   // Frame boundaries: offset just past each frame (EncodeWalRecord
   // returns the whole frame, header included).
@@ -287,6 +344,7 @@ TEST(WalReaderTest, BitFlipsStopTheScanAtTheDamagedFrame) {
   const std::vector<WalRecord> records = SampleRecords(4);
   BuildWal(clean, records, &counters);
   const std::string bytes = ReadBytes(clean);
+  ASSERT_EQ(bytes.substr(0, 8), "comptxw2");
 
   std::vector<size_t> boundaries;  // offset just past each frame
   {
@@ -323,6 +381,7 @@ TEST(WalReaderTest, ZeroFilledTailsAndHolesAreDetected) {
   const std::vector<WalRecord> records = SampleRecords(3);
   BuildWal(clean, records, &counters);
   const std::string bytes = ReadBytes(clean);
+  ASSERT_EQ(bytes.substr(0, 8), "comptxw2");
 
   // A zero-extended tail (a filesystem that allocated but never wrote):
   // all real records survive, the tail is reported as damage.
@@ -389,6 +448,43 @@ TEST(WalReaderTest, GarbageAndEmptyFilesNeverCrash) {
   ASSERT_TRUE(huge_scan.ok());
   EXPECT_TRUE(huge_scan->records.empty());
   EXPECT_FALSE(huge_scan->clean);
+}
+
+TEST(WalReaderTest, AnEventCountPastThePayloadIsDamageNotAnAllocation) {
+  // An APPEND frame with a valid CRC that claims 2^32-1 events in a few
+  // bytes: the count is checked against the bytes left before anything is
+  // sized for it, in both formats.
+  for (const bool w1 : {false, true}) {
+    std::string payload;
+    workload::PutU8(payload, static_cast<uint8_t>(WalRecordType::kAppend));
+    workload::PutU64(payload, 1);
+    if (w1) {
+      workload::PutU32(payload, UINT32_MAX);
+    } else {
+      workload::AppendVarint(payload, UINT32_MAX);
+    }
+    payload += std::string(16, '\x01');
+    WalRecord open;
+    open.type = WalRecordType::kOpen;
+    std::string bytes = w1 ? testing::W1WalBytes({open})
+                           : std::string(kWalMagic, sizeof(kWalMagic)) +
+                                 EncodeWalRecord(open);
+    const size_t valid = bytes.size();
+    workload::PutU32(bytes, static_cast<uint32_t>(payload.size()));
+    workload::PutU32(bytes, Crc32(payload.data(), payload.size()));
+    bytes += payload;
+
+    const fs::path path = Scratch() / (w1 ? "count_w1.wal" : "count_w2.wal");
+    WriteBytes(path, bytes);
+    auto scan = ReadWalFile(path.string());
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan->w1, w1);
+    EXPECT_EQ(scan->records.size(), 1u) << "w1=" << w1;
+    EXPECT_FALSE(scan->clean) << "w1=" << w1;
+    EXPECT_EQ(scan->valid_bytes, valid) << "w1=" << w1;
+    EXPECT_NE(scan->damage.find("implausible event count"), std::string::npos)
+        << scan->damage;
+  }
 }
 
 // ------------------------------------------------------------- snapshots
@@ -881,11 +977,14 @@ TEST(RecoveryTest, AnAckedOpenAloneSurvivesButARecordlessFileDoesNot) {
   EXPECT_FALSE(state->Empty());
 
   // A WAL that died before its OPEN frame completed was never acked:
-  // magic only, zero valid records — that is the discardable shape.
-  WriteBytes(WalPath(dir.string(), 22), std::string("comptxw1", 8));
-  auto unacked = ReadSessionDurableState(dir.string(), 22);
-  ASSERT_TRUE(unacked.ok()) << unacked.status().ToString();
-  EXPECT_TRUE(unacked->Empty());
+  // magic only, zero valid records — that is the discardable shape, in
+  // the current format and in a comptxw1 data dir alike.
+  for (const char* magic : {kWalMagic, kWalMagicV1}) {
+    WriteBytes(WalPath(dir.string(), 22), std::string(magic, 8));
+    auto unacked = ReadSessionDurableState(dir.string(), 22);
+    ASSERT_TRUE(unacked.ok()) << unacked.status().ToString();
+    EXPECT_TRUE(unacked->Empty()) << std::string(magic, 8);
+  }
 }
 
 TEST(RecoveryTest, TornTailIsRepairedOnAdoptAndTheSuffixSurvives) {
@@ -964,6 +1063,103 @@ TEST(RecoveryTest, RetiredStaticOptionsInTheOpenRecordStillRecover) {
   const service::SessionVerdict verdict = (*session)->Verdict();
   EXPECT_EQ(verdict.events_accepted + verdict.events_rejected, events.size());
   EXPECT_EQ(verdict.certifiable, BatchVerdict(events));
+}
+
+TEST(RecoveryTest, AComptxw1DataDirRecoversAndIsRewrittenAsW2) {
+  // A data dir written before the shared event codec: its WAL is
+  // comptxw1.  Startup recovery must rebuild the session from it, rewrite
+  // the file once as comptxw2 before any append, and a second restart
+  // must read the rewritten file to the same verdict.
+  const fs::path dir = Scratch() / "w1_data_dir";
+  fs::create_directories(dir);
+  const auto events = GeneratedEvents(6, 1717);
+  WalRecord open;
+  open.type = WalRecordType::kOpen;
+  open.options = "epoch_interval=8";
+  WalRecord first;
+  first.type = WalRecordType::kAppend;
+  first.seq = 1;
+  first.events.assign(events.begin(), events.begin() + events.size() / 2);
+  WalRecord second;
+  second.type = WalRecordType::kAppend;
+  second.seq = first.events.size() + 1;
+  second.events.assign(events.begin() + events.size() / 2, events.end());
+  const std::vector<WalRecord> records = {open, first, second};
+  const std::string wal_path = WalPath(dir.string(), 11);
+  WriteBytes(wal_path, testing::W1WalBytes(records));
+
+  Options options;
+  options.dir = dir.string();
+  options.fsync = FsyncPolicy::kNone;
+  options.snapshot_events = 0;
+  for (int restart = 0; restart < 2; ++restart) {
+    Counters counters;
+    auto manager = Manager::Start(options, &counters);
+    ASSERT_TRUE(manager.ok());
+    service::ServiceMetrics metrics;
+    service::SessionManager sessions(4, &metrics, manager->get());
+    auto recovered = sessions.RecoverAll(service::SessionOptions{},
+                                         /*verify=*/true);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(*recovered, 1u) << "restart " << restart;
+    auto session = sessions.Find(11);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const service::SessionVerdict verdict = (*session)->Verdict();
+    EXPECT_EQ(verdict.events_accepted + verdict.events_rejected,
+              events.size());
+    EXPECT_EQ(verdict.certifiable, BatchVerdict(events))
+        << "restart " << restart;
+
+    EXPECT_EQ(ReadBytes(wal_path).substr(0, 8), "comptxw2")
+        << "restart " << restart;
+    auto scan = ReadWalFile(wal_path);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_FALSE(scan->w1);
+    EXPECT_TRUE(scan->clean) << scan->damage;
+    ASSERT_EQ(scan->records.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      ExpectSameRecord(scan->records[i], records[i], i);
+    }
+  }
+}
+
+TEST(RecoveryTest, ATornComptxw1LogIsCutRewrittenAndAppendable) {
+  const fs::path dir = Scratch() / "w1_torn";
+  fs::create_directories(dir);
+  std::vector<WalRecord> records = CapturedW1Records();
+  WalRecord tail = records[1];
+  tail.seq = 5;
+  records.push_back(tail);
+  const std::string wal_path = WalPath(dir.string(), 3);
+  const std::string bytes = testing::W1WalBytes(records);
+  WriteBytes(wal_path, bytes.substr(0, bytes.size() - 3));
+
+  auto state = ReadSessionDurableState(dir.string(), 3);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_TRUE(state->wal_scan.w1);
+  EXPECT_FALSE(state->wal_scan.clean);
+  EXPECT_EQ(state->event_seq, 4u);
+
+  Options options;
+  options.dir = dir.string();
+  options.fsync = FsyncPolicy::kNone;
+  options.snapshot_events = 0;
+  Counters counters;
+  auto manager = Manager::Start(options, &counters);
+  ASSERT_TRUE(manager.ok());
+  auto adopted = (*manager)->AdoptLog(*state, /*resume=*/false);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  ASSERT_TRUE((*adopted)->LogAppend(tail.events).ok());
+
+  // One w2 file: the surviving w1 records re-encoded, then the append.
+  auto rescan = ReadWalFile(wal_path);
+  ASSERT_TRUE(rescan.ok());
+  EXPECT_FALSE(rescan->w1);
+  EXPECT_TRUE(rescan->clean) << rescan->damage;
+  ASSERT_EQ(rescan->records.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    ExpectSameRecord(rescan->records[i], records[i], i);
+  }
 }
 
 TEST(RecoveryTest, VerifyRecoveryCatchesMissingEvents) {

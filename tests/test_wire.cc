@@ -21,11 +21,17 @@
 #include "service/server.h"
 #include "service/socket.h"
 #include "util/string_util.h"
+#include "workload/event_codec.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
 namespace comptx::service {
 namespace {
+
+using workload::AppendEventBinary;
+using workload::AppendVarint;
+using workload::ReadEventBinary;
+using workload::ReadVarint;
 
 // ------------------------------------------------------------- codec
 
@@ -160,6 +166,135 @@ TEST(EventCodecTest, UnknownKindAndTruncationAreRejected) {
     workload::TraceEvent e;
     EXPECT_FALSE(ReadEventBinary(prefix, p, e).ok()) << cut;
   }
+}
+
+/// One event of every TraceEventKind, with references that need one to
+/// five varint bytes.
+std::vector<workload::TraceEvent> EveryKindBatch() {
+  using workload::TraceEventKind;
+  std::vector<workload::TraceEvent> events;
+  const auto add = [&](TraceEventKind kind, const char* name,
+                       uint32_t schedule, uint32_t parent, uint32_t a,
+                       uint32_t b) {
+    workload::TraceEvent e;
+    e.kind = kind;
+    e.name = name;
+    e.schedule = schedule;
+    e.parent = parent;
+    e.a = a;
+    e.b = b;
+    events.push_back(e);
+  };
+  const uint32_t none = kInvalidIndex;
+  add(TraceEventKind::kSchedule, "S0", none, none, none, none);
+  add(TraceEventKind::kRoot, "T1", 0, none, none, none);
+  add(TraceEventKind::kSub, "sub", 1, 130, none, none);
+  add(TraceEventKind::kLeaf, "x", none, 2, none, none);
+  add(TraceEventKind::kConflict, "", none, none, 3, 16384);
+  add(TraceEventKind::kWeakOutput, "", none, none, 127, 128);
+  add(TraceEventKind::kStrongOutput, "", none, none, 5, 6);
+  add(TraceEventKind::kWeakInput, "", 1, none, 7, 8);
+  add(TraceEventKind::kStrongInput, "", 2, none, 9, 10);
+  add(TraceEventKind::kIntraWeak, "", none, 11, 12, 13);
+  add(TraceEventKind::kIntraStrong, "", none, 14, 15, 300);
+  add(TraceEventKind::kCommit, "", none, 1, none, none);
+  add(TraceEventKind::kCommitThrough, "", none, none, 70000, none);
+  add(TraceEventKind::kAdtDecl, "counter", none, none, none, none);
+  add(TraceEventKind::kAdtOp, "inc", none, none, 0, none);
+  add(TraceEventKind::kCommute, "", none, none, 0, 1);
+  add(TraceEventKind::kClash, "", none, none, 1, 2);
+  add(TraceEventKind::kTag, "", none, 3, 1, 4294967294u);
+  return events;
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
+
+TEST(EventCodecTest, BatchAppendOfEveryKindKeepsItsCapturedBytes) {
+  // Captured from the v2 encoder before the event codec moved to
+  // workload/: the wire format must not change by a single byte.
+  const std::string golden =
+      "43545832020300002a0000000000000056000000120002533001000254310282"
+      "010103737562030201780403808001057f8001060506070107080802090a090b"
+      "0c0d0a0e0fac020b010cf0a2040d07636f756e7465720e0003696e630f000110"
+      "0102110301feffffff0f";
+  Request request;
+  request.kind = CommandKind::kAppend;
+  request.session = 42;
+  request.events = EveryKindBatch();
+  ASSERT_EQ(request.events.size(),
+            static_cast<size_t>(workload::TraceEventKind::kTag) + 1);
+  const std::string bytes = EncodeRequestFrame(WireProtocol::kV2, request);
+  EXPECT_EQ(Hex(bytes), golden);
+
+  FrameParser parser;
+  parser.Feed(bytes.data(), bytes.size());
+  WireFrame frame;
+  auto ready = parser.Next(frame);
+  ASSERT_TRUE(ready.ok() && *ready);
+  auto decoded = DecodeRequestFrame(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->events.size(), request.events.size());
+  for (size_t i = 0; i < request.events.size(); ++i) {
+    EXPECT_EQ(workload::FormatTraceEvent(decoded->events[i]),
+              workload::FormatTraceEvent(request.events[i]))
+        << i;
+  }
+}
+
+TEST(EventCodecTest, EveryTruncationAndBitFlipOfABatchIsAnErrorOrValid) {
+  // Hostile payloads never crash the decoder (the ASan job runs this):
+  // every proper prefix of the every-kind BATCH_APPEND payload is an
+  // error, and every single-bit flip either fails or decodes to valid
+  // events, ones whose encoding decodes back to the same encoding.  (A
+  // flip can leave a non-minimal varint, which decodes but re-encodes
+  // shorter, so the flipped bytes themselves need not round-trip.)
+  Request request;
+  request.kind = CommandKind::kAppend;
+  request.session = 42;
+  request.events = EveryKindBatch();
+  const std::string bytes = EncodeRequestFrame(WireProtocol::kV2, request);
+  const std::string payload = bytes.substr(kWireHeaderBytes);
+  WireFrame frame;
+  frame.protocol = WireProtocol::kV2;
+  frame.opcode = Opcode::kBatchAppend;
+  frame.session = 42;
+
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    frame.payload = payload.substr(0, cut);
+    EXPECT_FALSE(DecodeRequestFrame(frame).ok()) << "cut " << cut;
+  }
+  size_t decoded = 0;
+  for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    frame.payload = payload;
+    frame.payload[bit / 8] =
+        static_cast<char>(frame.payload[bit / 8] ^ (1u << (bit % 8)));
+    auto result = DecodeRequestFrame(frame);
+    if (!result.ok()) continue;
+    ++decoded;
+    Request valid = *std::move(result);
+    valid.session = frame.session;
+    const std::string encoded = EncodeRequestFrame(WireProtocol::kV2, valid);
+    FrameParser parser;
+    parser.Feed(encoded.data(), encoded.size());
+    WireFrame again;
+    auto ready = parser.Next(again);
+    ASSERT_TRUE(ready.ok() && *ready) << "bit " << bit;
+    auto round = DecodeRequestFrame(again);
+    ASSERT_TRUE(round.ok()) << "bit " << bit;
+    EXPECT_EQ(Hex(EncodeRequestFrame(WireProtocol::kV2, *round)),
+              Hex(encoded))
+        << "bit " << bit;
+  }
+  // Flips inside reference values keep the batch decodable.
+  EXPECT_GT(decoded, 0u);
 }
 
 // ------------------------------------------------------- frame parser

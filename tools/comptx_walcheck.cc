@@ -5,7 +5,8 @@
 //
 //   <path> is a durability directory (all s<id>.wal / s<id>.snap inside
 //   are checked) or an individual file.  For each WAL the tool reports
-//   the record count, the event watermark, the last lifecycle marker and
+//   its format (comptxw2, or a comptxw1 file the server has not yet
+//   rewritten), the record count, the event watermark, the last lifecycle marker and
 //   — when the tail is torn or corrupt — the precise truncation LSN and
 //   byte offset a repair would cut at.  --repair truncates torn WALs in
 //   place (exactly what server recovery does); snapshots are never
@@ -140,7 +141,8 @@ bool CheckWal(const std::string& path, const CheckOptions& options) {
     }
   }
   if (!options.quiet || !scan->clean) {
-    std::cout << path << ": " << scan->records.size() << " record(s), "
+    std::cout << path << ": " << (scan->w1 ? "comptxw1" : "comptxw2") << ", "
+              << scan->records.size() << " record(s), "
               << events << " event(s), watermark=" << watermark << ", "
               << lifecycle;
     if (stream_cursors > 0) {
