@@ -1,18 +1,16 @@
 #include "analysis/sweep.h"
 
 #include <algorithm>
-#include <utility>
 
-#include "staticcheck/analyzer.h"
 #include "util/string_util.h"
 
 namespace comptx::analysis {
 
 namespace {
 
-/// Decides one system by reduction alone.
-SweepVerdict DynamicVerdict(const CompositeSystem& cs,
-                            const ReductionOptions& options) {
+/// Decides one system by reduction.
+SweepVerdict DecideOne(const CompositeSystem& cs,
+                       const ReductionOptions& options) {
   SweepVerdict verdict;
   auto result = CheckCompC(cs, options);
   if (!result.ok()) {
@@ -26,65 +24,11 @@ SweepVerdict DynamicVerdict(const CompositeSystem& cs,
   return verdict;
 }
 
-/// Decides one system under `options`, consulting the static analyzer
-/// first when the fast path applies.
-SweepVerdict DecideOne(const CompositeSystem& cs, const SweepOptions& options) {
-  if (!options.static_fast_path || !options.reduction.forgetting) {
-    return DynamicVerdict(cs, options.reduction);
-  }
-  staticcheck::AnalyzerOptions analyzer_options;
-  analyzer_options.explain = false;  // only the verdict matters here
-  staticcheck::StaticAnalysis analysis =
-      staticcheck::AnalyzeConfiguration(cs, analyzer_options);
-  if (!analysis.well_formed) {
-    // Keep the failure surface of the dynamic path (a FailedPrecondition
-    // status naming the first violation).
-    return DynamicVerdict(cs, options.reduction);
-  }
-  if (analysis.verdict == staticcheck::SafetyVerdict::kNeedsDynamic) {
-    // The analyzer already ran the Def 2-4 checks; don't pay for them
-    // again in the reduction.
-    ReductionOptions reduction = options.reduction;
-    reduction.validate = false;
-    return DynamicVerdict(cs, reduction);
-  }
-  SweepVerdict verdict;
-  verdict.ok = true;
-  verdict.static_fast_path = true;
-  verdict.comp_c = analysis.verdict == staticcheck::SafetyVerdict::kSafe;
-  verdict.order = analysis.order;
-  if (!verdict.comp_c && analysis.witness.has_value()) {
-    ReductionFailure failure;
-    failure.step = ReductionFailureStep::kConflictConsistency;
-    failure.witness = *analysis.witness;
-    verdict.failure = failure;
-  }
-  if (options.paranoid) {
-    ReductionOptions reduction = options.reduction;
-    reduction.validate = false;
-    SweepVerdict dynamic = DynamicVerdict(cs, reduction);
-    if (!dynamic.ok) return dynamic;
-    if (dynamic.comp_c != verdict.comp_c) {
-      verdict.ok = false;
-      verdict.status_message = StrCat(
-          "internal: static verdict ", verdict.comp_c ? "SAFE" : "UNSAFE",
-          " disagrees with the reduction (",
-          dynamic.comp_c ? "correct" : "incorrect", "), shape ",
-          staticcheck::ConfigShapeToString(analysis.shape), ", reason: ",
-          analysis.reason);
-      return verdict;
-    }
-    // Agreement: prefer the reduction's richer failure diagnosis.
-    verdict.failure = dynamic.failure;
-  }
-  return verdict;
-}
-
 }  // namespace
 
 std::vector<SweepVerdict> SweepCompC(
     const std::vector<const CompositeSystem*>& systems,
-    const SweepOptions& options, const SweepHooks& hooks,
+    const ReductionOptions& options, const SweepHooks& hooks,
     const std::vector<bool>& expected) {
   std::vector<SweepVerdict> verdicts = ParallelMap<SweepVerdict>(
       systems.size(), [&](size_t i) { return DecideOne(*systems[i], options); });
@@ -102,15 +46,6 @@ std::vector<SweepVerdict> SweepCompC(
     }
   }
   return verdicts;
-}
-
-std::vector<SweepVerdict> SweepCompC(
-    const std::vector<const CompositeSystem*>& systems,
-    const ReductionOptions& options, const SweepHooks& hooks,
-    const std::vector<bool>& expected) {
-  SweepOptions sweep;
-  sweep.reduction = options;
-  return SweepCompC(systems, sweep, hooks, expected);
 }
 
 StatusOr<std::vector<bool>> BatchPrefixVerdicts(
@@ -156,47 +91,6 @@ StatusOr<std::vector<bool>> BatchPrefixVerdicts(
     if (!status.ok()) return status;
   }
   return std::vector<bool>(scratch.begin(), scratch.end());
-}
-
-StatusOr<std::vector<bool>> BatchPrefixVerdicts(
-    const std::vector<workload::TraceEvent>& events,
-    const SweepOptions& options) {
-  if (!options.static_fast_path || !options.reduction.forgetting) {
-    return BatchPrefixVerdicts(events, options.reduction);
-  }
-  // Replay the full stream once; the analyzer looks at the final system.
-  CompositeSystem full;
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (Status applied = workload::ApplyTraceEvent(full, events[i]);
-        !applied.ok()) {
-      return Status::InvalidArgument(StrCat("event ", i + 1,
-                                            " failed to apply: ",
-                                            applied.ToString()));
-    }
-  }
-  staticcheck::AnalyzerOptions analyzer_options;
-  analyzer_options.explain = false;  // only the verdict matters here
-  staticcheck::StaticAnalysis analysis =
-      staticcheck::AnalyzeConfiguration(full, analyzer_options);
-  if (!analysis.well_formed ||
-      analysis.verdict != staticcheck::SafetyVerdict::kSafe) {
-    // UNSAFE executions can still have long Comp-C prefixes, so only the
-    // SAFE verdict shortcuts the per-prefix reductions.
-    return BatchPrefixVerdicts(events, options.reduction);
-  }
-  std::vector<bool> verdicts(events.size(), true);
-  if (options.paranoid) {
-    COMPTX_ASSIGN_OR_RETURN(std::vector<bool> dynamic,
-                            BatchPrefixVerdicts(events, options.reduction));
-    for (size_t i = 0; i < dynamic.size(); ++i) {
-      if (!dynamic[i]) {
-        return Status::Internal(StrCat(
-            "static SAFE but prefix ", i + 1, " of ", events.size(),
-            " fails the reduction; analyzer reason: ", analysis.reason));
-      }
-    }
-  }
-  return verdicts;
 }
 
 }  // namespace comptx::analysis

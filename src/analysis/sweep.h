@@ -33,26 +33,6 @@ struct SweepVerdict {
   bool comp_c = false;
   uint32_t order = 0;
   std::optional<ReductionFailure> failure;
-
-  /// True iff the verdict came from the static configuration analyzer
-  /// (staticcheck/analyzer.h) without running the reduction.
-  bool static_fast_path = false;
-};
-
-/// Options for the sweep drivers.
-struct SweepOptions {
-  ReductionOptions reduction;
-
-  /// Consult the static configuration analyzer first and skip the
-  /// reduction when it returns SAFE or UNSAFE (exact on those verdicts).
-  /// Honored only under the paper's semantics (reduction.forgetting);
-  /// the E8 ablation always runs the reduction.
-  bool static_fast_path = false;
-
-  /// With the fast path: run the reduction anyway and cross-check the
-  /// static verdict.  A disagreement is an internal error, reported as a
-  /// failed (!ok) verdict so hooks and callers see it.
-  bool paranoid = false;
 };
 
 /// Observation hooks for sweep drivers.  Callbacks are invoked on the
@@ -84,14 +64,6 @@ std::vector<SweepVerdict> SweepCompC(
     const ReductionOptions& options = {}, const SweepHooks& hooks = {},
     const std::vector<bool>& expected = {});
 
-/// As above, with the full option set (static fast path, paranoid
-/// cross-checking).  The ReductionOptions overload is equivalent to
-/// SweepOptions{options} (fast path off).
-std::vector<SweepVerdict> SweepCompC(
-    const std::vector<const CompositeSystem*>& systems,
-    const SweepOptions& options, const SweepHooks& hooks = {},
-    const std::vector<bool>& expected = {});
-
 /// Batch verdicts for every prefix of an (already accepted) event stream:
 /// result i is CheckCompC(events[0..i]).correct.  The stream is cut into
 /// contiguous chunks; each worker silently replays the events before its
@@ -106,16 +78,6 @@ std::vector<SweepVerdict> SweepCompC(
 StatusOr<std::vector<bool>> BatchPrefixVerdicts(
     const std::vector<workload::TraceEvent>& events,
     const ReductionOptions& options = {});
-
-/// As above with the full option set.  When the fast path is on and the
-/// *full* system is statically SAFE, every prefix verdict is true without
-/// any reduction: the derived orders of a prefix are subsets of the full
-/// execution's, so prefixes of Comp-C executions are Comp-C (and the
-/// analyzer's SAFE shapes are closed under prefixing).  Statically UNSAFE
-/// or undecided streams fall back to the per-prefix reduction.
-StatusOr<std::vector<bool>> BatchPrefixVerdicts(
-    const std::vector<workload::TraceEvent>& events,
-    const SweepOptions& options);
 
 }  // namespace comptx::analysis
 

@@ -160,11 +160,15 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       cs_.AddSchedule(e.name);
       shards_.emplace_back();
       invokes_.emplace_back();
-      // The level vector grew (and the order may have), so the engine's
-      // level assignment is stale either way: rebuild.  This is cheap in
-      // practice because schedules arrive before the bulk of the stream.
-      RecomputeLevels();
-      Rebuild();
+      // A new schedule invokes nothing, so its level is 1 and no other
+      // level moves.  Only the first schedule changes the order (0 -> 1).
+      schedule_levels_.push_back(1);
+      if (order_ == 0) {
+        order_ = 1;
+        Rebuild();
+      } else {
+        engine_.OnScheduleAdded();
+      }
       return Status::OK();
     }
     case TraceEventKind::kRoot: {
@@ -192,8 +196,14 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_ASSIGN_OR_RETURN(NodeId sub,
                               cs_.AddSubtransaction(parent, sched, e.name));
       node_flags_.push_back(0);
-      invokes_[cs_.node(parent).owner_schedule.index()].insert(sched.index());
-      if (RecomputeLevels()) {
+      // Levels are longest invocation paths, so a new edge host -> sched
+      // moves a level only if it lengthens host's: level(sched) + 1 must
+      // exceed level(host).  Otherwise no level or order changes.
+      const uint32_t host = cs_.node(parent).owner_schedule.index();
+      const bool deepens =
+          invokes_[host].insert(sched.index()).second &&
+          schedule_levels_[sched.index()] + 1 > schedule_levels_[host];
+      if (deepens && RecomputeLevels()) {
         Rebuild();
       } else {
         engine_.OnNodeAdded(sub);

@@ -85,7 +85,8 @@ struct CertifierStats {
 ///     through core PullUpObservedPair, the exact per-pair rule the batch
 ///     reducer uses.
 ///
-/// Structural events that change schedule levels (new nesting via `sub`)
+/// Structural events that change schedule levels (new nesting via `sub`,
+/// or the first `schedule`, which sets the order to 1)
 /// invalidate the level assignment and trigger a rebuild: the engine is
 /// reset and re-fed from the retained closures.  All derived state is a
 /// monotone function of the ingested facts, so replay order does not

@@ -65,6 +65,10 @@ class OnlineFrontEngine {
 
   // ---- Event handlers (called with facts not seen before) ---------------
 
+  /// A schedule that invokes nothing was declared: its level is 1, and no
+  /// other level nor the order changes.
+  void OnScheduleAdded() { schedule_levels_.push_back(1); }
+
   /// A node was appended to the forest: registers roots in the top-level
   /// order and retroactively pulls existing strong constraints on its
   /// ancestors down onto it.

@@ -136,8 +136,8 @@ struct AnalyzerOptions {
   bool assume_valid = false;
 
   /// Fill `schedules` (and the UNSAFE witness) even when a structural
-  /// theorem already decides the verdict.  The CLI wants the rows; the
-  /// sweep fast path turns this off — the per-scheduler CC scan costs
+  /// theorem already decides the verdict.  The CLI wants the rows;
+  /// verdict-only callers turn this off — the per-scheduler CC scan costs
   /// about as much as the theorem criterion itself.  Explanations are
   /// always computed when the verdict needs them (flat and general
   /// shapes).
@@ -150,8 +150,9 @@ struct AnalyzerOptions {
 /// system; runs no reduction.
 ///
 /// The verdict is exact with respect to `CheckCompC` under the paper's
-/// semantics (forgetting enabled).  Callers running the E8 ablation
-/// (forgetting disabled) must not use the fast path.
+/// semantics (forgetting enabled).  Under the E8 ablation (forgetting
+/// disabled) it says nothing: Figure 4 is Comp-C only because of
+/// forgetting.
 StaticAnalysis AnalyzeConfiguration(const CompositeSystem& cs,
                                     const AnalyzerOptions& options = {});
 

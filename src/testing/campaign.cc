@@ -221,20 +221,12 @@ StatusOr<CampaignResult> RunFuzzCampaign(const CampaignOptions& options) {
     }
     analysis::SweepHooks hooks;
     std::vector<std::pair<size_t, std::string>> sweep_disagreements;
-    hooks.on_verdict = [&](size_t, const analysis::SweepVerdict& verdict) {
-      result.stats.static_decided += verdict.static_fast_path ? 1 : 0;
-    };
     hooks.on_disagreement = [&](size_t i, const std::string& description) {
       sweep_disagreements.emplace_back(i, description);
     };
-    // Paranoid fast path: the static analyzer decides what it can, the
-    // reduction re-checks every static verdict, and any disagreement —
-    // static-vs-dynamic or sweep-vs-batch — lands in the witness pipeline.
-    analysis::SweepOptions sweep;
-    sweep.reduction.keep_fronts = false;
-    sweep.static_fast_path = true;
-    sweep.paranoid = true;
-    analysis::SweepCompC(systems, sweep, hooks, expected);
+    ReductionOptions reduction;
+    reduction.keep_fronts = false;
+    analysis::SweepCompC(systems, reduction, hooks, expected);
     for (auto& [index, description] : sweep_disagreements) {
       TraceCase& tc = cases[index];
       if (tc.disagreements.empty()) ++result.stats.failing_traces;

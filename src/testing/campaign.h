@@ -45,7 +45,6 @@ struct CampaignStats {
   uint32_t single_meet = 0;        // stack/fork/join shaped traces
   uint32_t prefix_checked = 0;     // traces with the per-prefix cross-check
   uint32_t metamorphic_checked = 0;
-  uint32_t static_decided = 0;     // traces the static analyzer decided
   uint64_t total_events = 0;       // events across all generated traces
   uint32_t failing_traces = 0;     // traces with >= 1 disagreement
   uint64_t shrink_predicate_calls = 0;

@@ -314,30 +314,19 @@ StatusOr<DifferentialReport> CheckConformance(
     report.disagreements.push_back(
         {"batch", "rejected without a failure diagnosis"});
   }
-  if (options.check_witness && batch.correct) {
+  if (batch.correct) {
     CheckSerialWitness(cs, batch, report);
   }
-  if (options.check_online) {
-    CheckOnline(cs, batch, options, report);
-  }
+  CheckOnline(cs, batch, options, report);
   const bool is_stack = criteria::IsStackSystem(cs);
   const bool is_fork = criteria::IsForkSystem(cs);
   const bool is_join = criteria::IsJoinSystem(cs);
-  if (options.check_oracle) {
-    COMPTX_RETURN_IF_ERROR(CheckOracle(cs, batch, options,
-                                       is_stack || is_fork || is_join,
-                                       report));
-  }
-  if (options.check_criteria) {
-    COMPTX_RETURN_IF_ERROR(CheckCriteria(cs, batch, options, is_stack,
-                                         is_fork, is_join, report));
-  }
-  if (options.check_static) {
-    CheckStatic(cs, batch, options, report);
-  }
-  if (options.check_semantics) {
-    CheckSemanticMask(cs, batch, options, report);
-  }
+  COMPTX_RETURN_IF_ERROR(CheckOracle(cs, batch, options,
+                                     is_stack || is_fork || is_join, report));
+  COMPTX_RETURN_IF_ERROR(CheckCriteria(cs, batch, options, is_stack, is_fork,
+                                       is_join, report));
+  CheckStatic(cs, batch, options, report);
+  CheckSemanticMask(cs, batch, options, report);
   return report;
 }
 

@@ -33,34 +33,6 @@ enum class InjectedBug : uint8_t {
 const char* InjectedBugToString(InjectedBug bug);
 
 struct DifferentialOptions {
-  /// Cross-check the online certifier's final verdict against batch.
-  bool check_online = true;
-
-  /// Cross-check the hierarchical-demand oracle (soundness everywhere,
-  /// exact agreement on single-meet configurations).
-  bool check_oracle = true;
-
-  /// Cross-check SCC/FCC/JCC against Comp-C on stack/fork/join shapes
-  /// (Theorems 2-4).
-  bool check_criteria = true;
-
-  /// Cross-check the static configuration analyzer: whenever it decides
-  /// (SAFE or UNSAFE — exact verdicts, never conservative), the verdict
-  /// must match the batch reduction.
-  bool check_static = true;
-
-  /// Cross-check the semantic conflict layer on spec-carrying systems:
-  /// materialize the spec's erasure into raw conflict bits (drop every
-  /// declared pair the spec proves commuting), detach the spec, and
-  /// re-run the batch reduction.  EffectiveConflict is definitionally
-  /// this masking, so the verdicts must be identical.
-  bool check_semantics = true;
-
-  /// Verify the serial witness of an accepted execution (Theorem 1 "if"):
-  /// the serial front it induces must be serial and level-N-contain the
-  /// final front.
-  bool check_witness = true;
-
   /// When > 0 and the event stream has at most this many events, also
   /// cross-check the online verdict after *every* prefix against
   /// BatchPrefixVerdicts (quadratic in the stream length; keep small).
@@ -90,14 +62,21 @@ struct DifferentialReport {
   std::string Summary() const;
 };
 
-/// Runs every enabled decider on `cs` and reports any disagreement:
+/// Runs every decider on `cs` and reports any disagreement with the
+/// reference:
 ///
 ///   * batch RunReduction/CheckCompC (the reference verdict),
-///   * the serial-front witness check of Theorem 1,
+///   * the serial-front witness check of Theorem 1 on accepted systems,
 ///   * the online Certifier fed the system's event stream (final verdict,
 ///     optionally every prefix verdict),
-///   * the hierarchical-demand oracle (criteria/oracle.h),
-///   * the SCC/FCC/JCC criteria on their configurations (Theorems 2-4).
+///   * the hierarchical-demand oracle (criteria/oracle.h): sound
+///     everywhere, exact on single-meet configurations,
+///   * the SCC/FCC/JCC criteria on their configurations (Theorems 2-4),
+///   * the static configuration analyzer, whenever it decides (SAFE and
+///     UNSAFE are exact verdicts, never conservative),
+///   * the semantic conflict layer on spec-carrying systems: the spec's
+///     erasure materialized into raw conflict bits, spec detached, must
+///     reduce to the same verdict.
 ///
 /// A Status error means malformed input (validation failure); verdict
 /// disagreements are reported through the result, never as errors.

@@ -304,6 +304,40 @@ TEST(Certifier, RejectsRecursiveInvocation) {
   EXPECT_TRUE(certifier.Ingest(event).ok());
 }
 
+TEST(Certifier, ScheduleDeclarationsDoNotRebuild) {
+  // A new schedule invokes nothing, so it lands at level 1 without moving
+  // any other level: only the first one (order 0 -> 1) may rebuild.
+  std::string text = "comptx-trace v1\n";
+  for (int s = 0; s < 2000; ++s) {
+    text += "schedule S" + std::to_string(s) + "\n";
+  }
+  text += "root 0 T1\nleaf 0 a\nroot 1999 T2\nleaf 2 b\n";
+  // A `sub` adding a new invocation edge moves S0 to level 2; a second
+  // `sub` over the same edge, or a new edge to another level-1 schedule,
+  // moves nothing.
+  text += "sub 0 1 t1\nsub 0 1 t2\nsub 0 2 t3\nend\n";
+  auto events = workload::ParseTraceEvents(text);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  Certifier certifier;
+  CompositeSystem mirror;
+  std::vector<uint64_t> rebuilds;
+  for (const workload::TraceEvent& event : *events) {
+    ASSERT_TRUE(certifier.Ingest(event).ok())
+        << workload::FormatTraceEvent(event);
+    ASSERT_TRUE(workload::ApplyTraceEvent(mirror, event).ok());
+    rebuilds.push_back(certifier.Stats().rebuilds);
+  }
+  ASSERT_EQ(rebuilds.size(), 2007u);
+  EXPECT_LE(rebuilds[2003], 1u);                  // schedules, roots, leaves
+  EXPECT_EQ(rebuilds[2004], rebuilds[2003] + 1);  // new edge S0 -> S1
+  EXPECT_EQ(rebuilds[2005], rebuilds[2004]);      // same edge again
+  EXPECT_EQ(rebuilds[2006], rebuilds[2004]);      // S0 -> S2, no deeper
+  auto batch = CheckCompC(mirror, BatchPrefixOptions());
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(certifier.Certifiable(), batch->correct);
+  EXPECT_EQ(certifier.Verdict().order, batch->order);
+}
+
 class RecordingObserver : public runtime::RootOrderObserver {
  public:
   void OnEdgesAccepted(

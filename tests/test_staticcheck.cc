@@ -12,7 +12,6 @@
 
 #include "analysis/builder.h"
 #include "analysis/figures.h"
-#include "analysis/sweep.h"
 #include "core/correctness.h"
 #include "core/validate.h"
 #include "criteria/fcc.h"
@@ -171,8 +170,9 @@ TEST(AnalyzerTest, TheoremShapesAreDecidedExactly) {
 }
 
 // The acceptance sweep: 1000 fuzzed traces across every topology kind;
-// whenever the analyzer decides, its verdict must agree with the dynamic
-// reduction — SAFE and UNSAFE are exact claims, never heuristics.
+// whenever the analyzer decides, its verdict and its order must agree with
+// the dynamic reduction — SAFE and UNSAFE are exact claims, never
+// heuristics.
 TEST(AnalyzerTest, StaticVerdictNeverContradictsDynamicOn1000Traces) {
   const TopologyKind kinds[] = {TopologyKind::kStack, TopologyKind::kFork,
                                 TopologyKind::kJoin,
@@ -192,94 +192,24 @@ TEST(AnalyzerTest, StaticVerdictNeverContradictsDynamicOn1000Traces) {
             staticcheck::AnalyzeConfiguration(*cs, options);
         if (analysis.verdict == SafetyVerdict::kNeedsDynamic) continue;
         ++decided;
-        EXPECT_EQ(analysis.verdict == SafetyVerdict::kSafe, IsCompC(*cs))
+        auto dynamic = CheckCompC(*cs);
+        ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+        EXPECT_EQ(analysis.verdict == SafetyVerdict::kSafe, dynamic->correct)
             << workload::DescribeWorkloadSpec(spec) << " seed " << seed
             << ": static says "
             << staticcheck::SafetyVerdictToString(analysis.verdict)
             << " (shape " << staticcheck::ConfigShapeToString(analysis.shape)
             << "); reason: " << analysis.reason;
+        EXPECT_EQ(analysis.order, dynamic->order)
+            << workload::DescribeWorkloadSpec(spec) << " seed " << seed;
       }
     }
   }
   EXPECT_EQ(total, 1000u);
-  // The sweep must actually exercise the fast path, not skip everything.
+  // The analyzer must actually decide a share of the traces, not defer
+  // everything to the reduction.
   EXPECT_GT(decided, total / 4) << "static analyzer decided " << decided
                                 << " of " << total << " traces";
-}
-
-// --------------------------------------------------------- sweep fast path
-
-TEST(SweepFastPathTest, ParanoidSweepMatchesPlainSweep) {
-  std::vector<CompositeSystem> owned;
-  for (TopologyKind kind :
-       {TopologyKind::kStack, TopologyKind::kFork, TopologyKind::kJoin,
-        TopologyKind::kLayeredDag}) {
-    const workload::WorkloadSpec spec = MakeSpec(kind, 3);
-    for (uint64_t seed = 1; seed <= 10; ++seed) {
-      auto cs = workload::GenerateSystem(spec, seed);
-      ASSERT_TRUE(cs.ok()) << cs.status().ToString();
-      owned.push_back(*std::move(cs));
-    }
-  }
-  std::vector<const CompositeSystem*> systems;
-  for (const CompositeSystem& cs : owned) systems.push_back(&cs);
-
-  std::vector<analysis::SweepVerdict> plain = analysis::SweepCompC(systems);
-  analysis::SweepOptions options;
-  options.static_fast_path = true;
-  options.paranoid = true;
-  std::vector<analysis::SweepVerdict> fast =
-      analysis::SweepCompC(systems, options);
-  ASSERT_EQ(plain.size(), fast.size());
-  size_t static_decided = 0;
-  for (size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(plain[i].ok) << i << ": " << plain[i].status_message;
-    ASSERT_TRUE(fast[i].ok) << i << ": " << fast[i].status_message;
-    EXPECT_EQ(plain[i].comp_c, fast[i].comp_c) << "system " << i;
-    EXPECT_EQ(plain[i].order, fast[i].order) << "system " << i;
-    static_decided += fast[i].static_fast_path ? 1 : 0;
-  }
-  EXPECT_GT(static_decided, 0u);
-}
-
-TEST(SweepFastPathTest, AblationDisablesTheFastPath) {
-  // Fig 4 is Comp-C only because of forgetting; under the E8 ablation the
-  // analyzer's theorems do not apply, so the fast path must stand down.
-  analysis::PaperFigure fig = analysis::MakeFigure4();
-  std::vector<const CompositeSystem*> systems = {&fig.system};
-  analysis::SweepOptions options;
-  options.static_fast_path = true;
-  options.reduction.forgetting = false;
-  std::vector<analysis::SweepVerdict> verdicts =
-      analysis::SweepCompC(systems, options);
-  ASSERT_EQ(verdicts.size(), 1u);
-  ASSERT_TRUE(verdicts[0].ok) << verdicts[0].status_message;
-  EXPECT_FALSE(verdicts[0].static_fast_path);
-  EXPECT_FALSE(verdicts[0].comp_c);  // the ablation rejects Fig 4
-}
-
-TEST(SweepFastPathTest, PrefixVerdictsMatchWithAndWithoutFastPath) {
-  for (TopologyKind kind : {TopologyKind::kStack, TopologyKind::kLayeredDag}) {
-    const workload::WorkloadSpec spec = MakeSpec(kind, 2);
-    for (uint64_t seed = 1; seed <= 8; ++seed) {
-      auto cs = workload::GenerateSystem(spec, seed);
-      ASSERT_TRUE(cs.ok()) << cs.status().ToString();
-      auto events = testing::SystemToEvents(*cs);
-      ASSERT_TRUE(events.ok()) << events.status().ToString();
-      ReductionOptions reduction;
-      reduction.keep_fronts = false;
-      auto slow = analysis::BatchPrefixVerdicts(*events, reduction);
-      ASSERT_TRUE(slow.ok()) << slow.status().ToString();
-      analysis::SweepOptions options;
-      options.reduction = reduction;
-      options.static_fast_path = true;
-      options.paranoid = true;  // re-check any static shortcut
-      auto fast = analysis::BatchPrefixVerdicts(*events, options);
-      ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-      EXPECT_EQ(*slow, *fast)
-          << workload::DescribeWorkloadSpec(spec) << " seed " << seed;
-    }
-  }
 }
 
 // ------------------------------------------------------------- lint codes
