@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
 #include "durability/recovery.h"
@@ -20,20 +22,19 @@ using workload::TraceEventKind;
 
 namespace {
 
-/// "key=value ..." into a map; values may be arbitrary non-space text
-/// (host names), so unlike the server's numeric stream options this
-/// parser defers typing to the caller.
+/// "key=value ..." into a map, rejecting any key outside `known` so a
+/// typo fails loudly.  Values may be arbitrary non-space text (host
+/// names), so typing is left to the caller.
 StatusOr<std::unordered_map<std::string, std::string>> ParseOptions(
-    const std::string& text) {
+    const std::string& text, std::initializer_list<std::string_view> known) {
+  COMPTX_ASSIGN_OR_RETURN(std::vector<KeyValue> tokens,
+                          ParseKeyValues(text, "option"));
   std::unordered_map<std::string, std::string> options;
-  for (const std::string& token : StrSplit(text, ' ')) {
-    if (token.empty()) continue;
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument(
-          StrCat("option '", token, "' is not key=value"));
+  for (auto& [key, value] : tokens) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::InvalidArgument(StrCat("unknown option '", key, "'"));
     }
-    options[token.substr(0, eq)] = token.substr(eq + 1);
+    options[key] = std::move(value);
   }
   return options;
 }
@@ -45,20 +46,7 @@ StatusOr<uint64_t> RequireUint(
   if (it == options.end()) {
     return Status::InvalidArgument(StrCat("missing required option ", key));
   }
-  const std::string& value = it->second;
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument(
-        StrCat(key, "=", value, " is not an unsigned integer"));
-  }
-  uint64_t parsed = 0;
-  for (const char c : value) {
-    if (parsed > (~0ull - (c - '0')) / 10) {
-      return Status::InvalidArgument(StrCat(key, "=", value, " overflows"));
-    }
-    parsed = parsed * 10 + (c - '0');
-  }
-  return parsed;
+  return ParseUint64(key, it->second);
 }
 
 Response StatusResponse(const Status& status) {
@@ -150,7 +138,7 @@ Status NodeController::RecoverSessionLocked(uint64_t session,
 
 Response NodeController::HandleAttach(uint64_t session,
                                       const std::string& options_text) {
-  auto options = ParseOptions(options_text);
+  auto options = ParseOptions(options_text, {"edge", "host", "port", "remote"});
   if (!options.ok()) return StatusResponse(options.status());
   auto edge = RequireUint(*options, "edge");
   auto port = RequireUint(*options, "port");
@@ -158,6 +146,10 @@ Response NodeController::HandleAttach(uint64_t session,
   if (!edge.ok()) return StatusResponse(edge.status());
   if (!port.ok()) return StatusResponse(port.status());
   if (!remote.ok()) return StatusResponse(remote.status());
+  if (*port > UINT16_MAX) {
+    return ErrorResponse("bad_request",
+                         StrCat("port=", *port, " exceeds ", UINT16_MAX));
+  }
   auto host = options->find("host");
   if (host == options->end()) {
     return ErrorResponse("bad_request", "missing required option host");
@@ -209,7 +201,7 @@ Response NodeController::HandleAttach(uint64_t session,
 
 Response NodeController::HandleDetach(uint64_t session,
                                       const std::string& options_text) {
-  auto options = ParseOptions(options_text);
+  auto options = ParseOptions(options_text, {"edge"});
   if (!options.ok()) return StatusResponse(options.status());
   auto edge = RequireUint(*options, "edge");
   if (!edge.ok()) return StatusResponse(edge.status());
@@ -295,7 +287,7 @@ void NodeController::OnEdgeState(uint64_t edge, bool up) {
 
 Response NodeController::HandlePrepare(uint64_t session,
                                        const std::string& options_text) {
-  auto options = ParseOptions(options_text);
+  auto options = ParseOptions(options_text, {"k"});
   if (!options.ok()) return StatusResponse(options.status());
   auto k = RequireUint(*options, "k");
   if (!k.ok()) return StatusResponse(k.status());
@@ -407,7 +399,7 @@ Response NodeController::HandlePrepare(uint64_t session,
 
 Response NodeController::HandleDecide(uint64_t session,
                                       const std::string& options_text) {
-  auto options = ParseOptions(options_text);
+  auto options = ParseOptions(options_text, {"k"});
   if (!options.ok()) return StatusResponse(options.status());
   auto k = RequireUint(*options, "k");
   if (!k.ok()) return StatusResponse(k.status());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
 #include "util/string_util.h"
 
@@ -108,16 +107,36 @@ bool Certifier::RecomputeLevels() {
   const size_t count = cs_.ScheduleCount();
   std::vector<uint32_t> levels(count, 0);
   // level(s) = 1 + longest invocation path starting at s (Def 9); the
-  // adjacency is acyclic by the recursion pre-check, so a memoized DFS
-  // suffices.
-  std::function<uint32_t(uint32_t)> level_of = [&](uint32_t s) -> uint32_t {
-    if (levels[s] != 0) return levels[s];
-    uint32_t best = 0;
-    for (uint32_t next : invokes_[s]) best = std::max(best, level_of(next));
-    return levels[s] = best + 1;
+  // adjacency is acyclic by the recursion pre-check, so a memoized
+  // post-order DFS suffices.  Its stack is explicit because an invocation
+  // chain may be as long as the schedule count.
+  struct Frame {
+    uint32_t s;
+    std::unordered_set<uint32_t>::const_iterator next;
   };
+  std::vector<Frame> stack;
   uint32_t order = 0;
-  for (uint32_t s = 0; s < count; ++s) order = std::max(order, level_of(s));
+  for (uint32_t root = 0; root < count; ++root) {
+    if (levels[root] == 0) stack.push_back({root, invokes_[root].begin()});
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      if (top.next != invokes_[top.s].end()) {
+        // Acyclic: an unlevelled callee is not on the stack yet.
+        const uint32_t callee = *top.next++;
+        if (levels[callee] == 0) {
+          stack.push_back({callee, invokes_[callee].begin()});
+        }
+        continue;
+      }
+      uint32_t best = 0;
+      for (uint32_t callee : invokes_[top.s]) {
+        best = std::max(best, levels[callee]);
+      }
+      levels[top.s] = best + 1;
+      stack.pop_back();
+    }
+    order = std::max(order, levels[root]);
+  }
   const bool changed = levels != schedule_levels_ || order != order_;
   schedule_levels_ = std::move(levels);
   order_ = order;
@@ -130,35 +149,30 @@ void Certifier::Rebuild() {
   for (uint64_t i = roots_.begin(); i < roots_.end(); ++i) {
     if (cs_.HasNode(roots_[i])) engine_.OnNodeAdded(roots_[i]);
   }
-  // Replay every retained closed pair.  All derived structures are
-  // monotone functions of these facts (the conflict-dependent rules
-  // consult the complete CON relations of cs_ at replay time), so replay
-  // order is irrelevant and the result equals a fresh session's state.
-  for (uint32_t s = 0; s < cs_.ScheduleCount(); ++s) {
-    const ScheduleId sid(s);
-    const ScheduleShard& sh = shard(sid);
-    sh.weak_output.ForEach(
-        [&](NodeId a, NodeId b) { engine_.OnClosedWeakOutput(sid, a, b); });
-    sh.weak_input.ForEach(
-        [&](NodeId a, NodeId b) { engine_.OnClosedWeakInput(a, b); });
-    sh.strong_input.ForEach(
-        [&](NodeId a, NodeId b) { engine_.OnClosedStrongInput(a, b); });
-    for (const auto& [p, closure] : sh.weak_intra) {
-      closure.ForEach(
-          [&, p = p](NodeId a, NodeId b) { engine_.OnClosedWeakIntra(p, a, b); });
-    }
-    for (const auto& [p, closure] : sh.strong_intra) {
-      closure.ForEach(
-          [&](NodeId a, NodeId b) { engine_.OnClosedStrongIntra(a, b); });
-    }
-  }
+  // Replay every retained closed pair, each closure in (a, b) order.
+  // All derived structures are monotone functions of these facts (the
+  // conflict-dependent rules consult the complete CON relations of cs_ at
+  // replay time), so the result equals a fresh session's state.  A pair's
+  // container is recovered from its source: the host schedule of an
+  // output pair, the parent transaction of an intra pair.
+  weak_output_.ForEach([&](NodeId a, NodeId b) {
+    engine_.OnClosedWeakOutput(cs_.HostScheduleOf(a), a, b);
+  });
+  weak_input_.ForEach(
+      [&](NodeId a, NodeId b) { engine_.OnClosedWeakInput(a, b); });
+  strong_input_.ForEach(
+      [&](NodeId a, NodeId b) { engine_.OnClosedStrongInput(a, b); });
+  weak_intra_.ForEach([&](NodeId a, NodeId b) {
+    engine_.OnClosedWeakIntra(cs_.node(a).parent, a, b);
+  });
+  strong_intra_.ForEach(
+      [&](NodeId a, NodeId b) { engine_.OnClosedStrongIntra(a, b); });
 }
 
 Status Certifier::IngestLocked(const TraceEvent& e) {
   switch (e.kind) {
     case TraceEventKind::kSchedule: {
       cs_.AddSchedule(e.name);
-      shards_.emplace_back();
       invokes_.emplace_back();
       // A new schedule invokes nothing, so its level is 1 and no other
       // level moves.  Only the first schedule changes the order (0 -> 1).
@@ -224,10 +238,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(b));
       COMPTX_RETURN_IF_ERROR(cs_.AddConflict(a, b));
       saw_relational_event_ = true;
-      const ScheduleId host = cs_.HostScheduleOf(a);
-      const LiveRelation& weak_output = shard(host).weak_output;
-      engine_.OnConflict(a, b, weak_output.Contains(a, b),
-                         weak_output.Contains(b, a));
+      engine_.OnConflict(a, b, weak_output_.Contains(a, b),
+                         weak_output_.Contains(b, a));
       return Status::OK();
     }
     case TraceEventKind::kWeakOutput:
@@ -244,7 +256,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       const ScheduleId host = cs_.HostScheduleOf(a);
       std::vector<std::pair<NodeId, NodeId>> new_pairs;
-      shard(host).weak_output.AddClosing(a, b, new_pairs);
+      weak_output_.AddClosing(a, b, new_pairs);
       for (const auto& [x, y] : new_pairs) {
         engine_.OnClosedWeakOutput(host, x, y);
       }
@@ -261,9 +273,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                     : cs_.AddWeakInput(sched, a, b));
       saw_relational_event_ = true;
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      ScheduleShard& sh = shard(sched);
-      if (strong) sh.strong_input.AddClosing(a, b, new_strong);
-      sh.weak_input.AddClosing(a, b, new_weak);  // strong pairs are weak.
+      if (strong) strong_input_.AddClosing(a, b, new_strong);
+      weak_input_.AddClosing(a, b, new_weak);  // strong pairs are weak.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongInput(x, y);
       for (const auto& [x, y] : new_weak) engine_.OnClosedWeakInput(x, y);
       return Status::OK();
@@ -279,11 +290,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddIntraStrong(txn, a, b)
                                     : cs_.AddIntraWeak(txn, a, b));
       saw_relational_event_ = true;
-      const ScheduleId owner = cs_.node(txn).owner_schedule;
       std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      ScheduleShard& sh = shard(owner);
-      if (strong) sh.strong_intra[txn].AddClosing(a, b, new_strong);
-      sh.weak_intra[txn].AddClosing(a, b, new_weak);  // strong implies weak.
+      if (strong) strong_intra_.AddClosing(a, b, new_strong);
+      weak_intra_.AddClosing(a, b, new_weak);  // strong implies weak.
       for (const auto& [x, y] : new_strong) engine_.OnClosedStrongIntra(x, y);
       for (const auto& [x, y] : new_weak) {
         engine_.OnClosedWeakIntra(txn, x, y);
@@ -432,34 +441,14 @@ bool Certifier::CanPrune(NodeId root,
   // Membership walks at most `order` parent links.
   const auto inside = [&](NodeId x) { return cs_.RootOf(x) == root; };
   for (NodeId n : subtree) {
-    // No external in-edge in any front-level or quotient structure.
+    // No external in-edge in any front-level or calculation graph (intra
+    // edges join children of one transaction, so they are always
+    // internal), nor in any closure: closure in-edges could later
+    // manufacture derived in-edges by transitivity without any event
+    // naming `n`.
     if (engine_.HasIncomingEdges(n, inside)) return false;
-    const Node& node = cs_.node(n);
-    if (node.IsTransaction()) {
-      // Intra-block edges are always internal (the block's children are in
-      // the subtree whenever the block is), so a clean graph suffices.
-      if (!engine_.IntraGraphClean(n)) return false;
-      const ScheduleShard& sh = shard(node.owner_schedule);
-      if (sh.weak_input.HasPredecessorOutside(n, inside) ||
-          sh.strong_input.HasPredecessorOutside(n, inside)) {
-        return false;
-      }
-    }
-    if (!node.IsRoot()) {
-      // Closure in-edges could later manufacture derived in-edges by
-      // transitivity without any event naming `n`; require that none
-      // cross the boundary.
-      if (shard(cs_.HostScheduleOf(n))
-              .weak_output.HasPredecessorOutside(n, inside)) {
-        return false;
-      }
-      const NodeId parent = node.parent;
-      const ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      auto check = [&](const auto& map) {
-        auto it = map.find(parent);
-        return it != map.end() && it->second.HasPredecessorOutside(n, inside);
-      };
-      if (check(sh.weak_intra) || check(sh.strong_intra)) return false;
+    for (const LiveRelation* closure : Closures()) {
+      if (closure->HasPredecessorOutside(n, inside)) return false;
     }
   }
   return true;
@@ -468,26 +457,7 @@ bool Certifier::CanPrune(NodeId root,
 void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
   for (NodeId n : subtree) {
     engine_.RemoveNode(n);
-    const Node& node = cs_.node(n);
-    if (node.IsTransaction()) {
-      engine_.RemoveIntraGraphOf(n);
-      ScheduleShard& sh = shard(node.owner_schedule);
-      sh.weak_input.RemoveNode(n);
-      sh.strong_input.RemoveNode(n);
-      sh.weak_intra.erase(n);
-      sh.strong_intra.erase(n);
-    }
-    if (!node.IsRoot()) {
-      shard(cs_.HostScheduleOf(n)).weak_output.RemoveNode(n);
-      const NodeId parent = node.parent;
-      ScheduleShard& sh = shard(cs_.node(parent).owner_schedule);
-      if (auto it = sh.weak_intra.find(parent); it != sh.weak_intra.end()) {
-        it->second.RemoveNode(n);
-      }
-      if (auto it = sh.strong_intra.find(parent); it != sh.strong_intra.end()) {
-        it->second.RemoveNode(n);
-      }
-    }
+    for (LiveRelation* closure : Closures()) closure->RemoveNode(n);
   }
 }
 
@@ -576,14 +546,8 @@ CertifierStats Certifier::Stats() const {
   stats.observed_pairs = engine_.ObservedPairCount();
   stats.cc_edges = engine_.CcEdgeCount();
   stats.calc_edges = engine_.CalcEdgeCount();
-  for (const ScheduleShard& sh : shards_) {
-    stats.closure_pairs += sh.weak_output.PairCount() +
-                           sh.weak_input.PairCount() +
-                           sh.strong_input.PairCount();
-    for (const auto& [p, c] : sh.weak_intra) stats.closure_pairs += c.PairCount();
-    for (const auto& [p, c] : sh.strong_intra) {
-      stats.closure_pairs += c.PairCount();
-    }
+  for (const LiveRelation* closure : Closures()) {
+    stats.closure_pairs += closure->PairCount();
   }
   return stats;
 }

@@ -1,11 +1,11 @@
 #ifndef COMPTX_ONLINE_CERTIFIER_H_
 #define COMPTX_ONLINE_CERTIFIER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -75,9 +75,14 @@ struct CertifierStats {
 /// the full level-by-level reduction, so the amortized cost per event is
 /// far below re-running batch CheckCompC on every prefix:
 ///
-///   - per-schedule transitive closures are maintained incrementally and
-///     emit only newly closed pairs (one shard of closures per schedule,
-///     each a LiveRelation on core Relation rows);
+///   - the transitive closures of the orders are maintained incrementally
+///     and emit only newly closed pairs (one LiveRelation on core Relation
+///     rows per order kind: weak output, weak and strong input, weak and
+///     strong intra).  Every order relates nodes of one container — the
+///     operations of a schedule, the transactions of a schedule, the
+///     children of a transaction — and containers are disjoint, so one
+///     session-wide closure per kind closes exactly the pairs the
+///     per-container closures would;
 ///   - each new fact is routed to the affected front levels, where
 ///     acyclicity is maintained by incremental topological ordering
 ///     (Pearce-Kelly) rather than full DFS;
@@ -114,7 +119,7 @@ struct CertifierStats {
 /// per session, each drained by one worker at a time).  Within one
 /// instance, Ingest/IngestBatch/Commit/Prune and the verdict readers
 /// (Verdict/Certifiable/SerialWitness/Stats) serialize on the session
-/// lock `mu_`, the only lock: it guards every structure, closure shards
+/// lock `mu_`, the only lock: it guards every structure, the closures
 /// included, and there is no intra-instance parallelism.  Two caveats
 /// define the supported contract, enforced by ServiceStress/
 /// CertifierConcurrency tests:
@@ -197,17 +202,6 @@ class Certifier {
   friend StatusOr<CertifierState> CaptureCertifierState(
       const Certifier& certifier);
 
-  /// Per-schedule shard: the incrementally maintained transitive closures
-  /// of that schedule's orders, plus the intra-transaction closures of the
-  /// transactions it owns, each kept closed by LiveRelation::AddClosing.
-  struct ScheduleShard {
-    LiveRelation weak_output;
-    LiveRelation weak_input;
-    LiveRelation strong_input;
-    std::unordered_map<NodeId, LiveRelation> weak_intra;
-    std::unordered_map<NodeId, LiveRelation> strong_intra;
-  };
-
   /// Ingest's body: applies one event, counts it and runs epoch pruning.
   Status IngestCountedLocked(const workload::TraceEvent& event);
   /// Applies one event; rejected events leave the session unchanged.
@@ -241,15 +235,31 @@ class Certifier {
   /// Drops the released prefix of node_flags_ and roots_.
   void CompactWindowsLocked();
 
-  ScheduleShard& shard(ScheduleId s) { return shards_[s.index()]; }
-  const ScheduleShard& shard(ScheduleId s) const { return shards_[s.index()]; }
+  /// The five closures, for the walks that treat them alike (pruning,
+  /// stats).
+  std::array<LiveRelation*, 5> Closures() {
+    return {&weak_output_, &weak_input_, &strong_input_, &weak_intra_,
+            &strong_intra_};
+  }
+  std::array<const LiveRelation*, 5> Closures() const {
+    return {&weak_output_, &weak_input_, &strong_input_, &weak_intra_,
+            &strong_intra_};
+  }
 
   const CertifierOptions options_;
 
   mutable std::mutex mu_;  // session lock: guards all mutable state.
   CompositeSystem cs_;
   OnlineFrontEngine engine_;
-  std::vector<ScheduleShard> shards_;
+
+  /// The incrementally maintained transitive closures, one per order kind
+  /// across every schedule and transaction, each kept closed by
+  /// LiveRelation::AddClosing.
+  LiveRelation weak_output_;
+  LiveRelation weak_input_;
+  LiveRelation strong_input_;
+  LiveRelation weak_intra_;
+  LiveRelation strong_intra_;
 
   /// Schedule invocation adjacency (edge = host schedule invokes the
   /// subtransaction's schedule), kept for the recursion pre-check and the

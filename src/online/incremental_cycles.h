@@ -16,9 +16,10 @@ namespace comptx::online {
 /// A prunable relation: a core Relation plus its converse, so both the
 /// successors and the predecessors of a node are sorted spans and every
 /// pair incident to a node can be removed.  This is the online engine's
-/// one adjacency substrate — shard closures, observed orders, strong
-/// pairs and the edges of IncrementalCycleGraph — on the same dense rows
-/// the batch engine uses.  Iteration is in ascending id order.
+/// one adjacency substrate — the certifier's per-kind order closures,
+/// observed orders, strong pairs and the edges of IncrementalCycleGraph —
+/// on the same dense rows the batch engine uses.  Iteration is in
+/// ascending id order.
 class LiveRelation {
  public:
   /// Adds (a, b); returns true if new.

@@ -16,7 +16,7 @@ void OnlineFrontEngine::Reset(const CompositeSystem* cs,
   order_ = order;
   forgetting_ = forgetting;
   level_.assign(order_ + 1, LevelState{});
-  step_.assign(order_ + 1, StepState{});
+  calc_.assign(order_ + 1, IncrementalCycleGraph{});
   strong_ = LiveRelation();
   failure_.reset();
 }
@@ -99,9 +99,9 @@ void OnlineFrontEngine::CalcEdge(uint32_t i, NodeId a, NodeId b) {
     IntraEdge(i, ra, a, b);
     return;
   }
-  IncrementalCycleGraph& q = step_[i].quotient;
-  if (!q.AddEdge(ra, rb) && !failure_) {
-    Fail(i, OnlineFailure::Step::kCalculation, q.cycle_witness(),
+  IncrementalCycleGraph& g = calc_[i];
+  if (!g.AddEdge(ra, rb) && !failure_) {
+    Fail(i, OnlineFailure::Step::kCalculation, g.cycle_witness(),
          StrCat("no calculation at level ", i,
                 ": block cycle prevents isolating the level ", i,
                 " transactions"));
@@ -110,7 +110,7 @@ void OnlineFrontEngine::CalcEdge(uint32_t i, NodeId a, NodeId b) {
 
 void OnlineFrontEngine::IntraEdge(uint32_t i, NodeId p, NodeId a, NodeId b) {
   if (i < 1 || i > order_) return;
-  IncrementalCycleGraph& g = step_[i].intra[p];
+  IncrementalCycleGraph& g = calc_[i];
   if (!g.AddEdge(a, b) && !failure_) {
     Fail(i, OnlineFailure::Step::kCalculation, g.cycle_witness(),
          StrCat("no calculation for transaction ", cs_->node(p).name,
@@ -275,21 +275,8 @@ void OnlineFrontEngine::RemoveNode(NodeId n) {
     l.observed.RemoveNode(n);
     l.cc.RemoveNode(n);
   }
-  for (StepState& s : step_) s.quotient.RemoveNode(n);
+  for (IncrementalCycleGraph& g : calc_) g.RemoveNode(n);
   strong_.RemoveNode(n);
-}
-
-bool OnlineFrontEngine::IntraGraphClean(NodeId p) const {
-  const uint32_t i = schedule_levels_[cs_->node(p).owner_schedule.index()];
-  if (i > order_) return true;
-  auto it = step_[i].intra.find(p);
-  return it == step_[i].intra.end() || !it->second.has_cycle();
-}
-
-void OnlineFrontEngine::RemoveIntraGraphOf(NodeId p) {
-  const uint32_t i = schedule_levels_[cs_->node(p).owner_schedule.index()];
-  if (i > order_) return;
-  step_[i].intra.erase(p);
 }
 
 size_t OnlineFrontEngine::ObservedPairCount() const {
@@ -306,10 +293,7 @@ size_t OnlineFrontEngine::CcEdgeCount() const {
 
 size_t OnlineFrontEngine::CalcEdgeCount() const {
   size_t n = 0;
-  for (const StepState& s : step_) {
-    n += s.quotient.EdgeCount();
-    for (const auto& [p, g] : s.intra) n += g.EdgeCount();
-  }
+  for (const IncrementalCycleGraph& g : calc_) n += g.EdgeCount();
   return n;
 }
 

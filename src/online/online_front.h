@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,11 +29,15 @@ struct OnlineFailure {
 ///     "forgetting" of commuting same-schedule pairs on pull-up), and
 ///   - the conflict-consistency graph of front j (observed ∪ weak input ∪
 ///     strong input, Def 13) as an incremental topological order;
-/// and for every reduction step i in [1, N]:
+/// and for every reduction step i in [1, N] one calculation graph holding
 ///   - the quotient of the calculation constraint graph by the level-i
 ///     blocks (Def 14/16 inter-block test), and
-///   - one intra-block graph per level-i transaction (Def 14 intra test,
+///   - the internal edges of every level-i block (Def 14 intra test,
 ///     seeded with the closed weak intra order).
+/// The two vertex sets are disjoint — a node grouped at step i is never a
+/// block representative at step i — and intra edges join children of one
+/// block, so the union is acyclic iff the quotient and every block are,
+/// and a cycle closed by an intra edge stays inside that edge's block.
 ///
 /// Handlers receive *newly derived facts* (new closed pairs from the
 /// certifier's incremental closures, new conflicts, new nodes) and patch
@@ -109,30 +112,23 @@ class OnlineFrontEngine {
   // ---- Pruning support --------------------------------------------------
 
   /// True iff `n` has an in-edge from some x with `!inside(x)` in any
-  /// conflict-consistency or quotient graph (observed pairs are CC edges,
-  /// so they are covered).  `inside` is membership in the sealed subtree
-  /// being pruned: its internal edges disappear together with the subtree.
+  /// conflict-consistency or calculation graph (observed pairs are CC
+  /// edges, so they are covered).  `inside` is membership in the sealed
+  /// subtree being pruned: its internal edges disappear together with the
+  /// subtree.
   template <typename Inside>
   bool HasIncomingEdges(NodeId n, const Inside& inside) const {
     for (const LevelState& l : level_) {
       if (l.cc.HasInEdgeFromOutside(n, inside)) return true;
     }
-    for (const StepState& s : step_) {
-      if (s.quotient.HasInEdgeFromOutside(n, inside)) return true;
+    for (const IncrementalCycleGraph& g : calc_) {
+      if (g.HasInEdgeFromOutside(n, inside)) return true;
     }
     return false;
   }
 
-  /// Removes `n` from every level structure.
+  /// Removes `n` from every level and step structure.
   void RemoveNode(NodeId n);
-
-  /// True iff the intra-block graph of group transaction `p` is
-  /// cycle-free (vacuously true if absent).
-  bool IntraGraphClean(NodeId p) const;
-
-  /// Drops the intra-block graph of `p` and the strong-pair records
-  /// keyed at `p`.
-  void RemoveIntraGraphOf(NodeId p);
 
   // ---- Stats ------------------------------------------------------------
 
@@ -144,10 +140,6 @@ class OnlineFrontEngine {
   struct LevelState {
     LiveRelation observed;
     IncrementalCycleGraph cc;
-  };
-  struct StepState {
-    IncrementalCycleGraph quotient;
-    std::unordered_map<NodeId, IncrementalCycleGraph> intra;
   };
 
   uint32_t LevelOfSchedule(ScheduleId s) const {
@@ -181,11 +173,11 @@ class OnlineFrontEngine {
   void CcEdge(uint32_t j, NodeId a, NodeId b);
 
   /// Adds a calculation constraint edge between front-(i-1) members a, b
-  /// for step i, routed to the quotient graph (distinct blocks) or the
-  /// grouping transaction's intra graph (same block).
+  /// for step i: between their blocks' representatives (distinct blocks)
+  /// or, via IntraEdge, inside the grouping transaction's block.
   void CalcEdge(uint32_t i, NodeId a, NodeId b);
 
-  /// Adds an edge directly to the intra graph of group transaction p.
+  /// Adds the internal edge a -> b of the level-i block of transaction p.
   void IntraEdge(uint32_t i, NodeId p, NodeId a, NodeId b);
 
   /// Records a closed strong pair and pulls it down onto every front.
@@ -200,7 +192,7 @@ class OnlineFrontEngine {
   bool forgetting_ = true;
 
   std::vector<LevelState> level_;  // [0, order]
-  std::vector<StepState> step_;    // index i in [1, order] used
+  std::vector<IncrementalCycleGraph> calc_;  // index i in [1, order] used
   /// Every closed strong pair seen so far (input and intra orders), kept
   /// so OnNodeAdded can pull existing pairs down onto new forest nodes.
   LiveRelation strong_;

@@ -278,6 +278,8 @@ Response ErrorResponse(const std::string& code, const std::string& message) {
   return response;
 }
 
+// ---- frame layer ------------------------------------------------------
+
 namespace {
 
 Status WriteAll(int fd, const char* data, size_t size) {
@@ -295,39 +297,6 @@ Status WriteAll(int fd, const char* data, size_t size) {
   }
   return Status::OK();
 }
-
-/// Reads exactly `size` bytes.  `at_start` distinguishes clean EOF (peer
-/// closed between frames → NotFound) from truncation mid-frame.
-Status ReadAll(int fd, char* data, size_t size, bool at_start) {
-  size_t received = 0;
-  while (received < size) {
-    const ssize_t n = ::read(fd, data + received, size - received);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(StrCat("read: ", std::strerror(errno)));
-    }
-    if (n == 0) {
-      if (at_start && received == 0) {
-        return Status::NotFound("connection closed");
-      }
-      return Status::Internal("connection closed mid-frame");
-    }
-    received += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status WriteFrame(int fd, const std::string& payload) {
-  std::string frame = StrCat(payload.size(), "\n");
-  frame += payload;
-  return WriteAll(fd, frame.data(), frame.size());
-}
-
-// ---- frame layer ------------------------------------------------------
-
-namespace {
 
 bool ValidOpcode(uint8_t opcode) {
   return (opcode >= static_cast<uint8_t>(Opcode::kOpen) &&
@@ -659,39 +628,6 @@ StatusOr<WireProtocol> ParseWireProtocol(const std::string& name) {
   if (name == "v2" || name == "2") return WireProtocol::kV2;
   return Status::InvalidArgument(
       StrCat("unknown protocol '", name, "' (want v1 or v2)"));
-}
-
-StatusOr<std::string> ReadFrame(int fd, size_t max_bytes) {
-  // Prefix: decimal digits then '\n', read byte by byte (the prefix is
-  // tiny; the payload below is read in one gulp).
-  std::string prefix;
-  bool at_start = true;
-  for (;;) {
-    char c = 0;
-    Status status = ReadAll(fd, &c, 1, at_start);
-    if (!status.ok()) return status;
-    at_start = false;
-    if (c == '\n') break;
-    if (c < '0' || c > '9' || prefix.size() > 12) {
-      return Status::InvalidArgument("malformed frame length prefix");
-    }
-    prefix += c;
-  }
-  if (prefix.empty()) {
-    return Status::InvalidArgument("malformed frame length prefix");
-  }
-  const uint64_t size = std::strtoull(prefix.c_str(), nullptr, 10);
-  if (size > max_bytes) {
-    return Status::OutOfRange(
-        StrCat("frame of ", size, " bytes exceeds the ", max_bytes,
-               "-byte limit"));
-  }
-  std::string payload(size, '\0');
-  if (size > 0) {
-    Status status = ReadAll(fd, payload.data(), payload.size(), false);
-    if (!status.ok()) return status;
-  }
-  return payload;
 }
 
 }  // namespace comptx::service

@@ -45,7 +45,7 @@ namespace comptx::service {
 ///     STREAM <id> [k=v ...]       long-poll fetch: from, max, wait_ms,
 ///                                 ack, sub; reply body = event lines
 ///     ATTACH <id> [k=v ...]       wire an upstream edge: edge, host,
-///                                 port, remote, prefix
+///                                 port, remote
 ///     DETACH <id> [k=v ...]       tear an edge down: edge=<id>
 ///     PREPARE <id> [k=v ...]      2PC phase 1: k=<watermark>
 ///     DECIDE <id> [k=v ...]       2PC phase 2: k=<watermark>
@@ -185,13 +185,6 @@ StatusOr<Response> ParseResponse(const std::string& payload);
 /// Convenience builders.
 Response OkResponse();
 Response ErrorResponse(const std::string& code, const std::string& message);
-
-/// Blocking frame I/O on a connected socket.  WriteFrame sends prefix and
-/// payload; ReadFrame returns the payload, NotFound on clean EOF at a
-/// frame boundary, and an error for truncation, oversize or a malformed
-/// prefix.
-Status WriteFrame(int fd, const std::string& payload);
-StatusOr<std::string> ReadFrame(int fd, size_t max_bytes = kMaxFrameBytes);
 
 // ---- frame layer ------------------------------------------------------
 

@@ -75,27 +75,10 @@ struct StreamOptions {
 
 StatusOr<StreamOptions> ParseStreamOptions(const std::string& text) {
   StreamOptions options;
-  for (const std::string& token : StrSplit(text, ' ')) {
-    if (token.empty()) continue;
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument(
-          StrCat("stream option '", token, "' is not key=value"));
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-      return Status::InvalidArgument(
-          StrCat(key, "=", value, " is not an unsigned integer"));
-    }
-    uint64_t parsed = 0;
-    for (const char c : value) {
-      if (parsed > (~0ull - (c - '0')) / 10) {
-        return Status::InvalidArgument(StrCat(key, "=", value, " overflows"));
-      }
-      parsed = parsed * 10 + (c - '0');
-    }
+  COMPTX_ASSIGN_OR_RETURN(std::vector<KeyValue> tokens,
+                          ParseKeyValues(text, "stream option"));
+  for (const auto& [key, value] : tokens) {
+    COMPTX_ASSIGN_OR_RETURN(const uint64_t parsed, ParseUint64(key, value));
     if (key == "from") {
       options.from = parsed;
     } else if (key == "max") {
@@ -114,6 +97,21 @@ StatusOr<StreamOptions> ParseStreamOptions(const std::string& text) {
     }
   }
   return options;
+}
+
+/// STATS takes one option, json=0|1 (the last one wins).
+StatusOr<bool> ParseStatsJson(const std::string& text) {
+  COMPTX_ASSIGN_OR_RETURN(std::vector<KeyValue> tokens,
+                          ParseKeyValues(text, "STATS option"));
+  bool json = false;
+  for (const auto& [key, value] : tokens) {
+    if (key != "json" || (value != "0" && value != "1")) {
+      return Status::InvalidArgument(
+          StrCat("unknown STATS option '", key, "=", value, "'"));
+    }
+    json = value == "1";
+  }
+  return json;
 }
 
 }  // namespace
@@ -381,21 +379,13 @@ Response CertificationServer::HandleQueryOrClose(const Request& request,
 }
 
 Response CertificationServer::HandleStats(const Request& request) {
-  bool json = false;
-  for (const std::string& token : StrSplit(request.options, ' ')) {
-    if (token.empty()) continue;
-    if (token == "json=1") {
-      json = true;
-    } else if (token == "json=0") {
-      json = false;
-    } else {
-      metrics_.protocol_errors.Increment();
-      return ErrorResponse("bad_request",
-                           StrCat("unknown STATS option '", token, "'"));
-    }
+  const StatusOr<bool> json = ParseStatsJson(request.options);
+  if (!json.ok()) {
+    metrics_.protocol_errors.Increment();
+    return StatusResponse(json.status());
   }
   Response response = OkResponse();
-  response.body = json ? metrics_.RenderJson() : metrics_.RenderText();
+  response.body = *json ? metrics_.RenderJson() : metrics_.RenderText();
   return response;
 }
 

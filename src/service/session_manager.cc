@@ -1,8 +1,6 @@
 #include "service/session_manager.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -21,24 +19,6 @@ const char* StepName(online::OnlineFailure::Step step) {
   return "?";
 }
 
-StatusOr<uint64_t> ParseUint(const std::string& key, const std::string& value) {
-  // strtoull alone accepts leading blanks and a sign ("-1" wraps to
-  // 2^64-1), so insist on plain decimal digits; errno catches overflow.
-  const bool digits =
-      !value.empty() && std::all_of(value.begin(), value.end(), [](char c) {
-        return c >= '0' && c <= '9';
-      });
-  errno = 0;
-  const unsigned long long parsed =
-      digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
-  if (!digits || errno != 0) {
-    return Status::InvalidArgument(
-        StrCat("option ", key, " needs a non-negative integer, got '", value,
-               "'"));
-  }
-  return static_cast<uint64_t>(parsed);
-}
-
 StatusOr<bool> ParseBool(const std::string& key, const std::string& value) {
   if (value == "1" || value == "true") return true;
   if (value == "0" || value == "false") return false;
@@ -51,15 +31,9 @@ StatusOr<bool> ParseBool(const std::string& key, const std::string& value) {
 StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
                                              const SessionOptions& defaults) {
   SessionOptions options = defaults;
-  for (const std::string& token : StrSplit(text, ' ')) {
-    if (token.empty()) continue;
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument(
-          StrCat("OPEN option '", token, "' is not key=value"));
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
+  COMPTX_ASSIGN_OR_RETURN(std::vector<KeyValue> tokens,
+                          ParseKeyValues(text, "OPEN option"));
+  for (const auto& [key, value] : tokens) {
     if (key == "forgetting") {
       COMPTX_ASSIGN_OR_RETURN(options.certifier.forgetting,
                               ParseBool(key, value));
@@ -67,14 +41,14 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
       COMPTX_ASSIGN_OR_RETURN(options.certifier.auto_prune,
                               ParseBool(key, value));
     } else if (key == "epoch_interval") {
-      COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint(key, value));
+      COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint64(key, value));
       if (parsed > UINT32_MAX) {
         return Status::InvalidArgument(
             StrCat("epoch_interval ", parsed, " exceeds ", UINT32_MAX));
       }
       options.certifier.epoch_interval = static_cast<uint32_t>(parsed);
     } else if (key == "queue_capacity") {
-      COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint(key, value));
+      COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint64(key, value));
       if (parsed == 0) {
         return Status::InvalidArgument("queue_capacity must be positive");
       }
@@ -83,7 +57,7 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
       // Retired modes (same verdicts): ignored, so old data dirs recover.
       COMPTX_RETURN_IF_ERROR(ParseBool(key, value).status());
     } else if (key == "resume") {
-      COMPTX_ASSIGN_OR_RETURN(options.resume, ParseUint(key, value));
+      COMPTX_ASSIGN_OR_RETURN(options.resume, ParseUint64(key, value));
       if (options.resume == 0) {
         return Status::InvalidArgument("resume needs a session id");
       }
@@ -642,7 +616,7 @@ StatusOr<std::shared_ptr<Session>> SessionManager::Remove(uint64_t id) {
 std::vector<std::shared_ptr<Session>> SessionManager::EvictIdle(
     std::chrono::steady_clock::time_point cutoff) {
   std::vector<std::shared_ptr<Session>> evicted;
-  for (Shard& shard : shards_) {
+  for (Shard& shard : table_) {
     std::unique_lock<std::mutex> lock(shard.mu);
     for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
       if (it->second->CloseIfIdle(cutoff)) {
@@ -661,7 +635,7 @@ std::vector<std::shared_ptr<Session>> SessionManager::EvictIdle(
 
 std::vector<std::shared_ptr<Session>> SessionManager::All() const {
   std::vector<std::shared_ptr<Session>> all;
-  for (const Shard& shard : shards_) {
+  for (const Shard& shard : table_) {
     std::unique_lock<std::mutex> lock(shard.mu);
     for (const auto& [id, session] : shard.sessions) all.push_back(session);
   }
@@ -672,7 +646,7 @@ size_t SessionManager::Count() const {
   // Sum the shard maps (not count_, whose optimistic reservations
   // transiently overshoot).
   size_t total = 0;
-  for (const Shard& shard : shards_) {
+  for (const Shard& shard : table_) {
     std::unique_lock<std::mutex> lock(shard.mu);
     total += shard.sessions.size();
   }

@@ -323,7 +323,7 @@ class SessionManager {
   };
 
   Shard& ShardFor(uint64_t id) const {
-    return shards_[id & (kShardCount - 1)];
+    return table_[id & (kShardCount - 1)];
   }
 
   /// Builds a Session from its on-disk state and registers it.  Caller
@@ -347,7 +347,7 @@ class SessionManager {
   durability::Manager* const durability_;
   std::atomic<uint64_t> next_id_{1};
   std::atomic<size_t> count_{0};
-  mutable std::array<Shard, kShardCount> shards_;
+  mutable std::array<Shard, kShardCount> table_;
 };
 
 }  // namespace comptx::service

@@ -2,10 +2,13 @@
 #define COMPTX_UTIL_STRING_UTIL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status_or.h"
 
 namespace comptx {
 
@@ -36,6 +39,23 @@ std::string StrCat(const Args&... args) {
   (out << ... << args);
   return out.str();
 }
+
+/// One token of a "key=value ..." option string.
+struct KeyValue {
+  std::string key;
+  std::string value;
+};
+
+/// Splits a space-separated "key=value ..." option string, in order; runs
+/// of spaces are skipped.  A token without '=' or with an empty key is an
+/// error whose message starts with `what` (e.g. "OPEN option").  Values
+/// are untyped: a value may be any non-space text.
+StatusOr<std::vector<KeyValue>> ParseKeyValues(std::string_view text,
+                                               std::string_view what);
+
+/// Parses an unsigned decimal strictly: digits only (no sign, blank or
+/// prefix), overflow-checked.  `key` names the option in the error.
+StatusOr<uint64_t> ParseUint64(std::string_view key, std::string_view value);
 
 }  // namespace comptx
 

@@ -269,6 +269,78 @@ TEST(Certifier, CommitAllRootsOnRandomTracePreservesVerdict) {
   }
 }
 
+// Two level-2 blocks on schedule R: T1 groups u1, u2 and T2 groups v1, v2
+// (all four run on S).  T2's intra order agrees with its observed order;
+// T1's last event orders u2 before u1 against the conflict-bound u1 -> u2.
+constexpr char kIntraBlockTrace[] =
+    "comptx-trace v1\n"
+    "schedule R\nschedule S\n"
+    "root 0 T1\nsub 0 1 u1\nsub 0 1 u2\nleaf 1 x1\nleaf 2 x2\n"
+    "root 0 T2\nsub 5 1 v1\nsub 5 1 v2\n"
+    "conflict 6 7\nweak_out 6 7\nconflict 1 2\nweak_out 1 2\n"
+    "intra_weak 5 6 7\n";
+
+TEST(Certifier, IntraBlockFailureNamesItsBlock) {
+  const std::string text =
+      std::string(kIntraBlockTrace) + "intra_weak 0 2 1\nend\n";
+  ExpectPrefixAgreement(text);
+  auto events = workload::ParseTraceEvents(text);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  Certifier certifier;
+  ASSERT_EQ(certifier.IngestBatch(*events), 0u);
+
+  const CertifierVerdict verdict = certifier.Verdict();
+  ASSERT_FALSE(verdict.certifiable);
+  ASSERT_TRUE(verdict.failure.has_value());
+  EXPECT_EQ(verdict.failure->level, 2u);
+  EXPECT_EQ(verdict.failure->step, OnlineFailure::Step::kCalculation);
+  EXPECT_NE(verdict.failure->description.find(
+                "no calculation for transaction T1"),
+            std::string::npos)
+      << verdict.failure->description;
+  EXPECT_EQ(verdict.failure->witness,
+            (std::vector<NodeId>{NodeId(1), NodeId(2)}));
+  const CertifierStats stats = certifier.Stats();
+  // u1 -> u2 and u2 -> u1 inside T1, v1 -> v2 inside T2.
+  EXPECT_EQ(stats.calc_edges, 3u);
+  // Two weak output pairs and one weak intra pair per block.
+  EXPECT_EQ(stats.closure_pairs, 4u);
+}
+
+TEST(Certifier, CommittedBlocksPruneTheirIntraEdges) {
+  const std::string text =
+      std::string(kIntraBlockTrace) + "commit_through 2\nend\n";
+  auto events = workload::ParseTraceEvents(text);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  Certifier certifier;
+  ASSERT_EQ(certifier.IngestBatch(*events), 0u);
+  EXPECT_TRUE(certifier.Certifiable());
+  const CertifierStats stats = certifier.Stats();
+  EXPECT_EQ(stats.pruned_nodes, 8u);
+  EXPECT_EQ(stats.live_nodes, 0u);
+  EXPECT_EQ(stats.closure_pairs, 0u);
+  EXPECT_EQ(stats.calc_edges, 0u);
+}
+
+TEST(Certifier, RestoresInvocationChainLongerThanTheCallStack) {
+  // Levels are longest invocation paths, so a chain S0 -> S1 -> ... over
+  // every schedule reaches order kSchedules; computing it must not recurse
+  // once per link.
+  constexpr uint32_t kSchedules = 200000;
+  Certifier certifier;
+  workload::TraceEvent event;
+  event.kind = workload::TraceEventKind::kSchedule;
+  std::vector<workload::TraceEvent> schedules(kSchedules, event);
+  ASSERT_EQ(certifier.IngestBatch(schedules), 0u);
+  std::vector<std::pair<uint32_t, uint32_t>> chain;
+  chain.reserve(kSchedules - 1);
+  for (uint32_t s = 0; s + 1 < kSchedules; ++s) chain.emplace_back(s, s + 1);
+  const Status restored = certifier.RestoreInvocations(chain);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  EXPECT_EQ(certifier.Verdict().order, kSchedules);
+  EXPECT_TRUE(certifier.Certifiable());
+}
+
 TEST(Certifier, RejectsRecursiveInvocation) {
   Certifier certifier;
   workload::TraceEvent event;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "distributed/controller.h"
@@ -345,6 +346,35 @@ TEST(DistributedTwoServerTest, AttachRequiresStreamSessions) {
   EXPECT_FALSE(attached->ok);
   parent.server.Shutdown();
   child.server.Shutdown();
+}
+
+TEST(NodeControllerTest, RejectsOutOfRangePortsAndUnknownKeys) {
+  Node node;
+  service::Request open;
+  open.kind = CommandKind::kOpen;
+  open.options = "stream=1";
+  const service::Response opened = node.server.Handle(open);
+  ASSERT_TRUE(opened.ok) << opened.error_message;
+  const uint64_t session = std::stoull(opened.fields.at(0).second);
+  const std::pair<CommandKind, std::string> bad[] = {
+      // A port must fit 16 bits, not wrap (70000 would dial 4464).
+      {CommandKind::kAttach, "edge=1 host=127.0.0.1 port=70000 remote=1"},
+      {CommandKind::kAttach, "edge=1 host=127.0.0.1 port=1 remote=1 prefix=a"},
+      {CommandKind::kDetach, "edge=1 cursor=2"},
+      {CommandKind::kPrepare, "k=1 edge=1"},
+      {CommandKind::kDecide, "k=1 ke=1"},
+  };
+  for (const auto& [kind, options] : bad) {
+    service::Request request;
+    request.kind = kind;
+    request.session = session;
+    request.options = options;
+    const service::Response response = node.controller.Handle(request);
+    EXPECT_FALSE(response.ok) << options;
+    EXPECT_EQ(response.error_code, "bad_request")
+        << options << ": " << response.error_message;
+  }
+  node.server.Shutdown();
 }
 
 // --------------------------------------------------- cross-feature interop

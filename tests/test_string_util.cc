@@ -46,5 +46,40 @@ TEST(StrCatTest, ConcatenatesMixedTypes) {
   EXPECT_EQ(StrCat(), "");
 }
 
+TEST(ParseKeyValuesTest, SplitsTokensInOrder) {
+  auto parsed = ParseKeyValues("  a=1 host=x.y  empty= ", "OPEN option");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 3u);
+  EXPECT_EQ((*parsed)[0].key, "a");
+  EXPECT_EQ((*parsed)[0].value, "1");
+  EXPECT_EQ((*parsed)[1].value, "x.y");
+  EXPECT_EQ((*parsed)[2].key, "empty");
+  EXPECT_EQ((*parsed)[2].value, "");
+  EXPECT_TRUE(ParseKeyValues("", "OPEN option")->empty());
+}
+
+TEST(ParseKeyValuesTest, RejectsBareTokensAndEmptyKeys) {
+  for (const char* text : {"a=1 flag", "=5"}) {
+    auto parsed = ParseKeyValues(text, "OPEN option");
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_TRUE(StartsWith(parsed.status().message(), "OPEN option '"))
+        << parsed.status().message();
+  }
+}
+
+TEST(ParseUint64Test, AcceptsPlainDecimalUpToTheMaximum) {
+  EXPECT_EQ(*ParseUint64("k", "0"), 0u);
+  EXPECT_EQ(*ParseUint64("k", "0042"), 42u);
+  EXPECT_EQ(*ParseUint64("k", "18446744073709551615"), UINT64_MAX);
+}
+
+TEST(ParseUint64Test, RejectsSignsBlanksAndOverflow) {
+  for (const char* value :
+       {"", "-1", "+1", " 1", "1 ", "0x10", "1e3", "18446744073709551616",
+        "99999999999999999999"}) {
+    EXPECT_FALSE(ParseUint64("k", value).ok()) << "'" << value << "'";
+  }
+}
+
 }  // namespace
 }  // namespace comptx
