@@ -4,7 +4,7 @@
 // One certifier session ingests a 10M-event streaming-window workload —
 // roots arrive forever, each conflicting with (and ordered after) its
 // predecessor, and a cumulative commit_through watermark trails the
-// stream by a fixed window so sealing + epoch pruning run continuously.
+// stream by a fixed window so sealing + commit pruning run continuously.
 // The driver samples the per-event cost at logarithmically spaced
 // checkpoints (100k, 316k, 1M, 3.16M, 10M) over the *preceding* segment,
 // so each sample is a steady-state rate, not a lifetime average.

@@ -124,7 +124,7 @@ Row RunSize(uint32_t roots, uint64_t seed) {
   row.batch_total_us = MicrosSince(start);
   row.agreement = (batch_verdict == online_verdict);
 
-  // Epoch pruning: measured on the longest *certifiable* prefix — once
+  // Pruning: measured on the longest *certifiable* prefix — once
   // certification fails the engine keeps everything as failure evidence,
   // so pruning an uncertifiable random stream releases nothing (the
   // pruned_nodes: 0 rows earlier revisions committed).  Pruning is a
@@ -162,7 +162,7 @@ Row RunSize(uint32_t roots, uint64_t seed) {
 // Streaming-window scenario: roots arrive forever on one schedule, each
 // conflicting (and weak-output-ordered) with its predecessor's leaf, and
 // every root is committed as soon as its successor is in.  The execution
-// is certifiable throughout; epoch pruning keeps the *live* state a
+// is certifiable throughout; commit pruning keeps the *live* state a
 // bounded window while the total system grows without bound — the memory
 // story of the online subsystem.
 struct WindowRow {

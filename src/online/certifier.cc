@@ -57,8 +57,6 @@ Status Certifier::IngestCountedLocked(const TraceEvent& event) {
     return status;
   }
   ++events_accepted_;
-  ++events_since_prune_;
-  MaybePruneLocked();
   return status;
 }
 
@@ -167,6 +165,10 @@ void Certifier::Rebuild() {
   });
   strong_intra_.ForEach(
       [&](NodeId a, NodeId b) { engine_.OnClosedStrongIntra(a, b); });
+  // Besides a commit, a replay is the one place a sealed subtree can
+  // become prunable: it may clear a failure (a retroactive commute erases
+  // the conflicts of a cycle), and pruning waits on a certifiable engine.
+  if (options_.auto_prune) PruneLocked();
 }
 
 Status Certifier::IngestLocked(const TraceEvent& e) {
@@ -419,16 +421,6 @@ Status Certifier::RestoreInvocations(
   return Status::OK();
 }
 
-void Certifier::MaybePruneLocked() {
-  if (!options_.auto_prune || options_.epoch_interval == 0) return;
-  if (events_since_prune_ < options_.epoch_interval) return;
-  if (unpruned_sealed_.empty()) {
-    events_since_prune_ = 0;
-    return;
-  }
-  PruneLocked();
-}
-
 bool Certifier::CanPrune(NodeId root,
                          const std::vector<NodeId>& subtree) const {
   // In-edges whose source lies inside the subtree are removed together
@@ -462,7 +454,6 @@ void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
 }
 
 size_t Certifier::PruneLocked() {
-  events_since_prune_ = 0;
   // Once failed, keep everything: the failure evidence (a cycle in some
   // maintained graph) must survive rebuilds, and pruning is only a memory
   // optimization for live sessions anyway.

@@ -25,11 +25,11 @@ struct CertifierOptions {
   /// (Def 10 rule 3); mirrors ReductionOptions::forgetting.
   bool forgetting = true;
 
-  /// Attempt epoch pruning after this many accepted events (0 disables the
-  /// periodic trigger; Commit() and Prune() still prune).
-  uint32_t epoch_interval = 64;
-
-  /// Prune automatically on Commit() and at epoch boundaries.
+  /// Prune automatically after every commit that seals a root and after
+  /// every rebuild: ingesting an event only adds edges, and only a rebuild
+  /// can clear a failure, so these are the only points where a sealed
+  /// subtree can become prunable (docs/THEORY.md, "When pruning runs").
+  /// Prune() runs a pass on demand either way.
   bool auto_prune = true;
 };
 
@@ -98,9 +98,10 @@ struct CertifierStats {
 /// matter and the rebuilt state equals what a fresh session would hold.
 ///
 /// Committed roots are sealed: later events referencing their subtree are
-/// rejected, and epoch-based pruning removes a sealed subtree from every
-/// structure once nothing points into it anymore (such nodes can never lie
-/// on a future violation cycle, so the verdict is unaffected).  The
+/// rejected, and the prune pass run by every sealing commit and every
+/// rebuild removes a sealed subtree from every structure once nothing
+/// points into it anymore (such nodes can never lie on a future violation
+/// cycle, so the verdict is unaffected).  The
 /// subtree also leaves the composite system itself
 /// (CompositeSystem::ReleaseSubtree), so every structure indexed by node
 /// id — the system, the seal bits, the root list — spans only the live
@@ -141,7 +142,7 @@ class Certifier {
   Status Ingest(const workload::TraceEvent& event);
 
   /// Applies `events` in order under one lock acquisition: exactly the
-  /// equivalent Ingest sequence, epoch and commit pruning included, so
+  /// equivalent Ingest sequence, pruning included, so
   /// every status, verdict, witness and counter matches.  Returns the
   /// number of rejected events; per-event statuses go to `statuses` when
   /// non-null (resized to events.size()).
@@ -202,7 +203,7 @@ class Certifier {
   friend StatusOr<CertifierState> CaptureCertifierState(
       const Certifier& certifier);
 
-  /// Ingest's body: applies one event, counts it and runs epoch pruning.
+  /// Ingest's body: applies one event and counts it.
   Status IngestCountedLocked(const workload::TraceEvent& event);
   /// Applies one event; rejected events leave the session unchanged.
   Status IngestLocked(const workload::TraceEvent& event);
@@ -219,10 +220,10 @@ class Certifier {
   /// True iff adding the invocation edge from -> to would close a cycle.
   bool WouldCreateRecursion(ScheduleId from, ScheduleId to) const;
 
-  /// Resets the engine for the current levels and replays all closures.
+  /// Resets the engine for the current levels, replays all closures and
+  /// prunes (under auto_prune).
   void Rebuild();
 
-  void MaybePruneLocked();
   size_t PruneLocked();
   /// True iff the sealed subtree of `root` (`subtree`, root included)
   /// has no in-edge from outside it in any maintained structure.
@@ -300,7 +301,6 @@ class Certifier {
   uint64_t events_rejected_ = 0;
   uint64_t rebuilds_ = 0;
   uint64_t prune_passes_ = 0;
-  uint32_t events_since_prune_ = 0;
 };
 
 }  // namespace comptx::online

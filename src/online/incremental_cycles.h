@@ -89,7 +89,7 @@ class LiveRelation {
 /// order and witnesses do not depend on hash order.  The
 /// structure is *sticky* on failure: the first edge that closes a cycle
 /// records a witness and freezes the topological order, but later edges
-/// are still recorded so that adjacency (and hence epoch pruning
+/// are still recorded so that adjacency (and hence pruning
 /// bookkeeping) stays complete.  A failed structure only becomes clean
 /// again by rebuilding it from scratch, which is what the certifier does
 /// when schedule levels shift.
@@ -125,8 +125,8 @@ class IncrementalCycleGraph {
   size_t NodeCount() const { return vertices_.size(); }
   size_t EdgeCount() const { return edges_.PairCount(); }
 
-  /// True iff `id` has an in-edge whose source x has `!inside(x)`.  Epoch
-  /// pruning removes whole sealed subtrees at once, so in-edges between
+  /// True iff `id` has an in-edge whose source x has `!inside(x)`.
+  /// Pruning removes whole sealed subtrees at once, so in-edges between
   /// members of the removed set don't pin the subtree down, and a sealed
   /// vertex with no other in-edge can never join a future cycle.
   template <typename Inside>
@@ -135,7 +135,7 @@ class IncrementalCycleGraph {
   }
 
   /// Removes `id` and every incident edge.  Intended for vertices whose
-  /// in-degree is 0 (epoch pruning); safe for any vertex, but removing a
+  /// in-degree is 0 (pruning); safe for any vertex, but removing a
   /// vertex with in-edges changes which cycles are detectable afterwards.
   void RemoveNode(NodeId id);
 

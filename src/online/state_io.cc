@@ -147,7 +147,6 @@ StatusOr<std::unique_ptr<Certifier>> RestoreCertifierState(
     status = certifier->Ingest(mark);
     if (!status.ok()) return fail("cannot re-apply the watermark", status);
   }
-  if (options.auto_prune) certifier->Prune();
   // Commit() and the watermark above routed through Ingest and bumped the
   // accepted counter; overwrite both counters last so the restored
   // session reports the original stream's totals.

@@ -39,7 +39,7 @@ StatusOr<Response> ServiceClient::Command(CommandKind kind, uint64_t session,
   return Transport(request);
 }
 
-SessionVerdict ServiceClient::VerdictFrom(const Response& response) {
+SessionVerdict VerdictFromResponse(const Response& response) {
   SessionVerdict verdict;
   verdict.session = response.FieldInt("session");
   verdict.certifiable = response.FieldInt("certifiable") == 1;
@@ -78,7 +78,7 @@ StatusOr<SessionVerdict> ServiceClient::Query(uint64_t session) {
   request.kind = CommandKind::kQuery;
   request.session = session;
   COMPTX_ASSIGN_OR_RETURN(Response response, RoundTrip(request));
-  return VerdictFrom(response);
+  return VerdictFromResponse(response);
 }
 
 StatusOr<SessionVerdict> ServiceClient::Close(uint64_t session) {
@@ -86,7 +86,7 @@ StatusOr<SessionVerdict> ServiceClient::Close(uint64_t session) {
   request.kind = CommandKind::kClose;
   request.session = session;
   COMPTX_ASSIGN_OR_RETURN(Response response, RoundTrip(request));
-  return VerdictFrom(response);
+  return VerdictFromResponse(response);
 }
 
 StatusOr<std::string> ServiceClient::Stats(bool json) {

@@ -12,6 +12,11 @@
 
 namespace comptx::service {
 
+/// Reads a QUERY / CLOSE reply's verdict fields back into a verdict: the
+/// inverse of the server's reply rendering, shared by the wire client and
+/// the server's in-process Query/Close.
+SessionVerdict VerdictFromResponse(const Response& response);
+
 /// Blocking client for the comptx-serve wire protocol.  One connection,
 /// one outstanding request at a time; not thread-safe (give each client
 /// thread its own instance — comptx_load does).  Any transport or ERR
@@ -66,7 +71,6 @@ class ServiceClient {
 
   StatusOr<Response> RoundTrip(const Request& request);
   StatusOr<Response> Transport(const Request& request);
-  static SessionVerdict VerdictFrom(const Response& response);
 
   Socket socket_;
   WireProtocol protocol_ = WireProtocol::kV1;

@@ -22,6 +22,13 @@ namespace {
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeTag = 1;
 
+// Flow control: pause reading a connection once this many decoded frames
+// are queued for handling (TCP backpressure does the rest), and hang up
+// on a peer that lets this many response bytes pile up without reading
+// them (a slow or absent consumer must not grow the buffer forever).
+constexpr size_t kMaxPendingFrames = 1024;
+constexpr size_t kMaxBufferedWriteBytes = 8u << 20;
+
 }  // namespace
 
 /// A frame queued for handling.  `error` non-OK marks a framing violation
@@ -41,12 +48,10 @@ struct QueuedFrame {
 /// set under `mu` before the close, so a handler holding `mu` for a
 /// send() can never race the descriptor's reuse.
 struct EventLoop::Conn {
-  explicit Conn(size_t max_frame_bytes) : parser(max_frame_bytes) {}
-
   uint64_t id = 0;
   size_t owner = 0;
   Socket socket;
-  FrameParser parser;
+  FrameParser parser;  // kMaxFrameBytes
   WireProtocol last_protocol = WireProtocol::kV1;
 
   std::mutex mu;
@@ -196,7 +201,7 @@ void EventLoop::AcceptReady() {
       return;  // EAGAIN, or the listener is closing
     }
     SetNoDelay(fd);
-    auto conn = std::make_shared<Conn>(options_.max_frame_bytes);
+    auto conn = std::make_shared<Conn>();
     conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     conn->owner = static_cast<size_t>(next_owner_.fetch_add(
                       1, std::memory_order_relaxed)) %
@@ -270,7 +275,7 @@ void EventLoop::ExtractFrames(const std::shared_ptr<Conn>& conn) {
     std::unique_lock<std::mutex> lock(conn->mu);
     if (conn->closed || conn->closing) return;
     while (true) {
-      if (conn->pending.size() >= options_.max_pending_frames) {
+      if (conn->pending.size() >= kMaxPendingFrames) {
         // High watermark: stop reading until the handler drains the
         // queue; the kernel buffer fills and TCP pushes back.
         if (!conn->read_paused) {
@@ -362,8 +367,7 @@ void EventLoop::QueueWriteLocked(const std::shared_ptr<Conn>& conn,
   if (conn->closed) return;
   conn->write_buf += bytes;
   FlushLocked(conn);
-  if (conn->write_buf.size() - conn->write_pos >
-      options_.max_buffered_write_bytes) {
+  if (conn->write_buf.size() - conn->write_pos > kMaxBufferedWriteBytes) {
     // The peer pipelines requests but does not read responses; refusing
     // to buffer unboundedly, we stop reading and close once (if ever)
     // the backlog flushes.
@@ -452,7 +456,7 @@ void EventLoop::ProcessConn(const std::shared_ptr<Conn>& conn) {
       conn->pending.pop_front();
       // Low watermark: resume reading once the backlog halves.
       if (conn->read_paused && !conn->closing &&
-          conn->pending.size() <= options_.max_pending_frames / 2) {
+          conn->pending.size() <= kMaxPendingFrames / 2) {
         conn->read_paused = false;
         conn->want_read = true;
         UpdateInterestLocked(conn);

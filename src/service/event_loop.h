@@ -32,16 +32,6 @@ struct EventLoopOptions {
   /// connection is processed by at most one handler at a time, so
   /// pipelined responses keep request order.
   size_t handler_threads = 4;
-
-  size_t max_frame_bytes = kMaxFrameBytes;
-
-  /// Flow control: pause reading a connection once this many decoded
-  /// frames are queued for handling (TCP backpressure does the rest), and
-  /// hang up on a peer that lets this many response bytes pile up without
-  /// reading them (a slow or absent consumer must not grow the buffer
-  /// forever).
-  size_t max_pending_frames = 1024;
-  size_t max_buffered_write_bytes = 8u << 20;
 };
 
 /// The epoll front end: non-blocking sockets, per-connection read/write

@@ -149,7 +149,7 @@ class ServiceMetrics {
   // Certifier memory behavior (online::CertifierStats), aggregated over
   // live sessions: each session publishes deltas at the end of a worker
   // batch (while it is still the certifier's one writer) and retires its
-  // contribution when it closes or is evicted, so long-session epoch
+  // contribution when it closes or is evicted, so long-session
   // pruning is observable from the wire (STATS body, DESIGN.md §6).
   StripedCounter certifier_prune_passes;
   StripedCounter certifier_pruned_nodes;
@@ -165,7 +165,7 @@ class ServiceMetrics {
   std::atomic<int64_t> active_connections{0};
   std::atomic<int64_t> queue_depth{0};  // events enqueued, not yet ingested
   // Live serialization-graph nodes across all live sessions' certifiers
-  // (grows with ingest, shrinks with epoch pruning and session close).
+  // (grows with ingest, shrinks with pruning and session close).
   std::atomic<int64_t> certifier_live_nodes{0};
 
   // --- histograms (microseconds) ------------------------------------

@@ -36,13 +36,12 @@ void SplitPayload(const std::string& payload, std::string& head,
 }
 
 StatusOr<uint64_t> ParseSessionIdToken(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long id = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0' || token.empty()) {
+  // Digits only: strtoull would wrap "-1" to 2^64-1 and take "+7".
+  StatusOr<uint64_t> id = ParseUint64("session id", token);
+  if (!id.ok()) {
     return Status::InvalidArgument(StrCat("bad session id '", token, "'"));
   }
-  return static_cast<uint64_t>(id);
+  return id;
 }
 
 StatusOr<uint64_t> ParseSessionId(const std::vector<std::string>& tokens) {
@@ -95,13 +94,8 @@ std::string Response::Field(const std::string& key) const {
 }
 
 uint64_t Response::FieldInt(const std::string& key, uint64_t fallback) const {
-  const std::string value = Field(key);
-  if (value.empty()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return fallback;
-  return static_cast<uint64_t>(parsed);
+  const StatusOr<uint64_t> parsed = ParseUint64(key, Field(key));
+  return parsed.ok() ? *parsed : fallback;
 }
 
 std::string FormatRequest(const Request& request) {

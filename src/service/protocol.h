@@ -31,10 +31,10 @@ namespace comptx::service {
 ///
 /// Request payloads: a command line, then an optional body.
 ///
-///     OPEN [key=value ...]        options: forgetting, epoch_interval,
-///                                 auto_prune, queue_capacity, resume,
-///                                 stream (static_admission, paranoid:
-///                                 accepted and ignored)
+///     OPEN [key=value ...]        options: forgetting, auto_prune,
+///                                 queue_capacity, resume, stream
+///                                 (static_admission, paranoid,
+///                                 epoch_interval: checked and ignored)
 ///     APPEND <session-id>         body: one trace event line per line
 ///     QUERY <session-id>          drain barrier + verdict
 ///     CLOSE <session-id>          drain + final verdict + free the slot
@@ -172,7 +172,8 @@ struct Response {
 
   /// The value of `key` in fields, or empty.
   std::string Field(const std::string& key) const;
-  /// Field parsed as uint64; `fallback` when absent or malformed.
+  /// Field parsed as a plain unsigned decimal (ParseUint64: no sign, no
+  /// overflow); `fallback` when absent or malformed.
   uint64_t FieldInt(const std::string& key, uint64_t fallback = 0) const;
 };
 

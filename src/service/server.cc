@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "service/client.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -496,42 +497,25 @@ Status CertificationServer::Append(uint64_t session,
   return Status::OK();
 }
 
-StatusOr<SessionVerdict> CertificationServer::Query(uint64_t session) {
+StatusOr<SessionVerdict> CertificationServer::VerdictCommand(
+    CommandKind kind, uint64_t session) {
   Request request;
-  request.kind = CommandKind::kQuery;
+  request.kind = kind;
   request.session = session;
   const Response response = Handle(request);
   if (!response.ok) {
     return Status::Internal(
         StrCat(response.error_code, ": ", response.error_message));
   }
-  SessionVerdict verdict;
-  verdict.session = response.FieldInt("session");
-  verdict.certifiable = response.FieldInt("certifiable") == 1;
-  verdict.order = static_cast<uint32_t>(response.FieldInt("order"));
-  verdict.events_accepted = response.FieldInt("accepted");
-  verdict.events_rejected = response.FieldInt("rejected");
-  verdict.failure = response.body;
-  return verdict;
+  return VerdictFromResponse(response);
+}
+
+StatusOr<SessionVerdict> CertificationServer::Query(uint64_t session) {
+  return VerdictCommand(CommandKind::kQuery, session);
 }
 
 StatusOr<SessionVerdict> CertificationServer::Close(uint64_t session) {
-  Request request;
-  request.kind = CommandKind::kClose;
-  request.session = session;
-  const Response response = Handle(request);
-  if (!response.ok) {
-    return Status::Internal(
-        StrCat(response.error_code, ": ", response.error_message));
-  }
-  SessionVerdict verdict;
-  verdict.session = response.FieldInt("session");
-  verdict.certifiable = response.FieldInt("certifiable") == 1;
-  verdict.order = static_cast<uint32_t>(response.FieldInt("order"));
-  verdict.events_accepted = response.FieldInt("accepted");
-  verdict.events_rejected = response.FieldInt("rejected");
-  verdict.failure = response.body;
-  return verdict;
+  return VerdictCommand(CommandKind::kClose, session);
 }
 
 // ---- network front end ----------------------------------------------

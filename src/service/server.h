@@ -165,6 +165,8 @@ class CertificationServer {
   Response HandleOpen(const Request& request);
   Response HandleAppend(const Request& request);
   Response HandleQueryOrClose(const Request& request, bool close);
+  /// Query/Close behind Handle: the reply's verdict fields, all of them.
+  StatusOr<SessionVerdict> VerdictCommand(CommandKind kind, uint64_t session);
   Response HandleStats(const Request& request);
   Response HandleSubscribe(const Request& request);
   Response HandleStream(const Request& request);

@@ -40,13 +40,6 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
     } else if (key == "auto_prune") {
       COMPTX_ASSIGN_OR_RETURN(options.certifier.auto_prune,
                               ParseBool(key, value));
-    } else if (key == "epoch_interval") {
-      COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint64(key, value));
-      if (parsed > UINT32_MAX) {
-        return Status::InvalidArgument(
-            StrCat("epoch_interval ", parsed, " exceeds ", UINT32_MAX));
-      }
-      options.certifier.epoch_interval = static_cast<uint32_t>(parsed);
     } else if (key == "queue_capacity") {
       COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint64(key, value));
       if (parsed == 0) {
@@ -56,6 +49,13 @@ StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
     } else if (key == "static_admission" || key == "paranoid") {
       // Retired modes (same verdicts): ignored, so old data dirs recover.
       COMPTX_RETURN_IF_ERROR(ParseBool(key, value).status());
+    } else if (key == "epoch_interval") {
+      // Retired: sessions prune on commit.  Old OPEN records carry it.
+      COMPTX_ASSIGN_OR_RETURN(uint64_t parsed, ParseUint64(key, value));
+      if (parsed > UINT32_MAX) {
+        return Status::InvalidArgument(
+            StrCat("epoch_interval ", parsed, " exceeds ", UINT32_MAX));
+      }
     } else if (key == "resume") {
       COMPTX_ASSIGN_OR_RETURN(options.resume, ParseUint64(key, value));
       if (options.resume == 0) {

@@ -47,9 +47,10 @@ struct SessionOptions {
   bool stream = false;
 };
 
-/// Parses "key=value ..." OPEN options (forgetting, epoch_interval,
-/// auto_prune, queue_capacity, resume, stream) over `defaults`.  The
-/// retired static_admission and paranoid keys are accepted and ignored.
+/// Parses "key=value ..." OPEN options (forgetting, auto_prune,
+/// queue_capacity, resume, stream) over `defaults`.  The retired
+/// static_admission, paranoid and epoch_interval keys are checked and
+/// ignored.
 StatusOr<SessionOptions> ParseSessionOptions(const std::string& text,
                                              const SessionOptions& defaults);
 
@@ -164,7 +165,7 @@ class Session {
   Status PersistShutdown();
   Status DiscardDurableState();
 
-  /// Publishes the certifier's live-node / epoch-pruning stats into the
+  /// Publishes the certifier's live-node / pruning stats into the
   /// service metrics as deltas since the last publication.  The caller
   /// must be the certifier's sole writer — the attached worker (end of
   /// ProcessBatch) or the restore path before the session is published.

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "util/logging.h"
 
 namespace comptx {
 
@@ -30,7 +29,7 @@ size_t DefaultThreadCount() {
 ThreadPool::ThreadPool(size_t threads) : thread_count_(threads < 1 ? 1 : threads) {
   workers_.reserve(thread_count_ - 1);
   for (size_t w = 0; w + 1 < thread_count_; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -43,7 +42,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
+void ThreadPool::WorkerLoop() {
   uint64_t seen_epoch = 0;
   while (true) {
     Job* job = nullptr;
@@ -59,9 +58,7 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     }
     if (job == nullptr) continue;
     t_inside_pool_job = true;
-    // Worker w owns shard w + 1 (shard 0 belongs to the caller); workers
-    // beyond the shard count join as pure thieves.
-    Participate(*job, worker_index + 1);
+    Participate(*job);
     t_inside_pool_job = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -71,61 +68,12 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   }
 }
 
-void ThreadPool::Participate(Job& job, size_t shard_index) {
-  const size_t shard_count = job.shards.size();
+void ThreadPool::Participate(Job& job) {
   size_t executed = 0;
-  // Claiming a handful of indices per lock keeps locking cost negligible
-  // while leaving enough of the tail for thieves.
-  constexpr size_t kOwnerChunk = 8;
-  if (shard_index < shard_count) {
-    Shard& own = job.shards[shard_index];
-    while (true) {
-      size_t begin = 0;
-      size_t end = 0;
-      {
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (own.next < own.end) {
-          begin = own.next;
-          end = begin + kOwnerChunk < own.end ? begin + kOwnerChunk : own.end;
-          own.next = end;
-        }
-      }
-      if (begin == end) break;
-      for (size_t i = begin; i < end; ++i) (*job.fn)(i);
-      executed += end - begin;
-    }
-  }
-  // Own shard drained: steal the back half of whichever shard has the most
-  // work left, until nothing is claimable anywhere.
-  while (true) {
-    size_t best = shard_count;
-    size_t best_remaining = 0;
-    for (size_t s = 0; s < shard_count; ++s) {
-      if (s == shard_index) continue;
-      Shard& victim = job.shards[s];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      const size_t remaining = victim.end - victim.next;
-      if (remaining > best_remaining) {
-        best_remaining = remaining;
-        best = s;
-      }
-    }
-    if (best == shard_count) break;
-    size_t begin = 0;
-    size_t end = 0;
-    {
-      Shard& victim = job.shards[best];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      const size_t remaining = victim.end - victim.next;
-      if (remaining > 0) {
-        const size_t take = (remaining + 1) / 2;
-        begin = victim.end - take;
-        end = victim.end;
-        victim.end = begin;
-      }
-    }
-    for (size_t i = begin; i < end; ++i) (*job.fn)(i);
-    executed += end - begin;
+  for (size_t i = job.next.fetch_add(1); i < job.n;
+       i = job.next.fetch_add(1)) {
+    (*job.fn)(i);
+    ++executed;
   }
   if (executed > 0 &&
       job.remaining.fetch_sub(executed, std::memory_order_acq_rel) ==
@@ -148,19 +96,8 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   std::lock_guard<std::mutex> submit_lock(submit_mutex_);
   Job job;
   job.fn = &fn;
-  const size_t participants =
-      thread_count_ < n ? thread_count_ : n;  // no empty shards
-  job.shards = std::vector<Shard>(participants);
+  job.n = n;
   job.remaining.store(n, std::memory_order_relaxed);
-  const size_t per_shard = n / participants;
-  const size_t extra = n % participants;
-  size_t next = 0;
-  for (size_t s = 0; s < participants; ++s) {
-    job.shards[s].next = next;
-    next += per_shard + (s < extra ? 1 : 0);
-    job.shards[s].end = next;
-  }
-  COMPTX_CHECK_EQ(next, n);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -169,9 +106,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   }
   work_cv_.notify_all();
 
-  // The caller is participant 0.
+  // The caller claims indices alongside the workers.
   t_inside_pool_job = true;
-  Participate(job, 0);
+  Participate(job);
   t_inside_pool_job = false;
 
   {

@@ -19,13 +19,14 @@ namespace comptx {
 /// thread; a single reduction is serial at any setting.
 size_t DefaultThreadCount();
 
-/// A small work-stealing thread pool for data-parallel loops over traces.
+/// A small thread pool for data-parallel loops over traces.
 ///
-/// ParallelFor splits an index range into one shard per participant
-/// (workers + the calling thread); each participant drains its own shard
-/// front-to-back and, when empty, steals the back half of the largest
-/// remaining shard.  Stealing keeps skewed workloads (one expensive
-/// schedule among many cheap ones) balanced without any tuning.
+/// ParallelFor hands out indices from one atomic cursor: every participant
+/// (workers + the calling thread) claims the next unclaimed index until the
+/// range is exhausted.  Each caller's item is a whole trace or prefix chunk
+/// (tens of microseconds or more), so one fetch_add per item is free, and
+/// claiming in order balances skewed workloads (one expensive schedule
+/// among many cheap ones) by construction.
 ///
 /// Determinism contract: ParallelFor only guarantees that fn is invoked
 /// exactly once per index.  Callers that fold results into an order-
@@ -63,25 +64,18 @@ class ThreadPool {
   static void SetGlobalThreads(size_t threads);
 
  private:
-  /// One participant's slice of the index range; guarded by its mutex so
-  /// owner claims and steals cannot hand out an index twice.
-  struct Shard {
-    std::mutex mutex;
-    size_t next = 0;
-    size_t end = 0;
-  };
-
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
-    std::vector<Shard> shards;
+    size_t n = 0;
+    std::atomic<size_t> next{0};       // the next unclaimed index
     std::atomic<size_t> remaining{0};  // indices not yet executed
     std::atomic<size_t> active{0};     // workers currently inside the job
   };
 
-  void WorkerLoop(size_t worker_index);
-  /// Drains `job` (own shard first, then steals); decrements
+  void WorkerLoop();
+  /// Claims and runs indices of `job` until none is left; decrements
   /// job.remaining per executed index.
-  void Participate(Job& job, size_t shard_index);
+  void Participate(Job& job);
 
   size_t thread_count_ = 1;
   std::vector<std::thread> workers_;

@@ -1,6 +1,6 @@
 // Tests for online::Certifier: prefix agreement with batch CheckCompC on
 // randomized traces over every topology shape, the paper's Figure 3/4
-// fixtures, sealing + epoch pruning, and the runtime RootOrderManager
+// fixtures, sealing + pruning, and the runtime RootOrderManager
 // observer hook.
 
 #include <gtest/gtest.h>

@@ -476,7 +476,6 @@ TEST(CrashRecoveryDrill, WatermarkedSessionsReplayLiveSuffixOnly) {
         stream.events.begin(), stream.events.begin() + state->event_seq);
     online::CertifierOptions unpruned_options;
     unpruned_options.auto_prune = false;
-    unpruned_options.epoch_interval = 0;
     online::Certifier unpruned(unpruned_options);
     for (const auto& event : prefix) {
       ASSERT_TRUE(unpruned.Ingest(event).ok());

@@ -15,6 +15,10 @@
 //     watermarks keeping pace, online == batch on the full prefix ==
 //     batch on the live window at every root boundary, including
 //     prefixes whose window has lower schedule levels than the session;
+//   * pruning on commit and rebuild leaves nothing to prune: after every
+//     event of both sweeps, of a stream that deepens the invocation chain
+//     under a pinned sealed root, and of a stream whose rebuild clears a
+//     failure, a further Prune() removes nothing;
 //   * the soak: a 1M-event streaming-window session (10M under
 //     COMPTX_SOAK=1, the nightly ASan job) with live-node count bounded
 //     by the window, RSS growth from the 10% mark under a fixed ceiling,
@@ -294,8 +298,8 @@ TEST(IngestBatch, MatchesSequentialIngestOnRandomTraces) {
     spec.execution.conflict_prob = 0.3;
     spec.execution.disorder_prob = (seed % 2 == 0) ? 0.0 : 0.3;
     auto events = GeneratedEvents(spec, 4200 + seed);
-    // Watermarks in the middle of a batch make commit and epoch pruning
-    // run inside it, exactly where the sequential stream runs them.
+    // Watermarks in the middle of a batch make commit pruning run
+    // inside it, exactly where the sequential stream runs it.
     events = InterleaveWatermarks(events, 2);
     const std::string repro =
         StrCat(workload::DescribeWorkloadSpec(spec), " seed=", 4200 + seed);
@@ -450,9 +454,11 @@ class FlipStream {
   Shape prev_;
 };
 
-/// The 500-trace sweep: pruned (safe interleaved watermarks, aggressive
-/// epoch cadence) and unpruned certifier verdicts are prefix-identical
-/// to each other and to the batch oracle after every accepted event.
+/// The 500-trace sweep: pruned (safe interleaved watermarks) and
+/// unpruned certifier verdicts are prefix-identical to each other and to
+/// the batch oracle after every accepted event, and the pruned session
+/// leaves no pruning opportunity behind any event: pruning on commit and
+/// rebuild keeps the window as small as a pass after every event would.
 TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
   const std::vector<workload::TopologyKind> kinds = {
       workload::TopologyKind::kStack,
@@ -483,7 +489,6 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
       // per-accepted-event verdicts.
       CertifierOptions unpruned_options;
       unpruned_options.auto_prune = false;
-      unpruned_options.epoch_interval = 0;
       Certifier unpruned(unpruned_options);
       std::vector<workload::TraceEvent> accepted;
       std::vector<bool> unpruned_verdicts;
@@ -504,11 +509,10 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
             << workload::FormatTraceEvent(accepted[i]) << ")";
       }
 
-      // Pruned session: watermark every other root, epoch cadence of one
-      // event, so sealing + pruning interleave as densely as possible.
+      // Pruned session: watermark every other root, so sealing + pruning
+      // interleave densely.
       CertifierOptions pruned_options;
       pruned_options.auto_prune = true;
-      pruned_options.epoch_interval = 1;
       Certifier pruned(pruned_options);
       const auto marked = InterleaveWatermarks(accepted, 2);
       size_t accepted_index = 0;
@@ -517,6 +521,9 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
         ASSERT_TRUE(status.ok())
             << repro << ": pruned session rejected "
             << workload::FormatTraceEvent(event) << ": " << status.ToString();
+        ASSERT_EQ(pruned.Prune(), 0u)
+            << repro << ": prunable subtree left after "
+            << workload::FormatTraceEvent(event);
         if (event.kind == workload::TraceEventKind::kCommitThrough) continue;
         ASSERT_EQ(pruned.Certifiable(), !!(*oracle)[accepted_index])
             << repro << ": pruned diverges from oracle after accepted event "
@@ -545,9 +552,7 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     const std::string repro = StrCat("flip stream seed=", 91000 + seed);
     FlipStream stream(91000 + seed);
-    CertifierOptions options;
-    options.epoch_interval = 1;
-    Certifier pruned(options);
+    Certifier pruned;
     CompositeSystem full;  // the accepted prefix, nothing released
     for (uint32_t root = 0; root < 32; ++root) {
       for (const auto& event : stream.NextRoot()) {
@@ -555,6 +560,9 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
         ASSERT_TRUE(status.ok())
             << repro << ": rejected " << workload::FormatTraceEvent(event)
             << ": " << status.ToString();
+        ASSERT_EQ(pruned.Prune(), 0u)
+            << repro << ": prunable subtree left after "
+            << workload::FormatTraceEvent(event);
         ASSERT_TRUE(workload::ApplyTraceEvent(full, event).ok()) << repro;
       }
       auto state = CaptureCertifierState(pruned);
@@ -590,6 +598,103 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
       << streamed_pruned << " of " << streamed_nodes << " nodes pruned ("
       << failing << " failing prefixes, " << level_differs
       << " with window levels below the session's)";
+}
+
+/// A pruned session fed event by event, asserting after each one that a
+/// pruning pass finds nothing left to remove; counts the rebuilds that
+/// ran while sealed roots were still unpruned.
+struct PruneProbe {
+  Certifier certifier;
+  CompositeSystem full;  // the accepted stream, nothing released
+  uint64_t pinned_rebuilds = 0;
+
+  void Ingest(const std::string& line) {
+    auto e = workload::ParseTraceEventLine(line);
+    ASSERT_TRUE(e.ok()) << line << ": " << e.status().ToString();
+    const uint64_t rebuilds_before = certifier.Stats().rebuilds;
+    const Status status = certifier.Ingest(*e);
+    ASSERT_TRUE(status.ok()) << line << ": " << status.ToString();
+    ASSERT_TRUE(workload::ApplyTraceEvent(full, *e).ok()) << line;
+    ASSERT_EQ(certifier.Prune(), 0u) << "prunable subtree left after " << line;
+    if (certifier.Stats().rebuilds > rebuilds_before &&
+        !certifier.SealedRoots().empty()) {
+      ++pinned_rebuilds;
+    }
+  }
+  bool BatchVerdict() const {
+    auto batch = CheckCompC(full, BatchPrefixOptions());
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    return batch.ok() && batch->correct;
+  }
+};
+
+/// Pins survive rebuilds: a committed root held by an in-edge from an
+/// open root stays pinned while the open root deepens the invocation
+/// chain one schedule at a time, each step shifting every schedule level
+/// and rebuilding the engine.  A rebuild replays the retained closures,
+/// which still hold the pin, so no rebuild may leave the sealed root
+/// prunable; once the open root commits too, both subtrees go at once.
+TEST(LongSessionProperty, RebuildsUnderPinnedSealedRootsLeaveNothingToPrune) {
+  constexpr uint32_t kDeepenings = 120;
+  PruneProbe probe;
+  for (const char* line :
+       {"schedule S0", "root 0 A", "leaf 0 a", "root 0 B", "leaf 2 b",
+        // A before B twice over: conflicting ordered operations and an
+        // input order, so both the closures and the front graphs pin B.
+        "conflict 1 3", "weak_out 1 3", "weak_in 0 0 2", "commit 2"}) {
+    probe.Ingest(line);
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_EQ(probe.certifier.SealedRoots(), std::vector<NodeId>{NodeId(2)});
+
+  // Deepen under A: schedule k - 1 invokes the new schedule k.
+  uint32_t deepest = 0;  // A, then its deepest subtransaction
+  for (uint32_t k = 1; k <= kDeepenings; ++k) {
+    const uint32_t sub = static_cast<uint32_t>(probe.full.NodeCount());
+    probe.Ingest(StrCat("schedule S", k));
+    probe.Ingest(StrCat("sub ", deepest, " ", k, " A", k));
+    probe.Ingest(StrCat("leaf ", sub, " a", k));
+    if (HasFatalFailure()) return;
+    deepest = sub;
+  }
+  EXPECT_GE(probe.pinned_rebuilds, 100u);
+  ASSERT_EQ(probe.certifier.SealedRoots(), std::vector<NodeId>{NodeId(2)});
+  EXPECT_EQ(probe.certifier.Verdict().order, kDeepenings + 1);
+  EXPECT_EQ(probe.certifier.Certifiable(), probe.BatchVerdict());
+
+  probe.Ingest("commit 0");
+  EXPECT_TRUE(probe.certifier.SealedRoots().empty());
+  EXPECT_EQ(probe.certifier.Stats().live_nodes, 0u);
+}
+
+/// A rebuild can clear a failure: tagging two conflicting operations
+/// with commuting classes retroactively erases their conflict, and the
+/// replay finds the session certifiable again.  A root committed while
+/// the session had failed was sealed but kept (failure evidence is never
+/// pruned); once the rebuild clears the failure nothing pins it, so the
+/// rebuild itself must prune it.
+TEST(LongSessionProperty, ARebuildThatClearsAFailureLeavesNothingToPrune) {
+  PruneProbe probe;
+  for (const char* line :
+       {"schedule S", "adt Q", "adtop 0 op", "commute 0 0", "root 0 A",
+        "leaf 0 a", "root 0 B", "leaf 2 b", "root 0 C", "leaf 4 c",
+        // a before b on conflicting operations, but B before A as input:
+        // the conflict order contradicts the input order.
+        "conflict 1 3", "weak_out 1 3", "weak_in 0 2 0"}) {
+    probe.Ingest(line);
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_FALSE(probe.certifier.Certifiable());
+  ASSERT_FALSE(probe.BatchVerdict());
+  probe.Ingest("commit 4");  // sealed, kept: the session failed
+  ASSERT_EQ(probe.certifier.SealedRoots(), std::vector<NodeId>{NodeId(4)});
+  probe.Ingest("tag 1 0 0");
+  probe.Ingest("tag 3 0 0");  // a and b commute: no conflict
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(probe.certifier.Certifiable());
+  EXPECT_TRUE(probe.BatchVerdict());
+  EXPECT_TRUE(probe.certifier.SealedRoots().empty());
+  EXPECT_EQ(probe.certifier.Stats().pruned_nodes, 2u);
 }
 
 // -------------------------------------------------------------- soak
@@ -695,7 +800,7 @@ TEST(LongSessionSoak, MillionEventWindowStaysFlatAndAgreesWithOracle) {
   // whose violation still means "live state scales with history".
   constexpr uint64_t kLiveBound = 6ull * (kWindow + 1) * 2;
 
-  Certifier certifier;  // defaults: forgetting, auto_prune, epoch cadence
+  Certifier certifier;  // defaults: forgetting, auto_prune
   WindowStream stream(kWindow);
   CompositeSystem mirror;  // batch-oracle mirror of accepted events
   std::vector<uint64_t> oracle_samples = {1000, 4000, 16000};

@@ -154,6 +154,20 @@ TEST(ProtocolTest, MalformedPayloadsAreRejected) {
   EXPECT_FALSE(ParseRequest("APPEND").ok());          // missing session
   EXPECT_FALSE(ParseRequest("APPEND 1\nend").ok());   // "end" is not an event
   EXPECT_FALSE(ParseResponse("MAYBE ok").ok());
+  // Session ids are plain decimal digits: strtoull would read "-1" as
+  // 2^64-1, "+7" as 7 and " -3" as 2^64-3.
+  EXPECT_FALSE(ParseRequest("QUERY -1").ok());
+  EXPECT_FALSE(ParseRequest("QUERY +7").ok());
+  EXPECT_FALSE(ParseRequest("APPEND  -3").ok());
+  EXPECT_FALSE(ParseRequest("CLOSE 18446744073709551616").ok());
+  EXPECT_FALSE(ParseRequest("SUBSCRIBE -1 from=1").ok());
+  EXPECT_TRUE(ParseRequest("QUERY 7").ok());
+  // Reply fields parse the same way, falling back when malformed.
+  Response reply;
+  reply.fields = {{"session", "-1"}, {"queued", "+4"}, {"order", "3"}};
+  EXPECT_EQ(reply.FieldInt("session", 42), 42u);
+  EXPECT_EQ(reply.FieldInt("queued", 42), 42u);
+  EXPECT_EQ(reply.FieldInt("order", 42), 3u);
 }
 
 TEST(SessionOptionsTest, ParseOverridesDefaults) {
@@ -164,7 +178,8 @@ TEST(SessionOptionsTest, ParseOverridesDefaults) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_FALSE(parsed->certifier.forgetting);
   EXPECT_EQ(parsed->queue_capacity, 16u);
-  EXPECT_EQ(parsed->certifier.epoch_interval, 3u);
+  // The retired epoch_interval key is accepted and ignored.
+  EXPECT_EQ(parsed->certifier.auto_prune, defaults.certifier.auto_prune);
   EXPECT_FALSE(ParseSessionOptions("queue_capacity=banana", defaults).ok());
   EXPECT_FALSE(ParseSessionOptions("no_such_option=1", defaults).ok());
   // Integers are plain decimal digits: no sign (strtoull would wrap "-1"
@@ -176,11 +191,12 @@ TEST(SessionOptionsTest, ParseOverridesDefaults) {
           .ok());
   EXPECT_FALSE(ParseSessionOptions("epoch_interval=-1", defaults).ok());
   EXPECT_FALSE(ParseSessionOptions("resume=-7", defaults).ok());
-  // epoch_interval is 32-bit: 2^32 must not wrap to 0 (no pruning).
+  // The retired epoch_interval key keeps its 32-bit check: 2^32 is
+  // rejected, and a value that fits is accepted and ignored.
   EXPECT_FALSE(ParseSessionOptions("epoch_interval=4294967296", defaults).ok());
   auto widest = ParseSessionOptions("epoch_interval=4294967295", defaults);
   ASSERT_TRUE(widest.ok()) << widest.status().ToString();
-  EXPECT_EQ(widest->certifier.epoch_interval, UINT32_MAX);
+  EXPECT_TRUE(widest->certifier.auto_prune);
   // The retired static_admission/paranoid keys parse (and are ignored) so
   // logged OPEN options keep recovering; their value is still checked.
   auto retired = ParseSessionOptions("static_admission=1 paranoid=true",
@@ -247,6 +263,66 @@ TEST(CertificationServerTest, OpenAppendQueryCloseMatchesBatch) {
   // The slot is gone: every further command answers not_found.
   EXPECT_FALSE(server.Query(*session).ok());
   EXPECT_FALSE(server.Append(*session, events).ok());
+  server.Shutdown();
+}
+
+TEST(CertificationServerTest, InProcessVerdictsCarryTheWindowFields) {
+  CertificationServer server(ServerOptions{});
+  auto session = server.Open();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // Six independent roots, the first three committed and pruned.
+  std::vector<workload::TraceEvent> events;
+  workload::TraceEvent e;
+  e.kind = workload::TraceEventKind::kSchedule;
+  e.name = "S";
+  events.push_back(e);
+  for (uint32_t root = 0; root < 6; ++root) {
+    e = {};
+    e.kind = workload::TraceEventKind::kRoot;
+    e.schedule = 0;
+    e.name = StrCat("T", root);
+    events.push_back(e);
+    e = {};
+    e.kind = workload::TraceEventKind::kLeaf;
+    e.parent = 2 * root;
+    e.name = StrCat("x", root);
+    events.push_back(e);
+  }
+  e = {};
+  e.kind = workload::TraceEventKind::kCommitThrough;
+  e.a = 3;
+  events.push_back(e);
+  ASSERT_TRUE(server.Append(*session, events).ok());
+
+  auto verdict = server.Query(*session);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  Request query;
+  query.kind = CommandKind::kQuery;
+  query.session = *session;
+  const Response reply = server.Handle(query);
+  ASSERT_TRUE(reply.ok);
+  EXPECT_EQ(verdict->session, reply.FieldInt("session"));
+  EXPECT_EQ(verdict->certifiable, reply.FieldInt("certifiable") == 1);
+  EXPECT_EQ(verdict->order, reply.FieldInt("order"));
+  EXPECT_EQ(verdict->events_accepted, reply.FieldInt("accepted"));
+  EXPECT_EQ(verdict->events_rejected, reply.FieldInt("rejected"));
+  EXPECT_EQ(verdict->live_nodes, reply.FieldInt("live_nodes"));
+  EXPECT_EQ(verdict->pruned_nodes, reply.FieldInt("pruned_nodes"));
+  EXPECT_EQ(verdict->sealed_roots, reply.FieldInt("sealed_roots"));
+  EXPECT_EQ(verdict->commit_watermark, reply.FieldInt("commit_watermark"));
+  EXPECT_EQ(verdict->window_span, reply.FieldInt("window_span"));
+  EXPECT_EQ(verdict->pruned_nodes, 6u);
+  EXPECT_EQ(verdict->sealed_roots, 3u);
+  EXPECT_EQ(verdict->commit_watermark, 3u);
+  EXPECT_EQ(verdict->live_nodes, 6u);
+
+  auto closed = server.Close(*session);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->pruned_nodes, verdict->pruned_nodes);
+  EXPECT_EQ(closed->sealed_roots, verdict->sealed_roots);
+  EXPECT_EQ(closed->commit_watermark, verdict->commit_watermark);
+  EXPECT_EQ(closed->live_nodes, verdict->live_nodes);
+  EXPECT_EQ(closed->window_span, verdict->window_span);
   server.Shutdown();
 }
 

@@ -1,4 +1,4 @@
-// ThreadPool: exactly-once index coverage, nesting, stealing under skew,
+// ThreadPool: exactly-once index coverage, nesting, balance under skew,
 // the global pool switch, and COMPTX_THREADS parsing.
 
 #include <gtest/gtest.h>
@@ -47,9 +47,10 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   }
 }
 
-TEST(ThreadPool, StealsSkewedWork) {
-  // One shard gets almost all the work (by index ranges); with stealing the
-  // wall time must be far below the serial sum.  Correctness (every index
+TEST(ThreadPool, BalancesSkewedWork) {
+  // The expensive indices are all at the front of the range; claiming the
+  // next unclaimed index spreads them over the participants, so the wall
+  // time must be far below the serial sum.  Correctness (every index
   // exactly once) is the hard assertion; timing is not, to stay robust on
   // loaded single-core CI machines.
   ThreadPool pool(4);

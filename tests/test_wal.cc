@@ -684,7 +684,6 @@ TEST(StateIoTest, CaptureRestoreIsReplayEquivalent) {
   for (const Case& c : cases) {
     const auto& events = c.events;
     online::CertifierOptions copts;
-    copts.epoch_interval = 8;
     online::Certifier original(copts);
     const size_t half = events.size() / 2;
     for (size_t i = 0; i < half; ++i) (void)original.Ingest(events[i]);

@@ -29,9 +29,9 @@
 //   every generated stream: after each N roots, a cumulative watermark
 //   sealing them is inserted at the earliest point where no later event
 //   still references their subtrees.  This is how a long-lived client
-//   drives the server's epoch pruning (the sealed window becomes
-//   reclaimable), and what keeps the per-session live_nodes gauge flat
-//   under sustained load.
+//   drives the server's pruning (each watermark seals a window that the
+//   server prunes as it ingests it), and what keeps the per-session
+//   live_nodes gauge flat under sustained load.
 //
 //   --events is the total event budget across all sessions.  The default
 //   loop is closed (each thread appends as fast as the server admits —
