@@ -259,10 +259,12 @@ StatusOr<uint64_t> NodeController::ApplyBatch(
       session, std::move(batch.events), edge, new_cursor, batch.delta));
   e.cursor = new_cursor;
   if (batch.deduped > 0) {
-    server_->metrics().remote_events_deduped.Add(batch.deduped);
+    server_->metrics().remote_events_deduped.fetch_add(
+        batch.deduped, std::memory_order_relaxed);
   }
   if (batch.rejected > 0) {
-    server_->metrics().remote_remap_drops.Add(batch.rejected);
+    server_->metrics().remote_remap_drops.fetch_add(
+        batch.rejected, std::memory_order_relaxed);
   }
   cursor_cv_.notify_all();
   return new_cursor;
@@ -386,7 +388,7 @@ Response NodeController::HandlePrepare(uint64_t session,
     return ErrorResponse("prepare_failed", drained.status().message());
   }
 
-  server_->metrics().prepares.Increment();
+  server_->metrics().prepares.fetch_add(1, std::memory_order_relaxed);
   uint64_t sealed = 0;
   if (auto local = server_->FindSession(session); local.ok()) {
     sealed = (*local)->StreamWatermark();
@@ -438,7 +440,7 @@ Response NodeController::HandleDecide(uint64_t session,
     (void)client->Command(CommandKind::kDecide, child.remote_session,
                           StrCat("k=", child.child_k));
   }
-  server_->metrics().decides.Increment();
+  server_->metrics().decides.fetch_add(1, std::memory_order_relaxed);
   Response response = OkResponse();
   response.fields.emplace_back("k", StrCat(*k));
   return response;

@@ -94,7 +94,7 @@ void UpstreamIngestor::Loop() {
       }
       client.emplace(std::move(*connected));
       if (resubscribing) {
-        metrics_->edge_resubscribes.Increment();
+        metrics_->edge_resubscribes.fetch_add(1, std::memory_order_relaxed);
         resubscribing = false;
       }
     }

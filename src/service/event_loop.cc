@@ -220,7 +220,7 @@ void EventLoop::AcceptReady() {
       owner.conns.erase(conn->id);
       continue;  // conn's destructor closes the fd
     }
-    metrics_->connections_accepted.Increment();
+    metrics_->connections_accepted.fetch_add(1, std::memory_order_relaxed);
     metrics_->active_connections.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -469,7 +469,7 @@ void EventLoop::ProcessConn(const std::shared_ptr<Conn>& conn) {
     Response response;
     bool terminal = false;
     if (!work.error.ok()) {
-      metrics_->protocol_errors.Increment();
+      metrics_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
       response = ErrorResponse("bad_request", work.error.message());
       terminal = true;  // framing is unrecoverable: answer, then hang up
     } else {
@@ -477,7 +477,7 @@ void EventLoop::ProcessConn(const std::shared_ptr<Conn>& conn) {
       if (!request.ok()) {
         // A malformed payload in a well-framed request: answer and keep
         // the connection, matching the v1 front end.
-        metrics_->protocol_errors.Increment();
+        metrics_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
         response =
             ErrorResponse("bad_request", request.status().message());
       } else {

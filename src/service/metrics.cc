@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
-#include <thread>
+#include <string_view>
 
 #include "util/string_util.h"
 
@@ -13,29 +13,11 @@ namespace comptx::service {
 
 namespace {
 
-/// Stable per-thread stripe choice; hashing the thread id spreads
-/// consecutive ids across stripes.  Callers mask down to their own
-/// power-of-two stripe count.
-size_t ThreadStripe() {
-  static thread_local const size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripe;
+uint64_t Load(const std::atomic<uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
 }
 
 }  // namespace
-
-void StripedCounter::Add(uint64_t delta) {
-  stripes_[ThreadStripe() & (kStripes - 1)].value.fetch_add(
-      delta, std::memory_order_relaxed);
-}
-
-uint64_t StripedCounter::Value() const {
-  uint64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 size_t LatencyHistogram::BucketFor(uint64_t micros) {
   if (micros < kSubBuckets) return static_cast<size_t>(micros);
@@ -57,16 +39,15 @@ uint64_t LatencyHistogram::BucketUpperBound(size_t bucket) {
 }
 
 void LatencyHistogram::Record(uint64_t micros) {
-  Stripe& stripe = stripes_[ThreadStripe() & (kStripes - 1)];
-  stripe.buckets[BucketFor(micros)].fetch_add(1, std::memory_order_relaxed);
-  stripe.sum.fetch_add(micros, std::memory_order_relaxed);
-  uint64_t seen = stripe.min.load(std::memory_order_relaxed);
-  while (micros < seen && !stripe.min.compare_exchange_weak(
-                              seen, micros, std::memory_order_relaxed)) {
+  buckets_[BucketFor(micros)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(micros, std::memory_order_relaxed);
+  uint64_t seen = min_.load(std::memory_order_relaxed);
+  while (micros < seen &&
+         !min_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
   }
-  seen = stripe.max.load(std::memory_order_relaxed);
-  while (micros > seen && !stripe.max.compare_exchange_weak(
-                              seen, micros, std::memory_order_relaxed)) {
+  seen = max_.load(std::memory_order_relaxed);
+  while (micros > seen &&
+         !max_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
   }
 }
 
@@ -118,23 +99,48 @@ std::string LatencyHistogram::Snapshot::SerializeText() const {
 
 std::optional<LatencyHistogram::Snapshot>
 LatencyHistogram::Snapshot::ParseText(const std::string& text) {
-  Snapshot snap;
   std::istringstream in(text);
-  if (!(in >> snap.count >> snap.min >> snap.max >> snap.mean)) {
+  const auto next_uint = [&in]() -> std::optional<uint64_t> {
+    std::string token;
+    if (!(in >> token)) return std::nullopt;
+    auto parsed = ParseUint64("histogram field", token);
+    if (!parsed.ok()) return std::nullopt;
+    return *parsed;
+  };
+  Snapshot snap;
+  const auto count = next_uint();
+  const auto min = next_uint();
+  const auto max = next_uint();
+  std::string mean;
+  if (!count || !min || !max || !(in >> mean) || *min > *max) {
     return std::nullopt;
   }
+  snap.count = *count;
+  snap.min = *min;
+  snap.max = *max;
+  char* end = nullptr;
+  snap.mean = std::strtod(mean.c_str(), &end);
+  if (end != mean.c_str() + mean.size() || !std::isfinite(snap.mean) ||
+      snap.mean < 0) {
+    return std::nullopt;
+  }
+  uint64_t total = 0;
   std::string entry;
   while (in >> entry) {
     const size_t colon = entry.find(':');
     if (colon == std::string::npos) return std::nullopt;
-    char* end = nullptr;
-    const size_t index = std::strtoul(entry.c_str(), &end, 10);
-    if (end != entry.c_str() + colon || index >= kBucketCount) {
+    const std::string_view field(entry);
+    auto index = ParseUint64("bucket", field.substr(0, colon));
+    auto n = ParseUint64("bucket count", field.substr(colon + 1));
+    // SerializeText writes each nonzero bucket exactly once.
+    if (!index.ok() || !n.ok() || *index >= kBucketCount || *n == 0 ||
+        snap.buckets[*index] != 0 || *n > UINT64_MAX - total) {
       return std::nullopt;
     }
-    snap.buckets[index] = std::strtoull(entry.c_str() + colon + 1, &end, 10);
-    if (*end != '\0') return std::nullopt;
+    snap.buckets[*index] = *n;
+    total += *n;
   }
+  if (total != snap.count) return std::nullopt;
   snap.p50 = snap.ValueAt(0.50);
   snap.p95 = snap.ValueAt(0.95);
   snap.p99 = snap.ValueAt(0.99);
@@ -143,21 +149,15 @@ LatencyHistogram::Snapshot::ParseText(const std::string& text) {
 
 LatencyHistogram::Snapshot LatencyHistogram::Snap() const {
   Snapshot snap;
-  uint64_t sum = 0;
-  uint64_t min = ~0ull;
-  for (const Stripe& stripe : stripes_) {
-    for (size_t i = 0; i < kBucketCount; ++i) {
-      const uint64_t n = stripe.buckets[i].load(std::memory_order_relaxed);
-      snap.buckets[i] += n;
-      snap.count += n;
-    }
-    sum += stripe.sum.load(std::memory_order_relaxed);
-    min = std::min(min, stripe.min.load(std::memory_order_relaxed));
-    snap.max = std::max(snap.max, stripe.max.load(std::memory_order_relaxed));
+  for (size_t i = 0; i < kBucketCount; ++i) {
+    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    snap.count += snap.buckets[i];
   }
   if (snap.count == 0) return snap;
-  snap.min = min;
-  snap.mean = static_cast<double>(sum) / static_cast<double>(snap.count);
+  snap.min = min_.load(std::memory_order_relaxed);
+  snap.max = max_.load(std::memory_order_relaxed);
+  snap.mean = static_cast<double>(sum_.load(std::memory_order_relaxed)) /
+              static_cast<double>(snap.count);
   snap.p50 = snap.ValueAt(0.50);
   snap.p95 = snap.ValueAt(0.95);
   snap.p99 = snap.ValueAt(0.99);
@@ -173,7 +173,7 @@ double ServiceMetrics::UptimeSeconds() const {
 double ServiceMetrics::EventsPerSecond() const {
   const double seconds = UptimeSeconds();
   if (seconds <= 0) return 0;
-  return static_cast<double>(events_processed.Value()) / seconds;
+  return static_cast<double>(Load(events_processed)) / seconds;
 }
 
 std::string ServiceMetrics::RenderText() const {
@@ -187,44 +187,41 @@ std::string ServiceMetrics::RenderText() const {
   line("active_sessions", active_sessions.load(std::memory_order_relaxed));
   line("active_connections",
        active_connections.load(std::memory_order_relaxed));
-  line("connections_accepted", connections_accepted.Value());
+  line("connections_accepted", Load(connections_accepted));
   line("queue_depth", queue_depth.load(std::memory_order_relaxed));
-  line("sessions_opened", sessions_opened.Value());
-  line("sessions_closed", sessions_closed.Value());
-  line("sessions_evicted", sessions_evicted.Value());
-  line("events_enqueued", events_enqueued.Value());
-  line("events_processed", events_processed.Value());
-  line("events_rejected", events_rejected.Value());
+  line("sessions_opened", Load(sessions_opened));
+  line("sessions_closed", Load(sessions_closed));
+  line("sessions_evicted", Load(sessions_evicted));
+  line("events_enqueued", Load(events_enqueued));
+  line("events_processed", Load(events_processed));
+  line("events_rejected", Load(events_rejected));
   line("events_per_second", EventsPerSecond());
-  line("append_batches", append_batches.Value());
-  line("verdict_queries", verdict_queries.Value());
-  line("backpressure_waits", backpressure_waits.Value());
-  line("protocol_errors", protocol_errors.Value());
+  line("append_batches", Load(append_batches));
+  line("verdict_queries", Load(verdict_queries));
+  line("backpressure_waits", Load(backpressure_waits));
+  line("protocol_errors", Load(protocol_errors));
   line("certifier_live_nodes",
        certifier_live_nodes.load(std::memory_order_relaxed));
-  line("certifier_prune_passes", certifier_prune_passes.Value());
-  line("certifier_pruned_nodes", certifier_pruned_nodes.Value());
-  line("stream_fetches", stream_fetches.Value());
-  line("stream_events_published", stream_events_published.Value());
-  line("remote_batches", remote_batches.Value());
-  line("remote_events_ingested", remote_events_ingested.Value());
-  line("remote_events_deduped", remote_events_deduped.Value());
-  line("remote_remap_drops", remote_remap_drops.Value());
-  line("edge_resubscribes", edge_resubscribes.Value());
-  line("prepares", prepares.Value());
-  line("decides", decides.Value());
-  const auto counter = [](const std::atomic<uint64_t>& value) {
-    return value.load(std::memory_order_relaxed);
-  };
-  line("wal_appends", counter(durability.wal_appends));
-  line("wal_append_events", counter(durability.wal_append_events));
-  line("wal_bytes", counter(durability.wal_bytes));
-  line("fsyncs", counter(durability.fsyncs));
-  line("snapshots_written", counter(durability.snapshots_written));
-  line("sessions_recovered", counter(durability.sessions_recovered));
-  line("records_truncated", counter(durability.records_truncated));
-  line("recovered_events", counter(durability.recovered_events));
-  line("recovery_mismatches", counter(durability.recovery_mismatches));
+  line("certifier_prune_passes", Load(certifier_prune_passes));
+  line("certifier_pruned_nodes", Load(certifier_pruned_nodes));
+  line("stream_fetches", Load(stream_fetches));
+  line("stream_events_published", Load(stream_events_published));
+  line("remote_batches", Load(remote_batches));
+  line("remote_events_ingested", Load(remote_events_ingested));
+  line("remote_events_deduped", Load(remote_events_deduped));
+  line("remote_remap_drops", Load(remote_remap_drops));
+  line("edge_resubscribes", Load(edge_resubscribes));
+  line("prepares", Load(prepares));
+  line("decides", Load(decides));
+  line("wal_appends", Load(durability.wal_appends));
+  line("wal_append_events", Load(durability.wal_append_events));
+  line("wal_bytes", Load(durability.wal_bytes));
+  line("fsyncs", Load(durability.fsyncs));
+  line("snapshots_written", Load(durability.snapshots_written));
+  line("sessions_recovered", Load(durability.sessions_recovered));
+  line("records_truncated", Load(durability.records_truncated));
+  line("recovered_events", Load(durability.recovered_events));
+  line("recovery_mismatches", Load(durability.recovery_mismatches));
   line("append_latency_us", append.Summary());
   line("verdict_latency_us", verdict.Summary());
   return out;
@@ -247,49 +244,46 @@ std::string ServiceMetrics::RenderJson() const {
         << ", \"p95\": " << snap.p95 << ", \"p99\": " << snap.p99 << "}";
     first = false;
   };
-  const auto counter = [](const std::atomic<uint64_t>& value) {
-    return value.load(std::memory_order_relaxed);
-  };
   out << "{";
   field("uptime_seconds", UptimeSeconds());
   field("active_sessions", active_sessions.load(std::memory_order_relaxed));
   field("active_connections",
         active_connections.load(std::memory_order_relaxed));
-  field("connections_accepted", connections_accepted.Value());
+  field("connections_accepted", Load(connections_accepted));
   field("queue_depth", queue_depth.load(std::memory_order_relaxed));
-  field("sessions_opened", sessions_opened.Value());
-  field("sessions_closed", sessions_closed.Value());
-  field("sessions_evicted", sessions_evicted.Value());
-  field("events_enqueued", events_enqueued.Value());
-  field("events_processed", events_processed.Value());
-  field("events_rejected", events_rejected.Value());
+  field("sessions_opened", Load(sessions_opened));
+  field("sessions_closed", Load(sessions_closed));
+  field("sessions_evicted", Load(sessions_evicted));
+  field("events_enqueued", Load(events_enqueued));
+  field("events_processed", Load(events_processed));
+  field("events_rejected", Load(events_rejected));
   field("events_per_second", EventsPerSecond());
-  field("append_batches", append_batches.Value());
-  field("verdict_queries", verdict_queries.Value());
-  field("backpressure_waits", backpressure_waits.Value());
-  field("protocol_errors", protocol_errors.Value());
+  field("append_batches", Load(append_batches));
+  field("verdict_queries", Load(verdict_queries));
+  field("backpressure_waits", Load(backpressure_waits));
+  field("protocol_errors", Load(protocol_errors));
   field("certifier_live_nodes",
         certifier_live_nodes.load(std::memory_order_relaxed));
-  field("certifier_prune_passes", certifier_prune_passes.Value());
-  field("certifier_pruned_nodes", certifier_pruned_nodes.Value());
-  field("stream_fetches", stream_fetches.Value());
-  field("stream_events_published", stream_events_published.Value());
-  field("remote_batches", remote_batches.Value());
-  field("remote_events_ingested", remote_events_ingested.Value());
-  field("remote_events_deduped", remote_events_deduped.Value());
-  field("remote_remap_drops", remote_remap_drops.Value());
-  field("edge_resubscribes", edge_resubscribes.Value());
-  field("prepares", prepares.Value());
-  field("decides", decides.Value());
-  field("wal_appends", counter(durability.wal_appends));
-  field("wal_append_events", counter(durability.wal_append_events));
-  field("wal_bytes", counter(durability.wal_bytes));
-  field("fsyncs", counter(durability.fsyncs));
-  field("snapshots_written", counter(durability.snapshots_written));
-  field("sessions_recovered", counter(durability.sessions_recovered));
-  field("records_truncated", counter(durability.records_truncated));
-  field("recovered_events", counter(durability.recovered_events));
-  field("recovery_mismatches", counter(durability.recovery_mismatches));
+  field("certifier_prune_passes", Load(certifier_prune_passes));
+  field("certifier_pruned_nodes", Load(certifier_pruned_nodes));
+  field("stream_fetches", Load(stream_fetches));
+  field("stream_events_published", Load(stream_events_published));
+  field("remote_batches", Load(remote_batches));
+  field("remote_events_ingested", Load(remote_events_ingested));
+  field("remote_events_deduped", Load(remote_events_deduped));
+  field("remote_remap_drops", Load(remote_remap_drops));
+  field("edge_resubscribes", Load(edge_resubscribes));
+  field("prepares", Load(prepares));
+  field("decides", Load(decides));
+  field("wal_appends", Load(durability.wal_appends));
+  field("wal_append_events", Load(durability.wal_append_events));
+  field("wal_bytes", Load(durability.wal_bytes));
+  field("fsyncs", Load(durability.fsyncs));
+  field("snapshots_written", Load(durability.snapshots_written));
+  field("sessions_recovered", Load(durability.sessions_recovered));
+  field("records_truncated", Load(durability.records_truncated));
+  field("recovered_events", Load(durability.recovered_events));
+  field("recovery_mismatches", Load(durability.recovery_mismatches));
   histogram("append_latency_us", append);
   histogram("verdict_latency_us", verdict);
   out << "}";
@@ -302,8 +296,8 @@ std::string ServiceMetrics::RenderLine() const {
   return StrCat(
       "sessions=", active_sessions.load(std::memory_order_relaxed),
       " depth=", queue_depth.load(std::memory_order_relaxed),
-      " enq=", events_enqueued.Value(), " proc=", events_processed.Value(),
-      " rej=", events_rejected.Value(), " evict=", sessions_evicted.Value(),
+      " enq=", Load(events_enqueued), " proc=", Load(events_processed),
+      " rej=", Load(events_rejected), " evict=", Load(sessions_evicted),
       " conns=", active_connections.load(std::memory_order_relaxed),
       " live_nodes=", certifier_live_nodes.load(std::memory_order_relaxed),
       " eps=", EventsPerSecond(), " append_p99us=", append.p99,

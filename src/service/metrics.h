@@ -12,29 +12,6 @@
 
 namespace comptx::service {
 
-/// A counter sharded over cache-line-sized stripes so that concurrent
-/// recorders (I/O threads, handlers, workers) do not bounce one cache
-/// line.  Add() picks a stripe from the calling thread's identity;
-/// Value() sums the stripes (an instantaneous, monotone-consistent
-/// snapshot: every completed Add is visible, concurrent ones may or may
-/// not be).
-class StripedCounter {
- public:
-  /// Power of two, so the stripe pick is a mask, not a division.
-  static constexpr size_t kStripes = 16;
-  static_assert((kStripes & (kStripes - 1)) == 0);
-
-  void Add(uint64_t delta);
-  void Increment() { Add(1); }
-  uint64_t Value() const;
-
- private:
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> value{0};
-  };
-  std::array<Stripe, kStripes> stripes_;
-};
-
 /// An HDR-style log-linear latency histogram over microseconds.
 ///
 /// Values are bucketed by magnitude (one major bucket per power of two)
@@ -42,20 +19,15 @@ class StripedCounter {
 /// relative quantile error by 1/kSubBuckets (6.25%) — the classic
 /// HdrHistogram trade: fixed memory, lock-free recording, and quantiles
 /// accurate to the precision latency numbers are ever quoted at.
-/// Recording is a single relaxed fetch_add; quantile extraction scans the
-/// ~1k buckets.  Values above ~2^40 us (12 days) saturate the top bucket.
-///
-/// Like StripedCounter, the buckets (and sum/min/max) are sharded over
-/// per-thread stripes: on many cores the recorders of one hot histogram
-/// otherwise serialize on its cache lines.  Snap() merges the stripes.
+/// Recording is a few relaxed atomic updates (bucket, sum, min, max);
+/// quantile extraction scans the ~1k buckets.  Values above ~2^40 us
+/// (12 days) saturate the top bucket.
 class LatencyHistogram {
  public:
   static constexpr size_t kSubBits = 4;                  // 16 sub-buckets
   static constexpr size_t kSubBuckets = 1u << kSubBits;  // per major
   static constexpr size_t kMajors = 40;
   static constexpr size_t kBucketCount = kSubBuckets * (kMajors + 1);
-  static constexpr size_t kStripes = 8;
-  static_assert((kStripes & (kStripes - 1)) == 0);
 
   void Record(uint64_t micros);
 
@@ -83,6 +55,9 @@ class LatencyHistogram {
 
     /// One-line "count min max mean idx:n idx:n ..." rendering (nonzero
     /// buckets only) and its inverse — the --processes pipe format.
+    /// ParseText rejects anything SerializeText cannot produce: signs,
+    /// out-of-range integers, bucket counts that do not sum to `count`,
+    /// and min > max.
     std::string SerializeText() const;
     static std::optional<Snapshot> ParseText(const std::string& text);
 
@@ -101,58 +76,57 @@ class LatencyHistogram {
   static uint64_t BucketUpperBound(size_t bucket);
 
  private:
-  struct alignas(64) Stripe {
-    std::array<std::atomic<uint64_t>, kBucketCount> buckets{};
-    std::atomic<uint64_t> sum{0};
-    std::atomic<uint64_t> min{~0ull};
-    std::atomic<uint64_t> max{0};
-  };
-  std::array<Stripe, kStripes> stripes_;
+  std::array<std::atomic<uint64_t>, kBucketCount> buckets_{};
+  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> min_{~0ull};
+  std::atomic<uint64_t> max_{0};
 };
 
-/// Everything the service exports: lock-striped counters, gauges and the
-/// two first-class latency histograms (append round-trip and verdict
-/// query).  One instance per server; recorders touch disjoint stripes,
-/// the STATS command and the periodic log line read snapshots.
+/// Everything the service exports: counters, gauges and the two
+/// first-class latency histograms (append round-trip and verdict query).
+/// One instance per server.  Every counter is a relaxed atomic, the same
+/// shape as durability::Counters; recorders bump them with
+/// fetch_add(n, relaxed), the STATS command and the periodic log line
+/// read them with relaxed loads.
 class ServiceMetrics {
  public:
   ServiceMetrics() : start_(std::chrono::steady_clock::now()) {}
 
   // --- counters -----------------------------------------------------
-  StripedCounter sessions_opened;
-  StripedCounter sessions_closed;
-  StripedCounter sessions_evicted;
+  std::atomic<uint64_t> sessions_opened{0};
+  std::atomic<uint64_t> sessions_closed{0};
+  std::atomic<uint64_t> sessions_evicted{0};
   // Invariant once all queues drain:
   //   events_enqueued == events_processed + events_rejected.
-  StripedCounter events_enqueued;   // accepted into a session queue
-  StripedCounter events_processed;  // successfully ingested by a worker
-  StripedCounter events_rejected;   // certifier rejected during ingest
-  StripedCounter append_batches;
-  StripedCounter verdict_queries;
-  StripedCounter backpressure_waits;  // producer blocked on a full queue
-  StripedCounter protocol_errors;
-  StripedCounter connections_accepted;
+  std::atomic<uint64_t> events_enqueued{0};   // accepted into a session queue
+  std::atomic<uint64_t> events_processed{0};  // successfully ingested
+  std::atomic<uint64_t> events_rejected{0};   // certifier rejected on ingest
+  std::atomic<uint64_t> append_batches{0};
+  std::atomic<uint64_t> verdict_queries{0};
+  std::atomic<uint64_t> backpressure_waits{0};  // producer blocked, queue full
+  std::atomic<uint64_t> protocol_errors{0};
+  std::atomic<uint64_t> connections_accepted{0};
 
   // Distributed topology (DESIGN.md §15): the ORDER_STREAM publisher
   // side (stream_*), the upstream-edge consumer side (remote_*), and the
   // cross-node commit protocol (prepares/decides).
-  StripedCounter stream_fetches;           // STREAM requests served
-  StripedCounter stream_events_published;  // events shipped in replies
-  StripedCounter remote_batches;           // upstream batches applied
-  StripedCounter remote_events_ingested;   // remapped events forwarded
-  StripedCounter remote_events_deduped;    // creation events already known
-  StripedCounter remote_remap_drops;       // events the shadow rejected
-  StripedCounter edge_resubscribes;        // cursor resets after reconnect
-  StripedCounter prepares;                 // PREPARE commands handled
-  StripedCounter decides;                  // DECIDE commands handled
+  std::atomic<uint64_t> stream_fetches{0};           // STREAM requests served
+  std::atomic<uint64_t> stream_events_published{0};  // events in replies
+  std::atomic<uint64_t> remote_batches{0};           // upstream batches applied
+  std::atomic<uint64_t> remote_events_ingested{0};   // remapped, forwarded
+  std::atomic<uint64_t> remote_events_deduped{0};    // creations already known
+  std::atomic<uint64_t> remote_remap_drops{0};       // the shadow rejected
+  std::atomic<uint64_t> edge_resubscribes{0};        // resets after reconnect
+  std::atomic<uint64_t> prepares{0};                 // PREPARE commands handled
+  std::atomic<uint64_t> decides{0};                  // DECIDE commands handled
 
   // Certifier memory behavior (online::CertifierStats), aggregated over
   // live sessions: each session publishes deltas at the end of a worker
   // batch (while it is still the certifier's one writer) and retires its
   // contribution when it closes or is evicted, so long-session
   // pruning is observable from the wire (STATS body, DESIGN.md §6).
-  StripedCounter certifier_prune_passes;
-  StripedCounter certifier_pruned_nodes;
+  std::atomic<uint64_t> certifier_prune_passes{0};
+  std::atomic<uint64_t> certifier_pruned_nodes{0};
 
   // --- durability ---------------------------------------------------
   // Written by the durability layer (WAL writers, snapshotter, recovery),

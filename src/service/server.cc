@@ -220,20 +220,11 @@ size_t CertificationServer::EvictIdleNow() {
   // EvictIdle marks each session closing (Session::CloseIfIdle) in the
   // same critical section as the idle check, so no BeginClose is needed
   // here and no producer can slip an acknowledged APPEND into a session
-  // between the check and the removal.
+  // between the check and the removal.  It persists each eviction before
+  // returning.
   const std::vector<std::shared_ptr<Session>> evicted =
       sessions_.EvictIdle(cutoff);
   for (const std::shared_ptr<Session>& session : evicted) {
-    // Persist-then-evict: CloseIfIdle only fires on a drained session
-    // (empty queue, no worker attached) and marked it closing in the same
-    // critical section, so the certifier is quiescent here and no new
-    // event can sneak in between the snapshot and the EVICT marker.
-    const Status persisted = session->PersistEvicted();
-    if (!persisted.ok()) {
-      COMPTX_LOG(Warn) << "persisting evicted session " << session->id()
-                       << " failed: " << persisted;
-    }
-    session->RetireCertifierStats();
     COMPTX_LOG(Debug) << "evicted idle session " << session->id();
   }
   return evicted.size();
@@ -313,7 +304,7 @@ Response CertificationServer::Dispatch(const Request& request) {
 Response CertificationServer::HandleOpen(const Request& request) {
   auto options = ParseSessionOptions(request.options, options_.session);
   if (!options.ok()) {
-    metrics_.protocol_errors.Increment();
+    metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     return StatusResponse(options.status());
   }
   auto session = options->resume != 0
@@ -342,7 +333,7 @@ Response CertificationServer::HandleAppend(const Request& request) {
   Status status = (*session)->Enqueue(
       request.events, [this, &session] { ScheduleSession(*session); });
   if (!status.ok()) return StatusResponse(status);
-  metrics_.append_batches.Increment();
+  metrics_.append_batches.fetch_add(1, std::memory_order_relaxed);
   metrics_.append_latency.Record(MicrosSince(start));
   Response response = OkResponse();
   response.fields.emplace_back("queued", StrCat(count));
@@ -372,7 +363,7 @@ Response CertificationServer::HandleQueryOrClose(const Request& request,
                        << verdict.session << " failed: " << discarded;
     }
   }
-  metrics_.verdict_queries.Increment();
+  metrics_.verdict_queries.fetch_add(1, std::memory_order_relaxed);
   metrics_.verdict_latency.Record(MicrosSince(start));
   Response response = OkResponse();
   AppendVerdictFields(verdict, response);
@@ -382,7 +373,7 @@ Response CertificationServer::HandleQueryOrClose(const Request& request,
 Response CertificationServer::HandleStats(const Request& request) {
   const StatusOr<bool> json = ParseStatsJson(request.options);
   if (!json.ok()) {
-    metrics_.protocol_errors.Increment();
+    metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     return StatusResponse(json.status());
   }
   Response response = OkResponse();
@@ -395,7 +386,7 @@ Response CertificationServer::HandleSubscribe(const Request& request) {
   if (!session.ok()) return StatusResponse(session.status());
   auto options = ParseStreamOptions(request.options);
   if (!options.ok()) {
-    metrics_.protocol_errors.Increment();
+    metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     return StatusResponse(options.status());
   }
   // The handshake is a zero-event fetch: it validates the cursor against
@@ -425,15 +416,16 @@ Response CertificationServer::HandleStream(const Request& request) {
   if (!session.ok()) return StatusResponse(session.status());
   auto options = ParseStreamOptions(request.options);
   if (!options.ok()) {
-    metrics_.protocol_errors.Increment();
+    metrics_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     return StatusResponse(options.status());
   }
   auto result = (*session)->FetchStream(options->sub, options->from,
                                         options->max, options->wait_ms,
                                         options->ack);
   if (!result.ok()) return StatusResponse(result.status());
-  metrics_.stream_fetches.Increment();
-  metrics_.stream_events_published.Add(result->events.size());
+  metrics_.stream_fetches.fetch_add(1, std::memory_order_relaxed);
+  metrics_.stream_events_published.fetch_add(result->events.size(),
+                                             std::memory_order_relaxed);
   Response response = OkResponse();
   response.fields.emplace_back("from", StrCat(result->from));
   response.fields.emplace_back("count", StrCat(result->events.size()));
@@ -466,8 +458,8 @@ Status CertificationServer::IngestRemote(
   COMPTX_RETURN_IF_ERROR(found->EnqueueIngested(
       std::move(events), edge, cursor_seq, mapping,
       [this, &found] { ScheduleSession(found); }));
-  metrics_.remote_batches.Increment();
-  metrics_.remote_events_ingested.Add(count);
+  metrics_.remote_batches.fetch_add(1, std::memory_order_relaxed);
+  metrics_.remote_events_ingested.fetch_add(count, std::memory_order_relaxed);
   return Status::OK();
 }
 

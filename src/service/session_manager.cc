@@ -156,7 +156,7 @@ Status Session::EnqueueInternal(std::vector<workload::TraceEvent> events,
       // fill an idle (never-scheduled) session and wait forever for a
       // drain that no worker was asked to perform.
       ScheduleLocked(schedule);
-      metrics_->backpressure_waits.Increment();
+      metrics_->backpressure_waits.fetch_add(1, std::memory_order_relaxed);
       space_cv_.wait(lock);
     }
     if (closing_) {
@@ -164,7 +164,7 @@ Status Session::EnqueueInternal(std::vector<workload::TraceEvent> events,
           StrCat("session ", id_, " is closing"));
     }
     queue_.push_back(std::move(event));
-    metrics_->events_enqueued.Increment();
+    metrics_->events_enqueued.fetch_add(1, std::memory_order_relaxed);
     metrics_->queue_depth.fetch_add(1, std::memory_order_relaxed);
   }
   ScheduleLocked(schedule);
@@ -217,8 +217,11 @@ bool Session::ProcessBatch(size_t max_events) {
   // events_processed counts only successful ingests, so the invariant
   // events_enqueued == events_processed + events_rejected holds once
   // every queue drains.
-  metrics_->events_processed.Add(batch.size() - rejected);
-  if (rejected > 0) metrics_->events_rejected.Add(rejected);
+  metrics_->events_processed.fetch_add(batch.size() - rejected,
+                                       std::memory_order_relaxed);
+  if (rejected > 0) {
+    metrics_->events_rejected.fetch_add(rejected, std::memory_order_relaxed);
+  }
   metrics_->queue_depth.fetch_sub(static_cast<int64_t>(batch.size()),
                                   std::memory_order_relaxed);
 
@@ -258,10 +261,12 @@ void Session::PublishCertifierStats() {
       static_cast<int64_t>(stats.live_nodes) -
           static_cast<int64_t>(published_stats_.live_nodes),
       std::memory_order_relaxed);
-  metrics_->certifier_prune_passes.Add(stats.prune_passes -
-                                       published_stats_.prune_passes);
-  metrics_->certifier_pruned_nodes.Add(stats.pruned_nodes -
-                                       published_stats_.pruned_nodes);
+  metrics_->certifier_prune_passes.fetch_add(
+      stats.prune_passes - published_stats_.prune_passes,
+      std::memory_order_relaxed);
+  metrics_->certifier_pruned_nodes.fetch_add(
+      stats.pruned_nodes - published_stats_.pruned_nodes,
+      std::memory_order_relaxed);
   published_stats_ = stats;
 }
 
@@ -425,52 +430,54 @@ SessionManager::SessionManager(size_t max_sessions, ServiceMetrics* metrics,
       metrics_(metrics),
       durability_(durability) {}
 
-void SessionManager::BumpNextId(uint64_t floor) {
-  uint64_t seen = next_id_.load(std::memory_order_relaxed);
-  while (seen < floor && !next_id_.compare_exchange_weak(
-                             seen, floor, std::memory_order_relaxed)) {
+Status SessionManager::ReserveLocked(uint64_t id) {
+  if (sessions_.count(id) > 0 || reserved_.count(id) > 0) {
+    return Status::AlreadyExists(StrCat(
+        "session ", id,
+        " is already open (or still being opened, resumed or evicted)"));
   }
-}
-
-Status SessionManager::ReserveSlot() {
-  // Optimistic reserve-then-check: the transient overshoot is invisible
-  // (Count() sums the shard maps, not this counter) and the rollback
-  // keeps the reservation exact.
-  if (count_.fetch_add(1, std::memory_order_relaxed) >= max_sessions_) {
-    count_.fetch_sub(1, std::memory_order_relaxed);
+  if (sessions_.size() + reserved_.size() >= max_sessions_) {
     return Status::ResourceExhausted(
         StrCat("session limit of ", max_sessions_, " reached"));
   }
+  reserved_.insert(id);
   return Status::OK();
+}
+
+void SessionManager::Publish(uint64_t id, std::shared_ptr<Session> session) {
+  std::lock_guard<std::mutex> lock(mu_);
+  reserved_.erase(id);
+  if (session != nullptr) sessions_.emplace(id, std::move(session));
 }
 
 StatusOr<std::shared_ptr<Session>> SessionManager::Open(
     const SessionOptions& options, const std::string& options_text) {
-  COMPTX_RETURN_IF_ERROR(ReserveSlot());
-  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = ShardFor(id);
-  std::unique_lock<std::mutex> lock(shard.mu);
+  uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    COMPTX_RETURN_IF_ERROR(ReserveLocked(next_id_));
+    id = next_id_++;
+  }
   std::shared_ptr<durability::SessionLog> log;
   if (durability_ != nullptr) {
-    // One file creation + fsync per session lifetime; done under the
-    // shard lock so the WAL file and the table entry appear together
-    // from this thread's perspective (ids are never reused, so a file
-    // without an entry can only mean a failed CreateLog below).
+    // One file creation + fsync per session lifetime, outside the table
+    // lock: the reserved id names nothing else until Publish.
     auto created = durability_->CreateLog(id, options_text);
     if (!created.ok()) {
-      count_.fetch_sub(1, std::memory_order_relaxed);
+      Publish(id, nullptr);
       return created.status();
     }
     log = std::move(*created);
   }
-  auto session = std::make_shared<Session>(id, options, metrics_, std::move(log));
-  shard.sessions.emplace(id, session);
-  metrics_->sessions_opened.Increment();
+  auto session =
+      std::make_shared<Session>(id, options, metrics_, std::move(log));
+  Publish(id, session);
+  metrics_->sessions_opened.fetch_add(1, std::memory_order_relaxed);
   metrics_->active_sessions.fetch_add(1, std::memory_order_relaxed);
   return session;
 }
 
-StatusOr<std::shared_ptr<Session>> SessionManager::RestoreLocked(
+StatusOr<std::shared_ptr<Session>> SessionManager::Restore(
     const durability::SessionDurableState& state, const SessionOptions& options,
     bool resume, bool verify) {
   std::vector<workload::TraceEvent> accepted_stream;
@@ -480,7 +487,8 @@ StatusOr<std::shared_ptr<Session>> SessionManager::RestoreLocked(
                                    options.stream ? &accepted_stream
                                                   : nullptr));
   if (verify) {
-    const Status verdict = durability::VerifyRecovery(*certifier, state.event_seq);
+    const Status verdict =
+        durability::VerifyRecovery(*certifier, state.event_seq);
     if (!verdict.ok()) {
       metrics_->durability.recovery_mismatches.fetch_add(
           1, std::memory_order_relaxed);
@@ -489,26 +497,27 @@ StatusOr<std::shared_ptr<Session>> SessionManager::RestoreLocked(
     }
   }
   COMPTX_ASSIGN_OR_RETURN(auto log, durability_->AdoptLog(state, resume));
-  auto session = std::make_shared<Session>(state.id, options, metrics_,
-                                           std::move(log), std::move(certifier));
+  auto session = std::make_shared<Session>(
+      state.id, options, metrics_, std::move(log), std::move(certifier));
   if (options.stream) {
     // Stream sessions never snapshot, so the replayed history is complete
     // and the rebuilt log reproduces the pre-crash sequence numbers —
     // subscribers resume from their durable cursors without a gap.
     session->AdoptStreamLog(std::move(accepted_stream));
   }
-  ShardFor(state.id).sessions.emplace(state.id, session);
-  BumpNextId(state.id + 1);
 
   // Recovered events re-enter the pipeline counters on all three sides at
   // once, so the invariant enqueued == processed + rejected holds across
   // a restart (and across a same-process evict/resume cycle, where the
   // events are counted again — counters are cumulative, not a census).
   const SessionVerdict verdict = session->Verdict();
-  metrics_->events_enqueued.Add(verdict.events_accepted +
-                                verdict.events_rejected);
-  metrics_->events_processed.Add(verdict.events_accepted);
-  metrics_->events_rejected.Add(verdict.events_rejected);
+  metrics_->events_enqueued.fetch_add(
+      verdict.events_accepted + verdict.events_rejected,
+      std::memory_order_relaxed);
+  metrics_->events_processed.fetch_add(verdict.events_accepted,
+                                       std::memory_order_relaxed);
+  metrics_->events_rejected.fetch_add(verdict.events_rejected,
+                                      std::memory_order_relaxed);
   metrics_->active_sessions.fetch_add(1, std::memory_order_relaxed);
   metrics_->durability.sessions_recovered.fetch_add(1,
                                                     std::memory_order_relaxed);
@@ -528,14 +537,20 @@ StatusOr<std::shared_ptr<Session>> SessionManager::Resume(
     return Status::InvalidArgument(
         "resume requires a durability directory (--data-dir)");
   }
-  COMPTX_RETURN_IF_ERROR(ReserveSlot());
-  Shard& shard = ShardFor(resume_id);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  auto restored = [&]() -> StatusOr<std::shared_ptr<Session>> {
-    if (shard.sessions.count(resume_id) > 0) {
-      return Status::AlreadyExists(
-          StrCat("session ", resume_id, " is already open"));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Every id with files on disk is below next_id_: an OPEN assigned it
+    // or startup recovery found it.  So a reserved id never collides
+    // with the id the next OPEN takes.
+    if (resume_id >= next_id_) {
+      return Status::NotFound(StrCat("session ", resume_id,
+                                     " was never opened; nothing to resume"));
     }
+    // The reservation makes a second resume of the same id fail with
+    // AlreadyExists while this one reads and rebuilds off the lock.
+    COMPTX_RETURN_IF_ERROR(ReserveLocked(resume_id));
+  }
+  auto restored = [&]() -> StatusOr<std::shared_ptr<Session>> {
     auto state = durability_->ReadState(resume_id);
     if (!state.ok()) return state.status();
     if (state->closed || state->Empty()) {
@@ -548,18 +563,16 @@ StatusOr<std::shared_ptr<Session>> SessionManager::Resume(
     COMPTX_ASSIGN_OR_RETURN(SessionOptions options,
                             ParseSessionOptions(state->options, defaults));
     options.queue_capacity = request.queue_capacity;
-    return RestoreLocked(*state, options, /*resume=*/true,
-                         durability_->options().verify_recovery);
+    return Restore(*state, options, /*resume=*/true,
+                   durability_->options().verify_recovery);
   }();
-  if (!restored.ok()) count_.fetch_sub(1, std::memory_order_relaxed);
+  Publish(resume_id, restored.ok() ? *restored : nullptr);
   return restored;
 }
 
 StatusOr<size_t> SessionManager::RecoverAll(const SessionOptions& defaults,
                                             bool verify) {
   if (durability_ == nullptr) return 0;
-  // Startup only (before the server serves), so per-id shard locking is
-  // about satisfying RestoreLocked's contract, not about races.
   size_t recovered = 0;
   for (const uint64_t id : durability_->ListSessionIds()) {
     COMPTX_ASSIGN_OR_RETURN(durability::SessionDurableState state,
@@ -570,87 +583,94 @@ StatusOr<size_t> SessionManager::RecoverAll(const SessionOptions& defaults,
       COMPTX_RETURN_IF_ERROR(durability_->RemoveFiles(id));
       continue;
     }
-    // Never reassign an id that still names on-disk state.
-    BumpNextId(id + 1);
+    {
+      // Never reassign an id that still names on-disk state.
+      std::lock_guard<std::mutex> lock(mu_);
+      next_id_ = std::max(next_id_, id + 1);
+    }
     if (state.evicted) continue;  // stays on disk until a resume=<id> OPEN
     COMPTX_ASSIGN_OR_RETURN(SessionOptions options,
                             ParseSessionOptions(state.options, defaults));
-    COMPTX_RETURN_IF_ERROR(ReserveSlot());
-    std::unique_lock<std::mutex> lock(ShardFor(id).mu);
-    const auto restored =
-        RestoreLocked(state, options, /*resume=*/false, verify);
-    if (!restored.ok()) {
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      return restored.status();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      COMPTX_RETURN_IF_ERROR(ReserveLocked(id));
     }
+    auto restored = Restore(state, options, /*resume=*/false, verify);
+    Publish(id, restored.ok() ? *restored : nullptr);
+    if (!restored.ok()) return restored.status();
     ++recovered;
   }
   return recovered;
 }
 
 StatusOr<std::shared_ptr<Session>> SessionManager::Find(uint64_t id) const {
-  Shard& shard = ShardFor(id);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(id);
-  if (it == shard.sessions.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) {
     return Status::NotFound(StrCat("no session ", id));
   }
   return it->second;
 }
 
 StatusOr<std::shared_ptr<Session>> SessionManager::Remove(uint64_t id) {
-  Shard& shard = ShardFor(id);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(id);
-  if (it == shard.sessions.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) {
     return Status::NotFound(StrCat("no session ", id));
   }
   std::shared_ptr<Session> session = std::move(it->second);
-  shard.sessions.erase(it);
-  count_.fetch_sub(1, std::memory_order_relaxed);
-  metrics_->sessions_closed.Increment();
+  sessions_.erase(it);
+  metrics_->sessions_closed.fetch_add(1, std::memory_order_relaxed);
   metrics_->active_sessions.fetch_sub(1, std::memory_order_relaxed);
   return session;
 }
 
 std::vector<std::shared_ptr<Session>> SessionManager::EvictIdle(
     std::chrono::steady_clock::time_point cutoff) {
+  std::lock_guard<std::mutex> sweep_lock(evict_mu_);
   std::vector<std::shared_ptr<Session>> evicted;
-  for (Shard& shard : table_) {
-    std::unique_lock<std::mutex> lock(shard.mu);
-    for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
       if (it->second->CloseIfIdle(cutoff)) {
         evicted.push_back(it->second);
-        it = shard.sessions.erase(it);
-        count_.fetch_sub(1, std::memory_order_relaxed);
-        metrics_->sessions_evicted.Increment();
+        reserved_.insert(it->first);
+        it = sessions_.erase(it);
+        metrics_->sessions_evicted.fetch_add(1, std::memory_order_relaxed);
         metrics_->active_sessions.fetch_sub(1, std::memory_order_relaxed);
       } else {
         ++it;
       }
     }
   }
+  for (const std::shared_ptr<Session>& session : evicted) {
+    // Persist-then-release, off the table lock: CloseIfIdle only fires on
+    // a drained session and marked it closing, so the certifier is
+    // quiescent and no event can land between the snapshot and the EVICT
+    // marker.  The id stays reserved until the marker is written, so a
+    // resume=<id> racing the sweep gets AlreadyExists instead of
+    // adopting a log this thread is still writing.
+    const Status persisted = session->PersistEvicted();
+    if (!persisted.ok()) {
+      COMPTX_LOG(Warn) << "persisting evicted session " << session->id()
+                       << " failed: " << persisted;
+    }
+    session->RetireCertifierStats();
+    Publish(session->id(), nullptr);
+  }
   return evicted;
 }
 
 std::vector<std::shared_ptr<Session>> SessionManager::All() const {
   std::vector<std::shared_ptr<Session>> all;
-  for (const Shard& shard : table_) {
-    std::unique_lock<std::mutex> lock(shard.mu);
-    for (const auto& [id, session] : shard.sessions) all.push_back(session);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [id, session] : sessions_) all.push_back(session);
   return all;
 }
 
 size_t SessionManager::Count() const {
-  // Sum the shard maps (not count_, whose optimistic reservations
-  // transiently overshoot).
-  size_t total = 0;
-  for (const Shard& shard : table_) {
-    std::unique_lock<std::mutex> lock(shard.mu);
-    total += shard.sessions.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.size();
 }
 
 }  // namespace comptx::service

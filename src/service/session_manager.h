@@ -1,7 +1,6 @@
 #ifndef COMPTX_SERVICE_SESSION_MANAGER_H_
 #define COMPTX_SERVICE_SESSION_MANAGER_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -11,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "durability/manager.h"
@@ -259,16 +259,14 @@ class Session {
 /// assignment, lookup, close and idle eviction.  The worker run queue
 /// lives in the server, not here — the manager is purely the registry.
 ///
-/// The table is sharded: session ids mask into kShardCount
-/// independently-locked maps, id assignment and the admission count are
-/// atomics, so the per-APPEND lookup from many handler threads contends
-/// per shard instead of on one table mutex.
+/// One mutex guards the map, the reserved ids and the id counter, and
+/// admission counts the map plus the reserved ids.  The mutex is held
+/// only for those updates: creating a session's log (OPEN) and reading
+/// and rebuilding one from disk (resume, startup recovery) run outside
+/// it, between a reservation and a publication, so file I/O never
+/// stalls the per-APPEND lookup.
 class SessionManager {
  public:
-  /// Power of two, so the shard pick is a mask.
-  static constexpr size_t kShardCount = 16;
-  static_assert((kShardCount & (kShardCount - 1)) == 0);
-
   /// `durability` may be null (no --data-dir); the manager never owns it.
   SessionManager(size_t max_sessions, ServiceMetrics* metrics,
                  durability::Manager* durability);
@@ -283,11 +281,12 @@ class SessionManager {
   /// the certifier from its snapshot + WAL suffix, re-registers it under
   /// its original id, and appends a durable RESUME marker.  Fails with
   /// NotFound when nothing durable exists (or the session was closed),
-  /// AlreadyExists when the id is currently live, InvalidArgument without
-  /// durability.  Only `queue_capacity` from `request` is honored; the
-  /// certifier knobs come from the stored OPEN options parsed over
-  /// `defaults` — the same layering the original OPEN used — because
-  /// changing them mid-stream would change the session's meaning.
+  /// AlreadyExists when the id is live or another resume of it is in
+  /// progress, InvalidArgument without durability.  Only
+  /// `queue_capacity` from `request` is honored; the certifier knobs come
+  /// from the stored OPEN options parsed over `defaults` — the same
+  /// layering the original OPEN used — because changing them mid-stream
+  /// would change the session's meaning.
   StatusOr<std::shared_ptr<Session>> Resume(uint64_t resume_id,
                                             const SessionOptions& request,
                                             const SessionOptions& defaults);
@@ -308,47 +307,51 @@ class SessionManager {
   StatusOr<std::shared_ptr<Session>> Remove(uint64_t id);
 
   /// Sessions idle since `cutoff`, atomically marked closing
-  /// (Session::CloseIfIdle) and removed from the table.
+  /// (Session::CloseIfIdle), removed from the table and persisted as
+  /// evicted (a no-op without durability).  Each id stays reserved until
+  /// its EVICT marker is written, so a resume of it meanwhile fails with
+  /// AlreadyExists.  Sweeps run one at a time: when EvictIdle returns,
+  /// every eviction that began before the call is persisted.
   std::vector<std::shared_ptr<Session>> EvictIdle(
       std::chrono::steady_clock::time_point cutoff);
 
   /// Every live session (shutdown drains them all).
   std::vector<std::shared_ptr<Session>> All() const;
 
+  /// Sessions in the table; a session still opening or resuming counts
+  /// once it is published.
   size_t Count() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions;
-  };
+  /// Reserves `id` for a session that is about to be built outside mu_:
+  /// fails with AlreadyExists when the id is live or reserved, and with
+  /// ResourceExhausted when max_sessions are live or reserved.  Caller
+  /// holds mu_.
+  Status ReserveLocked(uint64_t id);
 
-  Shard& ShardFor(uint64_t id) const {
-    return table_[id & (kShardCount - 1)];
-  }
+  /// Ends a reservation: adds `session` to the table under `id`, or, when
+  /// it is null, releases the id and its admission slot.
+  void Publish(uint64_t id, std::shared_ptr<Session> session);
 
-  /// Builds a Session from its on-disk state and registers it.  Caller
-  /// holds the id's shard lock and has reserved an admission slot.
-  /// `resume` selects the RESUME marker (vs. plain startup recovery) and
-  /// is reflected in the metrics it bumps.
-  StatusOr<std::shared_ptr<Session>> RestoreLocked(
+  /// Builds a Session from its on-disk state.  Runs without mu_, under a
+  /// reservation of the session's id.  `resume` selects the RESUME marker
+  /// (vs. plain startup recovery) and is reflected in the metrics it
+  /// bumps.
+  StatusOr<std::shared_ptr<Session>> Restore(
       const durability::SessionDurableState& state,
       const SessionOptions& options, bool resume, bool verify);
-
-  /// Raises next_id_ to at least `floor` (monotone CAS).
-  void BumpNextId(uint64_t floor);
-
-  /// Admission control: reserves a slot against max_sessions_, failing
-  /// with ResourceExhausted when full.  Paired with count_ decrements on
-  /// failure paths and in Remove/EvictIdle.
-  Status ReserveSlot();
 
   const size_t max_sessions_;
   ServiceMetrics* const metrics_;
   durability::Manager* const durability_;
-  std::atomic<uint64_t> next_id_{1};
-  std::atomic<size_t> count_{0};
-  mutable std::array<Shard, kShardCount> table_;
+
+  std::mutex evict_mu_;  // held across a whole EvictIdle; taken before mu_
+  mutable std::mutex mu_;
+  std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
+  // Ids reserved by an OPEN, resume or recovery that is still creating or
+  // reading its files; they count against max_sessions.
+  std::unordered_set<uint64_t> reserved_;
+  uint64_t next_id_ = 1;
 };
 
 }  // namespace comptx::service
