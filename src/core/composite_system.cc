@@ -297,9 +297,9 @@ Status CompositeSystem::ReleaseSubtree(NodeId root) {
     return Status::InvalidArgument(
         StrCat("release of ", root, ": not a live root transaction"));
   }
-  std::vector<NodeId> subtree = Descendants(root);
-  subtree.push_back(root);
-  std::vector<ScheduleId> owners;
+  std::vector<NodeId>& subtree = release_scratch_;
+  subtree.assign(1, root);
+  ForEachDescendant(root, [&](NodeId d) { subtree.push_back(d); });
   for (NodeId n : subtree) {
     const Node& nd = node(n);
     if (nd.parent.valid()) {
@@ -312,19 +312,14 @@ Status CompositeSystem::ReleaseSubtree(NodeId root) {
       Schedule& owner = schedules_[nd.owner_schedule.index()];
       owner.weak_input.RemoveSource(n);
       owner.strong_input.RemoveSource(n);
-      if (std::find(owners.begin(), owners.end(), nd.owner_schedule) ==
-          owners.end()) {
-        owners.push_back(nd.owner_schedule);
-      }
+      // Transactions are listed in creation (ascending id) order.
+      std::vector<NodeId>& txns = owner.transactions;
+      txns.erase(std::lower_bound(txns.begin(), txns.end(), n));
     }
   }
   // Tombstone the slots only after every lookup above is done.
   for (NodeId n : subtree) nodes_[n.index()] = Node();
   live_nodes_ -= subtree.size();
-  for (ScheduleId s : owners) {
-    std::erase_if(schedules_[s.index()].transactions,
-                  [&](NodeId t) { return !HasNode(t); });
-  }
   while (!nodes_.empty() && !nodes_.front().id.valid()) {
     nodes_.DropBefore(nodes_.begin() + 1);
   }
@@ -353,15 +348,7 @@ std::vector<NodeId> CompositeSystem::OperationsOf(ScheduleId scheduler) const {
 
 std::vector<NodeId> CompositeSystem::Descendants(NodeId txn) const {
   std::vector<NodeId> out;
-  std::vector<NodeId> stack(node(txn).children.rbegin(),
-                            node(txn).children.rend());
-  while (!stack.empty()) {
-    NodeId cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    const Node& n = node(cur);
-    stack.insert(stack.end(), n.children.rbegin(), n.children.rend());
-  }
+  ForEachDescendant(txn, [&](NodeId d) { out.push_back(d); });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef COMPTX_CORE_COMPOSITE_SYSTEM_H_
 #define COMPTX_CORE_COMPOSITE_SYSTEM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -183,6 +184,37 @@ class CompositeSystem {
   /// preorder.
   std::vector<NodeId> Descendants(NodeId txn) const;
 
+  /// Invokes `f(NodeId)` for every descendant of `txn`, in the preorder of
+  /// Descendants, without allocating: the walk climbs parent links and
+  /// finds a node's next sibling by binary search, since children are
+  /// created, and so listed, in ascending id order.
+  template <typename F>
+  void ForEachDescendant(NodeId txn, F f) const {
+    const std::vector<NodeId>& top = node(txn).children;
+    if (top.empty()) return;
+    NodeId cur = top.front();
+    while (true) {
+      f(cur);
+      const std::vector<NodeId>& children = node(cur).children;
+      if (!children.empty()) {
+        cur = children.front();
+        continue;
+      }
+      // Climb to the nearest ancestor below `txn` with a next sibling.
+      while (true) {
+        const NodeId parent = node(cur).parent;
+        const std::vector<NodeId>& siblings = node(parent).children;
+        auto next = std::upper_bound(siblings.begin(), siblings.end(), cur);
+        if (next != siblings.end()) {
+          cur = *next;
+          break;
+        }
+        if (parent == txn) return;
+        cur = parent;
+      }
+    }
+  }
+
   /// The root transaction of the execution tree containing `id`.
   NodeId RootOf(NodeId id) const;
 
@@ -255,6 +287,8 @@ class CompositeSystem {
   size_t live_nodes_ = 0;
   std::vector<Schedule> schedules_;
   std::unique_ptr<CommutativitySpec> spec_;
+  /// ReleaseSubtree's subtree buffer, reused across calls.
+  std::vector<NodeId> release_scratch_;
 };
 
 /// Preorder interval index over a CompositeSystem's forest, answering

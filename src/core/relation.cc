@@ -27,64 +27,34 @@ bool Row::Erase(uint32_t id) {
 }
 
 Row& RowStore::RowOf(uint32_t source) {
-  // Grow the position window to cover `source`, keeping existing slots.
-  if (sources_.empty()) {
-    base_ = source;
-    pos_.assign(1, 0);
-  } else if (source < base_) {
-    pos_.insert(pos_.begin(), base_ - source, 0);
-    base_ = source;
-  } else if (source - base_ >= pos_.size()) {
-    pos_.resize(source - base_ + 1, 0);
-  }
-  uint32_t& slot = pos_[source - base_];
-  if (slot != 0) return rows_[slot - 1];
-
+  const auto [row, created] = rows_.Acquire(source);
+  if (!created) return *row;
+  // Common case: sources arrive in ascending order, so appending wins.
   if (sources_.empty() || source > sources_.back()) {
     sources_.push_back(source);
-    rows_.emplace_back();
-    slot = static_cast<uint32_t>(rows_.size());
-    return rows_.back();
+  } else {
+    sources_.insert(
+        std::lower_bound(sources_.begin(), sources_.end(), source), source);
   }
-  // Out-of-order new source (rare): insert sorted and re-aim the shifted
-  // positions behind it.
-  auto it = std::lower_bound(sources_.begin(), sources_.end(), source);
-  const size_t p = static_cast<size_t>(it - sources_.begin());
-  sources_.insert(it, source);
-  rows_.insert(rows_.begin() + p, Row());
-  for (size_t i = p; i < sources_.size(); ++i) {
-    pos_[sources_[i] - base_] = static_cast<uint32_t>(i) + 1;
-  }
-  return rows_[p];
+  return *row;
 }
 
 void RowStore::DropRow(uint32_t source) {
-  uint32_t& slot = pos_[source - base_];
-  const size_t p = slot - 1;
-  slot = 0;
-  sources_.erase(sources_.begin() + p);
-  rows_.erase(rows_.begin() + p);
-  if (sources_.empty()) {
-    base_ = 0;
-    pos_.clear();
-    return;
-  }
-  for (size_t i = p; i < sources_.size(); ++i) {
-    pos_[sources_[i] - base_] = static_cast<uint32_t>(i) + 1;
-  }
-  // Shrink the window to [front source, back source].
-  pos_.resize(sources_.back() - base_ + 1);
-  const uint32_t lead = sources_.front() - base_;
-  if (lead > 0) {
-    pos_.erase(pos_.begin(), pos_.begin() + lead);
-    base_ = sources_.front();
-  }
+  Row& row = *rows_.Find(source);
+  row.elems.clear();
+  row.bits.Clear();
+  rows_.Release(source);
+  sources_.erase(std::lower_bound(sources_.begin(), sources_.end(), source));
+  if (sources_.empty()) return;
+  // Narrow the directory window to [front source, back source].
+  rows_.DropBefore(sources_.front());
+  rows_.DropAfter(sources_.back());
 }
 
 bool RowStore::operator==(const RowStore& other) const {
   if (sources_ != other.sources_) return false;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i].elems != other.rows_[i].elems) return false;
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    if (RowAt(i).elems != other.RowAt(i).elems) return false;
   }
   return true;
 }
@@ -165,15 +135,17 @@ bool SymmetricPairSet::Add(NodeId a, NodeId b) {
 size_t SymmetricPairSet::RemoveNode(NodeId a) {
   const relation_internal::Row* row = store_.FindRow(a.index());
   if (row == nullptr) return 0;
-  const std::vector<uint32_t> peers = row->elems;
-  for (uint32_t peer : peers) {
+  // Dropping a peer's row leaves the row of `a` in place, so its elements
+  // can be walked while the peers' back pairs go.
+  for (uint32_t peer : row->elems) {
     relation_internal::Row* back = store_.FindRow(peer);
     back->Erase(a.index());
     if (back->elems.empty()) store_.DropRow(peer);
   }
+  const size_t removed = row->elems.size();
   store_.DropRow(a.index());
-  pair_count_ -= peers.size();
-  return peers.size();
+  pair_count_ -= removed;
+  return removed;
 }
 
 std::vector<NodeId> SymmetricPairSet::PeersOf(NodeId a) const {

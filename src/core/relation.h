@@ -9,6 +9,7 @@
 
 #include "core/ids.h"
 #include "util/bitrow.h"
+#include "util/slot_pool.h"
 
 namespace comptx {
 
@@ -28,43 +29,37 @@ struct Row {
 };
 
 /// Shared storage of Relation and SymmetricPairSet: rows keyed by source
-/// node id, held in ascending source order (sources_[i] owns rows_[i]).
-/// Lookups go through a direct-mapped position index windowed to the span
-/// of source ids actually present (sources are sparse in the global id
-/// space — a per-transaction intra order touches a handful of ids out of
-/// thousands — so the window, like the rows' bitsets, keeps memory
-/// proportional to the pairs stored while every probe is O(1)).  Dropping
-/// a row shrinks the window from either end, so a store whose oldest
-/// sources are removed stays as wide as its live sources, not as wide as
-/// every id it ever held.
+/// node id in a SlotPool, plus `sources_`, the sources in ascending order
+/// (the deterministic iteration path).  The pool's directory is windowed
+/// to the span of source ids actually present (sources are sparse in the
+/// global id space — a per-transaction intra order touches a handful of
+/// ids out of thousands — so the window, like the rows' bitsets, keeps
+/// memory proportional to the pairs stored while every probe is O(1)).
+/// Dropping a row clears it in place and frees its slot with its element
+/// and bitset storage, so a store whose sources come and go (the online
+/// engine's relations, pruned on every commit) reaches a steady state
+/// that allocates nothing; rows never move, and the directory window
+/// narrows to the live sources.
 class RowStore {
  public:
   /// The row of `source`, creating it if absent.
   Row& RowOf(uint32_t source);
   /// The row of `source`, or nullptr.
-  const Row* FindRow(uint32_t source) const {
-    if (sources_.empty() || source < base_) return nullptr;
-    const uint32_t slot = source - base_;
-    if (slot >= pos_.size() || pos_[slot] == 0) return nullptr;
-    return &rows_[pos_[slot] - 1];
-  }
-  Row* FindRow(uint32_t source) {
-    return const_cast<Row*>(std::as_const(*this).FindRow(source));
-  }
-  /// Drops the row of `source` (which must exist).
+  const Row* FindRow(uint32_t source) const { return rows_.Find(source); }
+  Row* FindRow(uint32_t source) { return rows_.Find(source); }
+  /// Drops the row of `source` (which must exist).  Other rows, and
+  /// pointers to them, are unaffected.
   void DropRow(uint32_t source);
 
   size_t SourceCount() const { return sources_.size(); }
   uint32_t SourceAt(size_t i) const { return sources_[i]; }
-  const Row& RowAt(size_t i) const { return rows_[i]; }
+  const Row& RowAt(size_t i) const { return *rows_.Find(sources_[i]); }
 
   bool operator==(const RowStore& other) const;
 
  private:
   std::vector<uint32_t> sources_;  // ascending
-  std::vector<Row> rows_;          // parallel to sources_
-  uint32_t base_ = 0;              // id of pos_[0]
-  std::vector<uint32_t> pos_;      // windowed id -> row position + 1
+  SlotPool<Row> rows_;             // dropped rows are kept empty for reuse
 };
 
 }  // namespace relation_internal

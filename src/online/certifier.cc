@@ -24,6 +24,7 @@ void Certifier::MarkSealed(NodeId id) { node_flags_[id.index()] = 1; }
 
 void Certifier::CompactWindowsLocked() {
   node_flags_.DropBefore(cs_.OldestLiveId());
+  engine_.DropBefore(cs_.OldestLiveId());
   while (!roots_.empty() && !cs_.HasNode(roots_.front())) {
     roots_.DropBefore(roots_.begin() + 1);
   }
@@ -77,7 +78,7 @@ bool Certifier::SealRootLocked(NodeId root) {
   ++sealed_root_count_;
   unpruned_sealed_.push_back(root);
   MarkSealed(root);
-  for (NodeId d : cs_.Descendants(root)) MarkSealed(d);
+  cs_.ForEachDescendant(root, [&](NodeId d) { MarkSealed(d); });
   return true;
 }
 
@@ -201,8 +202,10 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(CheckNotSealed(parent));
       if (cs_.HasNode(parent) && cs_.HasSchedule(sched) &&
           cs_.node(parent).IsTransaction()) {
+        // An existing invocation edge was checked when first added.
         const ScheduleId host = cs_.node(parent).owner_schedule;
-        if (WouldCreateRecursion(host, sched)) {
+        if (invokes_[host.index()].count(sched.index()) == 0 &&
+            WouldCreateRecursion(host, sched)) {
           return Status::FailedPrecondition(
               StrCat("subtransaction under ", cs_.node(parent).name,
                      " would make schedule ", cs_.schedule(sched).name,
@@ -257,9 +260,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
                                  : cs_.AddStrongOutput(a, b));
       saw_relational_event_ = true;
       const ScheduleId host = cs_.HostScheduleOf(a);
-      std::vector<std::pair<NodeId, NodeId>> new_pairs;
-      weak_output_.AddClosing(a, b, new_pairs);
-      for (const auto& [x, y] : new_pairs) {
+      new_weak_.clear();
+      weak_output_.AddClosing(a, b, new_weak_);
+      for (const auto& [x, y] : new_weak_) {
         engine_.OnClosedWeakOutput(host, x, y);
       }
       return Status::OK();
@@ -274,11 +277,12 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddStrongInput(sched, a, b)
                                     : cs_.AddWeakInput(sched, a, b));
       saw_relational_event_ = true;
-      std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      if (strong) strong_input_.AddClosing(a, b, new_strong);
-      weak_input_.AddClosing(a, b, new_weak);  // strong pairs are weak.
-      for (const auto& [x, y] : new_strong) engine_.OnClosedStrongInput(x, y);
-      for (const auto& [x, y] : new_weak) engine_.OnClosedWeakInput(x, y);
+      new_strong_.clear();
+      new_weak_.clear();
+      if (strong) strong_input_.AddClosing(a, b, new_strong_);
+      weak_input_.AddClosing(a, b, new_weak_);  // strong pairs are weak.
+      for (const auto& [x, y] : new_strong_) engine_.OnClosedStrongInput(x, y);
+      for (const auto& [x, y] : new_weak_) engine_.OnClosedWeakInput(x, y);
       return Status::OK();
     }
     case TraceEventKind::kIntraWeak:
@@ -292,11 +296,12 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       COMPTX_RETURN_IF_ERROR(strong ? cs_.AddIntraStrong(txn, a, b)
                                     : cs_.AddIntraWeak(txn, a, b));
       saw_relational_event_ = true;
-      std::vector<std::pair<NodeId, NodeId>> new_strong, new_weak;
-      if (strong) strong_intra_.AddClosing(a, b, new_strong);
-      weak_intra_.AddClosing(a, b, new_weak);  // strong implies weak.
-      for (const auto& [x, y] : new_strong) engine_.OnClosedStrongIntra(x, y);
-      for (const auto& [x, y] : new_weak) {
+      new_strong_.clear();
+      new_weak_.clear();
+      if (strong) strong_intra_.AddClosing(a, b, new_strong_);
+      weak_intra_.AddClosing(a, b, new_weak_);  // strong implies weak.
+      for (const auto& [x, y] : new_strong_) engine_.OnClosedStrongIntra(x, y);
+      for (const auto& [x, y] : new_weak_) {
         engine_.OnClosedWeakIntra(txn, x, y);
       }
       return Status::OK();
@@ -421,8 +426,7 @@ Status Certifier::RestoreInvocations(
   return Status::OK();
 }
 
-bool Certifier::CanPrune(NodeId root,
-                         const std::vector<NodeId>& subtree) const {
+bool Certifier::CanPrune(NodeId root) const {
   // In-edges whose source lies inside the subtree are removed together
   // with it, so only edges crossing the boundary from outside pin the
   // subtree down.  This is sound because PruneLocked only runs while the
@@ -432,7 +436,7 @@ bool Certifier::CanPrune(NodeId root,
   // reference sealed nodes) can ever route a cycle through the subtree.
   // Membership walks at most `order` parent links.
   const auto inside = [&](NodeId x) { return cs_.RootOf(x) == root; };
-  for (NodeId n : subtree) {
+  for (NodeId n : subtree_) {
     // No external in-edge in any front-level or calculation graph (intra
     // edges join children of one transaction, so they are always
     // internal), nor in any closure: closure in-edges could later
@@ -446,8 +450,8 @@ bool Certifier::CanPrune(NodeId root,
   return true;
 }
 
-void Certifier::RemoveSubtree(const std::vector<NodeId>& subtree) {
-  for (NodeId n : subtree) {
+void Certifier::RemoveSubtree() {
+  for (NodeId n : subtree_) {
     engine_.RemoveNode(n);
     for (LiveRelation* closure : Closures()) closure->RemoveNode(n);
   }
@@ -468,16 +472,16 @@ size_t Certifier::PruneLocked() {
     progress = false;
     for (size_t idx = 0; idx < unpruned_sealed_.size();) {
       const NodeId root = unpruned_sealed_[idx];
-      std::vector<NodeId> subtree = {root};
-      for (NodeId d : cs_.Descendants(root)) subtree.push_back(d);
-      if (!CanPrune(root, subtree)) {
+      subtree_.assign(1, root);
+      cs_.ForEachDescendant(root, [&](NodeId d) { subtree_.push_back(d); });
+      if (!CanPrune(root)) {
         ++idx;
         continue;
       }
-      RemoveSubtree(subtree);
+      RemoveSubtree();
       const Status released = cs_.ReleaseSubtree(root);
       COMPTX_CHECK(released.ok()) << released.ToString();
-      removed += subtree.size();
+      removed += subtree_.size();
       unpruned_sealed_[idx] = unpruned_sealed_.back();
       unpruned_sealed_.pop_back();
       progress = true;  // the swapped-in root is re-examined at idx.

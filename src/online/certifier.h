@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/composite_system.h"
@@ -225,10 +226,11 @@ class Certifier {
   void Rebuild();
 
   size_t PruneLocked();
-  /// True iff the sealed subtree of `root` (`subtree`, root included)
-  /// has no in-edge from outside it in any maintained structure.
-  bool CanPrune(NodeId root, const std::vector<NodeId>& subtree) const;
-  void RemoveSubtree(const std::vector<NodeId>& subtree);
+  /// True iff the sealed subtree of `root` (subtree_, root included) has
+  /// no in-edge from outside it in any maintained structure.
+  bool CanPrune(NodeId root) const;
+  /// Removes the nodes of subtree_ from the engine and the closures.
+  void RemoveSubtree();
 
   /// True iff `id` is sealed or was pruned (released from cs_).
   bool IsSealed(NodeId id) const;
@@ -301,6 +303,13 @@ class Certifier {
   uint64_t events_rejected_ = 0;
   uint64_t rebuilds_ = 0;
   uint64_t prune_passes_ = 0;
+
+  // Scratch reused across events so the steady state allocates nothing:
+  // the newly closed pairs of one order event, and the subtree (root
+  // first, then preorder) the prune pass is examining.
+  std::vector<std::pair<NodeId, NodeId>> new_strong_;
+  std::vector<std::pair<NodeId, NodeId>> new_weak_;
+  std::vector<NodeId> subtree_;
 };
 
 }  // namespace comptx::online

@@ -12,14 +12,14 @@ void LiveRelation::AddClosing(
   // existing closed pairs, so nothing new can appear.
   if (Contains(a, b)) return;
   // Copied out: the spans are invalidated by the insertions below.
-  std::vector<uint32_t> sources(1, a.index());
   const std::span<const uint32_t> pred = Predecessors(a);
-  sources.insert(sources.end(), pred.begin(), pred.end());
-  std::vector<uint32_t> targets(1, b.index());
+  closing_sources_.assign(1, a.index());
+  closing_sources_.insert(closing_sources_.end(), pred.begin(), pred.end());
   const std::span<const uint32_t> succ = Successors(b);
-  targets.insert(targets.end(), succ.begin(), succ.end());
-  for (uint32_t x : sources) {
-    for (uint32_t y : targets) {
+  closing_targets_.assign(1, b.index());
+  closing_targets_.insert(closing_targets_.end(), succ.begin(), succ.end());
+  for (uint32_t x : closing_sources_) {
+    for (uint32_t y : closing_targets_) {
       const NodeId from(x), to(y);
       if (Add(from, to)) new_pairs.emplace_back(from, to);
     }
@@ -36,9 +36,9 @@ void LiveRelation::RemoveNode(NodeId id) {
 // ---- IncrementalCycleGraph ------------------------------------------------
 
 IncrementalCycleGraph::Vertex& IncrementalCycleGraph::Ensure(NodeId id) {
-  auto [it, inserted] = vertices_.try_emplace(id);
-  if (inserted) it->second.ord = next_ord_++;
-  return it->second;
+  const auto [vertex, created] = vertices_.Acquire(id.index());
+  if (created) *vertex = Vertex{.ord = next_ord_++};
+  return *vertex;
 }
 
 void IncrementalCycleGraph::EnsureNode(NodeId id) { Ensure(id); }
@@ -48,18 +48,21 @@ bool IncrementalCycleGraph::HasEdge(NodeId a, NodeId b) const {
 }
 
 uint64_t IncrementalCycleGraph::OrderKey(NodeId id) const {
-  auto it = vertices_.find(id);
-  return it == vertices_.end() ? next_ord_ : it->second.ord;
+  const Vertex* vertex = vertices_.Find(id.index());
+  return vertex == nullptr ? next_ord_ : vertex->ord;
 }
 
 void IncrementalCycleGraph::RemoveNode(NodeId id) {
-  if (vertices_.erase(id) > 0) edges_.RemoveNode(id);
+  if (!Contains(id)) return;
+  vertices_.Release(id.index());
+  edges_.RemoveNode(id);
 }
 
 bool IncrementalCycleGraph::AddEdge(NodeId a, NodeId b) {
   if (edges_.Contains(a, b)) return !cycle_;
-  Vertex& va = Ensure(a);
-  Vertex& vb = Ensure(b);
+  // Ensure(b) may grow the pool, so a's record is looked up afresh below.
+  Ensure(a);
+  Ensure(b);
   edges_.Add(a, b);
   if (cycle_) return false;
   if (a == b) {
@@ -67,7 +70,7 @@ bool IncrementalCycleGraph::AddEdge(NodeId a, NodeId b) {
     witness_ = {a};
     return false;
   }
-  if (va.ord < vb.ord) return true;  // order already consistent: O(1).
+  if (At(a).ord < At(b).ord) return true;  // order already consistent: O(1).
   if (!Reorder(a, b)) {
     cycle_ = true;
     return false;
@@ -76,8 +79,8 @@ bool IncrementalCycleGraph::AddEdge(NodeId a, NodeId b) {
 }
 
 bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
-  const uint64_t lb = vertices_.at(b).ord;
-  const uint64_t ub = vertices_.at(a).ord;
+  const uint64_t lb = At(b).ord;
+  const uint64_t ub = At(a).ord;
   const uint64_t stamp = ++visit_stamp_;
 
   // Forward DFS from b over vertices with ord <= ub.  Reaching a means the
@@ -85,7 +88,7 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
   forward_.clear();
   stack_.clear();
   stack_.push_back(b);
-  vertices_.at(b).fwd_stamp = stamp;
+  At(b).fwd_stamp = stamp;
   while (!stack_.empty()) {
     NodeId u = stack_.back();
     stack_.pop_back();
@@ -93,7 +96,7 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
     if (u == a) {
       // Reconstruct b ~> a; with the closing edge a -> b this is a cycle.
       witness_.clear();
-      for (NodeId w = a; w != b; w = vertices_.at(w).parent) {
+      for (NodeId w = a; w != b; w = At(w).parent) {
         witness_.push_back(w);
       }
       witness_.push_back(b);
@@ -101,7 +104,7 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
       return false;
     }
     for (uint32_t w : edges_.Successors(u)) {
-      Vertex& vw = vertices_.at(NodeId(w));
+      Vertex& vw = At(NodeId(w));
       if (vw.ord > ub) continue;
       if (vw.fwd_stamp != stamp) {
         vw.fwd_stamp = stamp;
@@ -115,13 +118,13 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
   // forward set (overlap would have been a cycle caught above).
   backward_.clear();
   stack_.push_back(a);
-  vertices_.at(a).bwd_stamp = stamp;
+  At(a).bwd_stamp = stamp;
   while (!stack_.empty()) {
     NodeId u = stack_.back();
     stack_.pop_back();
     backward_.push_back(u);
     for (uint32_t w : edges_.Predecessors(u)) {
-      Vertex& vw = vertices_.at(NodeId(w));
+      Vertex& vw = At(NodeId(w));
       if (vw.ord < lb) continue;
       if (vw.bwd_stamp != stamp) {
         vw.bwd_stamp = stamp;
@@ -134,19 +137,19 @@ bool IncrementalCycleGraph::Reorder(NodeId a, NodeId b) {
   // set, but every backward (≼ a) vertex now sorts before every forward
   // (≽ b) vertex, reusing the same pool of order keys.
   auto by_ord = [this](NodeId x, NodeId y) {
-    return vertices_.at(x).ord < vertices_.at(y).ord;
+    return At(x).ord < At(y).ord;
   };
   std::sort(backward_.begin(), backward_.end(), by_ord);
   std::sort(forward_.begin(), forward_.end(), by_ord);
 
   pool_.clear();
-  for (NodeId x : backward_) pool_.push_back(vertices_.at(x).ord);
-  for (NodeId x : forward_) pool_.push_back(vertices_.at(x).ord);
+  for (NodeId x : backward_) pool_.push_back(At(x).ord);
+  for (NodeId x : forward_) pool_.push_back(At(x).ord);
   std::sort(pool_.begin(), pool_.end());
 
   size_t slot = 0;
-  for (NodeId x : backward_) vertices_.at(x).ord = pool_[slot++];
-  for (NodeId x : forward_) vertices_.at(x).ord = pool_[slot++];
+  for (NodeId x : backward_) At(x).ord = pool_[slot++];
+  for (NodeId x : forward_) At(x).ord = pool_[slot++];
   return true;
 }
 

@@ -4,12 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/ids.h"
 #include "core/relation.h"
+#include "util/slot_pool.h"
 
 namespace comptx::online {
 
@@ -71,6 +71,9 @@ class LiveRelation {
  private:
   Relation fwd_;
   Relation rev_;  // converse of fwd_
+  // AddClosing's copies of the endpoint spans, reused across calls.
+  std::vector<uint32_t> closing_sources_;
+  std::vector<uint32_t> closing_targets_;
 };
 
 /// Dynamic acyclicity maintenance for a growing constraint digraph, using
@@ -83,8 +86,12 @@ class LiveRelation {
 /// current topological order costs O(1) and the amortized cost stays far
 /// below re-running a full DFS per event.
 ///
-/// Vertices are identified by NodeId (sparse); unknown endpoints are
-/// created on first use and appended at the end of the order.  Edges are
+/// Vertices are identified by NodeId; unknown endpoints are created on
+/// first use and appended at the end of the order.  Vertex records live
+/// in a SlotPool (util/slot_pool.h): a removed vertex frees its slot for
+/// the next one, and DropBefore releases the pool's id directory below
+/// the oldest live id, so a long session costs 4 bytes per id of its live
+/// window per graph and allocates nothing in the steady state.  Edges are
 /// a LiveRelation, so the Reorder walks visit neighbours in ascending id
 /// order and witnesses do not depend on hash order.  The
 /// structure is *sticky* on failure: the first edge that closes a cycle
@@ -98,7 +105,7 @@ class LiveRelation {
 /// monotone stamp stored inline in each Vertex and accumulates its
 /// frontier in member scratch vectors, so a reorder performs no per-call
 /// heap allocation (the scratch keeps its high-water capacity across
-/// calls).
+/// calls).  Vertex references are invalidated by any vertex creation.
 class IncrementalCycleGraph {
  public:
   IncrementalCycleGraph() = default;
@@ -112,7 +119,9 @@ class IncrementalCycleGraph {
   bool AddEdge(NodeId a, NodeId b);
 
   bool HasEdge(NodeId a, NodeId b) const;
-  bool Contains(NodeId id) const { return vertices_.count(id) > 0; }
+  bool Contains(NodeId id) const {
+    return vertices_.Find(id.index()) != nullptr;
+  }
 
   /// True iff some inserted edge closed a cycle.
   bool has_cycle() const { return cycle_; }
@@ -139,6 +148,10 @@ class IncrementalCycleGraph {
   /// vertex with in-edges changes which cycles are detectable afterwards.
   void RemoveNode(NodeId id);
 
+  /// Releases the vertex directory below `id`.  Every vertex below `id`
+  /// must have been removed; ids below it are never used again.
+  void DropBefore(uint32_t id) { vertices_.DropBefore(id); }
+
   /// Position of `id` in the maintained topological order; meaningful only
   /// while acyclic.  Unknown vertices sort last.
   uint64_t OrderKey(NodeId id) const;
@@ -154,12 +167,13 @@ class IncrementalCycleGraph {
   };
 
   Vertex& Ensure(NodeId id);
+  Vertex& At(NodeId id) { return *vertices_.Find(id.index()); }
 
   /// Restores the topological order after inserting a -> b with
   /// ord[b] < ord[a].  Returns false iff a cycle was found (witness_ set).
   bool Reorder(NodeId a, NodeId b);
 
-  std::unordered_map<NodeId, Vertex> vertices_;
+  SlotPool<Vertex> vertices_;
   LiveRelation edges_;
   uint64_t next_ord_ = 0;
   bool cycle_ = false;

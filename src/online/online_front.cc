@@ -40,18 +40,17 @@ NodeId OnlineFrontEngine::Rep(NodeId x, uint32_t i) const {
   return x;
 }
 
-std::vector<NodeId> OnlineFrontEngine::FrontMembersOfSubtree(
-    NodeId t, uint32_t j) const {
-  std::vector<NodeId> out;
-  if (j > SpanEnd(t)) return out;
+void OnlineFrontEngine::FrontMembersOfSubtree(NodeId t, uint32_t j,
+                                              std::vector<NodeId>& out) const {
+  out.clear();
+  if (j > SpanEnd(t)) return;
   if (InFront(t, j)) {
     out.push_back(t);
-    return out;
+    return;
   }
-  for (NodeId d : cs_->Descendants(t)) {
+  cs_->ForEachDescendant(t, [&](NodeId d) {
     if (InFront(d, j)) out.push_back(d);
-  }
-  return out;
+  });
 }
 
 bool OnlineFrontEngine::BindingObserved(NodeId a, NodeId b) const {
@@ -147,7 +146,8 @@ void OnlineFrontEngine::OnNodeAdded(NodeId x) {
   auto pull_down = [&](NodeId other, bool x_first) {
     const uint32_t hi = std::min(x_end, SpanEnd(other));
     for (uint32_t j = x_begin; j <= hi; ++j) {
-      for (NodeId y : FrontMembersOfSubtree(other, j)) {
+      FrontMembersOfSubtree(other, j, members_v_);
+      for (NodeId y : members_v_) {
         const auto [u, v] = x_first ? std::pair(x, y) : std::pair(y, x);
         CcEdge(j, u, v);
         CalcEdge(j + 1, u, v);
@@ -254,11 +254,11 @@ void OnlineFrontEngine::StrongPair(NodeId u, NodeId v) {
   // both CC edges and calculation rule 1 edges at the next step.
   const uint32_t hi = std::min(SpanEnd(u), SpanEnd(v));
   for (uint32_t j = 0; j <= hi; ++j) {
-    const std::vector<NodeId> in_u = FrontMembersOfSubtree(u, j);
-    if (in_u.empty()) continue;
-    const std::vector<NodeId> in_v = FrontMembersOfSubtree(v, j);
-    for (NodeId x : in_u) {
-      for (NodeId y : in_v) {
+    FrontMembersOfSubtree(u, j, members_u_);
+    if (members_u_.empty()) continue;
+    FrontMembersOfSubtree(v, j, members_v_);
+    for (NodeId x : members_u_) {
+      for (NodeId y : members_v_) {
         CcEdge(j, x, y);
         CalcEdge(j + 1, x, y);
       }
@@ -271,12 +271,21 @@ uint64_t OnlineFrontEngine::TopOrderKey(NodeId root) const {
 }
 
 void OnlineFrontEngine::RemoveNode(NodeId n) {
-  for (LevelState& l : level_) {
-    l.observed.RemoveNode(n);
-    l.cc.RemoveNode(n);
+  const uint32_t begin = SpanBegin(n);
+  const uint32_t end = SpanEnd(n);
+  for (uint32_t j = begin; j <= end; ++j) {
+    level_[j].observed.RemoveNode(n);
+    level_[j].cc.RemoveNode(n);
   }
-  for (IncrementalCycleGraph& g : calc_) g.RemoveNode(n);
+  for (uint32_t i = begin; i <= LastCalcStep(end); ++i) {
+    calc_[i].RemoveNode(n);
+  }
   strong_.RemoveNode(n);
+}
+
+void OnlineFrontEngine::DropBefore(uint32_t id) {
+  for (LevelState& l : level_) l.cc.DropBefore(id);
+  for (IncrementalCycleGraph& g : calc_) g.DropBefore(id);
 }
 
 size_t OnlineFrontEngine::ObservedPairCount() const {

@@ -1,6 +1,7 @@
 #ifndef COMPTX_ONLINE_ONLINE_FRONT_H_
 #define COMPTX_ONLINE_ONLINE_FRONT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -118,17 +119,26 @@ class OnlineFrontEngine {
   /// subtree.
   template <typename Inside>
   bool HasIncomingEdges(NodeId n, const Inside& inside) const {
-    for (const LevelState& l : level_) {
-      if (l.cc.HasInEdgeFromOutside(n, inside)) return true;
+    const uint32_t begin = SpanBegin(n);
+    const uint32_t end = SpanEnd(n);
+    for (uint32_t j = begin; j <= end; ++j) {
+      if (level_[j].cc.HasInEdgeFromOutside(n, inside)) return true;
     }
-    for (const IncrementalCycleGraph& g : calc_) {
-      if (g.HasInEdgeFromOutside(n, inside)) return true;
+    for (uint32_t i = begin; i <= LastCalcStep(end); ++i) {
+      if (calc_[i].HasInEdgeFromOutside(n, inside)) return true;
     }
     return false;
   }
 
-  /// Removes `n` from every level and step structure.
+  /// Removes `n` (still in the composite system) from every level and
+  /// step structure.  Only the structures that can hold it are visited:
+  /// the levels of its span, and the calculation steps SpanBegin(n)
+  /// (where Rep places a grouped transaction) through SpanEnd(n) + 1.
   void RemoveNode(NodeId n);
+
+  /// Releases per-id storage below `id`, the oldest id still live; every
+  /// node below it was removed.
+  void DropBefore(uint32_t id);
 
   // ---- Stats ------------------------------------------------------------
 
@@ -153,13 +163,20 @@ class OnlineFrontEngine {
   bool InFront(NodeId x, uint32_t j) const {
     return SpanBegin(x) <= j && j <= SpanEnd(x);
   }
+  /// The last calculation step a node whose span ends at `span_end` can
+  /// take part in.
+  uint32_t LastCalcStep(uint32_t span_end) const {
+    return std::min(span_end + 1, order_);
+  }
   /// Representative of front-(i-1) node x in front i: its parent when the
   /// parent is grouped at step i, x itself otherwise.
   NodeId Rep(NodeId x, uint32_t i) const;
 
-  /// Front-j members of subtree(t): t itself if present, else the
-  /// descendants whose span contains j.
-  std::vector<NodeId> FrontMembersOfSubtree(NodeId t, uint32_t j) const;
+  /// Front-j members of subtree(t) into `out` (replacing its contents):
+  /// t itself if present, else the descendants whose span contains j, in
+  /// preorder.
+  void FrontMembersOfSubtree(NodeId t, uint32_t j,
+                             std::vector<NodeId>& out) const;
 
   /// Generalized conflict of an observed pair (Def 11): same-host pairs
   /// consult CON_S; all other observed pairs conflict by construction.
@@ -197,6 +214,11 @@ class OnlineFrontEngine {
   /// so OnNodeAdded can pull existing pairs down onto new forest nodes.
   LiveRelation strong_;
   std::optional<OnlineFailure> failure_;
+
+  // FrontMembersOfSubtree buffers of the strong pull-downs, reused across
+  // calls.
+  std::vector<NodeId> members_u_;
+  std::vector<NodeId> members_v_;
 };
 
 }  // namespace comptx::online

@@ -1,5 +1,8 @@
 #include "service/client.h"
 
+#include <string>
+#include <utility>
+
 #include "util/string_util.h"
 
 namespace comptx::service {
@@ -24,8 +27,12 @@ StatusOr<Response> ServiceClient::RoundTrip(const Request& request) {
   auto response = Transport(request);
   if (!response.ok()) return response.status();
   if (!response->ok) {
-    return Status::FailedPrecondition(
-        StrCat(response->error_code, ": ", response->error_message));
+    std::string what =
+        StrCat(response->error_code, ": ", response->error_message);
+    if (response->error_code == "session_busy") {
+      return Status::AlreadyExists(std::move(what));
+    }
+    return Status::FailedPrecondition(std::move(what));
   }
   return response;
 }

@@ -54,7 +54,9 @@ namespace comptx::service {
 ///
 ///     OK [key=value ...]          first line; body lines follow for STATS
 ///     ERR <code> <message>        codes: bad_request, not_found,
-///                                 session_limit, shutting_down, internal
+///                                 session_limit, session_closing,
+///                                 session_busy, gap, shutting_down,
+///                                 internal
 ///
 /// APPEND acknowledges *enqueueing* (the events are certified
 /// asynchronously by the worker pool); QUERY and CLOSE wait for the

@@ -35,6 +35,10 @@ const char* ErrorCode(const Status& status) {
       // STREAM asked for a seq at or below the trimmed prefix: the
       // subscriber must resubscribe from its durable cursor.
       return "gap";
+    case StatusCode::kAlreadyExists:
+      // resume=<id> raced a live, resuming or evicting session: retry
+      // once the other holder of the id lets go.
+      return "session_busy";
     case StatusCode::kInternal:
       return "internal";
     default:

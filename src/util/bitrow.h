@@ -79,6 +79,13 @@ class BitRow {
 
   bool Empty() const { return words_.empty(); }
 
+  /// Clears every bit but keeps the word storage, so a recycled row
+  /// re-grows its window without allocating.
+  void Clear() {
+    words_.clear();
+    base_word_ = 0;
+  }
+
  private:
   std::vector<uint64_t> words_;
   uint32_t base_word_ = 0;

@@ -147,6 +147,109 @@ TEST(IncrementalCycleGraph, InDegreeAndRemoveNode) {
   EXPECT_FALSE(g.has_cycle());
 }
 
+/// Removed vertices free their slots and DropBefore releases the id
+/// window below the oldest survivor; vertices created afterwards reuse
+/// the slots.  Order keys, cycle detection and the witness must not see
+/// anything of the slots' previous owners.
+TEST(IncrementalCycleGraph, RemoveAndDropBeforeThenNewEdges) {
+  IncrementalCycleGraph g;
+  for (uint32_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(g.AddEdge(NodeId(i), NodeId(i + 1)));
+  }
+  // Drop the oldest half (sources first, as pruning does).
+  for (uint32_t i = 0; i < 5; ++i) g.RemoveNode(NodeId(i));
+  g.DropBefore(5);
+  EXPECT_EQ(g.NodeCount(), 6u);
+  EXPECT_EQ(g.EdgeCount(), 5u);
+  for (uint32_t i = 0; i < 5; ++i) {
+    EXPECT_FALSE(g.Contains(NodeId(i)));
+    EXPECT_EQ(g.OrderKey(NodeId(i)), g.OrderKey(NodeId(1000)));  // unknown
+  }
+  // New vertices 20..24 recycle the freed slots.  Inserted backwards, each
+  // edge inverts the current order and forces a reorder.
+  for (uint32_t i = 24; i > 20; --i) {
+    ASSERT_TRUE(g.AddEdge(NodeId(i - 1), NodeId(i)));
+  }
+  ASSERT_TRUE(g.AddEdge(NodeId(10), NodeId(20)));
+  EXPECT_EQ(g.NodeCount(), 11u);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (uint32_t i : {5u, 6u, 7u, 8u, 9u, 20u, 21u, 22u, 23u}) {
+    edges.emplace_back(NodeId(i), NodeId(i + 1));
+  }
+  edges.emplace_back(NodeId(10), NodeId(20));
+  for (const auto& [a, b] : edges) {
+    EXPECT_TRUE(g.HasEdge(a, b));
+    EXPECT_LT(g.OrderKey(a), g.OrderKey(b)) << a << " -> " << b;
+  }
+  EXPECT_FALSE(g.HasEdge(NodeId(4), NodeId(5)));
+  EXPECT_FALSE(g.HasInEdgeFromOutside(NodeId(5), [](NodeId) { return false; }));
+
+  // A removed vertex's old edge 3 -> 4 must not resurface: 4 -> 3 on fresh
+  // vertices 3 and 4 below the window is not a cycle.
+  EXPECT_TRUE(g.AddEdge(NodeId(4), NodeId(3)));
+  EXPECT_FALSE(g.has_cycle());
+  // A back edge from the new tail closes the long path; the witness is a
+  // real cycle through the recycled vertices.
+  EXPECT_FALSE(g.AddEdge(NodeId(24), NodeId(7)));
+  ASSERT_TRUE(g.has_cycle());
+  const std::vector<NodeId>& w = g.cycle_witness();
+  EXPECT_EQ(w, (std::vector<NodeId>{NodeId(7), NodeId(8), NodeId(9),
+                                    NodeId(10), NodeId(20), NodeId(21),
+                                    NodeId(22), NodeId(23), NodeId(24)}));
+  for (size_t i = 0; i + 1 < w.size(); ++i) {
+    EXPECT_TRUE(g.HasEdge(w[i], w[i + 1]));
+  }
+  EXPECT_TRUE(g.HasEdge(w.back(), w.front()));
+}
+
+/// Randomized: a sliding window of vertices, the oldest removed and
+/// dropped as the window advances, checked after every insertion against
+/// the batch cycle finder on the surviving edges.
+TEST(IncrementalCycleGraph, SlidingWindowAgainstBatchCycleFinder) {
+  constexpr uint32_t kWindow = 12;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(500 + seed);
+    IncrementalCycleGraph g;
+    std::vector<std::pair<uint32_t, uint32_t>> live_edges;
+    for (uint32_t newest = 1; newest < 120; ++newest) {
+      const uint32_t oldest = newest < kWindow ? 0 : newest - kWindow;
+      if (oldest > 0) {
+        g.RemoveNode(NodeId(oldest - 1));
+        g.DropBefore(oldest);
+        std::erase_if(live_edges, [&](const auto& e) {
+          return e.first < oldest || e.second < oldest;
+        });
+      }
+      // Mostly forward edges into the newest vertex, rarely a backward one.
+      const uint32_t from =
+          oldest + static_cast<uint32_t>(rng.UniformInt(newest - oldest));
+      const bool backward = rng.Bernoulli(0.03);
+      const uint32_t a = backward ? newest : from;
+      const uint32_t b = backward ? from : newest;
+      const bool ok = g.AddEdge(NodeId(a), NodeId(b));
+      live_edges.emplace_back(a, b);
+
+      graph::Digraph batch(newest - oldest + 1);
+      for (const auto& [x, y] : live_edges) {
+        batch.AddEdge(x - oldest, y - oldest);
+      }
+      const bool acyclic = graph::IsAcyclic(batch);
+      ASSERT_EQ(ok, acyclic) << "seed " << seed << " newest " << newest;
+      if (!acyclic) {
+        const std::vector<NodeId>& w = g.cycle_witness();
+        ASSERT_FALSE(w.empty());
+        for (size_t i = 0; i < w.size(); ++i) {
+          ASSERT_TRUE(g.HasEdge(w[i], w[(i + 1) % w.size()]));
+        }
+        break;  // failure is sticky; the next seed
+      }
+      for (const auto& [x, y] : live_edges) {
+        ASSERT_LT(g.OrderKey(NodeId(x)), g.OrderKey(NodeId(y)));
+      }
+    }
+  }
+}
+
 /// Randomized cross-check: after every single insertion, the incremental
 /// verdict must equal batch IsAcyclic on the same edge set.  Once a cycle
 /// appears the incremental graph reports failure forever (sticky), which

@@ -784,6 +784,37 @@ TEST(DurableServerTest, ResumeWithoutDurabilityIsABadRequest) {
   server.Shutdown();
 }
 
+// A resume of a live id is a lifecycle race the client may retry, not a
+// malformed request: Handle answers session_busy, and the client library
+// turns that code back into AlreadyExists.
+TEST(DurableServerTest, ResumeOfALiveSessionAnswersSessionBusy) {
+  ServerOptions options;
+  options.workers = 1;
+  options.durability.dir = DurabilityDir("resume_live");
+  options.durability.fsync = durability::FsyncPolicy::kNone;
+  CertificationServer server(options);
+  ASSERT_TRUE(server.InitStatus().ok()) << server.InitStatus();
+  auto id = server.Open();
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  Request open;
+  open.kind = CommandKind::kOpen;
+  open.options = StrCat("resume=", *id);
+  const Response response = server.Handle(open);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error_code, "session_busy") << response.error_message;
+
+  Endpoint endpoint;
+  ASSERT_TRUE(server.Listen(endpoint).ok());
+  auto client = ServiceClient::Dial(endpoint);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto resumed = client->Open(open.options);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kAlreadyExists)
+      << resumed.status().ToString();
+  server.Shutdown();
+}
+
 // ------------------------------------------------- session-table races
 
 // Runs `body(t)` on `threads` threads released together, so they reach
