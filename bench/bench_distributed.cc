@@ -16,28 +16,25 @@
 //                 ORDER_STREAM replication up to the root, and the
 //                 cross-node two-phase commit per phase.
 //
-// Every cell's verdict must agree with the others on the same trace; the
-// headline ratio is distributed vs single events/second — the price of
-// the replication hop and the cross-node commit, with the service stack
-// itself factored out.
-//
-// Plain chrono driver (no google-benchmark) so the output is a single
-// machine-readable JSON document, committed as BENCH_distributed.json.
+// Every cell runs bench::kRepeats passes and reports the median and
+// quartiles of its time and rate (bench/harness.h).  Every pass's final
+// verdict and commit watermark must equal the bare engine's on the same
+// trace, or the cell counts a mismatch; the headline ratio is distributed
+// vs single median events/second — the price of the replication hop and
+// the cross-node commit, with the service stack itself factored out.
 //
 // Usage: bench_distributed [--serve BIN] [--data-dir DIR] [output.json]
 //   --serve defaults to <bench dir>/../tools/comptx_serve, which is
 //   right when the bench runs from the build tree.
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "distributed/topology.h"
+#include "harness.h"
 #include "online/certifier.h"
 #include "util/logging.h"
 #include "workload/trace.h"
@@ -45,7 +42,6 @@
 namespace {
 
 using namespace comptx;  // NOLINT
-using Clock = std::chrono::steady_clock;
 namespace fs = std::filesystem;
 
 constexpr uint64_t kSeed = 20260814;
@@ -63,13 +59,8 @@ const char kForkJoinSpec[] =
     "edge root left\n"
     "edge root right\n";
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-struct Cell {
-  std::string mode;
-  size_t processes = 0;
+/// What one pass of a cell measured.
+struct Pass {
   double seconds = 0;
   double events_per_second = 0;
   bool certifiable = false;
@@ -77,69 +68,52 @@ struct Cell {
   uint64_t resubscribes = 0;
 };
 
-struct Row {
-  uint32_t roots = 0;
-  size_t events = 0;
-  std::vector<Cell> cells;
-  bool verdicts_agree = false;
-};
-
 /// The in-process floor: one certifier, the whole trace, one trailing
 /// commit_through watermark.
-Cell RunEngine(const std::vector<workload::TraceEvent>& trace,
+Pass RunEngine(const std::vector<workload::TraceEvent>& trace,
                uint64_t roots) {
-  Cell cell;
-  cell.mode = "engine";
-  cell.processes = 0;
-  const auto start = Clock::now();
+  Pass pass;
+  const bench::Clock::time_point start = bench::Clock::now();
   online::Certifier certifier{online::CertifierOptions{}};
   for (const auto& event : trace) (void)certifier.Ingest(event);
   workload::TraceEvent commit;
   commit.kind = workload::TraceEventKind::kCommitThrough;
   commit.a = static_cast<uint32_t>(roots);
   (void)certifier.Ingest(commit);
-  cell.certifiable = certifier.Verdict().certifiable;
-  cell.seconds = SecondsSince(start);
-  cell.commit_watermark = certifier.Stats().commit_watermark;
-  cell.events_per_second =
-      cell.seconds > 0 ? double(trace.size()) / cell.seconds : 0;
-  return cell;
+  pass.certifiable = certifier.Verdict().certifiable;
+  pass.seconds = bench::MicrosSince(start) / 1e6;
+  pass.commit_watermark = certifier.Stats().commit_watermark;
+  return pass;
 }
 
 /// One topology run: spawn (untimed), drive the phased trace (timed),
 /// report the final phase verdict.
-StatusOr<Cell> RunTopology(const std::string& mode, const char* spec_text,
+StatusOr<Pass> RunTopology(const distributed::TopologySpec& spec,
                            const std::vector<workload::TraceEvent>& trace,
                            const std::string& serve_binary,
                            const std::string& data_dir) {
-  Cell cell;
-  cell.mode = mode;
+  Pass pass;
   std::error_code ec;
   fs::remove_all(data_dir, ec);
-  COMPTX_ASSIGN_OR_RETURN(distributed::TopologySpec spec,
-                          distributed::ParseTopologySpec(spec_text));
-  cell.processes = spec.nodes.size();
   distributed::RunnerOptions options;
   options.serve_binary = serve_binary;
   options.data_root = data_dir;
   options.phases = kPhases;
   distributed::TopologyRunner runner(spec, options);
   COMPTX_RETURN_IF_ERROR(runner.Start());
-  const auto start = Clock::now();
+  const bench::Clock::time_point start = bench::Clock::now();
   auto report = runner.Drive(trace);
-  cell.seconds = SecondsSince(start);
+  pass.seconds = bench::MicrosSince(start) / 1e6;
   const Status down = runner.Shutdown();
   COMPTX_RETURN_IF_ERROR(report.status());
   if (!down.ok()) COMPTX_LOG(Warn) << "shutdown: " << down;
   if (report->phases.empty()) {
     return Status::Internal("topology run produced no phase verdicts");
   }
-  cell.certifiable = report->phases.back().certifiable;
-  cell.commit_watermark = report->phases.back().commit_watermark;
-  cell.resubscribes = report->resubscribes;
-  cell.events_per_second =
-      cell.seconds > 0 ? double(trace.size()) / cell.seconds : 0;
-  return cell;
+  pass.certifiable = report->phases.back().certifiable;
+  pass.commit_watermark = report->phases.back().commit_watermark;
+  pass.resubscribes = report->resubscribes;
+  return pass;
 }
 
 }  // namespace
@@ -182,103 +156,79 @@ int main(int argc, char** argv) {
                     .string();
   }
 
-  const std::vector<uint32_t> sweep = {6, 12, 24};
-  std::vector<Row> rows;
-  size_t mismatches = 0;
-  for (const uint32_t roots : sweep) {
+  // Headline: what the replication hop + cross-node commit cost over the
+  // same service stack in one process, at the largest size.
+  std::vector<bench::Json> rows;
+  double single_eps = 0, dist_eps = 0;
+  for (const uint32_t roots : {6, 12, 24}) {
     auto trace = distributed::GenerateGroupedTrace(roots, kSeed, 0.0);
     if (!trace.ok()) {
       std::cerr << "workload generation failed: " << trace.status() << "\n";
       return 2;
     }
-    Row row;
-    row.roots = roots;
-    row.events = trace->size();
-    row.cells.push_back(RunEngine(*trace, roots));
-    for (const auto& [mode, spec] :
-         {std::pair<const char*, const char*>{"single", kSingleSpec},
-          std::pair<const char*, const char*>{"distributed",
-                                              kForkJoinSpec}}) {
-      auto cell = RunTopology(mode, spec, *trace, serve_binary,
-                              data_root + "/" + mode + "_" +
-                                  std::to_string(roots));
-      if (!cell.ok()) {
-        std::cerr << mode << " run failed at roots=" << roots << ": "
-                  << cell.status() << "\n";
-        return 2;
+    const Pass engine = RunEngine(*trace, roots);
+    std::vector<bench::Json> cells;
+    for (const auto& [mode, spec_text] :
+         {std::pair<const char*, const char*>{"engine", nullptr},
+          std::pair<const char*, const char*>{"single", kSingleSpec},
+          std::pair<const char*, const char*>{"distributed", kForkJoinSpec}}) {
+      size_t processes = 0;
+      std::vector<Pass> passes;
+      if (spec_text == nullptr) {
+        passes = bench::RunPasses([&] { return RunEngine(*trace, roots); });
+      } else {
+        auto spec = distributed::ParseTopologySpec(spec_text);
+        COMPTX_CHECK(spec.ok()) << spec.status().ToString();
+        processes = spec->nodes.size();
+        const std::string dir =
+            data_root + "/" + mode + "_" + std::to_string(roots);
+        passes = bench::RunPasses([&] {
+          auto pass = RunTopology(*spec, *trace, serve_binary, dir);
+          if (!pass.ok()) {
+            std::cerr << mode << " run failed at roots=" << roots << ": "
+                      << pass.status() << "\n";
+            std::exit(2);
+          }
+          return *pass;
+        });
       }
-      row.cells.push_back(*cell);
-    }
-    row.verdicts_agree = true;
-    for (const Cell& cell : row.cells) {
-      if (cell.certifiable != row.cells.front().certifiable ||
-          cell.commit_watermark != row.cells.front().commit_watermark) {
-        row.verdicts_agree = false;
-        ++mismatches;
+      size_t mismatches = 0;
+      for (Pass& pass : passes) {
+        pass.events_per_second = double(trace->size()) / pass.seconds;
+        mismatches += pass.certifiable != engine.certifiable ||
+                      pass.commit_watermark != engine.commit_watermark;
       }
+      const bench::Stats rate =
+          bench::Summarize(passes, &Pass::events_per_second);
+      if (mode == std::string("single")) single_eps = rate.median;
+      if (mode == std::string("distributed")) dist_eps = rate.median;
+      cells.push_back(bench::Json()
+                          .Set("mode", mode)
+                          .Set("processes", processes)
+                          .Set("seconds",
+                               bench::Summarize(passes, &Pass::seconds))
+                          .Set("events_per_second", rate)
+                          .Set("certifiable", passes.front().certifiable)
+                          .Set("commit_watermark",
+                               passes.front().commit_watermark)
+                          .Set("resubscribes", passes.front().resubscribes)
+                          .Mismatches(mismatches));
     }
-    std::cout << "roots=" << roots << " events=" << row.events;
-    for (const Cell& cell : row.cells) {
-      std::cout << "  " << cell.mode << "=" << std::fixed
-                << cell.events_per_second << " ev/s";
-    }
-    std::cout << (row.verdicts_agree ? "" : "  VERDICT MISMATCH") << "\n";
-    rows.push_back(std::move(row));
+    bench::AddRow(rows, bench::Json()
+                            .Set("roots", roots)
+                            .Set("events", trace->size())
+                            .Set("cells", cells));
   }
-
-  // Headline: what the replication hop + cross-node commit cost over the
-  // same service stack in one process, at the largest size.
-  double overhead = 0;
-  if (!rows.empty()) {
-    const auto& cells = rows.back().cells;
-    double single_eps = 0, dist_eps = 0;
-    for (const Cell& cell : cells) {
-      if (cell.mode == "single") single_eps = cell.events_per_second;
-      if (cell.mode == "distributed") dist_eps = cell.events_per_second;
-    }
-    overhead = dist_eps > 0 ? single_eps / dist_eps : 0;
-  }
-
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"E17_distributed_certification\",\n"
-       << "  \"topology\": \"fork_join_3_process\",\n"
-       << "  \"phases\": " << kPhases << ",\n"
-       << "  \"fsync\": \"always\",\n"
-       << "  \"seed\": " << kSeed << ",\n"
-       << "  \"single_over_distributed_events_per_second\": " << overhead
-       << ",\n"
-       << "  \"all_verdicts_agree\": " << (mismatches == 0 ? "true" : "false")
-       << ",\n"
-       << "  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    json << "    {\"roots\": " << row.roots << ", \"events\": " << row.events
-         << ", \"verdicts_agree\": " << (row.verdicts_agree ? "true" : "false")
-         << ", \"cells\": [\n";
-    for (size_t j = 0; j < row.cells.size(); ++j) {
-      const Cell& cell = row.cells[j];
-      json << "      {\"mode\": \"" << cell.mode
-           << "\", \"processes\": " << cell.processes
-           << ", \"seconds\": " << cell.seconds
-           << ", \"events_per_second\": " << cell.events_per_second
-           << ", \"certifiable\": " << (cell.certifiable ? "true" : "false")
-           << ", \"commit_watermark\": " << cell.commit_watermark
-           << ", \"resubscribes\": " << cell.resubscribes << "}"
-           << (j + 1 < row.cells.size() ? "," : "") << "\n";
-    }
-    json << "    ]}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cout << "wrote " << out_path << "\n";
   std::error_code ec;
   fs::remove_all(data_root, ec);
-  return mismatches == 0 ? 0 : 1;
+  return bench::WriteReport(
+      out_path, "E17_distributed_certification",
+      bench::Json()
+          .Set("topology", "fork_join_3_process")
+          .Set("phases", kPhases)
+          .Set("fsync", "always")
+          .Set("seed", kSeed)
+          .Set("single_over_distributed_events_per_second",
+               dist_eps > 0 ? single_eps / dist_eps : 0)
+          .Set("rows", rows));
 }

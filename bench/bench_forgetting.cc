@@ -9,14 +9,19 @@
 //
 // Expected shape: forgetting strictly increases acceptance at every
 // contention level, approaching the oracle; with forgetting off, Comp-C
-// collapses towards LLSR.
+// collapses towards LLSR.  Forgetting may only widen acceptance, and
+// Comp-C must stay sound against the oracle: each violation of either is
+// a mismatch.
+//
+// Usage: bench_forgetting [output.json]   (default BENCH_forgetting.json)
 
-#include <iostream>
+#include <vector>
 
 #include "analysis/stats.h"
 #include "core/correctness.h"
 #include "criteria/llsr.h"
 #include "criteria/oracle.h"
+#include "harness.h"
 #include "util/logging.h"
 #include "workload/workload_spec.h"
 
@@ -26,15 +31,12 @@ using namespace comptx;  // NOLINT
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   constexpr int kTrials = 300;
-  std::cout << "E8: semantic-commutativity (forgetting) ablation ("
-            << kTrials << " executions per cell; layered DAG)\n\n";
-  analysis::TextTable table({"conflict", "llsr", "comp_c_no_forget",
-                             "comp_c", "oracle", "gain(forgetting)"});
-  bool monotone = true;
+  std::vector<bench::Json> rows;
   for (double conflict : {0.05, 0.1, 0.15, 0.2, 0.3}) {
     analysis::RateCounter llsr, no_forget, comp_c, oracle;
+    size_t violations = 0;
     for (int seed = 1; seed <= kTrials; ++seed) {
       workload::WorkloadSpec spec;
       spec.topology.kind = workload::TopologyKind::kLayeredDag;
@@ -62,21 +64,23 @@ int main() {
       oracle.Add(*truth);
       // Sanity: forgetting can only widen acceptance, and Comp-C stays
       // sound w.r.t. the oracle.
-      if (without->comp_c && !accepted) monotone = false;
-      if (accepted && !*truth) monotone = false;
+      violations += (without->comp_c && !accepted) || (accepted && !*truth);
     }
-    table.AddRow(
-        {analysis::FormatDouble(conflict, 2),
-         analysis::FormatDouble(llsr.rate()),
-         analysis::FormatDouble(no_forget.rate()),
-         analysis::FormatDouble(comp_c.rate()),
-         analysis::FormatDouble(oracle.rate()),
-         analysis::FormatDouble(comp_c.rate() - no_forget.rate())});
+    bench::AddRow(rows,
+                  bench::Json()
+                      .Set("conflict", conflict)
+                      .Set("trials", kTrials)
+                      .Set("llsr", llsr.rate())
+                      .Set("comp_c_no_forget", no_forget.rate())
+                      .Set("comp_c", comp_c.rate())
+                      .Set("oracle", oracle.rate())
+                      .Set("gain_forgetting", comp_c.rate() - no_forget.rate())
+                      .Mismatches(violations));
   }
-  std::cout << table.ToString() << "\n";
-  std::cout << (monotone
-                    ? "RESULT: forgetting strictly widens acceptance and "
-                      "never exceeds the semantic oracle (soundness).\n"
-                    : "RESULT: MONOTONICITY VIOLATED — bug!\n");
-  return monotone ? 0 : 1;
+  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_forgetting.json",
+                            "E8_forgetting_ablation",
+                            bench::Json()
+                                .Set("topology", "layered_dag")
+                                .Set("disorder", 0.6)
+                                .Set("rows", rows));
 }

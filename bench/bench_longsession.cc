@@ -19,32 +19,28 @@
 // Events are fed through IngestBatch in service-sized batches — the same
 // path the server's drain worker uses.
 //
-// Memory and recovery cost: each checkpoint also records the process's
-// peak RSS (VmHWM), the size of the session's encoded durability snapshot
-// (DESIGN.md §11.3) and the fastest of 15 decodes + restores of it.  The
-// session holds only its live window, so all three stay flat: snapshot
-// bytes and restore time at the last checkpoint must be within 2x of the
-// first.
+// The session runs bench::kRepeats times; each checkpoint reports the
+// median and quartiles of its segment's per-event cost over the runs
+// (bench/harness.h).
+//
+// Memory and recovery cost: in the first run each checkpoint also records
+// the process's peak RSS (VmHWM), the size of the session's encoded
+// durability snapshot (DESIGN.md §11.3) and the time to decode + restore
+// it.  The session holds only its live window, so all three stay flat:
+// snapshot bytes and median restore time at the last checkpoint must be
+// within 2x of the first.
 //
 // Correctness cross-check: a second certifier with pruning disabled
-// ingests the same stream (at the smallest checkpoint only; it is
-// O(total) by design) and must agree with the pruned session's verdict.
-//
-// Plain chrono driver (no google-benchmark) so the output is a single
-// machine-readable JSON document, committed as BENCH_longsession.json.
+// ingests the same stream (at a small scale only; it is O(total) by
+// design) and must agree with the pruned session's verdict.
 //
 // Usage: bench_longsession [output.json] [--events N] [--window N]
 //                          [--batch N]
 
-#include <algorithm>
 #include <cstdint>
-#include <chrono>
 #include <fstream>
-#include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "durability/snapshot.h"
@@ -53,17 +49,13 @@
 #include "util/logging.h"
 #include "workload/trace.h"
 
-#include "git_sha.h"
+#include "harness.h"
 
 namespace {
 
 using namespace comptx;  // NOLINT
-using Clock = std::chrono::steady_clock;
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
+using bench::Clock;
+using bench::MicrosSince;
 
 /// Streaming-window event source: emits the session's events on demand
 /// instead of materializing a 10M-element vector.  Per root i > 0:
@@ -145,30 +137,27 @@ uint64_t ReadVmHwmKb() {
   return 0;
 }
 
-/// Encodes `certifier`'s snapshot; returns its size and sets `restore_ms`
-/// to the fastest of several decode + restore runs (a restore takes well
-/// under a millisecond, so the minimum is the stable statistic).
+/// Encodes `certifier`'s snapshot; returns its size and sets `restore_us`
+/// to the time one decode + restore of it takes.
 size_t MeasureSnapshot(const online::Certifier& certifier,
                        const online::CertifierOptions& options,
-                       double* restore_ms) {
-  constexpr int kRepeats = 15;
+                       bench::Stats* restore_us) {
   durability::Snapshot snapshot;
   auto state = online::CaptureCertifierState(certifier);
   COMPTX_CHECK(state.ok()) << state.status().ToString();
   snapshot.state = std::move(state).value();
   const std::string bytes = durability::EncodeSnapshot(snapshot);
-  *restore_ms = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < kRepeats; ++i) {
-    const Clock::time_point start = Clock::now();
+  *restore_us = bench::TimeUs([&] {
     auto decoded = durability::DecodeSnapshot(bytes);
     COMPTX_CHECK(decoded.ok()) << decoded.status().ToString();
     auto restored = online::RestoreCertifierState(decoded->state, options);
     COMPTX_CHECK(restored.ok()) << restored.status().ToString();
-    *restore_ms = std::min(*restore_ms, MicrosSince(start) / 1000.0);
-  }
+  });
   return bytes.size();
 }
 
+/// One checkpoint of one run.  The segment time is measured in every run;
+/// the rest only in the first.
 struct Checkpoint {
   uint64_t events = 0;          // cumulative events ingested
   double segment_us = 0;        // time over the preceding segment
@@ -179,12 +168,56 @@ struct Checkpoint {
   bool certifiable = false;
   uint64_t vm_hwm_kb = 0;       // process peak RSS so far
   size_t snapshot_bytes = 0;    // encoded durability snapshot
-  double restore_ms = 0;        // fastest decode + restore of it
+  bench::Stats restore_us;      // decode + restore of it
 
   double PerEventUs() const {
     return segment_events == 0 ? 0 : segment_us / double(segment_events);
   }
 };
+
+/// One session of `total_events` through IngestBatch, checkpointed at
+/// `marks`; `measure` adds the first-run-only fields.
+std::vector<Checkpoint> RunSession(const std::vector<uint64_t>& marks,
+                                   uint32_t window, size_t batch,
+                                   bool measure) {
+  online::CertifierOptions options;
+  options.auto_prune = true;
+  online::Certifier certifier(options);
+  WindowStream stream(window);
+  std::vector<workload::TraceEvent> chunk;
+  std::vector<Checkpoint> checkpoints;
+  uint64_t ingested = 0;
+  uint64_t segment_start_events = 0;
+  Clock::time_point segment_start = Clock::now();
+  for (const uint64_t mark : marks) {
+    while (ingested < mark) {
+      chunk.clear();
+      while (chunk.size() < batch && ingested + chunk.size() < mark) {
+        stream.NextRoot(chunk);
+      }
+      const size_t rejected = certifier.IngestBatch(chunk);
+      COMPTX_CHECK(rejected == 0) << rejected << " events rejected";
+      ingested += chunk.size();
+    }
+    Checkpoint cp;
+    cp.segment_us = MicrosSince(segment_start);
+    cp.events = ingested;
+    cp.segment_events = ingested - segment_start_events;
+    const online::CertifierStats stats = certifier.Stats();
+    cp.live_nodes = stats.live_nodes;
+    cp.pruned_nodes = stats.pruned_nodes;
+    cp.prune_passes = stats.prune_passes;
+    cp.certifiable = certifier.Certifiable();
+    if (measure) {
+      cp.vm_hwm_kb = ReadVmHwmKb();
+      cp.snapshot_bytes = MeasureSnapshot(certifier, options, &cp.restore_us);
+    }
+    checkpoints.push_back(cp);
+    segment_start_events = ingested;
+    segment_start = Clock::now();
+  }
+  return checkpoints;
+}
 
 }  // namespace
 
@@ -219,50 +252,18 @@ int main(int argc, char** argv) {
   }
   marks.push_back(total_events);
 
-  online::CertifierOptions options;
-  options.auto_prune = true;
-  online::Certifier certifier(options);
-  WindowStream stream(window);
-  std::vector<workload::TraceEvent> chunk;
-  std::vector<Checkpoint> checkpoints;
-  uint64_t ingested = 0;
-  uint64_t segment_start_events = 0;
-  size_t next_mark = 0;
-  Clock::time_point segment_start = Clock::now();
-  while (ingested < total_events && next_mark < marks.size()) {
-    chunk.clear();
-    while (chunk.size() < batch && ingested + chunk.size() < marks[next_mark]) {
-      stream.NextRoot(chunk);
-    }
-    if (chunk.empty()) break;
-    const size_t rejected = certifier.IngestBatch(chunk);
-    COMPTX_CHECK(rejected == 0) << rejected << " events rejected";
-    ingested += chunk.size();
-    if (ingested >= marks[next_mark]) {
-      Checkpoint cp;
-      cp.segment_us = MicrosSince(segment_start);
-      cp.events = ingested;
-      cp.segment_events = ingested - segment_start_events;
-      online::CertifierStats stats = certifier.Stats();
-      cp.live_nodes = stats.live_nodes;
-      cp.pruned_nodes = stats.pruned_nodes;
-      cp.prune_passes = stats.prune_passes;
-      cp.certifiable = certifier.Certifiable();
-      cp.vm_hwm_kb = ReadVmHwmKb();
-      cp.snapshot_bytes = MeasureSnapshot(certifier, options, &cp.restore_ms);
-      checkpoints.push_back(cp);
-      std::cout << "events=" << cp.events << " per_event=" << cp.PerEventUs()
-                << "us live=" << cp.live_nodes << " pruned=" << cp.pruned_nodes
-                << " hwm=" << cp.vm_hwm_kb << "KiB snapshot="
-                << cp.snapshot_bytes << "B restore=" << cp.restore_ms
-                << "ms certifiable=" << (cp.certifiable ? "yes" : "NO")
-                << "\n";
-      segment_start_events = ingested;
-      ++next_mark;
-      segment_start = Clock::now();
-    }
+  std::vector<std::vector<Checkpoint>> runs;
+  for (size_t r = 0; r < bench::kRepeats; ++r) {
+    runs.push_back(RunSession(marks, window, batch, r == 0));
   }
-  COMPTX_CHECK(!checkpoints.empty());
+  const std::vector<Checkpoint>& checkpoints = runs.front();
+  // Per checkpoint, the per-event cost of its segment over the runs.
+  std::vector<bench::Stats> per_event_us;
+  for (size_t c = 0; c < marks.size(); ++c) {
+    std::vector<double> samples;
+    for (const auto& run : runs) samples.push_back(run[c].PerEventUs());
+    per_event_us.push_back(bench::Summarize(std::move(samples)));
+  }
 
   // Unpruned cross-check: same stream shape at a deliberately small
   // scale (an unpruned certifier pays O(live) = O(total) per event, so
@@ -275,7 +276,7 @@ int main(int argc, char** argv) {
     online::CertifierOptions unpruned;
     unpruned.auto_prune = false;
     online::Certifier reference(unpruned);
-    online::Certifier pruned(options);
+    online::Certifier pruned;
     WindowStream replay(window);
     std::vector<workload::TraceEvent> events;
     while (events.size() < kCrosscheckEvents) {
@@ -292,76 +293,60 @@ int main(int argc, char** argv) {
 
   const Checkpoint& first = checkpoints.front();
   const Checkpoint& last = checkpoints.back();
+  const double cost_ratio =
+      per_event_us.back().median / per_event_us.front().median;
   // The flatness criterion from EXPERIMENTS.md E15.  The window holds
   // `window` roots of 2 nodes each plus the in-flight root; live_nodes
   // must stay within a small multiple of that, independent of lifetime.
-  const bool flat = last.PerEventUs() <= 1.5 * first.PerEventUs();
+  const bool flat = cost_ratio <= 1.5;
   const uint64_t window_nodes = uint64_t(window + 1) * 2;
   bool live_bounded = true;
   bool all_certifiable = true;
-  for (const Checkpoint& cp : checkpoints) {
-    live_bounded = live_bounded && cp.live_nodes <= 2 * window_nodes;
-    all_certifiable = all_certifiable && cp.certifiable;
+  for (const auto& run : runs) {
+    for (const Checkpoint& cp : run) {
+      live_bounded = live_bounded && cp.live_nodes <= 2 * window_nodes;
+      all_certifiable = all_certifiable && cp.certifiable;
+    }
   }
   const double snapshot_ratio =
       double(last.snapshot_bytes) / double(first.snapshot_bytes);
-  const double restore_ratio = last.restore_ms / first.restore_ms;
+  const double restore_ratio =
+      last.restore_us.median / first.restore_us.median;
   const bool snapshot_flat = snapshot_ratio <= 2.0 && restore_ratio <= 2.0;
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"E15_long_session\",\n"
-       << "  \"workload\": \"streaming_window_chain\",\n"
-       << "  \"git_sha\": \"" << bench::GitSha() << "\",\n"
-       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"total_events\": " << last.events << ",\n"
-       << "  \"commit_window_roots\": " << window << ",\n"
-       << "  \"ingest_batch\": " << batch << ",\n"
-       << "  \"per_event_us_first\": " << first.PerEventUs() << ",\n"
-       << "  \"per_event_us_last\": " << last.PerEventUs() << ",\n"
-       << "  \"cost_ratio_last_over_first\": "
-       << last.PerEventUs() / first.PerEventUs() << ",\n"
-       << "  \"flat_hot_path\": " << (flat ? "true" : "false") << ",\n"
-       << "  \"live_nodes_bounded_by_window\": "
-       << (live_bounded ? "true" : "false") << ",\n"
-       << "  \"snapshot_bytes_ratio_last_over_first\": " << snapshot_ratio
-       << ",\n"
-       << "  \"restore_ms_ratio_last_over_first\": " << restore_ratio << ",\n"
-       << "  \"snapshot_and_restore_flat\": "
-       << (snapshot_flat ? "true" : "false") << ",\n"
-       << "  \"all_checkpoints_certifiable\": "
-       << (all_certifiable ? "true" : "false") << ",\n"
-       << "  \"unpruned_crosscheck_agrees\": "
-       << (crosscheck_agrees ? "true" : "false") << ",\n"
-       << "  \"checkpoints\": [\n";
-  for (size_t i = 0; i < checkpoints.size(); ++i) {
-    const Checkpoint& cp = checkpoints[i];
-    json << "    {\"events\": " << cp.events
-         << ", \"segment_events\": " << cp.segment_events
-         << ", \"segment_us\": " << cp.segment_us
-         << ", \"per_event_us\": " << cp.PerEventUs()
-         << ", \"live_nodes\": " << cp.live_nodes
-         << ", \"pruned_nodes\": " << cp.pruned_nodes
-         << ", \"prune_passes\": " << cp.prune_passes
-         << ", \"certifiable\": " << (cp.certifiable ? "true" : "false")
-         << ", \"vm_hwm_kb\": " << cp.vm_hwm_kb
-         << ", \"snapshot_bytes\": " << cp.snapshot_bytes
-         << ", \"restore_ms\": " << cp.restore_ms << "}"
-         << (i + 1 < checkpoints.size() ? "," : "") << "\n";
+  std::vector<bench::Json> rows;
+  for (size_t c = 0; c < checkpoints.size(); ++c) {
+    const Checkpoint& cp = checkpoints[c];
+    bench::AddRow(rows, bench::Json()
+                            .Set("events", cp.events)
+                            .Set("segment_events", cp.segment_events)
+                            .Set("per_event_us", per_event_us[c])
+                            .Set("live_nodes", cp.live_nodes)
+                            .Set("pruned_nodes", cp.pruned_nodes)
+                            .Set("prune_passes", cp.prune_passes)
+                            .Set("certifiable", cp.certifiable)
+                            .Set("vm_hwm_kb", cp.vm_hwm_kb)
+                            .Set("snapshot_bytes", cp.snapshot_bytes)
+                            .Set("restore_us", cp.restore_us));
   }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cout << "wrote " << out_path << " (ratio="
-            << last.PerEventUs() / first.PerEventUs() << ")\n";
-  return flat && live_bounded && all_certifiable && crosscheck_agrees &&
-                 snapshot_flat
+  const int code = bench::WriteReport(
+      out_path, "E15_long_session",
+      bench::Json()
+          .Set("workload", "streaming_window_chain")
+          .Set("total_events", last.events)
+          .Set("commit_window_roots", window)
+          .Set("ingest_batch", batch)
+          .Set("cost_ratio_last_over_first", cost_ratio)
+          .Set("flat_hot_path", flat)
+          .Set("live_nodes_bounded_by_window", live_bounded)
+          .Set("snapshot_bytes_ratio_last_over_first", snapshot_ratio)
+          .Set("restore_us_ratio_last_over_first", restore_ratio)
+          .Set("snapshot_and_restore_flat", snapshot_flat)
+          .Set("all_checkpoints_certifiable", all_certifiable)
+          .Set("unpruned_crosscheck_agrees", crosscheck_agrees)
+          .Set("checkpoints", rows));
+  return code == 0 && flat && live_bounded && all_certifiable &&
+                 crosscheck_agrees && snapshot_flat
              ? 0
              : 1;
 }

@@ -9,35 +9,26 @@
 // the amortized online cost per event grows strictly slower than the
 // batch re-check cost per event as executions get larger.
 //
-// Plain chrono driver (no google-benchmark) so the output is a single
-// machine-readable JSON document, committed as BENCH_online.json.
+// Every timed value is the median and quartiles of bench::kRepeats
+// passes (bench/harness.h); a row whose final online verdict differs from
+// the batch verdict counts a mismatch.
 //
 // Usage: bench_online [output.json]
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/correctness.h"
+#include "harness.h"
 #include "online/certifier.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
 namespace {
 
 using namespace comptx;  // NOLINT
-using Clock = std::chrono::steady_clock;
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
 
 struct Row {
   uint32_t roots = 0;
@@ -46,17 +37,17 @@ struct Row {
   uint32_t order = 0;
   bool verdict = false;
   bool agreement = false;
-  double online_total_us = 0;
-  double batch_total_us = 0;
+  bench::Stats online_total_us;
+  bench::Stats batch_total_us;
   size_t certifiable_prefix = 0;  // longest prefix the engine accepts
   uint64_t pruned_nodes = 0;
   size_t live_nodes_after_commit = 0;
 
   double OnlinePerEvent() const {
-    return events == 0 ? 0 : online_total_us / double(events);
+    return online_total_us.median / double(events);
   }
   double BatchPerEvent() const {
-    return events == 0 ? 0 : batch_total_us / double(events);
+    return batch_total_us.median / double(events);
   }
 };
 
@@ -86,43 +77,36 @@ Row RunSize(uint32_t roots, uint64_t seed) {
   std::vector<workload::TraceEvent> events = MakeEvents(roots, seed, row.nodes);
   row.events = events.size();
 
-  // Online: one certifier session ingesting the whole stream (best of 3
-  // passes to damp scheduling noise).
-  bool online_verdict = false;
-  uint32_t online_order = 0;
-  for (int rep = 0; rep < 3; ++rep) {
+  // Online: one certifier session ingesting the whole stream.
+  row.online_total_us = bench::TimeUs([&] {
     online::Certifier certifier;
-    Clock::time_point start = Clock::now();
     for (const auto& event : events) {
       Status status = certifier.Ingest(event);
       COMPTX_CHECK(status.ok()) << status.ToString();
     }
-    bool verdict = certifier.Certifiable();
-    double us = MicrosSince(start);
-    if (rep == 0 || us < row.online_total_us) row.online_total_us = us;
-    online_verdict = verdict;
-    online_order = certifier.Verdict().order;
-  }
-  row.verdict = online_verdict;
-  row.order = online_order;
+    row.verdict = certifier.Certifiable();
+    row.order = certifier.Verdict().order;
+  });
 
   // Batch-per-event: re-run CheckCompC on the accumulated prefix after
   // every event (validation off: prefixes are legitimately incomplete).
-  CompositeSystem mirror;
   bool batch_verdict = true;
-  Clock::time_point start = Clock::now();
-  for (const auto& event : events) {
-    Status status = workload::ApplyTraceEvent(mirror, event);
-    COMPTX_CHECK(status.ok()) << status.ToString();
-    ReductionOptions options;
-    options.validate = false;
-    options.keep_fronts = false;
-    auto result = CheckCompC(mirror, options);
-    COMPTX_CHECK(result.ok()) << result.status().ToString();
-    batch_verdict = result->correct;
-  }
-  row.batch_total_us = MicrosSince(start);
-  row.agreement = (batch_verdict == online_verdict);
+  row.batch_total_us = bench::Repeat([&] {
+    const bench::Clock::time_point start = bench::Clock::now();
+    CompositeSystem mirror;
+    for (const auto& event : events) {
+      Status status = workload::ApplyTraceEvent(mirror, event);
+      COMPTX_CHECK(status.ok()) << status.ToString();
+      ReductionOptions options;
+      options.validate = false;
+      options.keep_fronts = false;
+      auto result = CheckCompC(mirror, options);
+      COMPTX_CHECK(result.ok()) << result.status().ToString();
+      batch_verdict = result->correct;
+    }
+    return bench::MicrosSince(start);
+  });
+  row.agreement = (batch_verdict == row.verdict);
 
   // Pruning: measured on the longest *certifiable* prefix — once
   // certification fails the engine keeps everything as failure evidence,
@@ -170,15 +154,12 @@ struct WindowRow {
   size_t events = 0;
   size_t nodes = 0;
   bool verdict = false;
-  double online_total_us = 0;
-  double batch_final_check_us = 0;  // one batch run on the full system
+  bool batch_verdict = false;
+  bench::Stats online_total_us;
+  bench::Stats batch_final_check_us;  // one batch run on the full system
   uint64_t pruned_nodes = 0;
   size_t live_nodes = 0;
   uint64_t prune_passes = 0;
-
-  double OnlinePerEvent() const {
-    return events == 0 ? 0 : online_total_us / double(events);
-  }
 };
 
 WindowRow RunWindow(uint32_t roots) {
@@ -227,20 +208,19 @@ WindowRow RunWindow(uint32_t roots) {
   }
   row.events = events.size();
 
-  online::Certifier certifier;
-  Clock::time_point start = Clock::now();
-  for (const TraceEvent& event : events) {
-    Status status = certifier.Ingest(event);
-    COMPTX_CHECK(status.ok()) << status.ToString();
-  }
-  row.online_total_us = MicrosSince(start);
-  row.verdict = certifier.Certifiable();
-  row.nodes = certifier.system().NodeCount();
-
-  online::CertifierStats stats = certifier.Stats();
-  row.pruned_nodes = stats.pruned_nodes;
-  row.live_nodes = stats.live_nodes;
-  row.prune_passes = stats.prune_passes;
+  row.online_total_us = bench::TimeUs([&] {
+    online::Certifier certifier;
+    for (const TraceEvent& event : events) {
+      Status status = certifier.Ingest(event);
+      COMPTX_CHECK(status.ok()) << status.ToString();
+    }
+    row.verdict = certifier.Certifiable();
+    row.nodes = certifier.system().NodeCount();
+    const online::CertifierStats stats = certifier.Stats();
+    row.pruned_nodes = stats.pruned_nodes;
+    row.live_nodes = stats.live_nodes;
+    row.prune_passes = stats.prune_passes;
+  });
 
   // Reference point: ONE batch re-check on the accumulated system (an
   // online consumer would pay this per event without src/online).  The
@@ -249,45 +229,63 @@ WindowRow RunWindow(uint32_t roots) {
   for (const TraceEvent& event : events) {
     COMPTX_CHECK(workload::ApplyTraceEvent(accumulated, event).ok());
   }
-  start = Clock::now();
   ReductionOptions options;
   options.validate = false;
   options.keep_fronts = false;
-  auto result = CheckCompC(accumulated, options);
-  COMPTX_CHECK(result.ok());
-  COMPTX_CHECK(result->correct == row.verdict);
-  row.batch_final_check_us = MicrosSince(start);
+  row.batch_final_check_us = bench::TimeUs([&] {
+    auto result = CheckCompC(accumulated, options);
+    COMPTX_CHECK(result.ok());
+    row.batch_verdict = result->correct;
+  });
   return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_online.json";
-  const std::vector<uint32_t> sizes = {4, 8, 16, 32, 64};
   std::vector<Row> rows;
-  for (uint32_t roots : sizes) {
+  std::vector<bench::Json> json_rows;
+  for (const uint32_t roots : {4, 8, 16, 32, 64}) {
     rows.push_back(RunSize(roots, 20260806 + roots));
     const Row& r = rows.back();
-    std::cout << "roots=" << r.roots << " events=" << r.events
-              << " online/event=" << r.OnlinePerEvent() << "us"
-              << " batch/event=" << r.BatchPerEvent() << "us"
-              << " speedup=" << r.BatchPerEvent() / r.OnlinePerEvent()
-              << " pruned=" << r.pruned_nodes << "@" << r.certifiable_prefix
-              << " agreement=" << (r.agreement ? "yes" : "NO") << "\n";
+    bench::AddRow(json_rows,
+                  bench::Json()
+                      .Set("roots", r.roots)
+                      .Set("events", r.events)
+                      .Set("nodes", r.nodes)
+                      .Set("order", r.order)
+                      .Set("certifiable", r.verdict)
+                      .Set("online_total_us", r.online_total_us)
+                      .Set("online_per_event_us", r.OnlinePerEvent())
+                      .Set("batch_total_us", r.batch_total_us)
+                      .Set("batch_per_event_us", r.BatchPerEvent())
+                      .Set("speedup", r.BatchPerEvent() / r.OnlinePerEvent())
+                      .Set("certifiable_prefix", r.certifiable_prefix)
+                      .Set("pruned_nodes", r.pruned_nodes)
+                      .Set("live_nodes_after_commit", r.live_nodes_after_commit)
+                      .Mismatches(!r.agreement));
   }
 
-  const std::vector<uint32_t> window_sizes = {256, 1024, 4096};
-  std::vector<WindowRow> window_rows;
-  for (uint32_t roots : window_sizes) {
-    window_rows.push_back(RunWindow(roots));
-    const WindowRow& w = window_rows.back();
-    std::cout << "window roots=" << w.roots << " events=" << w.events
-              << " online/event=" << w.OnlinePerEvent() << "us"
-              << " live=" << w.live_nodes << "/" << w.nodes
-              << " pruned=" << w.pruned_nodes
-              << " one-batch-check=" << w.batch_final_check_us << "us"
-              << " certifiable=" << (w.verdict ? "yes" : "NO") << "\n";
+  std::vector<bench::Json> window_rows;
+  bool window_ok = true;
+  for (const uint32_t roots : {256, 1024, 4096}) {
+    const WindowRow w = RunWindow(roots);
+    window_ok = window_ok && w.verdict && w.live_nodes < w.nodes / 4;
+    bench::AddRow(
+        window_rows,
+        bench::Json()
+            .Set("roots", w.roots)
+            .Set("events", w.events)
+            .Set("nodes", w.nodes)
+            .Set("certifiable", w.verdict)
+            .Set("online_total_us", w.online_total_us)
+            .Set("online_per_event_us",
+                 w.online_total_us.median / double(w.events))
+            .Set("one_batch_check_us", w.batch_final_check_us)
+            .Set("pruned_nodes", w.pruned_nodes)
+            .Set("live_nodes", w.live_nodes)
+            .Set("prune_passes", w.prune_passes)
+            .Mismatches(w.batch_verdict != w.verdict));
   }
 
   // The claim: the online per-event cost grows strictly slower than the
@@ -299,70 +297,20 @@ int main(int argc, char** argv) {
     double cur = rows[i].BatchPerEvent() / rows[i].OnlinePerEvent();
     if (cur <= prev) grows_slower = false;
   }
-  bool all_agree = true;
-  for (const Row& r : rows) all_agree = all_agree && r.agreement;
   // Guard against regressing the prune measurement back into a no-op.
   bool pruning_exercised = true;
   for (const Row& r : rows) pruning_exercised &= r.pruned_nodes > 0;
-  bool window_ok = true;
-  for (const WindowRow& w : window_rows) {
-    window_ok = window_ok && w.verdict && w.live_nodes < w.nodes / 4;
-  }
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"E10_online_certification\",\n"
-       << "  \"topology\": \"layered_dag\",\n"
-       << "  \"depth\": 3,\n"
-       << "  \"conflict_prob\": 0.15,\n"
-       << "  \"threads\": " << ThreadPool::Global().ThreadCount() << ",\n"
-       << "  \"per_event_cost_grows_slower_than_batch\": "
-       << (grows_slower ? "true" : "false") << ",\n"
-       << "  \"all_prefix_verdicts_agree\": " << (all_agree ? "true" : "false")
-       << ",\n"
-       << "  \"pruning_exercised_on_certifiable_prefix\": "
-       << (pruning_exercised ? "true" : "false") << ",\n"
-       << "  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\"roots\": " << r.roots << ", \"events\": " << r.events
-         << ", \"nodes\": " << r.nodes << ", \"order\": " << r.order
-         << ", \"certifiable\": " << (r.verdict ? "true" : "false")
-         << ", \"online_total_us\": " << r.online_total_us
-         << ", \"online_per_event_us\": " << r.OnlinePerEvent()
-         << ", \"batch_total_us\": " << r.batch_total_us
-         << ", \"batch_per_event_us\": " << r.BatchPerEvent()
-         << ", \"speedup\": " << r.BatchPerEvent() / r.OnlinePerEvent()
-         << ", \"certifiable_prefix\": " << r.certifiable_prefix
-         << ", \"pruned_nodes\": " << r.pruned_nodes
-         << ", \"live_nodes_after_commit\": " << r.live_nodes_after_commit
-         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"streaming_window_bounded_live_state\": "
-       << (window_ok ? "true" : "false") << ",\n"
-       << "  \"streaming_window\": [\n";
-  for (size_t i = 0; i < window_rows.size(); ++i) {
-    const WindowRow& w = window_rows[i];
-    json << "    {\"roots\": " << w.roots << ", \"events\": " << w.events
-         << ", \"nodes\": " << w.nodes
-         << ", \"certifiable\": " << (w.verdict ? "true" : "false")
-         << ", \"online_total_us\": " << w.online_total_us
-         << ", \"online_per_event_us\": " << w.OnlinePerEvent()
-         << ", \"one_batch_check_us\": " << w.batch_final_check_us
-         << ", \"pruned_nodes\": " << w.pruned_nodes
-         << ", \"live_nodes\": " << w.live_nodes
-         << ", \"prune_passes\": " << w.prune_passes << "}"
-         << (i + 1 < window_rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cout << "wrote " << out_path << "\n";
-  return grows_slower && all_agree && window_ok && pruning_exercised ? 0 : 1;
+  const int code = bench::WriteReport(
+      argc > 1 ? argv[1] : "BENCH_online.json", "E10_online_certification",
+      bench::Json()
+          .Set("topology", "layered_dag")
+          .Set("depth", 3)
+          .Set("conflict_prob", 0.15)
+          .Set("per_event_cost_grows_slower_than_batch", grows_slower)
+          .Set("pruning_exercised_on_certifiable_prefix", pruning_exercised)
+          .Set("rows", json_rows)
+          .Set("streaming_window_bounded_live_state", window_ok)
+          .Set("streaming_window", window_rows));
+  return code == 0 && grows_slower && window_ok && pruning_exercised ? 0 : 1;
 }

@@ -1,28 +1,21 @@
 // Experiment E5 (DESIGN.md): cost of the Comp-C decision procedure.
 //
-// Two modes:
-//  * default: google-benchmark over the reduction engine (Def 16 /
-//    Theorem 1) — wall time as a function of roots, depth, and fan-out.
-//  * `--json <out>`: plain-chrono driver that measures the dense-engine
-//    batch reduction on the E10 layered-DAG workload (one reduction is
-//    serial) plus multi-trace sweep throughput at 1/2/4 pool threads, and
-//    emits the committed BENCH_reduction.json (with the pre-rewrite
-//    map/set baseline embedded for the before/after comparison).
+// Three tables, all through the bench harness:
+//  * batch_reduction: one dense-engine RunReduction (serial) on the E10
+//    layered-DAG workload, beside the pre-rewrite map/set baseline;
+//  * scaling: RunReduction (Def 16 / Theorem 1) as a function of roots,
+//    depth and fan-out, and Validate alone, on generated stacks and DAGs;
+//  * sweep: multi-trace SweepCompC throughput at 1/2/4 pool threads, each
+//    verdict checked against a serial RunReduction of the same system.
+//
+// Usage: bench_reduction_scaling [output.json]
+//   (default BENCH_reduction.json)
 
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/sweep.h"
 #include "core/correctness.h"
+#include "harness.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "workload/workload_spec.h"
@@ -30,82 +23,45 @@
 namespace {
 
 using namespace comptx;  // NOLINT
+using bench::DoNotOptimize;
 
 CompositeSystem MakeSystem(workload::TopologyKind kind, uint32_t roots,
-                           uint32_t depth, uint32_t fanout, uint64_t seed) {
+                           uint32_t depth, uint32_t fanout, double conflict,
+                           uint64_t seed) {
   workload::WorkloadSpec spec;
   spec.topology.kind = kind;
   spec.topology.depth = depth;
   spec.topology.branches = 2;
   spec.topology.roots = roots;
   spec.topology.fanout = fanout;
-  spec.execution.conflict_prob = 0.1;
+  spec.execution.conflict_prob = conflict;
   auto cs = workload::GenerateSystem(spec, seed);
   COMPTX_CHECK(cs.ok()) << cs.status().ToString();
   return std::move(cs).value();
 }
 
-void BM_ReductionVsRoots(benchmark::State& state) {
-  CompositeSystem cs =
-      MakeSystem(workload::TopologyKind::kStack,
-                 static_cast<uint32_t>(state.range(0)), 3, 2, 42);
+/// The E10 workload (layered DAG, depth 3, conflict 0.15, intra-weak
+/// probability at its default 0.2).
+CompositeSystem MakeE10System(uint32_t roots, uint64_t seed) {
+  return MakeSystem(workload::TopologyKind::kLayeredDag, roots, 3, 2, 0.15,
+                    seed);
+}
+
+ReductionOptions Unvalidated() {
   ReductionOptions options;
+  options.validate = false;
   options.keep_fronts = false;
-  for (auto _ : state) {
+  return options;
+}
+
+bench::Stats TimeReduction(const CompositeSystem& cs,
+                           const ReductionOptions& options) {
+  return bench::TimeUs([&] {
     auto result = RunReduction(cs, options);
     COMPTX_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->comp_c);
-  }
-  state.counters["leaves"] = double(cs.Leaves().size());
-  state.counters["nodes"] = double(cs.NodeCount());
+    DoNotOptimize(result->comp_c);
+  });
 }
-BENCHMARK(BM_ReductionVsRoots)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_ReductionVsDepth(benchmark::State& state) {
-  CompositeSystem cs =
-      MakeSystem(workload::TopologyKind::kStack, 4,
-                 static_cast<uint32_t>(state.range(0)), 2, 43);
-  ReductionOptions options;
-  options.keep_fronts = false;
-  for (auto _ : state) {
-    auto result = RunReduction(cs, options);
-    COMPTX_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->comp_c);
-  }
-  state.counters["leaves"] = double(cs.Leaves().size());
-}
-BENCHMARK(BM_ReductionVsDepth)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6);
-
-void BM_ReductionVsFanout(benchmark::State& state) {
-  CompositeSystem cs =
-      MakeSystem(workload::TopologyKind::kLayeredDag, 4, 3,
-                 static_cast<uint32_t>(state.range(0)), 44);
-  ReductionOptions options;
-  options.keep_fronts = false;
-  for (auto _ : state) {
-    auto result = RunReduction(cs, options);
-    COMPTX_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->comp_c);
-  }
-  state.counters["leaves"] = double(cs.Leaves().size());
-}
-BENCHMARK(BM_ReductionVsFanout)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-
-void BM_ValidateOnly(benchmark::State& state) {
-  CompositeSystem cs =
-      MakeSystem(workload::TopologyKind::kStack,
-                 static_cast<uint32_t>(state.range(0)), 3, 2, 45);
-  for (auto _ : state) {
-    Status status = cs.Validate();
-    COMPTX_CHECK(status.ok());
-    benchmark::DoNotOptimize(status);
-  }
-}
-BENCHMARK(BM_ValidateOnly)->Arg(4)->Arg(16)->Arg(32);
-
-// ---------------------------------------------------------------------------
-// --json mode: the committed before/after measurement (BENCH_reduction.json).
-// ---------------------------------------------------------------------------
 
 /// Pre-rewrite RunReduction medians on the identical E10 workloads,
 /// measured at commit 1962996 (map/set relation storage, serial
@@ -117,151 +73,120 @@ struct BaselineRow {
 constexpr BaselineRow kMainBaseline[] = {
     {16, 1495.08}, {32, 6340.25}, {64, 28915.4}};
 
-CompositeSystem MakeE10System(uint32_t roots) {
-  workload::WorkloadSpec spec;
-  spec.topology.kind = workload::TopologyKind::kLayeredDag;
-  spec.topology.depth = 3;
-  spec.topology.branches = 2;
-  spec.topology.roots = roots;
-  spec.topology.fanout = 2;
-  spec.execution.conflict_prob = 0.15;
-  spec.execution.intra_weak_prob = 0.2;
-  auto cs = workload::GenerateSystem(spec, 20260806 + roots);
-  COMPTX_CHECK(cs.ok()) << cs.status().ToString();
-  return std::move(cs).value();
-}
-
-double MedianRunMicros(const CompositeSystem& cs, int repeats) {
-  ReductionOptions options;
-  options.validate = false;
-  options.keep_fronts = false;
-  std::vector<double> samples;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    auto result = RunReduction(cs, options);
-    const auto stop = std::chrono::steady_clock::now();
-    COMPTX_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->comp_c);
-    samples.push_back(
-        std::chrono::duration<double, std::micro>(stop - start).count());
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-int RunJsonMode(const std::string& out_path) {
-  struct Row {
-    uint32_t roots;
-    size_t nodes;
-    double run_us;
-    double baseline_us;
-  };
-  struct SweepRow {
-    size_t traces;
-    size_t threads;
-    double total_us;
-  };
-  std::vector<Row> rows;
-  std::vector<SweepRow> sweep_rows;
-
-  const int repeats = 9;
-  for (const BaselineRow& base : kMainBaseline) {
-    CompositeSystem cs = MakeE10System(base.roots);
-    // Warm up allocator/caches once per system before sampling.
-    (void)MedianRunMicros(cs, 1);
-    const double us = MedianRunMicros(cs, repeats);
-    rows.push_back({base.roots, cs.NodeCount(), us, base.run_us});
-    std::cerr << "roots=" << base.roots << " run_us=" << us
-              << " (main: " << base.run_us << ")\n";
-  }
-
-  // Multi-trace sweep throughput: 32 independent E10 systems checked
-  // through the SweepCompC driver.
-  {
-    std::vector<CompositeSystem> systems;
-    for (uint64_t seed = 1; seed <= 32; ++seed) {
-      workload::WorkloadSpec spec;
-      spec.topology.kind = workload::TopologyKind::kLayeredDag;
-      spec.topology.depth = 3;
-      spec.topology.branches = 2;
-      spec.topology.roots = 8;
-      spec.topology.fanout = 2;
-      spec.execution.conflict_prob = 0.15;
-      spec.execution.intra_weak_prob = 0.2;
-      auto cs = workload::GenerateSystem(spec, 777000 + seed);
-      COMPTX_CHECK(cs.ok());
-      systems.push_back(std::move(cs).value());
-    }
-    std::vector<const CompositeSystem*> pointers;
-    for (const CompositeSystem& cs : systems) pointers.push_back(&cs);
-    ReductionOptions options;
-    options.validate = false;
-    options.keep_fronts = false;
-    for (size_t threads : {1ul, 2ul, 4ul}) {
-      ThreadPool::SetGlobalThreads(threads);
-      (void)analysis::SweepCompC(pointers, options);  // warm-up
-      const auto start = std::chrono::steady_clock::now();
-      auto verdicts = analysis::SweepCompC(pointers, options);
-      const auto stop = std::chrono::steady_clock::now();
-      COMPTX_CHECK(verdicts.size() == pointers.size());
-      sweep_rows.push_back(
-          {pointers.size(), threads,
-           std::chrono::duration<double, std::micro>(stop - start).count()});
-    }
-  }
-  ThreadPool::SetGlobalThreads(1);
-
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"reduction_scaling\",\n"
-       << "  \"workload\": {\"topology\": \"layered_dag\", \"depth\": 3, "
-          "\"branches\": 2, \"fanout\": 2, \"conflict_prob\": 0.15, "
-          "\"intra_weak_prob\": 0.2, \"seed\": \"20260806+roots\"},\n"
-       << "  \"baseline_commit\": \"1962996\",\n"
-       << "  \"baseline_storage\": \"std::map/std::set relations, serial "
-          "pipeline\",\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "  \"repeats\": " << repeats << ",\n"
-       << "  \"batch_reduction\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\"roots\": " << r.roots << ", \"nodes\": " << r.nodes
-         << ", \"run_us\": " << r.run_us
-         << ", \"baseline_main_us\": " << r.baseline_us
-         << ", \"speedup_vs_main\": " << r.baseline_us / r.run_us << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"sweep\": [\n";
-  for (size_t i = 0; i < sweep_rows.size(); ++i) {
-    const SweepRow& s = sweep_rows[i];
-    json << "    {\"traces\": " << s.traces << ", \"threads\": " << s.threads
-         << ", \"total_us\": " << s.total_us
-         << ", \"per_trace_us\": " << s.total_us / double(s.traces) << "}"
-         << (i + 1 < sweep_rows.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cerr << "wrote " << out_path << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--json") == 0) {
-    return RunJsonMode(argc >= 3 ? argv[2] : "BENCH_reduction.json");
+  std::vector<bench::Json> batch_rows;
+  for (const BaselineRow& base : kMainBaseline) {
+    const CompositeSystem cs =
+        MakeE10System(base.roots, 20260806 + base.roots);
+    const bench::Stats us = TimeReduction(cs, Unvalidated());
+    bench::AddRow(batch_rows, bench::Json()
+                                  .Set("roots", base.roots)
+                                  .Set("nodes", cs.NodeCount())
+                                  .Set("run_us", us)
+                                  .Set("baseline_main_us", base.run_us)
+                                  .Set("speedup_vs_main",
+                                       base.run_us / us.median));
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+
+  std::vector<bench::Json> scaling_rows;
+  struct Point {
+    bool validate_only;  // time Validate alone, not the reduction
+    const char* vary;
+    workload::TopologyKind kind;
+    uint32_t roots, depth, fanout;
+    uint64_t seed;
+  };
+  using workload::TopologyKind;
+  std::vector<Point> points;
+  for (uint32_t r : {2, 4, 8, 16, 32}) {
+    points.push_back({false, "roots", TopologyKind::kStack, r, 3, 2, 42});
+  }
+  for (uint32_t d : {2, 3, 4, 5, 6}) {
+    points.push_back({false, "depth", TopologyKind::kStack, 4, d, 2, 43});
+  }
+  for (uint32_t f : {2, 3, 4, 5}) {
+    points.push_back({false, "fanout", TopologyKind::kLayeredDag, 4, 3, f, 44});
+  }
+  for (uint32_t r : {4, 16, 32}) {
+    points.push_back({true, "roots", TopologyKind::kStack, r, 3, 2, 45});
+  }
+  for (const Point& p : points) {
+    const CompositeSystem cs =
+        MakeSystem(p.kind, p.roots, p.depth, p.fanout, 0.1, p.seed);
+    ReductionOptions options;
+    options.keep_fronts = false;
+    const bench::Stats us =
+        p.validate_only
+            ? bench::TimeUs([&] { COMPTX_CHECK(cs.Validate().ok()); })
+            : TimeReduction(cs, options);
+    bench::AddRow(scaling_rows,
+                  bench::Json()
+                      .Set("op", p.validate_only ? "validate" : "reduction")
+                      .Set("vary", p.vary)
+                      .Set("topology",
+                           workload::TopologyKindToString(p.kind))
+                      .Set("roots", p.roots)
+                      .Set("depth", p.depth)
+                      .Set("fanout", p.fanout)
+                      .Set("leaves", cs.Leaves().size())
+                      .Set("nodes", cs.NodeCount())
+                      .Set("us", us));
+  }
+
+  // Multi-trace sweep throughput: 32 independent E10 systems (8 roots)
+  // checked through the SweepCompC driver.
+  std::vector<CompositeSystem> systems;
+  std::vector<const CompositeSystem*> pointers;
+  std::vector<bool> expected;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    systems.push_back(MakeE10System(8, 777000 + seed));
+  }
+  for (const CompositeSystem& cs : systems) {
+    pointers.push_back(&cs);
+    auto result = RunReduction(cs, Unvalidated());
+    COMPTX_CHECK(result.ok());
+    expected.push_back(result->comp_c);
+  }
+  std::vector<bench::Json> sweep_rows;
+  for (const size_t threads : {1, 2, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    std::vector<analysis::SweepVerdict> verdicts;
+    const bench::Stats us = bench::TimeUs(
+        [&] { verdicts = analysis::SweepCompC(pointers, Unvalidated()); });
+    size_t mismatches = 0;
+    for (size_t i = 0; i < verdicts.size(); ++i) {
+      mismatches += !verdicts[i].ok || verdicts[i].comp_c != expected[i];
+    }
+    bench::AddRow(sweep_rows,
+                  bench::Json()
+                      .Set("traces", pointers.size())
+                      .Set("threads", threads)
+                      .Set("total_us", us)
+                      .Set("per_trace_us",
+                           us.median / double(pointers.size()))
+                      .Mismatches(mismatches +
+                                  (verdicts.size() != pointers.size())));
+  }
+  ThreadPool::SetGlobalThreads(1);
+
+  return bench::WriteReport(
+      argc > 1 ? argv[1] : "BENCH_reduction.json", "E5_reduction_scaling",
+      bench::Json()
+          .Set("workload",
+               bench::Json()
+                   .Set("topology", "layered_dag")
+                   .Set("depth", 3)
+                   .Set("branches", 2)
+                   .Set("fanout", 2)
+                   .Set("conflict_prob", 0.15)
+                   .Set("intra_weak_prob", 0.2)
+                   .Set("seed", "20260806+roots"))
+          .Set("baseline_commit", "1962996")
+          .Set("baseline_storage",
+               "std::map/std::set relations, serial pipeline")
+          .Set("batch_reduction", batch_rows)
+          .Set("scaling", scaling_rows)
+          .Set("sweep", sweep_rows));
 }

@@ -1,27 +1,32 @@
 // Microbenchmarks of the dense relation engine against the layout it
 // replaced (std::map<uint32_t, std::set<uint32_t>>): insertion, membership
 // probes, full iteration, and the closure-materialization pattern that
-// dominates SystemContext construction.
+// dominates SystemContext construction.  The map/set layout is the oracle:
+// a dense row whose result (pair count, hits, pair sum) differs from the
+// map/set row's counts one mismatch.
+//
+// Usage: bench_relation [output.json]   (default BENCH_relation.json)
 
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "core/indexing.h"
 #include "core/relation.h"
+#include "harness.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace comptx;  // NOLINT
+using bench::DoNotOptimize;
+using MapSet = std::map<uint32_t, std::set<uint32_t>>;
+using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
-std::vector<std::pair<uint32_t, uint32_t>> RandomPairs(size_t count,
-                                                       uint32_t id_space,
-                                                       uint64_t seed) {
+Pairs RandomPairs(size_t count, uint32_t id_space, uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  Pairs pairs;
   pairs.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     pairs.emplace_back(uint32_t(rng.UniformInt(id_space)),
@@ -30,104 +35,111 @@ std::vector<std::pair<uint32_t, uint32_t>> RandomPairs(size_t count,
   return pairs;
 }
 
-void BM_DenseAdd(benchmark::State& state) {
-  const auto pairs = RandomPairs(size_t(state.range(0)), 1024, 7);
-  for (auto _ : state) {
-    Relation rel;
-    for (const auto& [a, b] : pairs) rel.Add(NodeId(a), NodeId(b));
-    benchmark::DoNotOptimize(rel.PairCount());
-  }
-}
-BENCHMARK(BM_DenseAdd)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_MapSetAdd(benchmark::State& state) {
-  const auto pairs = RandomPairs(size_t(state.range(0)), 1024, 7);
-  for (auto _ : state) {
-    std::map<uint32_t, std::set<uint32_t>> rel;
-    for (const auto& [a, b] : pairs) rel[a].insert(b);
-    benchmark::DoNotOptimize(rel.size());
-  }
-}
-BENCHMARK(BM_MapSetAdd)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_DenseContains(benchmark::State& state) {
-  const auto pairs = RandomPairs(size_t(state.range(0)), 1024, 7);
+Relation MakeDense(const Pairs& pairs) {
   Relation rel;
   for (const auto& [a, b] : pairs) rel.Add(NodeId(a), NodeId(b));
-  const auto probes = RandomPairs(4096, 1024, 8);
-  for (auto _ : state) {
-    size_t hits = 0;
-    for (const auto& [a, b] : probes) {
-      hits += rel.Contains(NodeId(a), NodeId(b));
-    }
-    benchmark::DoNotOptimize(hits);
-  }
+  return rel;
 }
-BENCHMARK(BM_DenseContains)->Arg(10000)->Arg(100000);
 
-void BM_MapSetContains(benchmark::State& state) {
-  const auto pairs = RandomPairs(size_t(state.range(0)), 1024, 7);
-  std::map<uint32_t, std::set<uint32_t>> rel;
+MapSet MakeMapSet(const Pairs& pairs) {
+  MapSet rel;
   for (const auto& [a, b] : pairs) rel[a].insert(b);
-  const auto probes = RandomPairs(4096, 1024, 8);
-  for (auto _ : state) {
-    size_t hits = 0;
-    for (const auto& [a, b] : probes) {
-      auto it = rel.find(a);
-      hits += it != rel.end() && it->second.count(b) > 0;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
+  return rel;
 }
-BENCHMARK(BM_MapSetContains)->Arg(10000)->Arg(100000);
-
-void BM_DenseForEach(benchmark::State& state) {
-  const auto pairs = RandomPairs(size_t(state.range(0)), 1024, 7);
-  Relation rel;
-  for (const auto& [a, b] : pairs) rel.Add(NodeId(a), NodeId(b));
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    rel.ForEach([&](NodeId a, NodeId b) { sum += a.index() + b.index(); });
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_DenseForEach)->Arg(10000)->Arg(100000);
-
-void BM_MapSetForEach(benchmark::State& state) {
-  const auto pairs = RandomPairs(size_t(state.range(0)), 1024, 7);
-  std::map<uint32_t, std::set<uint32_t>> rel;
-  for (const auto& [a, b] : pairs) rel[a].insert(b);
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    for (const auto& [a, row] : rel) {
-      for (uint32_t b : row) sum += a + b;
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_MapSetForEach)->Arg(10000)->Arg(100000);
-
-// The SystemContext hot pattern: close a sparse order over a domain and
-// materialize the result (ClosureWithin is append-optimized end to end).
-void BM_ClosureWithin(benchmark::State& state) {
-  const uint32_t n = uint32_t(state.range(0));
-  std::vector<NodeId> domain;
-  Relation chainish;
-  Rng rng(11);
-  for (uint32_t i = 0; i < n; ++i) {
-    domain.push_back(NodeId(i));
-    if (i > 0) chainish.Add(NodeId(i - 1), NodeId(i));
-    if (i > 2 && rng.Bernoulli(0.2)) {
-      chainish.Add(NodeId(uint32_t(rng.UniformInt(i))), NodeId(i));
-    }
-  }
-  for (auto _ : state) {
-    Relation closed = ClosureWithin(chainish, domain);
-    benchmark::DoNotOptimize(closed.PairCount());
-  }
-}
-BENCHMARK(BM_ClosureWithin)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  std::vector<bench::Json> rows;
+  // Times `dense` and `map_set` (each returns its result) and records one
+  // row comparing them.
+  const auto compare = [&rows](const char* op, size_t pairs,
+                               const auto& dense, const auto& map_set) {
+    uint64_t dense_result = 0;
+    uint64_t map_result = 0;
+    const bench::Stats dense_us =
+        bench::TimeUs([&] { DoNotOptimize(dense_result = dense()); });
+    const bench::Stats map_us =
+        bench::TimeUs([&] { DoNotOptimize(map_result = map_set()); });
+    bench::AddRow(rows, bench::Json()
+                            .Set("op", op)
+                            .Set("pairs", pairs)
+                            .Set("dense_us", dense_us)
+                            .Set("map_set_us", map_us)
+                            .Mismatches(dense_result != map_result));
+  };
+
+  for (const size_t n : {1000, 10000, 100000}) {
+    const Pairs pairs = RandomPairs(n, 1024, 7);
+    compare(
+        "add", n, [&] { return uint64_t(MakeDense(pairs).PairCount()); },
+        [&] {
+          uint64_t count = 0;
+          for (const auto& [a, row] : MakeMapSet(pairs)) count += row.size();
+          return count;
+        });
+  }
+  const Pairs probes = RandomPairs(4096, 1024, 8);
+  for (const size_t n : {10000, 100000}) {
+    const Pairs pairs = RandomPairs(n, 1024, 7);
+    const Relation dense = MakeDense(pairs);
+    const MapSet map_set = MakeMapSet(pairs);
+    compare(
+        "contains", n,
+        [&] {
+          uint64_t hits = 0;
+          for (const auto& [a, b] : probes) {
+            hits += dense.Contains(NodeId(a), NodeId(b));
+          }
+          return hits;
+        },
+        [&] {
+          uint64_t hits = 0;
+          for (const auto& [a, b] : probes) {
+            auto it = map_set.find(a);
+            hits += it != map_set.end() && it->second.count(b) > 0;
+          }
+          return hits;
+        });
+    compare(
+        "for_each", n,
+        [&] {
+          uint64_t sum = 0;
+          dense.ForEach(
+              [&](NodeId a, NodeId b) { sum += a.index() + b.index(); });
+          return sum;
+        },
+        [&] {
+          uint64_t sum = 0;
+          for (const auto& [a, row] : map_set) {
+            for (uint32_t b : row) sum += a + b;
+          }
+          return sum;
+        });
+  }
+
+  // The SystemContext hot pattern: close a sparse order over a domain and
+  // materialize the result (ClosureWithin is append-optimized end to end).
+  for (const uint32_t n : {64u, 256u, 1024u}) {
+    std::vector<NodeId> domain;
+    Relation chainish;
+    Rng rng(11);
+    for (uint32_t i = 0; i < n; ++i) {
+      domain.push_back(NodeId(i));
+      if (i > 0) chainish.Add(NodeId(i - 1), NodeId(i));
+      if (i > 2 && rng.Bernoulli(0.2)) {
+        chainish.Add(NodeId(uint32_t(rng.UniformInt(i))), NodeId(i));
+      }
+    }
+    bench::AddRow(rows, bench::Json()
+                            .Set("op", "closure_within")
+                            .Set("domain", n)
+                            .Set("dense_us", bench::TimeUs([&] {
+                                   DoNotOptimize(ClosureWithin(chainish, domain)
+                                                     .PairCount());
+                                 })));
+  }
+  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_relation.json",
+                            "E9_relation_substrate",
+                            bench::Json().Set("rows", rows));
+}

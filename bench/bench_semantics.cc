@@ -16,28 +16,23 @@
 //      counts its firings.  Every decided verdict must equal the batch
 //      reduction's (a hard check: a mismatch aborts the run).
 //
-// Plain chrono driver (no google-benchmark) so the output is a single
-// machine-readable JSON document, committed as BENCH_semantics.json.
+// The two sweeps alternate over bench::kRepeats passes and report their
+// median and quartiles (bench/harness.h).  A raw-Comp-C system the spec
+// refuses counts a mismatch.
 //
 // Usage: bench_semantics [output.json]
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "analysis/sweep.h"
-#include "git_sha.h"
+#include "harness.h"
 #include "staticcheck/analyzer.h"
 #include "testing/events.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/schedule_gen.h"
 #include "workload/topology_gen.h"
 #include "workload/trace.h"
@@ -45,12 +40,6 @@
 namespace {
 
 using namespace comptx;  // NOLINT
-using Clock = std::chrono::steady_clock;
-
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
 
 struct Mix {
   std::string name;
@@ -75,8 +64,9 @@ struct Row {
   size_t comp_c_raw = 0;         // batch verdicts on the stripped twins
   size_t static_decided = 0;     // systems the analyzer decides exactly
   size_t semantic_decided = 0;   // of those, decided by the semantic rule
-  double semantic_us = 0;        // batch reduction, spec attached
-  double raw_us = 0;             // batch reduction, stripped twins
+  size_t one_sided_violations = 0;  // raw Comp-C, semantic not
+  bench::Stats semantic_us;      // batch reduction, spec attached
+  bench::Stats raw_us;           // batch reduction, stripped twins
 };
 
 /// The same execution with the spec events dropped: identical conflict
@@ -152,28 +142,33 @@ Row RunMix(const Mix& mix) {
   ReductionOptions reduction;
   reduction.keep_fronts = false;
 
-  // Best of 3 interleaved passes to damp scheduling noise.
+  // Interleaved passes, so drift hits both sweeps alike.
+  struct Pass {
+    double semantic_us = 0;
+    double raw_us = 0;
+  };
   std::vector<analysis::SweepVerdict> semantic_verdicts;
   std::vector<analysis::SweepVerdict> raw_verdicts;
-  for (int rep = 0; rep < 3; ++rep) {
-    Clock::time_point start = Clock::now();
-    auto sv = analysis::SweepCompC(tagged_ptrs, reduction);
-    const double semantic_us = MicrosSince(start);
-    start = Clock::now();
-    auto rv = analysis::SweepCompC(raw_ptrs, reduction);
-    const double raw_us = MicrosSince(start);
-    if (rep == 0 || semantic_us < row.semantic_us) row.semantic_us = semantic_us;
-    if (rep == 0 || raw_us < row.raw_us) row.raw_us = raw_us;
-    semantic_verdicts = std::move(sv);
-    raw_verdicts = std::move(rv);
-  }
+  const std::vector<Pass> passes = bench::RunPasses([&] {
+    Pass pass;
+    bench::Clock::time_point start = bench::Clock::now();
+    semantic_verdicts = analysis::SweepCompC(tagged_ptrs, reduction);
+    pass.semantic_us = bench::MicrosSince(start);
+    start = bench::Clock::now();
+    raw_verdicts = analysis::SweepCompC(raw_ptrs, reduction);
+    pass.raw_us = bench::MicrosSince(start);
+    return pass;
+  });
+  row.semantic_us = bench::Summarize(passes, &Pass::semantic_us);
+  row.raw_us = bench::Summarize(passes, &Pass::raw_us);
 
   staticcheck::AnalyzerOptions aopts;
   aopts.assume_valid = true;  // PopulateExecution validates.
   aopts.explain = false;
 
   for (size_t i = 0; i < tagged.size(); ++i) {
-    COMPTX_CHECK(semantic_verdicts[i].ok) << semantic_verdicts[i].status_message;
+    COMPTX_CHECK(semantic_verdicts[i].ok)
+        << semantic_verdicts[i].status_message;
     COMPTX_CHECK(raw_verdicts[i].ok) << raw_verdicts[i].status_message;
     row.comp_c_semantic += semantic_verdicts[i].comp_c ? 1 : 0;
     row.comp_c_raw += raw_verdicts[i].comp_c ? 1 : 0;
@@ -189,9 +184,8 @@ Row RunMix(const Mix& mix) {
           << ", reason: " << analysis.reason;
     }
     // Mask-only soundness: the spec can only admit, never reject.
-    COMPTX_CHECK(semantic_verdicts[i].comp_c || !raw_verdicts[i].comp_c)
-        << row.mix << " system " << i
-        << ": raw twin Comp-C but spec-attached system is not";
+    row.one_sided_violations +=
+        raw_verdicts[i].comp_c && !semantic_verdicts[i].comp_c;
   }
   return row;
 }
@@ -222,58 +216,32 @@ int main(int argc, char** argv) {
        /*roots=*/3, /*fanout=*/2, /*instances=*/2},
   };
 
-  std::vector<Row> rows;
-  for (const Mix& mix : mixes) {
-    rows.push_back(RunMix(mix));
-    const Row& r = rows.back();
-    std::cout << "mix=" << r.mix << " systems=" << r.systems
-              << " erased=" << r.erased_conflicts
-              << " comp_c semantic/raw=" << r.comp_c_semantic << "/"
-              << r.comp_c_raw << " static_decided=" << r.static_decided
-              << " semantic_decided=" << r.semantic_decided
-              << " semantic=" << r.semantic_us / 1000.0 << "ms"
-              << " raw=" << r.raw_us / 1000.0 << "ms\n";
-  }
-
-  bool admission_one_sided = true;
+  std::vector<bench::Json> rows;
   size_t total_semantic_decided = 0;
   size_t total_admits_extra = 0;
-  for (const Row& r : rows) {
-    admission_one_sided =
-        admission_one_sided && r.comp_c_semantic >= r.comp_c_raw;
+  for (const Mix& mix : mixes) {
+    const Row r = RunMix(mix);
     total_semantic_decided += r.semantic_decided;
     total_admits_extra += r.comp_c_semantic - r.comp_c_raw;
+    bench::AddRow(rows, bench::Json()
+                            .Set("mix", r.mix)
+                            .Set("systems", r.systems)
+                            .Set("nodes", r.nodes)
+                            .Set("erased_conflicts", r.erased_conflicts)
+                            .Set("comp_c_semantic", r.comp_c_semantic)
+                            .Set("comp_c_raw", r.comp_c_raw)
+                            .Set("static_decided", r.static_decided)
+                            .Set("semantic_decided", r.semantic_decided)
+                            .Set("reduction_semantic_us", r.semantic_us)
+                            .Set("reduction_raw_us", r.raw_us)
+                            .Mismatches(r.one_sided_violations));
   }
-
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"E16_semantic_commutativity\",\n"
-       << "  \"git_sha\": \"" << bench::GitSha() << "\",\n"
-       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"threads\": " << ThreadPool::Global().ThreadCount() << ",\n"
-       << "  \"admission_one_sided\": "
-       << (admission_one_sided ? "true" : "false") << ",\n"
-       << "  \"semantic_admits_extra\": " << total_admits_extra << ",\n"
-       << "  \"semantic_rule_decided\": " << total_semantic_decided << ",\n"
-       << "  \"rows\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\"mix\": \"" << r.mix << "\", \"systems\": " << r.systems
-         << ", \"nodes\": " << r.nodes
-         << ", \"erased_conflicts\": " << r.erased_conflicts
-         << ", \"comp_c_semantic\": " << r.comp_c_semantic
-         << ", \"comp_c_raw\": " << r.comp_c_raw
-         << ", \"static_decided\": " << r.static_decided
-         << ", \"semantic_decided\": " << r.semantic_decided
-         << ", \"reduction_semantic_us\": " << r.semantic_us
-         << ", \"reduction_raw_us\": " << r.raw_us << "}"
-         << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  out << json.str();
-  std::cout << "wrote " << out_path << "\n";
-  return (admission_one_sided && total_semantic_decided > 0) ? 0 : 1;
+  const int code = bench::WriteReport(
+      argc > 1 ? argv[1] : "BENCH_semantics.json",
+      "E16_semantic_commutativity",
+      bench::Json()
+          .Set("semantic_admits_extra", total_admits_extra)
+          .Set("semantic_rule_decided", total_semantic_decided)
+          .Set("rows", rows));
+  return code == 0 && total_semantic_decided > 0 ? 0 : 1;
 }

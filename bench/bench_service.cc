@@ -14,10 +14,9 @@
 //     that do not exceed hardware_concurrency, at fixed workers.
 //
 // One cell's load phase lasts tens of milliseconds, so a single pass is
-// noisy: each cell runs kRepeats times and reports the median with its
-// interquartile range.  Every row records hardware_concurrency, protocol
-// and batch, the file records the git SHA, and every pass's verdicts are
-// checked against a single-threaded batch replay.
+// noisy: each cell runs bench::kRepeats passes, and every per-pass value
+// is reported as its median and quartiles (bench/harness.h).  Every
+// pass's verdicts are checked against a single-threaded batch replay.
 //
 // Usage: bench_service [--mode protocol|scaling|all] [output.json]
 //   Default mode: all.
@@ -26,15 +25,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/correctness.h"
-#include "git_sha.h"
+#include "harness.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "util/logging.h"
@@ -48,7 +45,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr size_t kSessions = 64;
 constexpr size_t kClientThreads = 8;
-constexpr size_t kRepeats = 9;
 
 std::vector<workload::TraceEvent> MakeEvents(uint32_t roots, uint64_t seed) {
   workload::WorkloadSpec spec;
@@ -87,27 +83,27 @@ struct Cell {
   size_t batch = 1;
   size_t io_threads = 2;
   size_t workers = 2;
-  size_t events = 0;
+};
+
+/// What one pass of a cell measured.
+struct Pass {
   double load_seconds = 0;
   double events_per_second = 0;
-  // Over the cell's kRepeats passes; the fields above and below are the
-  // medians of the per-pass values.
-  double events_per_second_p25 = 0;
-  double events_per_second_p75 = 0;
-  uint64_t append_p50_us = 0;
-  uint64_t append_p99_us = 0;
-  uint64_t verdict_p50_us = 0;
-  uint64_t verdict_p99_us = 0;
+  double append_p50_us = 0;
+  double append_p99_us = 0;
+  double verdict_p50_us = 0;
+  double verdict_p99_us = 0;
   size_t mismatches = 0;
 };
 
 /// One full server lifecycle: listen on an ephemeral loopback port, open
 /// kSessions over the wire, stream every event from kClientThreads
 /// connections in `cell.batch`-sized APPENDs, QUERY every verdict, shut
-/// down.  Client-side RPC latency lands in the cell's percentiles.
-void RunCell(Cell& cell,
+/// down.  Client-side RPC latency lands in the pass's percentiles.
+Pass RunPass(const Cell& cell,
              const std::vector<std::vector<workload::TraceEvent>>& streams,
              const std::vector<bool>& expected) {
+  Pass pass;
   service::ServerOptions options;
   options.workers = cell.workers;
   options.io_threads = cell.io_threads;
@@ -120,12 +116,12 @@ void RunCell(Cell& cell,
   auto control = service::ServiceClient::Dial(endpoint, cell.protocol);
   COMPTX_CHECK(control.ok()) << control.status().ToString();
   std::vector<uint64_t> ids(kSessions);
-  cell.events = 0;
+  size_t events = 0;
   for (size_t s = 0; s < kSessions; ++s) {
     auto session = control->Open();
     COMPTX_CHECK(session.ok()) << session.status().ToString();
     ids[s] = *session;
-    cell.events += streams[s].size();
+    events += streams[s].size();
   }
 
   // Load phase: each client thread owns a disjoint slice of sessions
@@ -175,77 +171,51 @@ void RunCell(Cell& cell,
                                                               rpc_start)
             .count()));
     COMPTX_CHECK(verdict.ok()) << verdict.status().ToString();
-    if (verdict->certifiable != expected[s]) ++cell.mismatches;
+    if (verdict->certifiable != expected[s]) ++pass.mismatches;
   }
-  cell.load_seconds =
+  pass.load_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  cell.events_per_second =
-      cell.load_seconds > 0 ? double(cell.events) / cell.load_seconds : 0;
+  pass.events_per_second =
+      pass.load_seconds > 0 ? double(events) / pass.load_seconds : 0;
 
   const auto append_snap = append_hist.Snap();
   const auto verdict_snap = verdict_hist.Snap();
-  cell.append_p50_us = append_snap.p50;
-  cell.append_p99_us = append_snap.p99;
-  cell.verdict_p50_us = verdict_snap.p50;
-  cell.verdict_p99_us = verdict_snap.p99;
+  pass.append_p50_us = double(append_snap.p50);
+  pass.append_p99_us = double(append_snap.p99);
+  pass.verdict_p50_us = double(verdict_snap.p50);
+  pass.verdict_p99_us = double(verdict_snap.p99);
   server.Shutdown();
+  return pass;
 }
 
-/// The q-quantile of `values`, interpolating between order statistics.
-double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
-
-/// Runs `proto` kRepeats times; the result holds the per-pass medians,
-/// the events/s quartiles and the mismatches summed over every pass.
-Cell MedianOfRepeats(
-    const Cell& proto,
+/// Runs `cell` bench::kRepeats times and summarizes every per-pass value;
+/// `events_per_second` gets the median rate.
+bench::Json MeasureCell(
+    const Cell& cell,
     const std::vector<std::vector<workload::TraceEvent>>& streams,
-    const std::vector<bool>& expected) {
-  std::vector<Cell> passes(kRepeats, proto);
-  for (Cell& pass : passes) RunCell(pass, streams, expected);
-  const auto values_of = [&passes](auto field) {
-    std::vector<double> values;
-    for (const Cell& pass : passes) {
-      values.push_back(static_cast<double>(pass.*field));
-    }
-    return values;
+    const std::vector<bool>& expected, double& events_per_second) {
+  const std::vector<Pass> passes =
+      bench::RunPasses([&] { return RunPass(cell, streams, expected); });
+  size_t mismatches = 0;
+  for (const Pass& pass : passes) mismatches += pass.mismatches;
+  const auto stats = [&passes](double Pass::*field) {
+    return bench::Summarize(passes, field);
   };
-  const auto median_of = [&values_of](auto field) {
-    return Quantile(values_of(field), 0.5);
-  };
-  Cell cell = passes.front();
-  cell.load_seconds = median_of(&Cell::load_seconds);
-  const std::vector<double> rates = values_of(&Cell::events_per_second);
-  cell.events_per_second = Quantile(rates, 0.5);
-  cell.events_per_second_p25 = Quantile(rates, 0.25);
-  cell.events_per_second_p75 = Quantile(rates, 0.75);
-  cell.append_p50_us = static_cast<uint64_t>(median_of(&Cell::append_p50_us));
-  cell.append_p99_us = static_cast<uint64_t>(median_of(&Cell::append_p99_us));
-  cell.verdict_p50_us =
-      static_cast<uint64_t>(median_of(&Cell::verdict_p50_us));
-  cell.verdict_p99_us =
-      static_cast<uint64_t>(median_of(&Cell::verdict_p99_us));
-  cell.mismatches = 0;
-  for (const Cell& pass : passes) cell.mismatches += pass.mismatches;
-  return cell;
-}
-
-void PrintCell(const Cell& c) {
-  std::cout << c.suite << ": protocol="
-            << service::WireProtocolToString(c.protocol)
-            << " batch=" << c.batch << " io_threads=" << c.io_threads
-            << " events_per_second=" << c.events_per_second << " (IQR "
-            << c.events_per_second_p25 << "-" << c.events_per_second_p75
-            << ")"
-            << " append_p99_us=" << c.append_p99_us
-            << " verdict_p99_us=" << c.verdict_p99_us
-            << " mismatches=" << c.mismatches << "\n";
+  events_per_second = stats(&Pass::events_per_second).median;
+  bench::Json row;
+  row.Set("suite", cell.suite)
+      .Set("protocol", service::WireProtocolToString(cell.protocol))
+      .Set("batch", cell.batch)
+      .Set("io_threads", cell.io_threads)
+      .Set("workers", cell.workers)
+      .Set("load_seconds", stats(&Pass::load_seconds))
+      .Set("events_per_second", stats(&Pass::events_per_second))
+      .Set("append_p50_us", stats(&Pass::append_p50_us))
+      .Set("append_p99_us", stats(&Pass::append_p99_us))
+      .Set("verdict_p50_us", stats(&Pass::verdict_p50_us))
+      .Set("verdict_p99_us", stats(&Pass::verdict_p99_us))
+      .Mismatches(mismatches);
+  return row;
 }
 
 }  // namespace
@@ -282,126 +252,45 @@ int main(int argc, char** argv) {
     expected[s] = BatchVerdict(streams[s]);
     total_events += streams[s].size();
   }
-  std::cout << "sessions=" << kSessions << " client_threads="
-            << kClientThreads << " total_events=" << total_events
-            << " cores=" << cores << "\n";
 
-  std::vector<Cell> cells;
-
+  // The headline ratios compare median rates of two cells each.
+  std::vector<bench::Json> rows;
+  double v1_single = 0, v2_batch16 = 0, io_first = 0, io_last = 0;
   if (mode == "protocol" || mode == "all") {
-    struct ProtocolPoint {
-      service::WireProtocol protocol;
-      size_t batch;
+    using service::WireProtocol;
+    const std::pair<WireProtocol, size_t> points[] = {
+        {WireProtocol::kV1, 1},  {WireProtocol::kV1, 32},
+        {WireProtocol::kV2, 1},  {WireProtocol::kV2, 16},
+        {WireProtocol::kV2, 64},
     };
-    const std::vector<ProtocolPoint> points = {
-        {service::WireProtocol::kV1, 1},
-        {service::WireProtocol::kV1, 32},
-        {service::WireProtocol::kV2, 1},
-        {service::WireProtocol::kV2, 16},
-        {service::WireProtocol::kV2, 64},
-    };
-    for (const ProtocolPoint& p : points) {
-      Cell proto;
-      proto.suite = "protocol";
-      proto.protocol = p.protocol;
-      proto.batch = p.batch;
-      proto.io_threads = 2;
-      proto.workers = 2;
-      cells.push_back(MedianOfRepeats(proto, streams, expected));
-      PrintCell(cells.back());
+    for (const auto& [protocol, batch] : points) {
+      double rate = 0;
+      bench::AddRow(rows, MeasureCell({"protocol", protocol, batch, 2, 2},
+                                      streams, expected, rate));
+      if (protocol == WireProtocol::kV1 && batch == 1) v1_single = rate;
+      if (protocol == WireProtocol::kV2 && batch == 16) v2_batch16 = rate;
     }
   }
-
   if (mode == "scaling" || mode == "all") {
-    for (size_t io : io_sweep) {
-      Cell proto;
-      proto.suite = "scaling";
-      proto.protocol = service::WireProtocol::kV2;
-      proto.batch = 32;
-      proto.io_threads = io;
-      proto.workers = 4;
-      cells.push_back(MedianOfRepeats(proto, streams, expected));
-      PrintCell(cells.back());
+    for (const size_t io : io_sweep) {
+      double rate = 0;
+      const Cell cell{"scaling", service::WireProtocol::kV2, 32, io, 4};
+      bench::AddRow(rows, MeasureCell(cell, streams, expected, rate));
+      if (io == 1) io_first = rate;
+      io_last = rate;  // the sweep ascends
     }
   }
-  size_t total_mismatches = 0;
-  for (const Cell& c : cells) total_mismatches += c.mismatches;
-
-  // Headline ratios for the two acceptance curves.
-  const auto find = [&](const std::string& suite, service::WireProtocol p,
-                        size_t batch, size_t io) -> const Cell* {
-    for (const Cell& c : cells) {
-      if (c.suite == suite && c.protocol == p && c.batch == batch &&
-          c.io_threads == io) {
-        return &c;
-      }
-    }
-    return nullptr;
-  };
-  const Cell* v1_base =
-      find("protocol", service::WireProtocol::kV1, 1, 2);
-  const Cell* v2_b16 =
-      find("protocol", service::WireProtocol::kV2, 16, 2);
-  const double batch_speedup =
-      (v1_base != nullptr && v2_b16 != nullptr &&
-       v1_base->events_per_second > 0)
-          ? v2_b16->events_per_second / v1_base->events_per_second
-          : 0;
-  const Cell* io1 = find("scaling", service::WireProtocol::kV2, 32, 1);
-  const Cell* io_max =
-      find("scaling", service::WireProtocol::kV2, 32, io_sweep.back());
-  const double io_scaling =
-      (io1 != nullptr && io_max != nullptr && io1->events_per_second > 0)
-          ? io_max->events_per_second / io1->events_per_second
-          : 0;
-
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"E13_certification_service\",\n"
-       << "  \"transport\": \"tcp_loopback\",\n"
-       << "  \"sessions\": " << kSessions << ",\n"
-       << "  \"client_threads\": " << kClientThreads << ",\n"
-       << "  \"total_events\": " << total_events << ",\n"
-       << "  \"hardware_concurrency\": " << cores << ",\n"
-       << "  \"git_sha\": \"" << bench::GitSha() << "\",\n"
-       << "  \"repeats_per_cell\": " << kRepeats << ",\n"
-       << "  \"statistic\": \"each row is the median of its passes; "
-          "events_per_second_p25/p75 are the quartiles of its rates\",\n"
-       << "  \"v2_batch16_speedup_over_v1_single\": " << batch_speedup
-       << ",\n"
-       << "  \"io_sweep_max\": " << io_sweep.back() << ",\n"
-       << "  \"io_thread_scaling_max_over_1x\": " << io_scaling << ",\n"
-       << "  \"all_verdicts_match_batch_replay\": "
-       << (total_mismatches == 0 ? "true" : "false") << ",\n"
-       << "  \"rows\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    json << "    {\"suite\": \"" << c.suite << "\", \"protocol\": \""
-         << service::WireProtocolToString(c.protocol)
-         << "\", \"batch\": " << c.batch
-         << ", \"io_threads\": " << c.io_threads
-         << ", \"workers\": " << c.workers
-         << ", \"hardware_concurrency\": " << cores
-         << ", \"events\": " << c.events
-         << ", \"load_seconds\": " << c.load_seconds
-         << ", \"events_per_second\": " << c.events_per_second
-         << ", \"events_per_second_p25\": " << c.events_per_second_p25
-         << ", \"events_per_second_p75\": " << c.events_per_second_p75
-         << ", \"append_p50_us\": " << c.append_p50_us
-         << ", \"append_p99_us\": " << c.append_p99_us
-         << ", \"verdict_p50_us\": " << c.verdict_p50_us
-         << ", \"verdict_p99_us\": " << c.verdict_p99_us
-         << ", \"mismatches\": " << c.mismatches << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cout << "wrote " << out_path << "\n";
-  return total_mismatches == 0 ? 0 : 1;
+  return bench::WriteReport(
+      out_path, "E13_certification_service",
+      bench::Json()
+          .Set("transport", "tcp_loopback")
+          .Set("sessions", kSessions)
+          .Set("client_threads", kClientThreads)
+          .Set("total_events", total_events)
+          .Set("v2_batch16_speedup_over_v1_single",
+               v1_single > 0 ? v2_batch16 / v1_single : 0)
+          .Set("io_sweep_max", io_sweep.back())
+          .Set("io_thread_scaling_max_over_1x",
+               io_first > 0 ? io_last / io_first : 0)
+          .Set("rows", rows));
 }

@@ -2,16 +2,19 @@
 // of growing event streams.  Two predicate regimes: a cheap structural
 // predicate (locating one named root — shrink overhead dominates) and
 // the realistic differential predicate (every candidate runs the full
-// decider stack against an injected online-verdict flip).
-
-#include <benchmark/benchmark.h>
+// decider stack against an injected online-verdict flip).  A shrunk
+// witness that no longer satisfies its predicate is a mismatch.
+//
+// Usage: bench_shrink [output.json]   (default BENCH_shrink.json)
 
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "testing/differential.h"
 #include "testing/events.h"
 #include "testing/shrink.h"
+#include "util/logging.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
@@ -30,63 +33,59 @@ std::vector<workload::TraceEvent> GenerateEvents(uint32_t roots,
   spec.execution.conflict_prob = 0.3;
   spec.execution.disorder_prob = 0.3;
   auto cs = workload::GenerateSystem(spec, 42);
-  if (!cs.ok()) return {};
-  if (root_name != nullptr) *root_name = cs->node(cs->Roots().back()).name;
+  COMPTX_CHECK(cs.ok()) << cs.status().ToString();
+  *root_name = cs->node(cs->Roots().back()).name;
   auto events = testing::SystemToEvents(*cs);
-  return events.ok() ? *std::move(events) : std::vector<workload::TraceEvent>{};
+  COMPTX_CHECK(events.ok()) << events.status().ToString();
+  return *std::move(events);
 }
-
-void BM_ShrinkToNamedRoot(benchmark::State& state) {
-  std::string root_name;
-  const std::vector<workload::TraceEvent> events =
-      GenerateEvents(static_cast<uint32_t>(state.range(0)), &root_name);
-  const testing::FailurePredicate predicate =
-      [&](const CompositeSystem& cs) {
-        for (uint32_t i = 0; i < cs.NodeCount(); ++i) {
-          if (cs.node(NodeId(i)).name == root_name) return true;
-        }
-        return false;
-      };
-  testing::ShrinkStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        testing::ShrinkEvents(events, predicate, {}, &stats));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(events.size()));
-  state.counters["events"] = static_cast<double>(events.size());
-  state.counters["predicate_calls"] = static_cast<double>(stats.predicate_calls);
-}
-BENCHMARK(BM_ShrinkToNamedRoot)->Arg(3)->Arg(6)->Arg(12)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShrinkDifferentialWitness(benchmark::State& state) {
-  const std::vector<workload::TraceEvent> events =
-      GenerateEvents(static_cast<uint32_t>(state.range(0)), nullptr);
-  testing::DifferentialOptions options;
-  options.inject = testing::InjectedBug::kFlipOnline;
-  const testing::FailurePredicate predicate =
-      [&](const CompositeSystem& cs) {
-        auto report = testing::CheckConformance(cs, options);
-        if (!report.ok()) return false;
-        for (const testing::Disagreement& d : report->disagreements) {
-          if (d.check == "batch-vs-online") return true;
-        }
-        return false;
-      };
-  testing::ShrinkStats stats;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        testing::ShrinkEvents(events, predicate, {}, &stats));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(events.size()));
-  state.counters["events"] = static_cast<double>(events.size());
-  state.counters["predicate_calls"] = static_cast<double>(stats.predicate_calls);
-}
-BENCHMARK(BM_ShrinkDifferentialWitness)->Arg(3)->Arg(6)->Arg(12)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  std::vector<bench::Json> rows;
+  for (const bool named_root : {true, false}) {
+    for (const uint32_t roots : {3u, 6u, 12u}) {
+      std::string root_name;
+      const std::vector<workload::TraceEvent> events =
+          GenerateEvents(roots, &root_name);
+      testing::DifferentialOptions options;
+      options.inject = testing::InjectedBug::kFlipOnline;
+      const testing::FailurePredicate predicate =
+          [&](const CompositeSystem& cs) {
+            if (named_root) {
+              for (uint32_t i = 0; i < cs.NodeCount(); ++i) {
+                if (cs.node(NodeId(i)).name == root_name) return true;
+              }
+              return false;
+            }
+            auto report = testing::CheckConformance(cs, options);
+            if (!report.ok()) return false;
+            for (const testing::Disagreement& d : report->disagreements) {
+              if (d.check == "batch-vs-online") return true;
+            }
+            return false;
+          };
+      testing::ShrinkStats stats;
+      std::vector<workload::TraceEvent> witness;
+      const bench::Stats us = bench::TimeUs([&] {
+        auto shrunk = testing::ShrinkEvents(events, predicate, {}, &stats);
+        COMPTX_CHECK(shrunk.ok()) << shrunk.status().ToString();
+        witness = *std::move(shrunk);
+      });
+      const auto system = testing::BuildSystem(witness);
+      bench::AddRow(rows, bench::Json()
+                              .Set("predicate",
+                                   named_root ? "named_root" : "differential")
+                              .Set("roots", roots)
+                              .Set("events", events.size())
+                              .Set("witness_events", witness.size())
+                              .Set("predicate_calls", stats.predicate_calls)
+                              .Set("us", us)
+                              .Mismatches(!system.ok() || !predicate(*system)));
+    }
+  }
+  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_shrink.json",
+                            "E11_shrink_throughput",
+                            bench::Json().Set("rows", rows));
+}

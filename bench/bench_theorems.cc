@@ -3,18 +3,21 @@
 // For each special configuration (stack, fork, join) and a sweep of
 // workload parameters, generate valid random executions and compare the
 // special-case criterion (SCC / FCC / JCC) with the general Comp-C
-// decision procedure.  The paper proves the agreement must be exact; the
-// table reports the measured agreement rate (expected: 1.000 everywhere)
-// together with the acceptance rate, so the sweep is visibly exercising
-// both accepted and rejected executions.
+// decision procedure.  The paper proves the agreement must be exact: each
+// row counts its disagreements as mismatches (expected: 0 everywhere) and
+// reports the acceptance rate, so the sweep is visibly exercising both
+// accepted and rejected executions.
+//
+// Usage: bench_theorems [output.json]   (default BENCH_theorems.json)
 
-#include <iostream>
+#include <vector>
 
 #include "analysis/stats.h"
 #include "core/correctness.h"
 #include "criteria/fcc.h"
 #include "criteria/jcc.h"
 #include "criteria/scc.h"
+#include "harness.h"
 #include "util/logging.h"
 #include "workload/workload_spec.h"
 
@@ -73,7 +76,7 @@ SweepResult Sweep(workload::TopologyKind kind, double conflict,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   constexpr int kTrials = 200;
   struct Row {
     const char* experiment;
@@ -85,31 +88,28 @@ int main() {
       {"E2", workload::TopologyKind::kFork, "Thm 3: FCC <=> Comp-C"},
       {"E3", workload::TopologyKind::kJoin, "Thm 4: JCC <=> Comp-C"},
   };
-  std::cout << "E1-E3: theorem validation on random executions ("
-            << kTrials << " trials per cell)\n\n";
-  analysis::TextTable table({"exp", "topology", "conflict", "disorder",
-                             "acceptance", "agreement", "theorem"});
-  bool all_exact = true;
+  std::vector<bench::Json> cells;
   for (const Row& row : rows) {
     for (double conflict : {0.1, 0.4, 0.8}) {
       for (double disorder : {0.0, 0.5}) {
-        SweepResult result =
+        const SweepResult result =
             Sweep(row.kind, conflict, disorder, kTrials);
-        table.AddRow({row.experiment,
-                      workload::TopologyKindToString(row.kind),
-                      analysis::FormatDouble(conflict, 1),
-                      analysis::FormatDouble(disorder, 1),
-                      analysis::FormatDouble(result.acceptance.rate()),
-                      analysis::FormatDouble(result.agreement.rate()),
-                      row.theorem});
-        if (result.agreement.rate() != 1.0) all_exact = false;
+        bench::AddRow(
+            cells,
+            bench::Json()
+                .Set("experiment", row.experiment)
+                .Set("theorem", row.theorem)
+                .Set("topology", workload::TopologyKindToString(row.kind))
+                .Set("conflict", conflict)
+                .Set("disorder", disorder)
+                .Set("trials", kTrials)
+                .Set("acceptance", result.acceptance.rate())
+                .Mismatches(result.agreement.total() -
+                            result.agreement.accepted()));
       }
     }
   }
-  std::cout << table.ToString() << "\n";
-  std::cout << (all_exact
-                    ? "RESULT: agreement exactly 1.000 in every cell, as "
-                      "Theorems 2-4 require.\n"
-                    : "RESULT: DISAGREEMENT FOUND — engine bug!\n");
-  return all_exact ? 0 : 1;
+  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_theorems.json",
+                            "E1-E3_theorem_validation",
+                            bench::Json().Set("rows", cells));
 }

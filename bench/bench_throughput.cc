@@ -12,10 +12,14 @@
 // commuting services, validated open nesting approaches open nesting's
 // speed while staying Comp-C, which is precisely the trade the composite
 // theory is about.  Closed nesting pays root-lifetime locks regardless.
+// No oracle: the rows are costs, not verdicts.
+//
+// Usage: bench_throughput [output.json]   (default BENCH_throughput.json)
 
-#include <iostream>
+#include <vector>
 
 #include "analysis/stats.h"
+#include "harness.h"
 #include "runtime/system_executor.h"
 #include "util/logging.h"
 #include "workload/program_gen.h"
@@ -27,14 +31,9 @@ using namespace comptx::runtime;  // NOLINT
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   constexpr int kTrials = 40;
-  std::cout << "E7: protocol makespan vs declared service conflicts ("
-            << kTrials << " executions per cell; dag 3x2, 12 roots, 32 "
-            << "items/component, zipf 0.6)\n\n";
-  analysis::TextTable table({"svc_conflict_prob", "protocol", "rounds(mean)",
-                             "speedup_vs_serial", "parallelism",
-                             "restarts(mean)"});
+  std::vector<bench::Json> rows;
   for (double conflict_prob : {0.0, 0.3, 0.7}) {
     workload::RuntimeWorkloadSpec spec;
     spec.layers = 3;
@@ -65,23 +64,23 @@ int main() {
                             result->stats.validation_restarts));
       }
       if (protocol == Protocol::kGlobalSerial) serial_rounds = rounds.mean();
-      table.AddRow({analysis::FormatDouble(conflict_prob, 1),
-                    ProtocolToString(protocol),
-                    analysis::FormatDouble(rounds.mean(), 1),
-                    analysis::FormatDouble(serial_rounds / rounds.mean(), 2),
-                    analysis::FormatDouble(parallelism.mean(), 2),
-                    analysis::FormatDouble(restarts.mean(), 2)});
+      bench::AddRow(
+          rows, bench::Json()
+                    .Set("svc_conflict_prob", conflict_prob)
+                    .Set("protocol", ProtocolToString(protocol))
+                    .Set("trials", kTrials)
+                    .Set("rounds_mean", rounds.mean())
+                    .Set("speedup_vs_serial", serial_rounds / rounds.mean())
+                    .Set("parallelism", parallelism.mean())
+                    .Set("restarts_mean", restarts.mean()));
     }
   }
-  std::cout << table.ToString() << "\n";
-  std::cout << "RESULT: uncoordinated open nesting sets the concurrency "
-               "ceiling; among the safe protocols, top-down conservative "
-               "timestamp admission is the only one that beats global "
-               "serial at this contention (zero aborts by construction), "
-               "optimistic validation's cost tracks declared semantic "
-               "conflicts (fast when services commute, restart-bound as "
-               "conflicts grow), and closed nesting is slowest and cannot "
-               "exploit commutativity at all — coordination style and "
-               "semantic knowledge are the paper's levers.\n";
-  return 0;
+  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_throughput.json",
+                            "E7_protocol_makespan",
+                            bench::Json()
+                                .Set("shape", "dag(3x2)")
+                                .Set("roots", 12)
+                                .Set("items_per_component", 32)
+                                .Set("zipf_theta", 0.6)
+                                .Set("rows", rows));
 }

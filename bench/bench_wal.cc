@@ -19,12 +19,10 @@
 // second, `none` pays none.  Snapshots cost a little during load and
 // buy back recovery time by replacing replay with restore+suffix.
 //
-// Plain chrono driver, same idiom as bench_online/bench_service: one run
-// emits the committed machine-readable BENCH_wal.json, stamped with the
-// git SHA and hardware_concurrency.  Each cell runs kRepeats times; a row
-// reports the fastest pass plus the median rate and its spread.  The
-// wal_bytes_per_event column is WAL bytes written (magic, OPEN/SEAL
-// markers, compaction rewrites included) per ingested event.
+// Each cell runs bench::kRepeats passes, and every per-pass value is
+// reported as its median and quartiles (bench/harness.h).  The
+// wal_bytes_per_event column is the median of WAL bytes written (magic,
+// OPEN/SEAL markers, compaction rewrites included) per ingested event.
 //
 // Usage: bench_wal [output.json]
 
@@ -32,9 +30,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -47,7 +43,7 @@
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
-#include "git_sha.h"
+#include "harness.h"
 
 namespace {
 
@@ -58,7 +54,6 @@ namespace fs = std::filesystem;
 constexpr size_t kSessions = 16;
 constexpr size_t kClientThreads = 4;
 constexpr size_t kAppendChunk = 32;
-constexpr int kRepeats = 3;
 
 std::vector<workload::TraceEvent> MakeEvents(uint32_t roots, uint64_t seed) {
   workload::WorkloadSpec spec;
@@ -91,29 +86,24 @@ bool BatchVerdict(const std::vector<workload::TraceEvent>& events) {
   return result->correct;
 }
 
-struct Cell {
-  durability::FsyncPolicy policy = durability::FsyncPolicy::kNone;
-  uint64_t snapshot_events = 0;
-  size_t events = 0;
+/// What one pass of a cell measured.
+struct Pass {
   double load_seconds = 0;
   double events_per_second = 0;
-  double events_per_second_median = 0;  // over the cell's kRepeats passes
-  double events_per_second_spread = 0;  // (max - min) / median
-  uint64_t wal_appends = 0;
-  uint64_t wal_bytes = 0;
-  uint64_t fsyncs = 0;
-  uint64_t snapshots_written = 0;
+  double wal_appends = 0;
+  double wal_bytes = 0;
+  double fsyncs = 0;
+  double snapshots_written = 0;
   double recovery_ms = 0;
-  uint64_t sessions_recovered = 0;
+  double sessions_recovered = 0;
   size_t mismatches = 0;
 };
 
-Cell RunCell(durability::FsyncPolicy policy, uint64_t snapshot_events,
+Pass RunPass(durability::FsyncPolicy policy, uint64_t snapshot_events,
              const std::vector<std::vector<workload::TraceEvent>>& streams,
              const std::vector<bool>& expected, const fs::path& dir) {
-  Cell cell;
-  cell.policy = policy;
-  cell.snapshot_events = snapshot_events;
+  Pass pass;
+  size_t events = 0;
 
   fs::remove_all(dir);
   service::ServerOptions options;
@@ -131,7 +121,7 @@ Cell RunCell(durability::FsyncPolicy policy, uint64_t snapshot_events,
       auto id = server.Open();
       COMPTX_CHECK(id.ok()) << id.status().ToString();
       ids[s] = *id;
-      cell.events += streams[s].size();
+      events += streams[s].size();
     }
 
     const Clock::time_point start = Clock::now();
@@ -156,15 +146,15 @@ Cell RunCell(durability::FsyncPolicy policy, uint64_t snapshot_events,
     for (const uint64_t id : ids) {
       COMPTX_CHECK(server.Query(id).ok());  // drain barrier per session
     }
-    cell.load_seconds =
+    pass.load_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
-    cell.events_per_second =
-        cell.load_seconds > 0 ? double(cell.events) / cell.load_seconds : 0;
+    pass.events_per_second =
+        pass.load_seconds > 0 ? double(events) / pass.load_seconds : 0;
     const durability::Counters& counters = server.metrics().durability;
-    cell.wal_appends = counters.wal_appends.load();
-    cell.wal_bytes = counters.wal_bytes.load();
-    cell.fsyncs = counters.fsyncs.load();
-    cell.snapshots_written = counters.snapshots_written.load();
+    pass.wal_appends = double(counters.wal_appends.load());
+    pass.wal_bytes = double(counters.wal_bytes.load());
+    pass.fsyncs = double(counters.fsyncs.load());
+    pass.snapshots_written = double(counters.snapshots_written.load());
     server.Shutdown();  // graceful: persists every session
   }
 
@@ -172,28 +162,28 @@ Cell RunCell(durability::FsyncPolicy policy, uint64_t snapshot_events,
   // cell's data dir; its verdicts must match the batch oracle.
   const Clock::time_point restart = Clock::now();
   service::CertificationServer recovered(options);
-  cell.recovery_ms =
+  pass.recovery_ms =
       std::chrono::duration<double>(Clock::now() - restart).count() * 1e3;
   COMPTX_CHECK(recovered.InitStatus().ok())
       << recovered.InitStatus().ToString();
-  cell.sessions_recovered =
+  pass.sessions_recovered =
       recovered.metrics().durability.sessions_recovered.load();
   for (size_t s = 0; s < streams.size(); ++s) {
     auto verdict = recovered.Query(ids[s]);
     if (!verdict.ok() || verdict->certifiable != expected[s] ||
         verdict->events_accepted + verdict->events_rejected !=
             streams[s].size()) {
-      ++cell.mismatches;
+      ++pass.mismatches;
       std::cerr << "MISMATCH session " << ids[s] << " under "
-                << durability::FsyncPolicyName(cell.policy) << "/"
-                << cell.snapshot_events << "\n";
+                << durability::FsyncPolicyName(policy) << "/"
+                << snapshot_events << "\n";
       continue;
     }
     COMPTX_CHECK(recovered.Close(ids[s]).ok());
   }
   recovered.Shutdown();
   fs::remove_all(dir);
-  return cell;
+  return pass;
 }
 
 }  // namespace
@@ -214,91 +204,48 @@ int main(int argc, char** argv) {
     total_events += streams.back().size();
   }
 
-  const durability::FsyncPolicy policies[] = {durability::FsyncPolicy::kNone,
-                                              durability::FsyncPolicy::kInterval,
-                                              durability::FsyncPolicy::kAlways};
-  const uint64_t cadences[] = {0, 2048};
-
-  std::vector<Cell> cells;
-  size_t total_mismatches = 0;
-  for (const durability::FsyncPolicy policy : policies) {
-    for (const uint64_t cadence : cadences) {
-      Cell best;
-      std::vector<double> rates;
-      for (int rep = 0; rep < kRepeats; ++rep) {
-        Cell cell = RunCell(policy, cadence, streams, expected, dir);
-        total_mismatches += cell.mismatches;
-        rates.push_back(cell.events_per_second);
-        if (rep == 0 || cell.events_per_second > best.events_per_second) {
-          best = cell;
-        }
-      }
-      std::sort(rates.begin(), rates.end());
-      best.events_per_second_median = rates[rates.size() / 2];
-      best.events_per_second_spread =
-          best.events_per_second_median > 0
-              ? (rates.back() - rates.front()) / best.events_per_second_median
-              : 0;
-      cells.push_back(best);
-      std::cout << "fsync=" << durability::FsyncPolicyName(best.policy)
-                << " snapshot_events=" << best.snapshot_events
-                << " events_per_second=" << best.events_per_second
-                << " fsyncs=" << best.fsyncs
-                << " wal_bytes=" << best.wal_bytes
-                << " wal_bytes_per_event="
-                << double(best.wal_bytes) / double(best.events)
-                << " recovery_ms=" << best.recovery_ms
-                << " mismatches=" << best.mismatches << "\n";
+  using durability::FsyncPolicy;
+  std::vector<bench::Json> rows;
+  for (const FsyncPolicy policy :
+       {FsyncPolicy::kNone, FsyncPolicy::kInterval, FsyncPolicy::kAlways}) {
+    for (const uint64_t cadence : {0, 2048}) {
+      const std::vector<Pass> passes = bench::RunPasses(
+          [&] { return RunPass(policy, cadence, streams, expected, dir); });
+      size_t mismatches = 0;
+      for (const Pass& pass : passes) mismatches += pass.mismatches;
+      const auto stats = [&passes](double Pass::*field) {
+        return bench::Summarize(passes, field);
+      };
+      const bench::Stats wal_bytes = stats(&Pass::wal_bytes);
+      bench::AddRow(
+          rows,
+          bench::Json()
+              .Set("fsync", durability::FsyncPolicyName(policy))
+              .Set("snapshot_events", cadence)
+              .Set("events", total_events)
+              .Set("load_seconds", stats(&Pass::load_seconds))
+              .Set("events_per_second", stats(&Pass::events_per_second))
+              .Set("wal_appends", stats(&Pass::wal_appends))
+              .Set("wal_bytes", wal_bytes)
+              .Set("wal_bytes_per_event",
+                   wal_bytes.median / double(total_events))
+              .Set("fsyncs", stats(&Pass::fsyncs))
+              .Set("snapshots_written", stats(&Pass::snapshots_written))
+              .Set("recovery_ms", stats(&Pass::recovery_ms))
+              .Set("sessions_recovered", stats(&Pass::sessions_recovered))
+              .Mismatches(mismatches));
     }
   }
   fs::remove_all(dir);
-
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"experiment\": \"E14_wal_durability\",\n"
-       << "  \"git_sha\": \"" << bench::GitSha() << "\",\n"
-       << "  \"repeats\": " << kRepeats << ",\n"
-       << "  \"sessions\": " << kSessions << ",\n"
-       << "  \"client_threads\": " << kClientThreads << ",\n"
-       << "  \"total_events\": " << total_events << ",\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "  \"note\": \"every row restarts a fresh server on the cell's "
-          "data dir and replays; recovery_ms covers the full rebuild, "
-          "mismatches compares recovered verdicts to the batch oracle; "
-          "a row is the fastest of its repeats, with the median rate and "
-          "(max-min)/median beside it\",\n"
-       << "  \"all_recovered_verdicts_match_batch_replay\": "
-       << (total_mismatches == 0 ? "true" : "false") << ",\n"
-       << "  \"rows\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    json << "    {\"fsync\": \"" << durability::FsyncPolicyName(c.policy)
-         << "\", \"snapshot_events\": " << c.snapshot_events
-         << ", \"events\": " << c.events
-         << ", \"load_seconds\": " << c.load_seconds
-         << ", \"events_per_second\": " << c.events_per_second
-         << ", \"events_per_second_median\": " << c.events_per_second_median
-         << ", \"events_per_second_spread\": " << c.events_per_second_spread
-         << ", \"wal_appends\": " << c.wal_appends
-         << ", \"wal_bytes\": " << c.wal_bytes
-         << ", \"wal_bytes_per_event\": "
-         << (c.events > 0 ? double(c.wal_bytes) / double(c.events) : 0)
-         << ", \"fsyncs\": " << c.fsyncs
-         << ", \"snapshots_written\": " << c.snapshots_written
-         << ", \"recovery_ms\": " << c.recovery_ms
-         << ", \"sessions_recovered\": " << c.sessions_recovered
-         << ", \"mismatches\": " << c.mismatches << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << json.str();
-  std::cout << "wrote " << out_path << "\n";
-  return total_mismatches == 0 ? 0 : 1;
+  return bench::WriteReport(
+      out_path, "E14_wal_durability",
+      bench::Json()
+          .Set("sessions", kSessions)
+          .Set("client_threads", kClientThreads)
+          .Set("total_events", total_events)
+          .Set("note",
+               "every pass restarts a fresh server on the cell's data dir "
+               "and replays; recovery_ms covers the full rebuild, "
+               "mismatches compares recovered verdicts to the batch oracle")
+          .Set("rows", rows));
 }

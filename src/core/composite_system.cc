@@ -371,10 +371,6 @@ std::vector<ScheduleId> CompositeSystem::InvokersOf(ScheduleId callee) const {
   return out;
 }
 
-bool CompositeSystem::IsSharedSchedule(ScheduleId callee) const {
-  return InvokersOf(callee).size() > 1;
-}
-
 size_t CompositeSystem::RootsServed(ScheduleId s) const {
   std::vector<NodeId> roots;
   for (NodeId txn : schedule(s).transactions) {

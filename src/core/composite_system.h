@@ -225,10 +225,6 @@ class CompositeSystem {
   /// for schedules hosting only root transactions.
   std::vector<ScheduleId> InvokersOf(ScheduleId callee) const;
 
-  /// True iff more than one distinct schedule invokes `callee` (the
-  /// invocation graph is a DAG rather than a forest at this node).
-  bool IsSharedSchedule(ScheduleId callee) const;
-
   /// The number of distinct execution trees (RootOf values) among the
   /// transactions of `s`.  A schedule serving more than one tree is a
   /// "meet" schedule: the point where cross-root orders are created and

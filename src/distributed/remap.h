@@ -91,9 +91,6 @@ class SessionRemapper {
   /// Recovery: folds a persisted MappingDelta back into `edge`'s tables.
   Status FoldDelta(uint64_t edge, const std::string& delta);
 
-  /// Local root-transaction count (the parent's commit_through domain).
-  uint64_t LocalRootCount() const { return local_root_ords_.size(); }
-
   /// The child-side commit watermark for `edge` implied by local
   /// watermark k: the number of `edge` roots whose local ordinal is < k.
   /// Child roots arrive in child ordinal order, so this counts a child

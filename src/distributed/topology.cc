@@ -910,14 +910,4 @@ void TopologyRunner::Reap(uint32_t node, bool kill) {
   proc.pid = -1;
 }
 
-int TopologyRunner::PortOf(const std::string& node) const {
-  const uint32_t idx = spec_.Find(node);
-  return idx == kInvalidIndex ? 0 : procs_[idx].port;
-}
-
-uint64_t TopologyRunner::SessionOf(const std::string& node) const {
-  const uint32_t idx = spec_.Find(node);
-  return idx == kInvalidIndex ? 0 : procs_[idx].session;
-}
-
 }  // namespace comptx::distributed

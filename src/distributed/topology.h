@@ -199,8 +199,6 @@ class TopologyRunner {
   /// Graceful stop: SHUTDOWN every live node, reap them all.
   Status Shutdown();
 
-  int PortOf(const std::string& node) const;
-  uint64_t SessionOf(const std::string& node) const;
   const TopologySpec& spec() const { return spec_; }
 
  private:

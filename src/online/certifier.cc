@@ -261,7 +261,7 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       const ScheduleId host = cs_.HostScheduleOf(a);
       new_weak_.clear();
-      weak_output_.AddClosing(a, b, new_weak_);
+      weak_output_.AddClosing(a, b, closing_, new_weak_);
       for (const auto& [x, y] : new_weak_) {
         engine_.OnClosedWeakOutput(host, x, y);
       }
@@ -279,8 +279,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       new_strong_.clear();
       new_weak_.clear();
-      if (strong) strong_input_.AddClosing(a, b, new_strong_);
-      weak_input_.AddClosing(a, b, new_weak_);  // strong pairs are weak.
+      // Strong pairs are weak too.
+      if (strong) strong_input_.AddClosing(a, b, closing_, new_strong_);
+      weak_input_.AddClosing(a, b, closing_, new_weak_);
       for (const auto& [x, y] : new_strong_) engine_.OnClosedStrongInput(x, y);
       for (const auto& [x, y] : new_weak_) engine_.OnClosedWeakInput(x, y);
       return Status::OK();
@@ -298,8 +299,9 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       saw_relational_event_ = true;
       new_strong_.clear();
       new_weak_.clear();
-      if (strong) strong_intra_.AddClosing(a, b, new_strong_);
-      weak_intra_.AddClosing(a, b, new_weak_);  // strong implies weak.
+      // Strong implies weak.
+      if (strong) strong_intra_.AddClosing(a, b, closing_, new_strong_);
+      weak_intra_.AddClosing(a, b, closing_, new_weak_);
       for (const auto& [x, y] : new_strong_) engine_.OnClosedStrongIntra(x, y);
       for (const auto& [x, y] : new_weak_) {
         engine_.OnClosedWeakIntra(txn, x, y);

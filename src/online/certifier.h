@@ -305,8 +305,10 @@ class Certifier {
   uint64_t prune_passes_ = 0;
 
   // Scratch reused across events so the steady state allocates nothing:
-  // the newly closed pairs of one order event, and the subtree (root
-  // first, then preorder) the prune pass is examining.
+  // the five closures' span copies, the newly closed pairs of one order
+  // event, and the subtree (root first, then preorder) the prune pass is
+  // examining.
+  ClosingScratch closing_;
   std::vector<std::pair<NodeId, NodeId>> new_strong_;
   std::vector<std::pair<NodeId, NodeId>> new_weak_;
   std::vector<NodeId> subtree_;

@@ -7,19 +7,20 @@ namespace comptx::online {
 // ---- LiveRelation ---------------------------------------------------------
 
 void LiveRelation::AddClosing(
-    NodeId a, NodeId b, std::vector<std::pair<NodeId, NodeId>>& new_pairs) {
+    NodeId a, NodeId b, ClosingScratch& scratch,
+    std::vector<std::pair<NodeId, NodeId>>& new_pairs) {
   // (a, b) already closed: any path using the new pair factors through
   // existing closed pairs, so nothing new can appear.
   if (Contains(a, b)) return;
   // Copied out: the spans are invalidated by the insertions below.
   const std::span<const uint32_t> pred = Predecessors(a);
-  closing_sources_.assign(1, a.index());
-  closing_sources_.insert(closing_sources_.end(), pred.begin(), pred.end());
+  scratch.sources.assign(1, a.index());
+  scratch.sources.insert(scratch.sources.end(), pred.begin(), pred.end());
   const std::span<const uint32_t> succ = Successors(b);
-  closing_targets_.assign(1, b.index());
-  closing_targets_.insert(closing_targets_.end(), succ.begin(), succ.end());
-  for (uint32_t x : closing_sources_) {
-    for (uint32_t y : closing_targets_) {
+  scratch.targets.assign(1, b.index());
+  scratch.targets.insert(scratch.targets.end(), succ.begin(), succ.end());
+  for (uint32_t x : scratch.sources) {
+    for (uint32_t y : scratch.targets) {
       const NodeId from(x), to(y);
       if (Add(from, to)) new_pairs.emplace_back(from, to);
     }

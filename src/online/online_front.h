@@ -152,9 +152,6 @@ class OnlineFrontEngine {
     IncrementalCycleGraph cc;
   };
 
-  uint32_t LevelOfSchedule(ScheduleId s) const {
-    return schedule_levels_[s.index()];
-  }
   /// First front containing x: 0 for leaves, the owner schedule's level
   /// for transactions.
   uint32_t SpanBegin(NodeId x) const;

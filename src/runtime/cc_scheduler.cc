@@ -39,9 +39,6 @@ bool RootOrderManager::TryAddEdges(
     out_[from].insert(to);
     added.emplace_back(from, to);
   }
-  if (observer_ != nullptr && !added.empty()) {
-    observer_->OnEdgesAccepted(added);
-  }
   return true;
 }
 
@@ -54,7 +51,6 @@ void RootOrderManager::RemoveRoot(uint32_t root) {
       ++it;
     }
   }
-  if (observer_ != nullptr) observer_->OnRootRemoved(root);
 }
 
 }  // namespace comptx::runtime

@@ -10,24 +10,6 @@
 
 namespace comptx::runtime {
 
-/// Observer of root-order decisions made by a RootOrderManager.  This is
-/// the runtime's hook for streaming consumers — in particular the online
-/// certifier, which mirrors accepted root-order edges as observed-order
-/// events of its session (an adapter translates edges to trace events so
-/// the runtime stays independent of src/online).
-class RootOrderObserver {
- public:
-  virtual ~RootOrderObserver() = default;
-
-  /// Called after TryAddEdges commits; `added` holds only the edges that
-  /// were actually new (deduplicated, self-loops dropped).
-  virtual void OnEdgesAccepted(
-      const std::vector<std::pair<uint32_t, uint32_t>>& added) = 0;
-
-  /// Called after RemoveRoot dropped the root's incident edges.
-  virtual void OnRootRemoved(uint32_t root) = 0;
-};
-
 /// Global root-transaction order manager for the kOpenValidated protocol
 /// (the ticket method the paper's §4 cites): maintains the union of all
 /// component-level serialization edges projected onto root transactions
@@ -46,16 +28,11 @@ class RootOrderManager {
 
   size_t EdgeCount() const { return edges_.size(); }
 
-  /// Registers `observer` (not owned; nullptr to detach).  Notified of
-  /// every committed edge batch and root removal.
-  void set_observer(RootOrderObserver* observer) { observer_ = observer; }
-
  private:
   bool HasPath(uint32_t from, uint32_t to) const;
 
   std::set<std::pair<uint32_t, uint32_t>> edges_;
   std::map<uint32_t, std::set<uint32_t>> out_;
-  RootOrderObserver* observer_ = nullptr;
 };
 
 }  // namespace comptx::runtime

@@ -112,7 +112,6 @@ class EventLoop {
   /// teardown, after the owner was joined).
   void CloseConn(const std::shared_ptr<Conn>& conn);
 
-  void ScheduleHandlerLocked(const std::shared_ptr<Conn>& conn);
   void Wake(size_t index);
 
   const EventLoopOptions options_;

@@ -337,11 +337,6 @@ SessionVerdict Session::Verdict() const {
   return out;
 }
 
-size_t Session::QueueDepth() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 bool Session::CloseIfIdle(std::chrono::steady_clock::time_point cutoff) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!queue_.empty() || scheduled_ || closing_ || last_activity_ >= cutoff) {

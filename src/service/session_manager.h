@@ -142,8 +142,6 @@ class Session {
   /// Current verdict; meaningful after WaitDrained.
   SessionVerdict Verdict() const;
 
-  size_t QueueDepth() const;
-
   /// Eviction: atomically checks idleness (empty queue, no worker
   /// attached, no activity since `cutoff`) and, if idle, marks the
   /// session closing in the same critical section.  Because the check

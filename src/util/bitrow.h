@@ -1,7 +1,6 @@
 #ifndef COMPTX_UTIL_BITROW_H_
 #define COMPTX_UTIL_BITROW_H_
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -61,20 +60,6 @@ class BitRow {
       base_word_ += static_cast<uint32_t>(lead);
     }
     return true;
-  }
-
-  /// Invokes `f(uint32_t id)` for every set bit in ascending id order.
-  template <typename F>
-  void ForEachSet(F f) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t word = words_[w];
-      const uint32_t word_base = (base_word_ + static_cast<uint32_t>(w)) << 6;
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        f(word_base + static_cast<uint32_t>(bit));
-        word &= word - 1;
-      }
-    }
   }
 
   bool Empty() const { return words_.empty(); }

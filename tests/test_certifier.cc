@@ -1,7 +1,6 @@
 // Tests for online::Certifier: prefix agreement with batch CheckCompC on
 // randomized traces over every topology shape, the paper's Figure 3/4
-// fixtures, sealing + pruning, and the runtime RootOrderManager
-// observer hook.
+// fixtures, and sealing + pruning.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "analysis/figures.h"
 #include "core/correctness.h"
 #include "online/certifier.h"
-#include "runtime/cc_scheduler.h"
 #include "util/rng.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
@@ -408,129 +406,6 @@ TEST(Certifier, ScheduleDeclarationsDoNotRebuild) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(certifier.Certifiable(), batch->correct);
   EXPECT_EQ(certifier.Verdict().order, batch->order);
-}
-
-class RecordingObserver : public runtime::RootOrderObserver {
- public:
-  void OnEdgesAccepted(
-      const std::vector<std::pair<uint32_t, uint32_t>>& added) override {
-    for (const auto& edge : added) edges.push_back(edge);
-    ++batches;
-  }
-  void OnRootRemoved(uint32_t root) override { removed.push_back(root); }
-
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  std::vector<uint32_t> removed;
-  int batches = 0;
-};
-
-TEST(RootOrderObserver, NotifiedOfAcceptedEdgesOnly) {
-  runtime::RootOrderManager manager;
-  RecordingObserver observer;
-  manager.set_observer(&observer);
-
-  // Duplicates and self-loops are filtered from the notification.
-  EXPECT_TRUE(manager.TryAddEdges({{1, 2}, {1, 1}, {1, 2}, {2, 3}}));
-  ASSERT_EQ(observer.edges.size(), 2u);
-  EXPECT_EQ(observer.edges[0], (std::pair<uint32_t, uint32_t>{1, 2}));
-  EXPECT_EQ(observer.edges[1], (std::pair<uint32_t, uint32_t>{2, 3}));
-  EXPECT_EQ(observer.batches, 1);
-
-  // A rejected batch (would close 1 -> 2 -> 3 -> 1) notifies nothing.
-  EXPECT_FALSE(manager.TryAddEdges({{3, 1}}));
-  EXPECT_EQ(observer.batches, 1);
-
-  // A fully redundant batch notifies nothing either.
-  EXPECT_TRUE(manager.TryAddEdges({{1, 2}}));
-  EXPECT_EQ(observer.batches, 1);
-
-  manager.RemoveRoot(2);
-  ASSERT_EQ(observer.removed.size(), 1u);
-  EXPECT_EQ(observer.removed[0], 2u);
-  EXPECT_EQ(manager.EdgeCount(), 0u);
-
-  // Detaching stops notifications.
-  manager.set_observer(nullptr);
-  EXPECT_TRUE(manager.TryAddEdges({{5, 6}}));
-  EXPECT_EQ(observer.batches, 1);
-}
-
-/// The observer is how a runtime streams its serialization decisions into
-/// an online certifier session: each accepted root-order edge becomes a
-/// conflicting, weak-output-ordered pair between the roots' designated
-/// ticket operations, whose pulled-up observed order then constrains the
-/// top-level front.  This adapter test closes the loop.
-class CertifierBridge : public runtime::RootOrderObserver {
- public:
-  CertifierBridge(Certifier* certifier, std::vector<uint32_t> ticket_op)
-      : certifier_(certifier), ticket_op_(std::move(ticket_op)) {}
-
-  void OnEdgesAccepted(
-      const std::vector<std::pair<uint32_t, uint32_t>>& added) override {
-    for (const auto& [from, to] : added) {
-      workload::TraceEvent event;
-      event.kind = workload::TraceEventKind::kConflict;
-      event.a = ticket_op_[from];
-      event.b = ticket_op_[to];
-      Status status = certifier_->Ingest(event);
-      EXPECT_TRUE(status.ok()) << status.ToString();
-      event.kind = workload::TraceEventKind::kWeakOutput;
-      status = certifier_->Ingest(event);
-      EXPECT_TRUE(status.ok()) << status.ToString();
-    }
-  }
-  void OnRootRemoved(uint32_t) override {}
-
- private:
-  Certifier* certifier_;
-  std::vector<uint32_t> ticket_op_;  // runtime root index -> leaf node id
-};
-
-TEST(RootOrderObserver, BridgesRuntimeDecisionsIntoCertifier) {
-  // Three roots, each with one leaf (its ticket operation) on a shared
-  // schedule.  The runtime decides T2 < T0 < T1; the bridged certifier
-  // stays certifiable and its serial witness lists the roots in exactly
-  // that order (forcing a reorder: T2 was created last).
-  Certifier certifier;
-  workload::TraceEvent event;
-  event.kind = workload::TraceEventKind::kSchedule;
-  event.name = "S1";
-  ASSERT_TRUE(certifier.Ingest(event).ok());
-  std::vector<uint32_t> roots, tickets;
-  for (const char* name : {"T0", "T1", "T2"}) {
-    event = {};
-    event.kind = workload::TraceEventKind::kRoot;
-    event.schedule = 0;
-    event.name = name;
-    ASSERT_TRUE(certifier.Ingest(event).ok());
-    roots.push_back(static_cast<uint32_t>(certifier.system().NodeCount() - 1));
-    event = {};
-    event.kind = workload::TraceEventKind::kLeaf;
-    event.parent = roots.back();
-    event.name = std::string("x") + name;
-    ASSERT_TRUE(certifier.Ingest(event).ok());
-    tickets.push_back(
-        static_cast<uint32_t>(certifier.system().NodeCount() - 1));
-  }
-
-  runtime::RootOrderManager manager;
-  CertifierBridge bridge(&certifier, tickets);
-  manager.set_observer(&bridge);
-
-  EXPECT_TRUE(manager.TryAddEdges({{2, 0}, {0, 1}}));
-  EXPECT_TRUE(certifier.Certifiable());
-
-  std::vector<NodeId> witness = certifier.SerialWitness();
-  ASSERT_EQ(witness.size(), 3u);
-  EXPECT_EQ(witness[0], NodeId(roots[2]));
-  EXPECT_EQ(witness[1], NodeId(roots[0]));
-  EXPECT_EQ(witness[2], NodeId(roots[1]));
-
-  // The runtime refuses 1 -> 2 (would close T2 < T0 < T1 < T2); nothing
-  // reaches the certifier and the verdict is unchanged.
-  EXPECT_FALSE(manager.TryAddEdges({{1, 2}}));
-  EXPECT_TRUE(certifier.Certifiable());
-  EXPECT_EQ(certifier.SerialWitness().size(), 3u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Black-box CLI tests for comptx_certify and comptx_shrink (ctest label
-// `cli`): malformed input files, empty traces and conflicting flags must
+// Black-box CLI tests for the comptx tools (ctest label `cli`): malformed
+// input files, empty traces, conflicting flags and malformed numbers must
 // exit non-zero with a diagnostic; well-formed runs must exit zero.  The
 // binary locations are baked in at configure time via the
-// COMPTX_CERTIFY_BIN / COMPTX_SHRINK_BIN compile definitions.
+// COMPTX_*_BIN compile definitions.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -351,6 +351,49 @@ TEST(ShrinkCliTest, InjectedCampaignWritesReplayableWitnesses) {
                                 (corpus / "*.json").string()));
   EXPECT_EQ(replay.exit_code, 0)
       << replay.stdout_text << replay.stderr_text;
+}
+
+// -------------------------------------------------------------- serve
+
+// Numeric flags parse strictly: junk, a sign, a trailing suffix or an
+// out-of-range value is a usage error (exit 2), never a silent default.
+// The trailing --help turns a wrongly accepted value into exit 0 instead
+// of a daemon that never returns.
+TEST(ServeCliTest, MalformedNumericFlagsExitTwo) {
+  const char* bad[] = {
+      "--port notaport",        "--port 70000",
+      "--port -1",              "--max-sessions -1",
+      "--max-sessions 0",       "--workers 3x",
+      "--workers 0",            "--io-threads ''",
+      "--handler-threads +2",   "--queue-capacity 1e3",
+      "--batch 0x10",           "--idle-timeout-ms -5",
+      "--stats-interval-ms 1.5", "--fsync-interval-ms ten",
+      "--snapshot-events 99999999999999999999",
+  };
+  for (const char* flag : bad) {
+    RunResult r = RunCli(StrCat(COMPTX_SERVE_BIN, " ", flag, " --help"));
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.stderr_text;
+    EXPECT_FALSE(r.stderr_text.empty()) << flag;
+  }
+}
+
+// The argument set the repo benchmark starts the daemon with still
+// listens: the port file gets a real port, and SIGTERM drains to exit 0.
+TEST(ServeCliTest, StartsWithTheBenchmarkArgumentSet) {
+  const std::filesystem::path port_file = Scratch() / "serve_port.txt";
+  const std::string p = port_file.string();
+  RunResult r = RunCli(StrCat(
+      COMPTX_SERVE_BIN,
+      " --host 127.0.0.1 --port 0 --port-file ", p,
+      " --workers 1 --io-threads 1 --handler-threads 1 & pid=$!;"
+      " for i in $(seq 1 200); do [ -s ", p, " ] && break; sleep 0.05; done;"
+      " sleep 0.2; kill -TERM $pid; wait $pid"));
+  EXPECT_EQ(r.exit_code, 0) << r.stderr_text;
+  const std::string port = ReadAll(port_file);
+  auto parsed = ParseUint64("port", port.substr(0, port.find('\n')));
+  ASSERT_TRUE(parsed.ok()) << port;
+  EXPECT_GT(*parsed, 0u);
+  EXPECT_LE(*parsed, 65535u);
 }
 
 // ----------------------------------------------------------- walcheck

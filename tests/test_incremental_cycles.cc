@@ -332,6 +332,7 @@ TEST(LiveRelation, AddClosingMatchesClosureWithin) {
   for (int round = 0; round < 100; ++round) {
     Rng rng(5150 + static_cast<uint64_t>(round));
     LiveRelation live;
+    ClosingScratch scratch;
     Relation generators;
     const int adds = static_cast<int>(rng.UniformRange(1, 40));
     for (int e = 0; e < adds; ++e) {
@@ -339,7 +340,7 @@ TEST(LiveRelation, AddClosingMatchesClosureWithin) {
       const NodeId b = random_node(rng);
       const PairList before = PairsOf(live);
       PairList new_pairs;
-      live.AddClosing(a, b, new_pairs);
+      live.AddClosing(a, b, scratch, new_pairs);
       generators.Add(a, b);
       const PairList closed = ClosureWithin(generators, domain).Pairs();
       ASSERT_EQ(PairsOf(live), closed) << "round " << round << " edge " << e;

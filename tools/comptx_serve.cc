@@ -46,6 +46,7 @@
 // Exit codes: 0 = clean shutdown, 2 = usage, bind or recovery error.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -55,6 +56,7 @@
 #include "durability/wal.h"
 #include "service/server.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "util/version.h"
 
 namespace {
@@ -111,6 +113,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A count or duration: digits only, within [min, max]; junk exits 2.
+    constexpr uint64_t kAny = UINT64_MAX;
+    const auto number = [&](const char* flag, uint64_t min,
+                            uint64_t max) -> uint64_t {
+      auto value = ParseUint64(flag, next(flag));
+      if (value.ok() && *value < min) {
+        value = Status::InvalidArgument(StrCat(flag, " must be >= ", min));
+      } else if (value.ok() && *value > max) {
+        value = Status::InvalidArgument(StrCat(flag, " must be <= ", max));
+      }
+      if (!value.ok()) {
+        std::cerr << value.status().message() << "\n";
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--version") {
       PrintToolVersion("comptx_serve");
       return 0;
@@ -119,45 +137,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       endpoint.host = next("--host");
     } else if (arg == "--port") {
-      endpoint.port = std::atoi(next("--port"));
+      endpoint.port = static_cast<int>(number("--port", 0, 65535));
     } else if (arg == "--unix") {
       endpoint.unix_path = next("--unix");
     } else if (arg == "--workers") {
-      const long workers = std::strtol(next("--workers"), nullptr, 10);
-      if (workers < 1) {
-        std::cerr << "--workers needs a positive count\n";
-        return 2;
-      }
-      options.workers = static_cast<size_t>(workers);
+      options.workers = number("--workers", 1, kAny);
     } else if (arg == "--io-threads") {
-      const long io = std::strtol(next("--io-threads"), nullptr, 10);
-      if (io < 1) {
-        std::cerr << "--io-threads needs a positive count\n";
-        return 2;
-      }
-      options.io_threads = static_cast<size_t>(io);
+      options.io_threads = number("--io-threads", 1, kAny);
     } else if (arg == "--handler-threads") {
-      const long handlers = std::strtol(next("--handler-threads"), nullptr, 10);
-      if (handlers < 1) {
-        std::cerr << "--handler-threads needs a positive count\n";
-        return 2;
-      }
-      options.handler_threads = static_cast<size_t>(handlers);
+      options.handler_threads = number("--handler-threads", 1, kAny);
     } else if (arg == "--max-sessions") {
-      options.max_sessions =
-          static_cast<size_t>(std::strtoul(next("--max-sessions"), nullptr, 10));
+      options.max_sessions = number("--max-sessions", 1, kAny);
     } else if (arg == "--queue-capacity") {
-      options.session.queue_capacity = static_cast<size_t>(
-          std::strtoul(next("--queue-capacity"), nullptr, 10));
+      options.session.queue_capacity = number("--queue-capacity", 1, kAny);
     } else if (arg == "--batch") {
-      options.batch_size =
-          static_cast<size_t>(std::strtoul(next("--batch"), nullptr, 10));
+      options.batch_size = number("--batch", 1, kAny);
     } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout_ms =
-          std::strtoull(next("--idle-timeout-ms"), nullptr, 10);
+      options.idle_timeout_ms = number("--idle-timeout-ms", 0, kAny);
     } else if (arg == "--stats-interval-ms") {
-      options.stats_interval_ms =
-          std::strtoull(next("--stats-interval-ms"), nullptr, 10);
+      options.stats_interval_ms = number("--stats-interval-ms", 0, kAny);
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--data-dir") {
@@ -172,21 +170,16 @@ int main(int argc, char** argv) {
       options.durability.fsync = *policy;
     } else if (arg == "--fsync-interval-ms") {
       options.durability.fsync_interval_ms =
-          std::strtoull(next("--fsync-interval-ms"), nullptr, 10);
+          number("--fsync-interval-ms", 0, kAny);
     } else if (arg == "--snapshot-events") {
       options.durability.snapshot_events =
-          std::strtoull(next("--snapshot-events"), nullptr, 10);
+          number("--snapshot-events", 0, kAny);
     } else if (arg == "--verify-recovery") {
       options.durability.verify_recovery = true;
     } else {
       std::cerr << "unknown flag " << arg << "\n";
       return Usage(2);
     }
-  }
-  if (options.max_sessions == 0 || options.session.queue_capacity == 0 ||
-      options.batch_size == 0) {
-    std::cerr << "--max-sessions/--queue-capacity/--batch must be positive\n";
-    return 2;
   }
 
   service::CertificationServer server(options);
