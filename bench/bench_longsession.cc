@@ -46,7 +46,9 @@
 #include "durability/snapshot.h"
 #include "online/certifier.h"
 #include "online/state_io.h"
+#include "util/cli_flags.h"
 #include "util/logging.h"
+#include "workload/event_streams.h"
 #include "workload/trace.h"
 
 #include "harness.h"
@@ -56,71 +58,6 @@ namespace {
 using namespace comptx;  // NOLINT
 using bench::Clock;
 using bench::MicrosSince;
-
-/// Streaming-window event source: emits the session's events on demand
-/// instead of materializing a 10M-element vector.  Per root i > 0:
-/// root, leaf, conflict(prev_leaf, leaf), weak_output(prev_leaf, leaf),
-/// and every `window` roots a commit_through watermark lagging the
-/// newest root by `window` — exactly the cadence a long-lived client
-/// with --commit-window produces, and enough lag that a sealed root
-/// never has pending relation events.
-class WindowStream {
- public:
-  explicit WindowStream(uint32_t window) : window_(window) {}
-
-  /// Appends the next chunk of events (one root's worth, possibly plus a
-  /// watermark) to `out`.  First call also emits the schedule.
-  void NextRoot(std::vector<workload::TraceEvent>& out) {
-    using workload::TraceEvent;
-    using workload::TraceEventKind;
-    TraceEvent e;
-    if (roots_ == 0) {
-      e.kind = TraceEventKind::kSchedule;
-      e.name = "S";
-      out.push_back(e);
-    }
-    e = {};
-    e.kind = TraceEventKind::kRoot;
-    e.schedule = 0;
-    e.name = "T" + std::to_string(roots_);
-    out.push_back(e);
-    const uint32_t root = next_id_++;
-    e = {};
-    e.kind = TraceEventKind::kLeaf;
-    e.parent = root;
-    e.name = "x" + std::to_string(roots_);
-    out.push_back(e);
-    const uint32_t leaf = next_id_++;
-    if (prev_leaf_ != kInvalidIndex) {
-      e = {};
-      e.kind = TraceEventKind::kConflict;
-      e.a = prev_leaf_;
-      e.b = leaf;
-      out.push_back(e);
-      e.kind = TraceEventKind::kWeakOutput;
-      out.push_back(e);
-    }
-    prev_leaf_ = leaf;
-    ++roots_;
-    // Watermark: seal everything older than the trailing window.  The
-    // newest sealed root's only forward relation (to its successor) is
-    // already ingested, so sealing never rejects a later event.
-    if (window_ != 0 && roots_ % window_ == 0 && roots_ > window_) {
-      e = {};
-      e.kind = TraceEventKind::kCommitThrough;
-      e.a = roots_ - window_;
-      out.push_back(e);
-    }
-  }
-
-  uint64_t roots() const { return roots_; }
-
- private:
-  const uint32_t window_;
-  uint64_t roots_ = 0;
-  uint32_t next_id_ = 0;
-  uint32_t prev_leaf_ = kInvalidIndex;
-};
 
 /// Peak resident set of this process so far, in KiB (0 if unknown).
 uint64_t ReadVmHwmKb() {
@@ -183,7 +120,7 @@ std::vector<Checkpoint> RunSession(const std::vector<uint64_t>& marks,
   online::CertifierOptions options;
   options.auto_prune = true;
   online::Certifier certifier(options);
-  WindowStream stream(window);
+  workload::WindowChain stream(window);
   std::vector<workload::TraceEvent> chunk;
   std::vector<Checkpoint> checkpoints;
   uint64_t ingested = 0;
@@ -229,15 +166,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
-      COMPTX_CHECK(i + 1 < argc) << arg << " needs a value";
+      if (i + 1 >= argc) {
+        std::cerr << arg << " needs a value\n";
+        std::exit(2);
+      }
       return argv[++i];
     };
     if (arg == "--events") {
-      total_events = std::strtoull(next(), nullptr, 10);
+      total_events = UintFlagOrExit(arg, next(), 1);
     } else if (arg == "--window") {
-      window = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      window =
+          static_cast<uint32_t>(UintFlagOrExit(arg, next(), 0, UINT32_MAX));
     } else if (arg == "--batch") {
-      batch = std::strtoul(next(), nullptr, 10);
+      batch = UintFlagOrExit(arg, next(), 1);
     } else {
       out_path = arg;
     }
@@ -277,7 +218,7 @@ int main(int argc, char** argv) {
     unpruned.auto_prune = false;
     online::Certifier reference(unpruned);
     online::Certifier pruned;
-    WindowStream replay(window);
+    workload::WindowChain replay(window);
     std::vector<workload::TraceEvent> events;
     while (events.size() < kCrosscheckEvents) {
       replay.NextRoot(events);

@@ -33,6 +33,7 @@
 #include "testing/events.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "workload/event_schema.h"
 #include "workload/schedule_gen.h"
 #include "workload/topology_gen.h"
 #include "workload/trace.h"
@@ -77,16 +78,7 @@ CompositeSystem StripSpec(const CompositeSystem& cs) {
   std::vector<workload::TraceEvent> kept;
   kept.reserve(events->size());
   for (const workload::TraceEvent& e : *events) {
-    switch (e.kind) {
-      case workload::TraceEventKind::kAdtDecl:
-      case workload::TraceEventKind::kAdtOp:
-      case workload::TraceEventKind::kCommute:
-      case workload::TraceEventKind::kClash:
-      case workload::TraceEventKind::kTag:
-        continue;
-      default:
-        kept.push_back(e);
-    }
+    if (!workload::IsAdtLayerEvent(e.kind)) kept.push_back(e);
   }
   auto raw = testing::BuildSystem(kept);
   COMPTX_CHECK(raw.ok()) << raw.status().ToString();

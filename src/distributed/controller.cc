@@ -374,7 +374,7 @@ Response NodeController::HandlePrepare(uint64_t session,
   }
 
   // Local seal: commit_through k through the normal append path (one
-  // kCommitWatermark WAL record — the durable prepare decision), then a
+  // WAL APPEND record — the durable prepare decision), then a
   // drain barrier so the watermark is applied before we ack.
   TraceEvent commit;
   commit.kind = TraceEventKind::kCommitThrough;

@@ -59,8 +59,8 @@ struct ControllerOptions {
 ///           Phase 2, informational: fans the decision out to the
 ///           children so their controllers can log/observe it.  The
 ///           commit itself became durable at each node during PREPARE
-///           (the kCommitWatermark WAL record), so DECIDE carries no
-///           recovery obligation.
+///           (the commit_through event in a WAL APPEND record), so DECIDE
+///           carries no recovery obligation.
 class NodeController : public UpstreamIngestor::Delegate {
  public:
   NodeController(service::CertificationServer* server,

@@ -3,9 +3,11 @@
 #include "core/ids.h"
 #include "util/string_util.h"
 #include "workload/event_codec.h"
+#include "workload/event_schema.h"
 
 namespace comptx::distributed {
 
+using workload::FieldRole;
 using workload::TraceEvent;
 using workload::TraceEventKind;
 
@@ -37,9 +39,34 @@ StatusOr<std::vector<DeltaEntry>> ParseDelta(const std::string& delta) {
   return entries;
 }
 
-uint32_t SessionRemapper::Lookup(const std::vector<uint32_t>& map,
-                                 uint32_t remote) {
-  return remote < map.size() ? map[remote] : kInvalidIndex;
+bool SessionRemapper::LookupRefs(const EdgeTables& tables, TraceEvent& event) {
+  bool found = true;
+  workload::ForEachRef(event, [&](FieldRole role, uint32_t& ref) {
+    const std::vector<uint32_t>* map = nullptr;
+    switch (role) {
+      case FieldRole::kNode:
+        map = &tables.nodes;
+        break;
+      case FieldRole::kSchedule:
+        map = &tables.schedules;
+        break;
+      case FieldRole::kAdt:
+        map = &tables.adts;
+        break;
+      case FieldRole::kClass:
+        map = &tables.classes;
+        break;
+      default:
+        // ADT instance ids are global in the source trace, so they pass
+        // through untranslated: two children tagging operations with the
+        // same instance id really do share that instance, which is how
+        // cross-child semantic conflicts stay visible at the parent.
+        return;
+    }
+    ref = ref < map->size() ? (*map)[ref] : kInvalidIndex;
+    found = found && ref != kInvalidIndex;
+  });
+  return found;
 }
 
 SessionRemapper::BatchResult SessionRemapper::RemapBatch(
@@ -118,10 +145,9 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
         AppendDeltaEntry(delta, DeltaKind::kRoot, remote_root, local_ord);
         return dedup();
       }
-      e.schedule = Lookup(tables.schedules, event.schedule);
       const uint32_t local = static_cast<uint32_t>(shadow_.NodeCount());
       uint32_t local_ord = kInvalidIndex;
-      if (e.schedule == kInvalidIndex ||
+      if (!LookupRefs(tables, e) ||
           !workload::ApplyTraceEvent(shadow_, e).ok()) {
         tables.nodes.push_back(kInvalidIndex);
         tables.roots.push_back(kInvalidIndex);
@@ -149,14 +175,8 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
         AppendDeltaEntry(delta, DeltaKind::kNode, remote_node, it->second);
         return dedup();
       }
-      e.parent = Lookup(tables.nodes, event.parent);
-      if (event.kind == TraceEventKind::kSub) {
-        e.schedule = Lookup(tables.schedules, event.schedule);
-      }
       const uint32_t local = static_cast<uint32_t>(shadow_.NodeCount());
-      if (e.parent == kInvalidIndex ||
-          (event.kind == TraceEventKind::kSub &&
-           e.schedule == kInvalidIndex) ||
+      if (!LookupRefs(tables, e) ||
           !workload::ApplyTraceEvent(shadow_, e).ok()) {
         tables.nodes.push_back(kInvalidIndex);
         AppendDeltaEntry(delta, DeltaKind::kNode, remote_node, kInvalidIndex);
@@ -165,44 +185,6 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
       node_by_name_.emplace(event.name, local);
       tables.nodes.push_back(local);
       AppendDeltaEntry(delta, DeltaKind::kNode, remote_node, local);
-      return out;
-    }
-
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput: {
-      e.a = Lookup(tables.nodes, event.a);
-      e.b = Lookup(tables.nodes, event.b);
-      if (e.a == kInvalidIndex || e.b == kInvalidIndex ||
-          !workload::ApplyTraceEvent(shadow_, e).ok()) {
-        return reject();
-      }
-      return out;
-    }
-
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput: {
-      e.schedule = Lookup(tables.schedules, event.schedule);
-      e.a = Lookup(tables.nodes, event.a);
-      e.b = Lookup(tables.nodes, event.b);
-      if (e.schedule == kInvalidIndex || e.a == kInvalidIndex ||
-          e.b == kInvalidIndex ||
-          !workload::ApplyTraceEvent(shadow_, e).ok()) {
-        return reject();
-      }
-      return out;
-    }
-
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong: {
-      e.parent = Lookup(tables.nodes, event.parent);
-      e.a = Lookup(tables.nodes, event.a);
-      e.b = Lookup(tables.nodes, event.b);
-      if (e.parent == kInvalidIndex || e.a == kInvalidIndex ||
-          e.b == kInvalidIndex ||
-          !workload::ApplyTraceEvent(shadow_, e).ok()) {
-        return reject();
-      }
       return out;
     }
 
@@ -229,8 +211,8 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
 
     case TraceEventKind::kAdtOp: {
       const uint32_t remote = static_cast<uint32_t>(tables.classes.size());
-      e.a = Lookup(tables.adts, event.a);
-      if (e.a != kInvalidIndex && shadow_.HasSpec()) {
+      const bool found = LookupRefs(tables, e);
+      if (found && shadow_.HasSpec()) {
         const uint32_t existing = shadow_.spec()->FindClass(e.a, event.name);
         if (existing != kInvalidIndex) {
           tables.classes.push_back(existing);
@@ -238,7 +220,7 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
           return dedup();
         }
       }
-      if (e.a == kInvalidIndex) {
+      if (!found) {
         tables.classes.push_back(kInvalidIndex);
         AppendDeltaEntry(delta, DeltaKind::kClass, remote, kInvalidIndex);
         return reject();
@@ -256,9 +238,7 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
 
     case TraceEventKind::kCommute:
     case TraceEventKind::kClash: {
-      e.a = Lookup(tables.classes, event.a);
-      e.b = Lookup(tables.classes, event.b);
-      if (e.a == kInvalidIndex || e.b == kInvalidIndex) return reject();
+      if (!LookupRefs(tables, e)) return reject();
       const CommuteEntry want = event.kind == TraceEventKind::kCommute
                                     ? CommuteEntry::kCommutes
                                     : CommuteEntry::kConflicts;
@@ -272,27 +252,22 @@ SessionRemapper::Remapped SessionRemapper::RemapOne(EdgeTables& tables,
       return out;
     }
 
-    case TraceEventKind::kTag: {
-      e.parent = Lookup(tables.nodes, event.parent);
-      e.a = Lookup(tables.classes, event.a);
-      // ADT instance ids (e.b) are global in the source trace, so they
-      // pass through untranslated — two children tagging operations with
-      // the same instance id really do share that instance, which is how
-      // cross-child semantic conflicts stay visible at the parent.
-      if (e.parent == kInvalidIndex || e.a == kInvalidIndex ||
-          !workload::ApplyTraceEvent(shadow_, e).ok()) {
-        return reject();
-      }
-      return out;
-    }
-
     case TraceEventKind::kCommit:
     case TraceEventKind::kCommitThrough:
       // Never published on ORDER_STREAM (commits travel through the 2PC
       // path); tolerate and drop.
       return dedup();
+
+    default:
+      // A relation event (a conflict, an order or a tag): every
+      // reference must resolve on this edge, and the shadow must accept
+      // the result.
+      if (!LookupRefs(tables, e) ||
+          !workload::ApplyTraceEvent(shadow_, e).ok()) {
+        return reject();
+      }
+      return out;
   }
-  return reject();
 }
 
 Status SessionRemapper::ApplyLocal(const TraceEvent& event) {

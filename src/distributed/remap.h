@@ -113,9 +113,11 @@ class SessionRemapper {
   Remapped RemapOne(EdgeTables& tables, std::string& delta,
                     const workload::TraceEvent& event);
 
-  /// Looks up remote index `remote` in `map`; kInvalidIndex when the
-  /// remote referenced something it never created on this edge.
-  static uint32_t Lookup(const std::vector<uint32_t>& map, uint32_t remote);
+  /// Rewrites every index reference of `event` through its table in
+  /// `tables`; false when one names an entity the remote never created on
+  /// this edge (or one the shadow rejected), which becomes kInvalidIndex.
+  static bool LookupRefs(const EdgeTables& tables,
+                         workload::TraceEvent& event);
 
   EdgeTables& TablesFor(uint64_t edge) { return edges_[edge]; }
 

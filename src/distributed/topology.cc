@@ -19,12 +19,14 @@
 #include <unordered_map>
 
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 #include "workload/workload_spec.h"
 
 namespace comptx::distributed {
 
 namespace {
 
+using workload::FieldRole;
 using workload::TraceEvent;
 using workload::TraceEventKind;
 
@@ -37,21 +39,20 @@ std::vector<std::string> Tokenize(const std::string& line) {
 }
 
 bool IsBroadcast(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kSchedule:
-    case TraceEventKind::kAdtDecl:
-    case TraceEventKind::kAdtOp:
-    case TraceEventKind::kCommute:
-    case TraceEventKind::kClash:
-      return true;
-    default:
-      return false;
-  }
+  return workload::LayoutOf(kind).Has(workload::kBroadcast);
 }
 
 bool IsCommit(TraceEventKind kind) {
-  return kind == TraceEventKind::kCommit ||
-         kind == TraceEventKind::kCommitThrough;
+  return workload::LayoutOf(kind).Has(workload::kCommitMarker);
+}
+
+/// The first node `event` names, kInvalidIndex when it names none.
+uint32_t FirstNode(const TraceEvent& event) {
+  uint32_t first = kInvalidIndex;
+  workload::ForEachRef(event, FieldRole::kNode, [&](uint32_t node) {
+    if (first == kInvalidIndex) first = node;
+  });
+  return first;
 }
 
 /// Union-find over full-trace node indices; trees that share any
@@ -212,58 +213,34 @@ StatusOr<TracePartition> PartitionTrace(
   // conflict mask derives conflicts from shared instances, so splitting
   // them across leaves would hide a conflict from the merged system.
   UnionFind uf;
-  const auto check = [&](size_t pos, const char* what,
-                         uint32_t idx) -> Status {
-    if (idx >= uf.size()) {
-      return Status::InvalidArgument(StrCat("event ", pos + 1, ": ", what,
-                                            " ", idx, " was never created"));
-    }
-    return Status::OK();
-  };
   // Full-trace node index created by each creation event (by position).
   std::vector<uint32_t> node_of_pos(trace.size(), kInvalidIndex);
   std::unordered_map<uint32_t, uint32_t> instance_owner;  // instance -> node
   for (size_t pos = 0; pos < trace.size(); ++pos) {
     const TraceEvent& event = trace[pos];
-    switch (event.kind) {
-      case TraceEventKind::kRoot:
-        node_of_pos[pos] = uf.Add();
-        break;
-      case TraceEventKind::kSub:
-      case TraceEventKind::kLeaf: {
-        COMPTX_RETURN_IF_ERROR(check(pos, "parent node", event.parent));
-        const uint32_t node = uf.Add();
-        node_of_pos[pos] = node;
-        uf.Union(node, event.parent);
-        break;
-      }
-      case TraceEventKind::kConflict:
-      case TraceEventKind::kWeakOutput:
-      case TraceEventKind::kStrongOutput:
-      case TraceEventKind::kWeakInput:
-      case TraceEventKind::kStrongInput:
-        COMPTX_RETURN_IF_ERROR(check(pos, "node", event.a));
-        COMPTX_RETURN_IF_ERROR(check(pos, "node", event.b));
-        uf.Union(event.a, event.b);
-        break;
-      case TraceEventKind::kIntraWeak:
-      case TraceEventKind::kIntraStrong:
-        COMPTX_RETURN_IF_ERROR(check(pos, "transaction", event.parent));
-        COMPTX_RETURN_IF_ERROR(check(pos, "node", event.a));
-        COMPTX_RETURN_IF_ERROR(check(pos, "node", event.b));
-        uf.Union(event.parent, event.a);
-        uf.Union(event.parent, event.b);
-        break;
-      case TraceEventKind::kTag: {
-        COMPTX_RETURN_IF_ERROR(check(pos, "node", event.parent));
-        const auto [it, inserted] = instance_owner.emplace(event.b,
-                                                           event.parent);
-        if (!inserted) uf.Union(event.parent, it->second);
-        break;
-      }
-      default:
-        break;  // broadcasts and commits touch no nodes
+    if (IsCommit(event.kind)) continue;  // dropped below; joins no trees
+    uint32_t missing = kInvalidIndex;
+    workload::ForEachRef(event, FieldRole::kNode, [&](uint32_t node) {
+      if (node >= uf.size() && missing == kInvalidIndex) missing = node;
+    });
+    if (missing != kInvalidIndex) {
+      return Status::InvalidArgument(StrCat(
+          "event ", pos + 1, ": node ", missing, " was never created"));
     }
+    // Every node the event names joins the tree of the first one: a
+    // creation's parent, a relation's endpoints, an intra order's
+    // transaction and a tag's operation.
+    const uint32_t anchor = FirstNode(event);
+    workload::ForEachRef(event, FieldRole::kNode,
+                         [&](uint32_t node) { uf.Union(anchor, node); });
+    if (workload::CreatesNode(event.kind)) {
+      node_of_pos[pos] = uf.Add();
+      if (anchor != kInvalidIndex) uf.Union(node_of_pos[pos], anchor);
+    }
+    workload::ForEachRef(event, FieldRole::kInstance, [&](uint32_t instance) {
+      const auto [it, inserted] = instance_owner.emplace(instance, anchor);
+      if (!inserted) uf.Union(anchor, it->second);
+    });
   }
 
   // Pass 2: components land whole on one leaf, round-robin in order of
@@ -305,22 +282,9 @@ StatusOr<TracePartition> PartitionTrace(
       broadcast_pos.push_back(pos);
       continue;
     }
-    uint32_t node = kInvalidIndex;
-    switch (event.kind) {
-      case TraceEventKind::kRoot:
-      case TraceEventKind::kSub:
-      case TraceEventKind::kLeaf:
-        node = node_of_pos[pos];
-        break;
-      case TraceEventKind::kIntraWeak:
-      case TraceEventKind::kIntraStrong:
-      case TraceEventKind::kTag:
-        node = event.parent;
-        break;
-      default:
-        node = event.a;
-        break;
-    }
+    const uint32_t node = workload::CreatesNode(event.kind)
+                              ? node_of_pos[pos]
+                              : FirstNode(event);
     comp_pos[order_of_comp[uf.Find(node)]].push_back(pos);
   }
 
@@ -374,35 +338,11 @@ StatusOr<TracePartition> PartitionTrace(
       for (const size_t pos : comp_pos[order]) {
         const TraceEvent& event = trace[pos];
         TraceEvent local = event;
-        const auto map_ref = [&](uint32_t& idx) { idx = local_idx[idx]; };
-        switch (event.kind) {
-          case TraceEventKind::kRoot:
-          case TraceEventKind::kSub:
-          case TraceEventKind::kLeaf:
-            if (event.kind != TraceEventKind::kRoot) map_ref(local.parent);
-            local_idx[node_of_pos[pos]] = leaf_node_count[leaf]++;
-            if (event.kind == TraceEventKind::kRoot) ++roots;
-            break;
-          case TraceEventKind::kConflict:
-          case TraceEventKind::kWeakOutput:
-          case TraceEventKind::kStrongOutput:
-          case TraceEventKind::kWeakInput:
-          case TraceEventKind::kStrongInput:
-            map_ref(local.a);
-            map_ref(local.b);
-            break;
-          case TraceEventKind::kIntraWeak:
-          case TraceEventKind::kIntraStrong:
-            map_ref(local.parent);
-            map_ref(local.a);
-            map_ref(local.b);
-            break;
-          case TraceEventKind::kTag:
-            map_ref(local.parent);
-            break;
-          default:
-            return Status::Internal(
-                StrCat("event ", pos + 1, ": unclassified kind"));
+        workload::ForEachRef(local, FieldRole::kNode,
+                             [&](uint32_t& idx) { idx = local_idx[idx]; });
+        if (workload::CreatesNode(event.kind)) {
+          local_idx[node_of_pos[pos]] = leaf_node_count[leaf]++;
+          if (event.kind == TraceEventKind::kRoot) ++roots;
         }
         out.leaf_phases[leaf][phase].push_back(std::move(local));
         ++forwarded;
@@ -457,49 +397,19 @@ StatusOr<std::vector<TraceEvent>> GenerateGroupedTrace(uint32_t roots,
     // concatenation — the parent-side remapper dedups entities by name,
     // so identically named entities across groups would wrongly merge.
     for (TraceEvent& event : events) {
-      const auto offset_node = [&](uint32_t& idx) { idx += node_offset; };
-      switch (event.kind) {
-        case TraceEventKind::kSchedule:
-          event.name = StrCat("g", group, ".", event.name);
+      if (IsCommit(event.kind) || workload::IsAdtLayerEvent(event.kind)) {
+        return Status::Internal("generator produced an unexpected event kind");
+      }
+      workload::ForEachRef(event, [&](FieldRole role, uint32_t& idx) {
+        idx += role == FieldRole::kNode ? node_offset : sched_offset;
+      });
+      if (const auto space = workload::CreatedSpace(event.kind)) {
+        event.name = StrCat("g", group, ".", event.name);
+        if (*space == FieldRole::kNode) {
+          ++nodes;
+        } else {
           ++schedules;
-          break;
-        case TraceEventKind::kRoot:
-          event.name = StrCat("g", group, ".", event.name);
-          event.schedule += sched_offset;
-          ++nodes;
-          break;
-        case TraceEventKind::kSub:
-          event.name = StrCat("g", group, ".", event.name);
-          event.schedule += sched_offset;
-          offset_node(event.parent);
-          ++nodes;
-          break;
-        case TraceEventKind::kLeaf:
-          event.name = StrCat("g", group, ".", event.name);
-          offset_node(event.parent);
-          ++nodes;
-          break;
-        case TraceEventKind::kConflict:
-        case TraceEventKind::kWeakOutput:
-        case TraceEventKind::kStrongOutput:
-          offset_node(event.a);
-          offset_node(event.b);
-          break;
-        case TraceEventKind::kWeakInput:
-        case TraceEventKind::kStrongInput:
-          event.schedule += sched_offset;
-          offset_node(event.a);
-          offset_node(event.b);
-          break;
-        case TraceEventKind::kIntraWeak:
-        case TraceEventKind::kIntraStrong:
-          offset_node(event.parent);
-          offset_node(event.a);
-          offset_node(event.b);
-          break;
-        default:
-          return Status::Internal(
-              "generator produced an unexpected event kind");
+        }
       }
       merged.push_back(std::move(event));
     }

@@ -20,36 +20,15 @@ SessionLog::SessionLog(Manager* manager, uint64_t id, std::string options_text)
 SessionLog::~SessionLog() = default;
 
 Status SessionLog::LogAppend(const std::vector<workload::TraceEvent>& events) {
-  // Commit watermarks get their own record type (kCommitWatermark) so
-  // compaction can reason about them without decoding event payloads;
-  // the surrounding construction events are written as plain kAppend
-  // runs.  Every event — watermarks included — consumes one seq slot,
-  // keeping WAL order identical to queue/ingest order.
-  uint64_t seq = logged_.load(std::memory_order_relaxed) + 1;
-  size_t run_start = 0;
-  auto flush_run = [&](size_t end) -> Status {
-    if (end == run_start) return Status::OK();
-    WalRecord record;
-    record.type = WalRecordType::kAppend;
-    record.seq = seq;
-    record.events.assign(events.begin() + run_start, events.begin() + end);
-    COMPTX_RETURN_IF_ERROR(writer_->Append(record).status());
-    seq += end - run_start;
-    run_start = end;
-    return Status::OK();
-  };
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (events[i].kind != workload::TraceEventKind::kCommitThrough) continue;
-    COMPTX_RETURN_IF_ERROR(flush_run(i));
-    WalRecord record;
-    record.type = WalRecordType::kCommitWatermark;
-    record.seq = seq;
-    record.commit_through = events[i].a;
-    COMPTX_RETURN_IF_ERROR(writer_->Append(record).status());
-    ++seq;
-    run_start = i + 1;
-  }
-  COMPTX_RETURN_IF_ERROR(flush_run(events.size()));
+  // One APPEND record per batch, commit_through watermarks included:
+  // every event consumes one seq slot, keeping WAL order identical to
+  // queue/ingest order.
+  if (events.empty()) return Status::OK();
+  WalRecord record;
+  record.type = WalRecordType::kAppend;
+  record.seq = logged_.load(std::memory_order_relaxed) + 1;
+  record.events = events;
+  COMPTX_RETURN_IF_ERROR(writer_->Append(record).status());
   logged_.fetch_add(events.size(), std::memory_order_relaxed);
   return Status::OK();
 }

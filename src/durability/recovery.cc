@@ -26,18 +26,6 @@ std::vector<workload::TraceEvent> SessionDurableState::SuffixEvents() const {
   const uint64_t base = has_snapshot ? snapshot.event_seq : 0;
   std::vector<workload::TraceEvent> events;
   for (const auto& record : wal_records) {
-    if (record.type == WalRecordType::kCommitWatermark) {
-      // Reconstitute the watermark as the commit_through event it was
-      // logged for, at its original stream position, so replay seals and
-      // prunes exactly as the pre-crash session did.
-      if (record.seq > base) {
-        workload::TraceEvent e;
-        e.kind = workload::TraceEventKind::kCommitThrough;
-        e.a = static_cast<uint32_t>(record.commit_through);
-        events.push_back(std::move(e));
-      }
-      continue;
-    }
     if (record.type != WalRecordType::kAppend) continue;
     for (size_t i = 0; i < record.events.size(); ++i) {
       const uint64_t seq = record.seq + i;
@@ -113,10 +101,6 @@ StatusOr<SessionDurableState> ReadSessionDurableState(const std::string& dir,
           break;
         case WalRecordType::kClose:
           state.closed = true;
-          break;
-        case WalRecordType::kCommitWatermark:
-          // Occupies one event seq slot of its own.
-          state.event_seq = std::max(state.event_seq, record.seq);
           break;
         case WalRecordType::kSeal:
         case WalRecordType::kStreamCursor:

@@ -74,6 +74,25 @@ bool DecodeW1Events(ByteCursor& cur, std::vector<workload::TraceEvent>& events,
   return true;
 }
 
+// Retired record type: a commit_through watermark of its own, [u64 root
+// count] after the header (DESIGN.md §11.1).
+constexpr uint8_t kLegacyCommitWatermark = 7;
+
+// The checks every payload ends with: nothing read past the end, nothing
+// left over.
+bool FinishPayload(const ByteCursor& cur, std::string_view payload,
+                   std::string& error) {
+  if (!cur.ok) {
+    error = "short payload";
+    return false;
+  }
+  if (cur.pos != payload.size()) {
+    error = "trailing bytes in payload";
+    return false;
+  }
+  return true;
+}
+
 bool DecodePayload(std::string_view payload, bool w1, WalRecord& record,
                    std::string& error) {
   ByteCursor cur{payload};
@@ -83,6 +102,21 @@ bool DecodePayload(std::string_view payload, bool w1, WalRecord& record,
       type > static_cast<uint8_t>(WalRecordType::kStreamCursor)) {
     error = "unknown record type";
     return false;
+  }
+  if (type == kLegacyCommitWatermark) {
+    // A log written before commit_through rode in APPEND records: the
+    // record is the APPEND of that one event, at the same seq.
+    record.type = WalRecordType::kAppend;
+    const uint64_t watermark = cur.GetU64();
+    if (watermark > UINT32_MAX) {
+      error = "commit watermark exceeds 32 bits";
+      return false;
+    }
+    workload::TraceEvent event;
+    event.kind = workload::TraceEventKind::kCommitThrough;
+    event.a = static_cast<uint32_t>(watermark);
+    record.events.push_back(std::move(event));
+    return FinishPayload(cur, payload, error);
   }
   record.type = static_cast<WalRecordType>(type);
   switch (record.type) {
@@ -102,10 +136,6 @@ bool DecodePayload(std::string_view payload, bool w1, WalRecord& record,
       record.certifiable = cur.GetU8() != 0;
       break;
     }
-    case WalRecordType::kCommitWatermark: {
-      record.commit_through = cur.GetU64();
-      break;
-    }
     case WalRecordType::kStreamCursor: {
       record.edge = cur.GetU64();
       record.cursor_seq = cur.GetU64();
@@ -117,15 +147,7 @@ bool DecodePayload(std::string_view payload, bool w1, WalRecord& record,
     case WalRecordType::kClose:
       break;
   }
-  if (!cur.ok) {
-    error = "short payload";
-    return false;
-  }
-  if (cur.pos != payload.size()) {
-    error = "trailing bytes in payload";
-    return false;
-  }
-  return true;
+  return FinishPayload(cur, payload, error);
 }
 
 Status ErrnoStatus(const std::string& what, const std::string& path) {
@@ -246,8 +268,6 @@ const char* WalRecordTypeName(WalRecordType type) {
       return "RESUME";
     case WalRecordType::kClose:
       return "CLOSE";
-    case WalRecordType::kCommitWatermark:
-      return "COMMIT";
     case WalRecordType::kStreamCursor:
       return "CURSOR";
   }
@@ -273,9 +293,6 @@ std::string EncodeWalRecord(const WalRecord& record) {
       PutU64(payload, record.accepted);
       PutU64(payload, record.rejected);
       PutU8(payload, record.certifiable ? 1 : 0);
-      break;
-    case WalRecordType::kCommitWatermark:
-      PutU64(payload, record.commit_through);
       break;
     case WalRecordType::kStreamCursor:
       PutU64(payload, record.edge);
@@ -500,12 +517,6 @@ Status WalWriter::CompactThrough(uint64_t watermark, const WalRecord& open,
   std::vector<WalRecord> records;
   records.push_back(open);
   for (auto& record : scan.records) {
-    if (record.type == WalRecordType::kCommitWatermark) {
-      // A commit watermark occupies exactly one event seq slot; keep it
-      // only while the snapshot does not cover it.
-      if (record.seq > watermark) records.push_back(std::move(record));
-      continue;
-    }
     if (record.type == WalRecordType::kStreamCursor) {
       // Cursor records carry incremental remap deltas: recovering an
       // edge's translation tables folds every delta, so compaction must

@@ -47,11 +47,9 @@ enum class WalRecordType : uint8_t {
   kResume = 5,  // an evicted session was re-opened from disk
   kClose = 6,   // client CLOSE acked; files are deleted (tolerate crash
                 // between marker and unlink by deleting at recovery)
-  kCommitWatermark = 7,  // commit_through watermark: every root created
-                         // before `commit_through` is committed.  Consumes
-                         // one event seq slot so replay interleaves it at
-                         // its original stream position, and compaction
-                         // can drop records the latest snapshot covers.
+  // 7 is retired: it was a commit_through watermark record of its own.
+  // ReadWalFile decodes one as the APPEND of that single event, so logs
+  // written before watermarks rode in APPEND records still recover.
   kStreamCursor = 8,     // distributed ingest cursor: the downstream
                          // session has durably applied the upstream edge's
                          // stream through `cursor_seq`, together with the
@@ -77,7 +75,6 @@ struct WalRecord {
   uint64_t accepted = 0;                     // kSeal: certifier counters
   uint64_t rejected = 0;                     //   at the snapshot watermark
   bool certifiable = true;                   // kSeal: verdict at watermark
-  uint64_t commit_through = 0;               // kCommitWatermark: root count
   uint64_t edge = 0;                         // kStreamCursor: edge id
   uint64_t cursor_seq = 0;                   // kStreamCursor: upstream seq
   std::string mapping;                       // kStreamCursor: opaque delta

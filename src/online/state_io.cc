@@ -6,6 +6,7 @@
 
 #include "util/status.h"
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 #include "workload/trace.h"
 
 namespace comptx::online {
@@ -49,36 +50,13 @@ namespace {
 /// session ids; false when a rank is outside the id table.
 bool TranslateNodeRefs(const std::vector<uint32_t>& ids, TraceEvent& e) {
   bool ok = true;
-  const auto id_of = [&](uint32_t& rank) {
+  workload::ForEachRef(e, workload::FieldRole::kNode, [&](uint32_t& rank) {
     if (rank >= ids.size()) {
       ok = false;
       return;
     }
     rank = ids[rank];
-  };
-  switch (e.kind) {
-    case TraceEventKind::kSub:
-    case TraceEventKind::kLeaf:
-    case TraceEventKind::kTag:
-      id_of(e.parent);
-      break;
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong:
-      id_of(e.parent);
-      id_of(e.a);
-      id_of(e.b);
-      break;
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput:
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput:
-      id_of(e.a);
-      id_of(e.b);
-      break;
-    default:
-      break;
-  }
+  });
   return ok;
 }
 
@@ -100,8 +78,7 @@ StatusOr<std::unique_ptr<Certifier>> RestoreCertifierState(
   for (size_t i = 0; i < events.size(); ++i) {
     TraceEvent& e = events[i];
     const bool root = e.kind == TraceEventKind::kRoot;
-    if (windowed && (root || e.kind == TraceEventKind::kSub ||
-                     e.kind == TraceEventKind::kLeaf)) {
+    if (windowed && workload::CreatesNode(e.kind)) {
       // Skip the released run in front of this node (and, for a root,
       // in front of its ordinal) so it gets its original id.
       if (created >= state.live_ids.size() ||

@@ -13,6 +13,7 @@
 #include "staticcheck/analyzer.h"
 #include "testing/events.h"
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 #include "workload/trace.h"
 
 namespace comptx::testing {
@@ -244,26 +245,15 @@ void CheckSemanticMask(const CompositeSystem& cs, const CompCResult& batch,
   std::vector<workload::TraceEvent> masked;
   masked.reserve(events->size());
   for (const workload::TraceEvent& e : *events) {
-    switch (e.kind) {
-      case workload::TraceEventKind::kAdtDecl:
-      case workload::TraceEventKind::kAdtOp:
-      case workload::TraceEventKind::kCommute:
-      case workload::TraceEventKind::kClash:
-      case workload::TraceEventKind::kTag:
-        // The clone carries no spec; its raw bits are the effective set.
+    // The clone carries no spec; its raw bits are the effective set.
+    if (workload::IsAdtLayerEvent(e.kind)) continue;
+    if (e.kind == workload::TraceEventKind::kConflict &&
+        cs.SemanticallyCommutes(NodeId(e.a), NodeId(e.b))) {
+      if (!flip || flipped) {
+        ++erased;
         continue;
-      case workload::TraceEventKind::kConflict:
-        if (cs.SemanticallyCommutes(NodeId(e.a), NodeId(e.b))) {
-          if (flip && !flipped) {
-            flipped = true;  // re-materialize one pair the spec erases
-            break;
-          }
-          ++erased;
-          continue;
-        }
-        break;
-      default:
-        break;
+      }
+      flipped = true;  // re-materialize one pair the spec erases
     }
     masked.push_back(e);
   }

@@ -1,13 +1,16 @@
 #include "testing/events.h"
 
+#include <array>
+#include <optional>
 #include <utility>
 
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 
 namespace comptx::testing {
 
+using workload::FieldRole;
 using workload::TraceEvent;
-using workload::TraceEventKind;
 
 StatusOr<std::vector<TraceEvent>> SystemToEvents(const CompositeSystem& cs) {
   COMPTX_ASSIGN_OR_RETURN(std::string text, workload::SaveTrace(cs));
@@ -28,135 +31,43 @@ StatusOr<CompositeSystem> BuildSystem(const std::vector<TraceEvent>& events) {
 }
 
 bool IsCreationEvent(const TraceEvent& event) {
-  switch (event.kind) {
-    case TraceEventKind::kSchedule:
-    case TraceEventKind::kRoot:
-    case TraceEventKind::kSub:
-    case TraceEventKind::kLeaf:
-      return true;
-    default:
-      return false;
-  }
+  const std::optional<FieldRole> space = workload::CreatedSpace(event.kind);
+  return space == FieldRole::kNode || space == FieldRole::kSchedule;
 }
 
 std::vector<TraceEvent> FilterEvents(const std::vector<TraceEvent>& events,
                                      const std::vector<bool>& keep) {
-  // Creation-order maps from old indices to the dense new numbering;
-  // kInvalidIndex marks a dropped (or never-created) entity.
-  std::vector<uint32_t> sched_map;
-  std::vector<uint32_t> node_map;
-  std::vector<uint32_t> adt_map;
-  std::vector<uint32_t> class_map;
-  uint32_t next_sched = 0;
-  uint32_t next_node = 0;
-  uint32_t next_adt = 0;
-  uint32_t next_class = 0;
-  auto sched_ok = [&](uint32_t s) {
-    return s < sched_map.size() && sched_map[s] != kInvalidIndex;
-  };
-  auto node_ok = [&](uint32_t v) {
-    return v < node_map.size() && node_map[v] != kInvalidIndex;
-  };
-  auto adt_ok = [&](uint32_t a) {
-    return a < adt_map.size() && adt_map[a] != kInvalidIndex;
-  };
-  auto class_ok = [&](uint32_t c) {
-    return c < class_map.size() && class_map[c] != kInvalidIndex;
-  };
-
+  // Per index space, creation-order maps from old indices to the dense
+  // new numbering; kInvalidIndex marks a dropped (or never-created)
+  // entity.
+  std::array<std::vector<uint32_t>, workload::kIndexSpaceCount> maps;
+  std::array<uint32_t, workload::kIndexSpaceCount> next{};
   std::vector<TraceEvent> out;
   out.reserve(events.size());
   for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
     bool kept = i < keep.size() ? static_cast<bool>(keep[i]) : true;
-    TraceEvent r = e;
-    switch (e.kind) {
-      case TraceEventKind::kSchedule:
-        sched_map.push_back(kept ? next_sched : kInvalidIndex);
-        if (!kept) continue;
-        ++next_sched;
-        break;
-      case TraceEventKind::kRoot:
-        kept = kept && sched_ok(e.schedule);
-        node_map.push_back(kept ? next_node : kInvalidIndex);
-        if (!kept) continue;
-        r.schedule = sched_map[e.schedule];
-        ++next_node;
-        break;
-      case TraceEventKind::kSub:
-        kept = kept && sched_ok(e.schedule) && node_ok(e.parent);
-        node_map.push_back(kept ? next_node : kInvalidIndex);
-        if (!kept) continue;
-        r.schedule = sched_map[e.schedule];
-        r.parent = node_map[e.parent];
-        ++next_node;
-        break;
-      case TraceEventKind::kLeaf:
-        kept = kept && node_ok(e.parent);
-        node_map.push_back(kept ? next_node : kInvalidIndex);
-        if (!kept) continue;
-        r.parent = node_map[e.parent];
-        ++next_node;
-        break;
-      case TraceEventKind::kConflict:
-      case TraceEventKind::kWeakOutput:
-      case TraceEventKind::kStrongOutput:
-        if (!kept || !node_ok(e.a) || !node_ok(e.b)) continue;
-        r.a = node_map[e.a];
-        r.b = node_map[e.b];
-        break;
-      case TraceEventKind::kWeakInput:
-      case TraceEventKind::kStrongInput:
-        if (!kept || !sched_ok(e.schedule) || !node_ok(e.a) || !node_ok(e.b)) {
-          continue;
+    TraceEvent r = events[i];
+    workload::ForEachRef(r, [&](FieldRole role, uint32_t& ref) {
+      if (role == FieldRole::kCount) {
+        // A commit_through watermark counts roots by creation order,
+        // which the dense renumbering changes; dropping the record keeps
+        // the filtered trace self-consistent (commit markers never
+        // affect verdicts).
+        kept = false;
+      } else if (workload::IsIndexSpace(role)) {
+        const std::vector<uint32_t>& map = maps[static_cast<size_t>(role)];
+        if (ref < map.size() && map[ref] != kInvalidIndex) {
+          ref = map[ref];
+        } else {
+          kept = false;
         }
-        r.schedule = sched_map[e.schedule];
-        r.a = node_map[e.a];
-        r.b = node_map[e.b];
-        break;
-      case TraceEventKind::kIntraWeak:
-      case TraceEventKind::kIntraStrong:
-        if (!kept || !node_ok(e.parent) || !node_ok(e.a) || !node_ok(e.b)) {
-          continue;
-        }
-        r.parent = node_map[e.parent];
-        r.a = node_map[e.a];
-        r.b = node_map[e.b];
-        break;
-      case TraceEventKind::kCommit:
-        if (!kept || !node_ok(e.parent)) continue;
-        r.parent = node_map[e.parent];
-        break;
-      case TraceEventKind::kCommitThrough:
-        // The watermark counts roots by creation order, which the dense
-        // renumbering changes; dropping the record keeps the filtered
-        // trace self-consistent (commit markers never affect verdicts).
-        continue;
-      case TraceEventKind::kAdtDecl:
-        adt_map.push_back(kept ? next_adt : kInvalidIndex);
-        if (!kept) continue;
-        ++next_adt;
-        break;
-      case TraceEventKind::kAdtOp:
-        kept = kept && adt_ok(e.a);
-        class_map.push_back(kept ? next_class : kInvalidIndex);
-        if (!kept) continue;
-        r.a = adt_map[e.a];
-        ++next_class;
-        break;
-      case TraceEventKind::kCommute:
-      case TraceEventKind::kClash:
-        if (!kept || !class_ok(e.a) || !class_ok(e.b)) continue;
-        r.a = class_map[e.a];
-        r.b = class_map[e.b];
-        break;
-      case TraceEventKind::kTag:
-        if (!kept || !node_ok(e.parent) || !class_ok(e.a)) continue;
-        r.parent = node_map[e.parent];
-        r.a = class_map[e.a];
-        break;
+      }
+    });
+    if (const std::optional<FieldRole> space = workload::CreatedSpace(r.kind)) {
+      const size_t s = static_cast<size_t>(*space);
+      maps[s].push_back(kept ? next[s]++ : kInvalidIndex);
     }
-    out.push_back(std::move(r));
+    if (kept) out.push_back(std::move(r));
   }
   return out;
 }

@@ -1,15 +1,18 @@
 #include "testing/metamorphic.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "core/correctness.h"
 #include "online/certifier.h"
 #include "testing/events.h"
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 
 namespace comptx::testing {
 
+using workload::FieldRole;
 using workload::TraceEvent;
 using workload::TraceEventKind;
 
@@ -43,104 +46,30 @@ std::vector<TraceEvent> Rename(std::vector<TraceEvent> events, Rng& rng) {
 std::vector<TraceEvent> Shuffle(const std::vector<TraceEvent>& events,
                                 Rng& rng) {
   const size_t n = events.size();
-  // Creation event index of each schedule / node / ADT / op class (old
-  // numbering).
-  std::vector<size_t> sched_event;
-  std::vector<size_t> node_event;
-  std::vector<size_t> adt_event;
-  std::vector<size_t> class_event;
+  // Per index space, the creation event of each entity (old numbering).
+  std::array<std::vector<size_t>, workload::kIndexSpaceCount> created;
   std::vector<std::vector<size_t>> deps(n);
   bool malformed = false;  // forward/out-of-range refs: leave stream as is
   for (size_t i = 0; i < n; ++i) {
     const TraceEvent& e = events[i];
-    auto dep_sched = [&](uint32_t s) {
-      if (s < sched_event.size()) {
-        deps[i].push_back(sched_event[s]);
-      } else {
+    workload::ForEachRef(e, [&](FieldRole role, uint32_t ref) {
+      if (role == FieldRole::kCount) {
+        // A commit_through watermark counts roots in stream order, which
+        // a shuffle rewrites; there is no renumbering that preserves its
+        // meaning, so leave such traces unshuffled.
         malformed = true;
+      } else if (workload::IsIndexSpace(role)) {
+        const std::vector<size_t>& creators =
+            created[static_cast<size_t>(role)];
+        if (ref < creators.size()) {
+          deps[i].push_back(creators[ref]);
+        } else {
+          malformed = true;
+        }
       }
-    };
-    auto dep_node = [&](uint32_t v) {
-      if (v < node_event.size()) {
-        deps[i].push_back(node_event[v]);
-      } else {
-        malformed = true;
-      }
-    };
-    auto dep_adt = [&](uint32_t a) {
-      if (a < adt_event.size()) {
-        deps[i].push_back(adt_event[a]);
-      } else {
-        malformed = true;
-      }
-    };
-    auto dep_class = [&](uint32_t c) {
-      if (c < class_event.size()) {
-        deps[i].push_back(class_event[c]);
-      } else {
-        malformed = true;
-      }
-    };
-    switch (e.kind) {
-      case TraceEventKind::kSchedule:
-        sched_event.push_back(i);
-        break;
-      case TraceEventKind::kRoot:
-        dep_sched(e.schedule);
-        node_event.push_back(i);
-        break;
-      case TraceEventKind::kSub:
-        dep_node(e.parent);
-        dep_sched(e.schedule);
-        node_event.push_back(i);
-        break;
-      case TraceEventKind::kLeaf:
-        dep_node(e.parent);
-        node_event.push_back(i);
-        break;
-      case TraceEventKind::kConflict:
-      case TraceEventKind::kWeakOutput:
-      case TraceEventKind::kStrongOutput:
-        dep_node(e.a);
-        dep_node(e.b);
-        break;
-      case TraceEventKind::kWeakInput:
-      case TraceEventKind::kStrongInput:
-        dep_sched(e.schedule);
-        dep_node(e.a);
-        dep_node(e.b);
-        break;
-      case TraceEventKind::kIntraWeak:
-      case TraceEventKind::kIntraStrong:
-        dep_node(e.parent);
-        dep_node(e.a);
-        dep_node(e.b);
-        break;
-      case TraceEventKind::kCommit:
-        dep_node(e.parent);
-        break;
-      case TraceEventKind::kCommitThrough:
-        // The watermark counts roots in stream order, which a shuffle
-        // rewrites; there is no renumbering that preserves its meaning,
-        // so leave such traces unshuffled.
-        malformed = true;
-        break;
-      case TraceEventKind::kAdtDecl:
-        adt_event.push_back(i);
-        break;
-      case TraceEventKind::kAdtOp:
-        dep_adt(e.a);
-        class_event.push_back(i);
-        break;
-      case TraceEventKind::kCommute:
-      case TraceEventKind::kClash:
-        dep_class(e.a);
-        dep_class(e.b);
-        break;
-      case TraceEventKind::kTag:
-        dep_node(e.parent);
-        dep_class(e.a);
-        break;
+    });
+    if (const auto space = workload::CreatedSpace(e.kind)) {
+      created[static_cast<size_t>(*space)].push_back(i);
     }
   }
 
@@ -173,88 +102,30 @@ std::vector<TraceEvent> Shuffle(const std::vector<TraceEvent>& events,
   }
   if (order.size() != n) return events;  // malformed refs; leave unchanged
 
-  // Re-emit in the new order, renumbering creation indices.
-  std::vector<uint32_t> sched_map(sched_event.size(), kInvalidIndex);
-  std::vector<uint32_t> node_map(node_event.size(), kInvalidIndex);
-  std::vector<uint32_t> adt_map(adt_event.size(), kInvalidIndex);
-  std::vector<uint32_t> class_map(class_event.size(), kInvalidIndex);
-  // Old creation index of each creation event (inverse of *_event).
-  std::vector<uint32_t> sched_of_event(n, kInvalidIndex);
-  std::vector<uint32_t> node_of_event(n, kInvalidIndex);
-  std::vector<uint32_t> adt_of_event(n, kInvalidIndex);
-  std::vector<uint32_t> class_of_event(n, kInvalidIndex);
-  for (size_t s = 0; s < sched_event.size(); ++s) {
-    sched_of_event[sched_event[s]] = static_cast<uint32_t>(s);
+  // Re-emit in the new order, renumbering creation indices.  Each event
+  // creates at most one entity, so one inverse serves every space.
+  std::array<std::vector<uint32_t>, workload::kIndexSpaceCount> maps;
+  std::vector<uint32_t> old_index(n, kInvalidIndex);
+  for (size_t s = 0; s < workload::kIndexSpaceCount; ++s) {
+    maps[s].assign(created[s].size(), kInvalidIndex);
+    for (size_t k = 0; k < created[s].size(); ++k) {
+      old_index[created[s][k]] = static_cast<uint32_t>(k);
+    }
   }
-  for (size_t v = 0; v < node_event.size(); ++v) {
-    node_of_event[node_event[v]] = static_cast<uint32_t>(v);
-  }
-  for (size_t a = 0; a < adt_event.size(); ++a) {
-    adt_of_event[adt_event[a]] = static_cast<uint32_t>(a);
-  }
-  for (size_t c = 0; c < class_event.size(); ++c) {
-    class_of_event[class_event[c]] = static_cast<uint32_t>(c);
-  }
-  uint32_t next_sched = 0;
-  uint32_t next_node = 0;
-  uint32_t next_adt = 0;
-  uint32_t next_class = 0;
+  std::array<uint32_t, workload::kIndexSpaceCount> next{};
   std::vector<TraceEvent> out;
   out.reserve(n);
   for (size_t i : order) {
     TraceEvent r = events[i];
-    if (sched_of_event[i] != kInvalidIndex) {
-      sched_map[sched_of_event[i]] = next_sched++;
+    workload::ForEachRef(r, [&](FieldRole role, uint32_t& ref) {
+      if (workload::IsIndexSpace(role)) {
+        ref = maps[static_cast<size_t>(role)][ref];
+      }
+    });
+    if (const auto space = workload::CreatedSpace(r.kind)) {
+      const size_t s = static_cast<size_t>(*space);
+      maps[s][old_index[i]] = next[s]++;
     }
-    if (node_of_event[i] != kInvalidIndex) {
-      node_map[node_of_event[i]] = next_node++;
-    }
-    if (adt_of_event[i] != kInvalidIndex) {
-      adt_map[adt_of_event[i]] = next_adt++;
-    }
-    if (class_of_event[i] != kInvalidIndex) {
-      class_map[class_of_event[i]] = next_class++;
-    }
-    // The spec kinds index ADTs and classes, not nodes, so they bypass the
-    // generic node renumbering below (kTag's b is a literal instance).
-    switch (r.kind) {
-      case TraceEventKind::kAdtDecl:
-        out.push_back(std::move(r));
-        continue;
-      case TraceEventKind::kAdtOp:
-        r.a = adt_map[r.a];
-        out.push_back(std::move(r));
-        continue;
-      case TraceEventKind::kCommute:
-      case TraceEventKind::kClash:
-        r.a = class_map[r.a];
-        r.b = class_map[r.b];
-        out.push_back(std::move(r));
-        continue;
-      case TraceEventKind::kTag:
-        r.parent = node_map[r.parent];
-        r.a = class_map[r.a];
-        out.push_back(std::move(r));
-        continue;
-      default:
-        break;
-    }
-    switch (r.kind) {
-      case TraceEventKind::kRoot:
-      case TraceEventKind::kSub:
-      case TraceEventKind::kWeakInput:
-      case TraceEventKind::kStrongInput:
-        r.schedule = sched_map[r.schedule];
-        break;
-      default:
-        break;
-    }
-    if (r.parent != kInvalidIndex && r.kind != TraceEventKind::kSchedule &&
-        r.kind != TraceEventKind::kRoot) {
-      r.parent = node_map[r.parent];
-    }
-    if (r.a != kInvalidIndex) r.a = node_map[r.a];
-    if (r.b != kInvalidIndex) r.b = node_map[r.b];
     out.push_back(std::move(r));
   }
   return out;
@@ -270,23 +141,15 @@ std::vector<TraceEvent> AddNoOpLeaves(std::vector<TraceEvent> events,
   std::vector<bool> strongly_ordered;  // node index -> endpoint of strong_in
   uint32_t next_node = 0;
   for (const TraceEvent& e : events) {
-    switch (e.kind) {
-      case TraceEventKind::kRoot:
-      case TraceEventKind::kSub:
-        transactions.push_back(next_node++);
-        break;
-      case TraceEventKind::kLeaf:
-        ++next_node;
-        break;
-      case TraceEventKind::kStrongInput:
-        if (std::max(e.a, e.b) >= strongly_ordered.size()) {
-          strongly_ordered.resize(std::max(e.a, e.b) + 1, false);
-        }
-        strongly_ordered[e.a] = true;
-        strongly_ordered[e.b] = true;
-        break;
-      default:
-        break;
+    if (workload::CreatesNode(e.kind)) {
+      if (e.kind != TraceEventKind::kLeaf) transactions.push_back(next_node);
+      ++next_node;
+    } else if (e.kind == TraceEventKind::kStrongInput) {
+      if (std::max(e.a, e.b) >= strongly_ordered.size()) {
+        strongly_ordered.resize(std::max(e.a, e.b) + 1, false);
+      }
+      strongly_ordered[e.a] = true;
+      strongly_ordered[e.b] = true;
     }
   }
   std::erase_if(transactions, [&](uint32_t t) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "testing/events.h"
+#include "workload/event_schema.h"
 
 namespace comptx::testing {
 
@@ -128,20 +129,16 @@ class Shrinker {
       changed = false;
       std::map<std::pair<uint32_t, uint32_t>, std::vector<size_t>> groups;
       for (size_t i = 0; i < current_.size(); ++i) {
-        const TraceEvent& e = current_[i];
-        switch (e.kind) {
-          case TraceEventKind::kConflict:
-          case TraceEventKind::kWeakOutput:
-          case TraceEventKind::kStrongOutput:
-          case TraceEventKind::kWeakInput:
-          case TraceEventKind::kStrongInput:
-          case TraceEventKind::kIntraWeak:
-          case TraceEventKind::kIntraStrong:
-            groups[{std::min(e.a, e.b), std::max(e.a, e.b)}].push_back(i);
-            break;
-          default:
-            break;
-        }
+        // An edge event's pair is its last two node references (an
+        // intra order's first names the enclosing transaction).
+        uint32_t pair[3];
+        size_t nodes = 0;
+        workload::ForEachRef(current_[i], workload::FieldRole::kNode,
+                             [&](uint32_t node) { pair[nodes++] = node; });
+        if (nodes < 2) continue;
+        const uint32_t a = pair[nodes - 2];
+        const uint32_t b = pair[nodes - 1];
+        groups[{std::min(a, b), std::max(a, b)}].push_back(i);
       }
       for (const auto& [pair, indices] : groups) {
         if (indices.size() < 2) continue;  // single events: SingleEventPass

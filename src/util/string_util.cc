@@ -1,5 +1,9 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
+
 namespace comptx {
 
 std::vector<std::string> StrSplit(std::string_view text, char sep) {
@@ -50,6 +54,20 @@ StatusOr<uint64_t> ParseUint64(std::string_view key, std::string_view value) {
       return Status::InvalidArgument(StrCat(key, "=", value, " overflows"));
     }
     parsed = parsed * 10 + digit;
+  }
+  return parsed;
+}
+
+StatusOr<double> ParseDouble(std::string_view key, std::string_view value) {
+  const std::string text(value);
+  char* end = nullptr;
+  const double parsed =
+      text.empty() || std::isspace(static_cast<unsigned char>(text[0]))
+          ? 0.0
+          : std::strtod(text.c_str(), &end);
+  if (end == nullptr || end == text.c_str() || *end != '\0' ||
+      !std::isfinite(parsed)) {
+    return Status::InvalidArgument(StrCat(key, "=", value, " is not a number"));
   }
   return parsed;
 }

@@ -57,6 +57,11 @@ StatusOr<std::vector<KeyValue>> ParseKeyValues(std::string_view text,
 /// prefix), overflow-checked.  `key` names the option in the error.
 StatusOr<uint64_t> ParseUint64(std::string_view key, std::string_view value);
 
+/// Parses a finite decimal floating-point number strictly: the whole of
+/// `value` must be one number, with no blank before it and no text after
+/// it.  `key` names the option in the error.
+StatusOr<double> ParseDouble(std::string_view key, std::string_view value);
+
 }  // namespace comptx
 
 #endif  // COMPTX_UTIL_STRING_UTIL_H_

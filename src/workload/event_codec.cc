@@ -1,6 +1,7 @@
 #include "workload/event_codec.h"
 
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 
 namespace comptx::workload {
 
@@ -11,8 +12,6 @@ void PutLittleEndian(std::string& out, uint64_t value, size_t width) {
     out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
   }
 }
-
-constexpr uint8_t kMaxEventKind = static_cast<uint8_t>(TraceEventKind::kTag);
 
 void AppendString(std::string& out, const std::string& value) {
   AppendVarint(out, value.size());
@@ -107,125 +106,32 @@ Status ReadVarint(std::string_view data, size_t& pos, uint64_t& value) {
 
 void AppendEventBinary(std::string& out, const TraceEvent& event) {
   out.push_back(static_cast<char>(event.kind));
-  // Field presence mirrors the text grammar (workload/trace.h): unused
-  // fields are not shipped, so a single-reference event costs a kind
-  // byte plus one or two varints.
-  switch (event.kind) {
-    case TraceEventKind::kSchedule:
+  // The fields of the kind's layout (workload/event_schema.h), in text
+  // order: unused fields are not shipped, so a single-reference event
+  // costs a kind byte plus one or two varints.
+  for (const EventField& field : LayoutOf(event.kind).fields()) {
+    if (field.role == FieldRole::kName) {
       AppendString(out, event.name);
-      break;
-    case TraceEventKind::kRoot:
-      AppendVarint(out, event.schedule);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kSub:
-      AppendVarint(out, event.parent);
-      AppendVarint(out, event.schedule);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kLeaf:
-      AppendVarint(out, event.parent);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput:
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput:
-      AppendVarint(out, event.schedule);
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong:
-      AppendVarint(out, event.parent);
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kCommit:
-      AppendVarint(out, event.parent);
-      break;
-    case TraceEventKind::kCommitThrough:
-      AppendVarint(out, event.a);
-      break;
-    case TraceEventKind::kAdtDecl:
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kAdtOp:
-      AppendVarint(out, event.a);
-      AppendString(out, event.name);
-      break;
-    case TraceEventKind::kCommute:
-    case TraceEventKind::kClash:
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
-    case TraceEventKind::kTag:
-      AppendVarint(out, event.parent);
-      AppendVarint(out, event.a);
-      AppendVarint(out, event.b);
-      break;
+    } else {
+      AppendVarint(out, event.*field.slot);
+    }
   }
 }
 
 Status ReadEventBinary(std::string_view data, size_t& pos, TraceEvent& event) {
   if (pos >= data.size()) return Status::InvalidArgument("truncated event");
   const uint8_t kind = static_cast<uint8_t>(data[pos++]);
-  if (kind > kMaxEventKind) {
+  if (kind >= kEventKindCount) {
     return Status::InvalidArgument(StrCat("unknown event kind ", kind));
   }
   event = TraceEvent{};
   event.kind = static_cast<TraceEventKind>(kind);
-  switch (event.kind) {
-    case TraceEventKind::kSchedule:
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kRoot:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.schedule));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kSub:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.schedule));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kLeaf:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.schedule));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kCommit:
-      return ReadIndex(data, pos, event.parent);
-    case TraceEventKind::kCommitThrough:
-      return ReadIndex(data, pos, event.a);
-    case TraceEventKind::kAdtDecl:
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kAdtOp:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadString(data, pos, event.name);
-    case TraceEventKind::kCommute:
-    case TraceEventKind::kClash:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
-    case TraceEventKind::kTag:
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.parent));
-      COMPTX_RETURN_IF_ERROR(ReadIndex(data, pos, event.a));
-      return ReadIndex(data, pos, event.b);
+  for (const EventField& field : LayoutOf(event.kind).fields()) {
+    COMPTX_RETURN_IF_ERROR(field.role == FieldRole::kName
+                               ? ReadString(data, pos, event.name)
+                               : ReadIndex(data, pos, event.*field.slot));
   }
-  return Status::InvalidArgument("unreachable event kind");
+  return Status::OK();
 }
 
 }  // namespace comptx::workload

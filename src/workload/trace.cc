@@ -1,11 +1,13 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 #include <sstream>
 #include <tuple>
 
 #include "util/string_util.h"
+#include "workload/event_schema.h"
 
 namespace comptx::workload {
 
@@ -25,151 +27,68 @@ Status CheckName(const std::string& name) {
 }
 
 /// Parses one non-empty trace line into an event; "end" yields nullopt.
-StatusOr<std::optional<TraceEvent>> ParseLine(const std::string& line) {
-  std::istringstream fields(line);
+/// Numeric fields go through istream extraction, so a field is whatever
+/// `>>` reads for a uint32_t and text after the last field is ignored.
+/// `fields` is scratch, reused across lines so a long trace does not
+/// build a stream per line.
+StatusOr<std::optional<TraceEvent>> ParseLine(std::istringstream& fields,
+                                              const std::string& line) {
+  fields.clear();
+  fields.str(line);
   std::string kind;
   fields >> kind;
   if (kind == "end") return std::optional<TraceEvent>();
-
-  TraceEvent e;
-  bool ok = false;
-  if (kind == "schedule") {
-    e.kind = TraceEventKind::kSchedule;
-    ok = static_cast<bool>(fields >> e.name);
-  } else if (kind == "root") {
-    e.kind = TraceEventKind::kRoot;
-    ok = static_cast<bool>(fields >> e.schedule >> e.name);
-  } else if (kind == "sub") {
-    e.kind = TraceEventKind::kSub;
-    ok = static_cast<bool>(fields >> e.parent >> e.schedule >> e.name);
-  } else if (kind == "leaf") {
-    e.kind = TraceEventKind::kLeaf;
-    ok = static_cast<bool>(fields >> e.parent >> e.name);
-  } else if (kind == "conflict" || kind == "weak_out" || kind == "strong_out") {
-    e.kind = kind == "conflict"   ? TraceEventKind::kConflict
-             : kind == "weak_out" ? TraceEventKind::kWeakOutput
-                                  : TraceEventKind::kStrongOutput;
-    ok = static_cast<bool>(fields >> e.a >> e.b);
-  } else if (kind == "weak_in" || kind == "strong_in") {
-    e.kind = kind == "weak_in" ? TraceEventKind::kWeakInput
-                               : TraceEventKind::kStrongInput;
-    ok = static_cast<bool>(fields >> e.schedule >> e.a >> e.b);
-  } else if (kind == "intra_weak" || kind == "intra_strong") {
-    e.kind = kind == "intra_weak" ? TraceEventKind::kIntraWeak
-                                  : TraceEventKind::kIntraStrong;
-    ok = static_cast<bool>(fields >> e.parent >> e.a >> e.b);
-  } else if (kind == "commit") {
-    e.kind = TraceEventKind::kCommit;
-    ok = static_cast<bool>(fields >> e.parent);
-  } else if (kind == "commit_through") {
-    e.kind = TraceEventKind::kCommitThrough;
-    ok = static_cast<bool>(fields >> e.a);
-  } else if (kind == "adt") {
-    e.kind = TraceEventKind::kAdtDecl;
-    ok = static_cast<bool>(fields >> e.name);
-  } else if (kind == "adtop") {
-    e.kind = TraceEventKind::kAdtOp;
-    ok = static_cast<bool>(fields >> e.a >> e.name);
-  } else if (kind == "commute" || kind == "clash") {
-    e.kind = kind == "commute" ? TraceEventKind::kCommute
-                               : TraceEventKind::kClash;
-    ok = static_cast<bool>(fields >> e.a >> e.b);
-  } else if (kind == "tag") {
-    e.kind = TraceEventKind::kTag;
-    ok = static_cast<bool>(fields >> e.parent >> e.a >> e.b);
-  } else {
+  const EventLayout* layout = FindLayout(kind);
+  if (layout == nullptr) {
     return Status::InvalidArgument(StrCat("unknown record kind '", kind, "'"));
   }
-  if (!ok) {
+  TraceEvent e;
+  e.kind = layout->kind;
+  for (const EventField& field : layout->fields()) {
+    if (field.role == FieldRole::kName) {
+      fields >> e.name;
+    } else {
+      fields >> e.*field.slot;
+    }
+  }
+  if (fields.fail()) {
     return Status::InvalidArgument(StrCat("malformed ", kind, " record"));
   }
   return std::optional<TraceEvent>(std::move(e));
 }
 
+/// Appends `e` as one trace line, without the newline.
+void AppendTraceLine(std::string& out, const TraceEvent& e) {
+  const EventLayout& layout = LayoutOf(e.kind);
+  out += layout.name;
+  for (const EventField& field : layout.fields()) {
+    out += ' ';
+    if (field.role == FieldRole::kName) {
+      out += e.name;
+    } else {
+      char digits[16];
+      out.append(digits, std::to_chars(digits, digits + sizeof(digits),
+                                       e.*field.slot).ptr);
+    }
+  }
+}
+
 }  // namespace
 
 const char* TraceEventKindToString(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kSchedule:
-      return "schedule";
-    case TraceEventKind::kRoot:
-      return "root";
-    case TraceEventKind::kSub:
-      return "sub";
-    case TraceEventKind::kLeaf:
-      return "leaf";
-    case TraceEventKind::kConflict:
-      return "conflict";
-    case TraceEventKind::kWeakOutput:
-      return "weak_out";
-    case TraceEventKind::kStrongOutput:
-      return "strong_out";
-    case TraceEventKind::kWeakInput:
-      return "weak_in";
-    case TraceEventKind::kStrongInput:
-      return "strong_in";
-    case TraceEventKind::kIntraWeak:
-      return "intra_weak";
-    case TraceEventKind::kIntraStrong:
-      return "intra_strong";
-    case TraceEventKind::kCommit:
-      return "commit";
-    case TraceEventKind::kCommitThrough:
-      return "commit_through";
-    case TraceEventKind::kAdtDecl:
-      return "adt";
-    case TraceEventKind::kAdtOp:
-      return "adtop";
-    case TraceEventKind::kCommute:
-      return "commute";
-    case TraceEventKind::kClash:
-      return "clash";
-    case TraceEventKind::kTag:
-      return "tag";
-  }
-  return "unknown";
+  return static_cast<size_t>(kind) < kEventKindCount ? LayoutOf(kind).name
+                                                     : "unknown";
 }
 
 std::string FormatTraceEvent(const TraceEvent& e) {
-  const char* kind = TraceEventKindToString(e.kind);
-  switch (e.kind) {
-    case TraceEventKind::kSchedule:
-      return StrCat(kind, " ", e.name);
-    case TraceEventKind::kRoot:
-      return StrCat(kind, " ", e.schedule, " ", e.name);
-    case TraceEventKind::kSub:
-      return StrCat(kind, " ", e.parent, " ", e.schedule, " ", e.name);
-    case TraceEventKind::kLeaf:
-      return StrCat(kind, " ", e.parent, " ", e.name);
-    case TraceEventKind::kConflict:
-    case TraceEventKind::kWeakOutput:
-    case TraceEventKind::kStrongOutput:
-      return StrCat(kind, " ", e.a, " ", e.b);
-    case TraceEventKind::kWeakInput:
-    case TraceEventKind::kStrongInput:
-      return StrCat(kind, " ", e.schedule, " ", e.a, " ", e.b);
-    case TraceEventKind::kIntraWeak:
-    case TraceEventKind::kIntraStrong:
-      return StrCat(kind, " ", e.parent, " ", e.a, " ", e.b);
-    case TraceEventKind::kCommit:
-      return StrCat(kind, " ", e.parent);
-    case TraceEventKind::kCommitThrough:
-      return StrCat(kind, " ", e.a);
-    case TraceEventKind::kAdtDecl:
-      return StrCat(kind, " ", e.name);
-    case TraceEventKind::kAdtOp:
-      return StrCat(kind, " ", e.a, " ", e.name);
-    case TraceEventKind::kCommute:
-    case TraceEventKind::kClash:
-      return StrCat(kind, " ", e.a, " ", e.b);
-    case TraceEventKind::kTag:
-      return StrCat(kind, " ", e.parent, " ", e.a, " ", e.b);
-  }
-  return kind;
+  std::string out;
+  AppendTraceLine(out, e);
+  return out;
 }
 
 StatusOr<TraceEvent> ParseTraceEventLine(const std::string& line) {
-  auto parsed = ParseLine(line);
+  std::istringstream fields;
+  auto parsed = ParseLine(fields, line);
   if (!parsed.ok()) return parsed.status();
   if (!parsed->has_value()) {
     return Status::InvalidArgument("'end' is not an event");
@@ -186,10 +105,11 @@ StatusOr<std::vector<TraceEvent>> ParseTraceEvents(const std::string& text) {
   size_t line_number = 1;
   std::vector<TraceEvent> events;
   bool saw_end = false;
+  std::istringstream fields;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
-    auto parsed = ParseLine(line);
+    auto parsed = ParseLine(fields, line);
     if (!parsed.ok()) {
       return Status::InvalidArgument(
           StrCat("trace line ", line_number, ": ", parsed.status().message()));
@@ -250,32 +170,47 @@ Status ApplyTraceEvent(CompositeSystem& cs, const TraceEvent& e) {
 }
 
 StatusOr<std::string> SaveTrace(const CompositeSystem& cs) {
-  std::ostringstream out;
-  out << kHeader << "\n";
+  std::string out = StrCat(kHeader, "\n");
+  // One scratch event per line; AppendTraceLine reads only the fields of
+  // the kind's layout, so stale values in the others are never written.
+  TraceEvent e;
+  const auto emit = [&](TraceEventKind kind) {
+    e.kind = kind;
+    AppendTraceLine(out, e);
+    out += '\n';
+  };
+  const auto emit_named = [&](TraceEventKind kind,
+                              const std::string& name) -> Status {
+    COMPTX_RETURN_IF_ERROR(CheckName(name));
+    e.name = name;
+    emit(kind);
+    return Status::OK();
+  };
   for (uint32_t s = 0; s < cs.ScheduleCount(); ++s) {
-    const Schedule& sched = cs.schedule(ScheduleId(s));
-    COMPTX_RETURN_IF_ERROR(CheckName(sched.name));
-    out << "schedule " << sched.name << "\n";
+    COMPTX_RETURN_IF_ERROR(emit_named(TraceEventKind::kSchedule,
+                                      cs.schedule(ScheduleId(s)).name));
   }
   if (const CommutativitySpec* spec = cs.spec()) {
     for (uint32_t a = 0; a < spec->AdtCount(); ++a) {
-      COMPTX_RETURN_IF_ERROR(CheckName(spec->adt(a).name));
-      out << "adt " << spec->adt(a).name << "\n";
+      COMPTX_RETURN_IF_ERROR(
+          emit_named(TraceEventKind::kAdtDecl, spec->adt(a).name));
     }
     for (uint32_t c = 0; c < spec->ClassCount(); ++c) {
-      COMPTX_RETURN_IF_ERROR(CheckName(spec->op_class(c).name));
-      out << "adtop " << spec->op_class(c).adt << " "
-          << spec->op_class(c).name << "\n";
+      e.a = spec->op_class(c).adt;
+      COMPTX_RETURN_IF_ERROR(
+          emit_named(TraceEventKind::kAdtOp, spec->op_class(c).name));
     }
     // Deterministic order: entries sorted by packed pair.
     std::vector<std::tuple<uint32_t, uint32_t, CommuteEntry>> entries;
-    spec->ForEachEntry([&](uint32_t c1, uint32_t c2, CommuteEntry e) {
-      entries.emplace_back(c1, c2, e);
+    spec->ForEachEntry([&](uint32_t c1, uint32_t c2, CommuteEntry entry) {
+      entries.emplace_back(c1, c2, entry);
     });
     std::sort(entries.begin(), entries.end());
-    for (const auto& [c1, c2, e] : entries) {
-      out << (e == CommuteEntry::kCommutes ? "commute " : "clash ") << c1
-          << " " << c2 << "\n";
+    for (const auto& [c1, c2, entry] : entries) {
+      e.a = c1;
+      e.b = c2;
+      emit(entry == CommuteEntry::kCommutes ? TraceEventKind::kCommute
+                                            : TraceEventKind::kClash);
     }
   }
   // Nodes are numbered by rank among the live ids, which is the identity
@@ -301,55 +236,48 @@ StatusOr<std::string> SaveTrace(const CompositeSystem& cs) {
   };
   for (NodeId id : live) {
     const Node& n = cs.node(id);
-    COMPTX_RETURN_IF_ERROR(CheckName(n.name));
-    if (n.IsRoot()) {
-      out << "root " << n.owner_schedule.index() << " " << n.name << "\n";
-    } else if (n.IsTransaction()) {
-      out << "sub " << num(n.parent) << " " << n.owner_schedule.index()
-          << " " << n.name << "\n";
-    } else {
-      out << "leaf " << num(n.parent) << " " << n.name << "\n";
+    e.schedule = n.owner_schedule.index();
+    TraceEventKind kind = TraceEventKind::kRoot;
+    if (!n.IsRoot()) {
+      e.parent = num(n.parent);
+      kind = n.IsTransaction() ? TraceEventKind::kSub : TraceEventKind::kLeaf;
     }
+    COMPTX_RETURN_IF_ERROR(emit_named(kind, n.name));
   }
   for (NodeId id : live) {
     const Node& n = cs.node(id);
     if (n.sem_class != kInvalidIndex) {
-      out << "tag " << num(id) << " " << n.sem_class << " " << n.sem_instance
-          << "\n";
+      e.parent = num(id);
+      e.a = n.sem_class;
+      e.b = n.sem_instance;
+      emit(TraceEventKind::kTag);
     }
   }
+  const auto emit_pairs = [&](const auto& relation, TraceEventKind kind) {
+    relation.ForEach([&](NodeId a, NodeId b) {
+      e.a = num(a);
+      e.b = num(b);
+      emit(kind);
+    });
+  };
   for (uint32_t s = 0; s < cs.ScheduleCount(); ++s) {
     const Schedule& sched = cs.schedule(ScheduleId(s));
-    sched.conflicts.ForEach([&](NodeId a, NodeId b) {
-      out << "conflict " << num(a) << " " << num(b) << "\n";
-    });
-    sched.weak_output.ForEach([&](NodeId a, NodeId b) {
-      out << "weak_out " << num(a) << " " << num(b) << "\n";
-    });
-    sched.strong_output.ForEach([&](NodeId a, NodeId b) {
-      out << "strong_out " << num(a) << " " << num(b) << "\n";
-    });
-    sched.weak_input.ForEach([&](NodeId a, NodeId b) {
-      out << "weak_in " << s << " " << num(a) << " " << num(b) << "\n";
-    });
-    sched.strong_input.ForEach([&](NodeId a, NodeId b) {
-      out << "strong_in " << s << " " << num(a) << " " << num(b) << "\n";
-    });
+    e.schedule = s;
+    emit_pairs(sched.conflicts, TraceEventKind::kConflict);
+    emit_pairs(sched.weak_output, TraceEventKind::kWeakOutput);
+    emit_pairs(sched.strong_output, TraceEventKind::kStrongOutput);
+    emit_pairs(sched.weak_input, TraceEventKind::kWeakInput);
+    emit_pairs(sched.strong_input, TraceEventKind::kStrongInput);
   }
   for (NodeId id : live) {
     const Node& n = cs.node(id);
-    n.weak_intra.ForEach([&](NodeId a, NodeId b) {
-      out << "intra_weak " << num(id) << " " << num(a) << " " << num(b)
-          << "\n";
-    });
-    n.strong_intra.ForEach([&](NodeId a, NodeId b) {
-      out << "intra_strong " << num(id) << " " << num(a) << " " << num(b)
-          << "\n";
-    });
+    e.parent = num(id);
+    emit_pairs(n.weak_intra, TraceEventKind::kIntraWeak);
+    emit_pairs(n.strong_intra, TraceEventKind::kIntraStrong);
   }
   COMPTX_RETURN_IF_ERROR(dangling);
-  out << "end\n";
-  return out.str();
+  out += "end\n";
+  return out;
 }
 
 StatusOr<CompositeSystem> LoadTrace(const std::string& text) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "durability/recovery.h"
 #include "durability/wal.h"
@@ -372,6 +373,57 @@ TEST(ServeCliTest, MalformedNumericFlagsExitTwo) {
   };
   for (const char* flag : bad) {
     RunResult r = RunCli(StrCat(COMPTX_SERVE_BIN, " ", flag, " --help"));
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.stderr_text;
+    EXPECT_FALSE(r.stderr_text.empty()) << flag;
+  }
+}
+
+// The same contract for the client tools: a bad count or a number with
+// trailing text used to read as whatever strtoul/strtod made of it.
+TEST(ToolCliTest, MalformedNumericFlagsExitTwo) {
+  const std::pair<const char*, const char*> bad[] = {
+      {COMPTX_LOAD_BIN, "--port 70000"},
+      {COMPTX_LOAD_BIN, "--sessions abc"},
+      {COMPTX_LOAD_BIN, "--threads -1"},
+      {COMPTX_LOAD_BIN, "--events 10k"},
+      {COMPTX_LOAD_BIN, "--batch ''"},
+      {COMPTX_LOAD_BIN, "--processes 0"},
+      {COMPTX_LOAD_BIN, "--adt-instances 0x4"},
+      {COMPTX_LOAD_BIN, "--commit-window abc"},
+      {COMPTX_LOAD_BIN, "--seed +1"},
+      {COMPTX_LOAD_BIN, "--kill-after 1.5"},
+      {COMPTX_LOAD_BIN, "--theta 0.8x"},
+      {COMPTX_LOAD_BIN, "--rate fast"},
+      {COMPTX_LOAD_BIN, "--rates 100,2x"},
+      {COMPTX_TOPOLOGY_BIN, "--roots many"},
+      {COMPTX_TOPOLOGY_BIN, "--seed -3"},
+      {COMPTX_TOPOLOGY_BIN, "--disorder 0.1.2"},
+      {COMPTX_TOPOLOGY_BIN, "--phases 2x"},
+      {COMPTX_TOPOLOGY_BIN, "--kill-phase ''"},
+      {COMPTX_SHRINK_BIN, "--seed 7q"},
+      {COMPTX_SHRINK_BIN, "--traces 3x"},
+      {COMPTX_SHRINK_BIN, "--max-shrink-calls -2"},
+      {COMPTX_SHRINK_BIN, "--threads 2x"},
+      {COMPTX_CERTIFY_BIN, "--threads 2x"},
+      {COMPTX_CERTIFY_BIN, "--threads 0"},
+  };
+  for (const auto& [bin, flag] : bad) {
+    RunResult r = RunCli(StrCat(bin, " ", flag, " --help"));
+    EXPECT_EQ(r.exit_code, 2) << bin << " " << flag << ": " << r.stderr_text;
+    EXPECT_FALSE(r.stderr_text.empty()) << bin << " " << flag;
+  }
+}
+
+// bench_longsession has no --help, so each bad flag is followed by small
+// valid settings: a wrongly accepted value runs a short bench and exits 0
+// (or 1) instead of 2.
+TEST(ToolCliTest, LongSessionBenchRejectsMalformedCounts) {
+  const std::string out = (Scratch() / "longsession.json").string();
+  for (const char* flag : {"--window abc", "--events 2e4", "--batch 0",
+                           "--events", "--window -1"}) {
+    RunResult r = RunCli(StrCat(COMPTX_BENCH_LONGSESSION_BIN, " ", out,
+                                " --events 2000 --window 4 --batch 64 ",
+                                flag));
     EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.stderr_text;
     EXPECT_FALSE(r.stderr_text.empty()) << flag;
   }

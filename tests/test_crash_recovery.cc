@@ -35,6 +35,7 @@
 #include "service/client.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "workload/event_streams.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
@@ -294,57 +295,19 @@ TEST(CrashRecoveryDrill, RandomizedKillsLoseNothingAndReplayExactly) {
   }
 }
 
-/// Streaming-window chain with trailing commit_through watermarks — the
-/// long-lived-session shape of DESIGN.md §13 (same stream comptx_load
-/// --commit-window and bench_longsession produce).  Every root conflicts
-/// with (and is weak-output-ordered after) its predecessor's leaf; one
-/// cumulative watermark per `window` roots lags the stream by `window`.
+/// `roots` roots of the streaming-window chain with trailing
+/// commit_through watermarks, the long-lived-session shape of DESIGN.md
+/// §13 (the stream bench_longsession produces).
 std::vector<workload::TraceEvent> ChainEvents(uint32_t roots,
                                               uint32_t window) {
-  using workload::TraceEvent;
-  using workload::TraceEventKind;
-  std::vector<TraceEvent> events;
-  TraceEvent e;
-  e.kind = TraceEventKind::kSchedule;
-  e.name = "S";
-  events.push_back(e);
-  uint32_t next_id = 0;
-  uint32_t prev_leaf = kInvalidIndex;
-  for (uint32_t i = 0; i < roots; ++i) {
-    e = {};
-    e.kind = TraceEventKind::kRoot;
-    e.schedule = 0;
-    e.name = StrCat("T", i);
-    events.push_back(e);
-    const uint32_t root = next_id++;
-    e = {};
-    e.kind = TraceEventKind::kLeaf;
-    e.parent = root;
-    e.name = StrCat("x", i);
-    events.push_back(e);
-    const uint32_t leaf = next_id++;
-    if (prev_leaf != kInvalidIndex) {
-      e = {};
-      e.kind = TraceEventKind::kConflict;
-      e.a = prev_leaf;
-      e.b = leaf;
-      events.push_back(e);
-      e.kind = TraceEventKind::kWeakOutput;
-      events.push_back(e);
-    }
-    prev_leaf = leaf;
-    if ((i + 1) % window == 0 && i + 1 > window) {
-      e = {};
-      e.kind = TraceEventKind::kCommitThrough;
-      e.a = i + 1 - window;
-      events.push_back(e);
-    }
-  }
+  std::vector<workload::TraceEvent> events;
+  workload::WindowChain chain(window);
+  for (uint32_t i = 0; i < roots; ++i) chain.NextRoot(events);
   return events;
 }
 
 /// Watermark variant of the drill: the stream carries commit_through
-/// events, so the WAL holds kCommitWatermark records and recovery replays
+/// events, so the WAL's APPEND records carry them and recovery replays
 /// only the live suffix of derived state — yet must reach exactly the
 /// verdict of a full (unpruned) replay and of the batch oracle.
 TEST(CrashRecoveryDrill, WatermarkedSessionsReplayLiveSuffixOnly) {
@@ -378,7 +341,7 @@ TEST(CrashRecoveryDrill, WatermarkedSessionsReplayLiveSuffixOnly) {
     const uint64_t kill_delay_ms =
         rng.UniformInt(10) + (iter % 5 == 4 ? 100 : 0);
     const char* fsync = (iter % 2 == 0) ? "always" : "none";
-    // WAL-only on odd iterations so the kCommitWatermark records are
+    // WAL-only on odd iterations so the logged watermarks are
     // still in the log when we read it back (snapshots compact them into
     // the sealed-roots state).
     const uint64_t snapshot_events = (iter % 2 == 0) ? 64 : 0;
@@ -443,14 +406,16 @@ TEST(CrashRecoveryDrill, WatermarkedSessionsReplayLiveSuffixOnly) {
       size_t watermark_records = 0;
       uint64_t highest = 0;
       for (const auto& record : state->wal_records) {
-        if (record.type == durability::WalRecordType::kCommitWatermark) {
+        if (record.type != durability::WalRecordType::kAppend) continue;
+        for (const auto& event : record.events) {
+          if (event.kind != workload::TraceEventKind::kCommitThrough) continue;
           ++watermark_records;
-          highest = std::max(highest, record.commit_through);
+          highest = std::max<uint64_t>(highest, event.a);
         }
       }
       EXPECT_GT(watermark_records, 0u)
-          << "durable stream passed a commit_through but the WAL holds no "
-          << "kCommitWatermark record";
+          << "durable stream passed a commit_through but no APPEND record "
+          << "carries one";
       EXPECT_GT(highest, 0u);
       EXPECT_LE(highest, kRoots);
     }
@@ -465,8 +430,8 @@ TEST(CrashRecoveryDrill, WatermarkedSessionsReplayLiveSuffixOnly) {
         << state->event_seq << ", watermark=" << stats.commit_watermark
         << ")";
     // Snapshot restore re-seals through synthesized commits, so the
-    // watermark counter itself only survives when the kCommitWatermark
-    // records are still in the WAL suffix.
+    // watermark counter itself only survives when the logged watermarks
+    // are still in the WAL suffix.
     if (snapshot_events == 0 && state->event_seq > first_watermark) {
       EXPECT_GT(stats.commit_watermark, 0u);
     }

@@ -48,6 +48,7 @@
 #include "service/protocol.h"
 #include "util/rng.h"
 #include "util/string_util.h"
+#include "workload/event_streams.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
@@ -73,78 +74,33 @@ std::vector<workload::TraceEvent> GeneratedEvents(
   return std::move(events).value();
 }
 
-/// Interleaves cumulative commit_through watermarks (one per `window`
-/// roots) at the earliest position where no later event references the
-/// covered roots' subtrees — the same placement rule comptx_load's
-/// --commit-window uses, and the only placement that cannot turn a
-/// later event into a sealed-subtree rejection.
-std::vector<workload::TraceEvent> InterleaveWatermarks(
-    const std::vector<workload::TraceEvent>& events, size_t window) {
-  std::vector<size_t> node_root;   // node index -> root ordinal
-  std::vector<size_t> last_touch;  // root ordinal -> last event index
-  auto touch = [&](uint32_t node, size_t i) {
-    if (node < node_root.size()) last_touch[node_root[node]] = i;
-  };
-  for (size_t i = 0; i < events.size(); ++i) {
-    const workload::TraceEvent& e = events[i];
-    switch (e.kind) {
-      case workload::TraceEventKind::kRoot:
-        node_root.push_back(last_touch.size());
-        last_touch.push_back(i);
-        break;
-      case workload::TraceEventKind::kSub:
-      case workload::TraceEventKind::kLeaf:
-        if (e.parent < node_root.size()) {
-          node_root.push_back(node_root[e.parent]);
-          last_touch[node_root.back()] = i;
-        }
-        break;
-      case workload::TraceEventKind::kIntraWeak:
-      case workload::TraceEventKind::kIntraStrong:
-        touch(e.parent, i);
-        touch(e.a, i);
-        touch(e.b, i);
-        break;
-      case workload::TraceEventKind::kConflict:
-      case workload::TraceEventKind::kWeakOutput:
-      case workload::TraceEventKind::kStrongOutput:
-      case workload::TraceEventKind::kWeakInput:
-      case workload::TraceEventKind::kStrongInput:
-        touch(e.a, i);
-        touch(e.b, i);
-        break;
-      case workload::TraceEventKind::kCommit:
-        touch(e.parent, i);
-        break;
-      default:
-        break;
-    }
+// ------------------------------------------------- watermark semantics
+
+// A tag names its operation, so it touches that operation's root: the
+// watermark sealing the root must wait for it.  Placed before the tags,
+// the watermarks would seal both roots and the certifier would reject
+// each tag as naming a node of a committed root's pruned subtree.
+TEST(CommitThrough, InterleavedWatermarksWaitForTags) {
+  auto events = workload::ParseTraceEvents(
+      "comptx-trace v1\nschedule S\nadt counter\nadtop 0 inc\n"
+      "root 0 T0\nleaf 0 x0\nroot 0 T1\nleaf 2 x1\n"
+      "tag 1 0 0\ntag 3 0 0\nend\n");
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  const auto marked = workload::InterleaveWatermarks(*events, 1);
+  ASSERT_EQ(marked.size(), events->size() + 2);
+  EXPECT_EQ(marked[8].kind, workload::TraceEventKind::kCommitThrough);
+  EXPECT_EQ(marked[10].kind, workload::TraceEventKind::kCommitThrough);
+  CertifierOptions options;
+  options.auto_prune = true;
+  Certifier certifier(options);
+  for (size_t i = 0; i < marked.size(); ++i) {
+    const Status status = certifier.Ingest(marked[i]);
+    EXPECT_TRUE(status.ok())
+        << i << " " << workload::FormatTraceEvent(marked[i]) << ": "
+        << status.ToString();
   }
-  std::vector<std::pair<size_t, uint64_t>> inserts;  // (after index, k)
-  size_t horizon = 0;
-  for (size_t k = window; k <= last_touch.size(); k += window) {
-    for (size_t r = k - window; r < k; ++r) {
-      horizon = std::max(horizon, last_touch[r]);
-    }
-    inserts.emplace_back(horizon, static_cast<uint64_t>(k));
-  }
-  std::vector<workload::TraceEvent> out;
-  out.reserve(events.size() + inserts.size());
-  size_t next = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    out.push_back(events[i]);
-    while (next < inserts.size() && inserts[next].first == i) {
-      workload::TraceEvent mark;
-      mark.kind = workload::TraceEventKind::kCommitThrough;
-      mark.a = static_cast<uint32_t>(inserts[next].second);
-      out.push_back(mark);
-      ++next;
-    }
-  }
-  return out;
 }
 
-// ------------------------------------------------- watermark semantics
 
 TEST(CommitThrough, TextAndWireRoundTrips) {
   workload::TraceEvent mark;
@@ -300,7 +256,7 @@ TEST(IngestBatch, MatchesSequentialIngestOnRandomTraces) {
     auto events = GeneratedEvents(spec, 4200 + seed);
     // Watermarks in the middle of a batch make commit pruning run
     // inside it, exactly where the sequential stream runs it.
-    events = InterleaveWatermarks(events, 2);
+    events = workload::InterleaveWatermarks(events, 2);
     const std::string repro =
         StrCat(workload::DescribeWorkloadSpec(spec), " seed=", 4200 + seed);
 
@@ -514,7 +470,7 @@ TEST(LongSessionProperty, PrunedVerdictsPrefixIdenticalToOracle) {
       CertifierOptions pruned_options;
       pruned_options.auto_prune = true;
       Certifier pruned(pruned_options);
-      const auto marked = InterleaveWatermarks(accepted, 2);
+      const auto marked = workload::InterleaveWatermarks(accepted, 2);
       size_t accepted_index = 0;
       for (const auto& event : marked) {
         Status status = pruned.Ingest(event);
@@ -730,61 +686,6 @@ uint64_t HeldMemoryBytes() {
 #endif
 }
 
-/// Streaming-window chain: roots forever, each conflicting with (and
-/// weak-output-ordered after) its predecessor's leaf, one cumulative
-/// watermark per `window` roots lagging the stream by `window`.  Same
-/// shape as bench_longsession (E15) and comptx_load --commit-window.
-class WindowStream {
- public:
-  explicit WindowStream(uint32_t window) : window_(window) {}
-
-  void NextRoot(std::vector<workload::TraceEvent>& out) {
-    using workload::TraceEvent;
-    using workload::TraceEventKind;
-    TraceEvent e;
-    if (roots_ == 0) {
-      e.kind = TraceEventKind::kSchedule;
-      e.name = "S";
-      out.push_back(e);
-    }
-    e = {};
-    e.kind = TraceEventKind::kRoot;
-    e.schedule = 0;
-    e.name = "T" + std::to_string(roots_);
-    out.push_back(e);
-    const uint32_t root = next_id_++;
-    e = {};
-    e.kind = TraceEventKind::kLeaf;
-    e.parent = root;
-    e.name = "x" + std::to_string(roots_);
-    out.push_back(e);
-    const uint32_t leaf = next_id_++;
-    if (prev_leaf_ != kInvalidIndex) {
-      e = {};
-      e.kind = TraceEventKind::kConflict;
-      e.a = prev_leaf_;
-      e.b = leaf;
-      out.push_back(e);
-      e.kind = TraceEventKind::kWeakOutput;
-      out.push_back(e);
-    }
-    prev_leaf_ = leaf;
-    ++roots_;
-    if (roots_ % window_ == 0 && roots_ > window_) {
-      e = {};
-      e.kind = TraceEventKind::kCommitThrough;
-      e.a = roots_ - window_;
-      out.push_back(e);
-    }
-  }
-
- private:
-  const uint32_t window_;
-  uint64_t roots_ = 0;
-  uint32_t next_id_ = 0;
-  uint32_t prev_leaf_ = kInvalidIndex;
-};
-
 TEST(LongSessionSoak, MillionEventWindowStaysFlatAndAgreesWithOracle) {
   // 1M events by default; COMPTX_SOAK=1 (the nightly ASan job) runs the
   // full 10M-event version.
@@ -801,7 +702,7 @@ TEST(LongSessionSoak, MillionEventWindowStaysFlatAndAgreesWithOracle) {
   constexpr uint64_t kLiveBound = 6ull * (kWindow + 1) * 2;
 
   Certifier certifier;  // defaults: forgetting, auto_prune
-  WindowStream stream(kWindow);
+  workload::WindowChain stream(kWindow);
   CompositeSystem mirror;  // batch-oracle mirror of accepted events
   std::vector<uint64_t> oracle_samples = {1000, 4000, 16000};
   size_t next_sample = 0;

@@ -24,6 +24,7 @@
 #include "testing/events.h"
 #include "util/rng.h"
 #include "workload/event_codec.h"
+#include "workload/event_schema.h"
 #include "workload/schedule_gen.h"
 #include "workload/topology_gen.h"
 #include "workload/trace.h"
@@ -264,17 +265,7 @@ TEST(SemanticPersistence, BinaryWireCodecRoundTripsSpecEvents) {
     EXPECT_EQ(a.parent, b.parent) << i;
     EXPECT_EQ(a.a, b.a) << i;
     EXPECT_EQ(a.b, b.b) << i;
-    switch (a.kind) {
-      case workload::TraceEventKind::kAdtDecl:
-      case workload::TraceEventKind::kAdtOp:
-      case workload::TraceEventKind::kCommute:
-      case workload::TraceEventKind::kClash:
-      case workload::TraceEventKind::kTag:
-        ++spec_kinds;
-        break;
-      default:
-        break;
-    }
+    if (workload::IsAdtLayerEvent(a.kind)) ++spec_kinds;
   }
   // 1 adt + 1 adtop + 1 commute + 2 tags from MakeSemanticCrossDemo.
   EXPECT_EQ(spec_kinds, 5u);

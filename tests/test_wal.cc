@@ -25,6 +25,8 @@
 #include "service/protocol.h"
 #include "service/session_manager.h"
 #include "util/string_util.h"
+#include "workload/event_codec.h"
+#include "workload/event_streams.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
@@ -489,50 +491,14 @@ TEST(WalReaderTest, AnEventCountPastThePayloadIsDamageNotAnAllocation) {
 
 // ------------------------------------------------------------- snapshots
 
-/// A streaming-window chain (the stream_window workload's shape): roots
-/// forever, each leaf conflicting with and ordered after its
-/// predecessor's, a commit_through every `window` roots lagging by
-/// `window`, so most of the session is pruned while it runs.
+/// The first `count` or more events of a streaming-window chain (the
+/// stream_window workload's shape), so most of the session is pruned
+/// while it runs.
 std::vector<workload::TraceEvent> WindowChainEvents(size_t count,
                                                     uint32_t window) {
   std::vector<workload::TraceEvent> events;
-  workload::TraceEvent e;
-  e.kind = workload::TraceEventKind::kSchedule;
-  e.name = "S";
-  events.push_back(e);
-  uint32_t roots = 0;
-  uint32_t next_id = 0;
-  uint32_t prev_leaf = kInvalidIndex;
-  while (events.size() < count) {
-    e = {};
-    e.kind = workload::TraceEventKind::kRoot;
-    e.schedule = 0;
-    e.name = StrCat("T", roots);
-    events.push_back(e);
-    e = {};
-    e.kind = workload::TraceEventKind::kLeaf;
-    e.parent = next_id++;
-    e.name = StrCat("x", roots);
-    events.push_back(e);
-    const uint32_t leaf = next_id++;
-    if (prev_leaf != kInvalidIndex) {
-      e = {};
-      e.kind = workload::TraceEventKind::kConflict;
-      e.a = prev_leaf;
-      e.b = leaf;
-      events.push_back(e);
-      e.kind = workload::TraceEventKind::kWeakOutput;
-      events.push_back(e);
-    }
-    prev_leaf = leaf;
-    ++roots;
-    if (roots % window == 0 && roots > window) {
-      e = {};
-      e.kind = workload::TraceEventKind::kCommitThrough;
-      e.a = roots - window;
-      events.push_back(e);
-    }
-  }
+  workload::WindowChain chain(window);
+  while (events.size() < count) chain.NextRoot(events);
   return events;
 }
 
@@ -910,6 +876,64 @@ TEST(RecoveryTest, SnapshotPlusSuffixRebuildsTheExactSession) {
   EXPECT_EQ((*certifier)->Certifiable(), BatchVerdict(events));
   const auto stats = (*certifier)->Stats();
   EXPECT_EQ(stats.events_accepted + stats.events_rejected, events.size());
+}
+
+// Logs written before commit_through rode in APPEND records carry each
+// watermark as a record of its own, type 7: [u8 7][u64 seq][u64 root
+// count].  The reader turns one into the APPEND of that single event, so
+// such a log still recovers, watermark included.
+TEST(RecoveryTest, ALegacyCommitWatermarkRecordRecoversAsAnAppend) {
+  const fs::path dir = Scratch() / "legacy_watermark";
+  fs::create_directories(dir);
+  const auto append = [](uint64_t seq,
+                         std::initializer_list<const char*> lines) {
+    WalRecord record;
+    record.type = WalRecordType::kAppend;
+    record.seq = seq;
+    for (const char* line : lines) {
+      auto event = workload::ParseTraceEventLine(line);
+      EXPECT_TRUE(event.ok()) << line;
+      record.events.push_back(*event);
+    }
+    return record;
+  };
+  WalRecord open;
+  open.type = WalRecordType::kOpen;
+  std::string payload;
+  workload::PutU8(payload, 7);
+  workload::PutU64(payload, 6);  // seq: after the first five events
+  workload::PutU64(payload, 1);  // commit_through 1
+  std::string legacy;
+  workload::PutU32(legacy, static_cast<uint32_t>(payload.size()));
+  workload::PutU32(legacy, Crc32(payload.data(), payload.size()));
+  legacy += payload;
+  std::string bytes(kWalMagic, sizeof(kWalMagic));
+  bytes += EncodeWalRecord(open);
+  bytes += EncodeWalRecord(append(
+      1, {"schedule S", "root 0 T0", "leaf 0 x0", "root 0 T1", "leaf 2 x1"}));
+  bytes += legacy;
+  bytes += EncodeWalRecord(append(7, {"root 0 T2", "leaf 4 x2"}));
+  WriteBytes(WalPath(dir.string(), 5), bytes);
+
+  auto state = ReadSessionDurableState(dir.string(), 5);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_TRUE(state->wal_scan.clean) << state->wal_scan.damage;
+  ASSERT_EQ(state->wal_records.size(), 4u);
+  const WalRecord& watermark = state->wal_records[2];
+  EXPECT_EQ(watermark.type, WalRecordType::kAppend);
+  EXPECT_EQ(watermark.seq, 6u);
+  ASSERT_EQ(watermark.events.size(), 1u);
+  EXPECT_EQ(workload::FormatTraceEvent(watermark.events[0]),
+            "commit_through 1");
+  EXPECT_EQ(state->event_seq, 8u);
+  const std::vector<workload::TraceEvent> suffix = state->SuffixEvents();
+  ASSERT_EQ(suffix.size(), 8u);
+  EXPECT_EQ(suffix[5].kind, workload::TraceEventKind::kCommitThrough);
+
+  auto certifier = RebuildCertifier(*state, online::CertifierOptions{});
+  ASSERT_TRUE(certifier.ok()) << certifier.status().ToString();
+  EXPECT_TRUE(VerifyRecovery(**certifier, state->event_seq).ok());
+  EXPECT_EQ((*certifier)->Stats().commit_watermark, 1u);
 }
 
 TEST(RecoveryTest, LifecycleMarkersDriveTheStateMachine) {

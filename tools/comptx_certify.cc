@@ -31,6 +31,7 @@
 #include "analysis/sweep.h"
 #include "core/correctness.h"
 #include "online/certifier.h"
+#include "util/cli_flags.h"
 #include "util/thread_pool.h"
 #include "util/version.h"
 #include "workload/trace.h"
@@ -184,12 +185,8 @@ int main(int argc, char** argv) {
         std::cerr << "--threads needs a count\n";
         return 2;
       }
-      long threads = std::strtol(argv[++i], nullptr, 10);
-      if (threads < 1) {
-        std::cerr << "--threads needs a positive count\n";
-        return 2;
-      }
-      comptx::ThreadPool::SetGlobalThreads(static_cast<size_t>(threads));
+      comptx::ThreadPool::SetGlobalThreads(
+          comptx::UintFlagOrExit("--threads", argv[++i], 1));
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag " << arg << "\n" << kUsage;
       return 2;

@@ -81,10 +81,12 @@
 #include "service/client.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
+#include "util/cli_flags.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/version.h"
 #include "util/zipf.h"
+#include "workload/event_streams.h"
 #include "workload/trace.h"
 #include "workload/workload_spec.h"
 
@@ -177,84 +179,6 @@ struct LoadResult {
   size_t mismatches = 0;
 };
 
-/// Interleaves cumulative commit_through watermarks: after every `window`
-/// roots, a watermark sealing them is inserted at the earliest position
-/// where no later event references their subtrees (sealing any earlier
-/// would make the certifier reject those events, diverging from the
-/// offline replay).  SaveTrace batches relation events after creations,
-/// so the safe positions trail the root creations — which is fine: the
-/// watermarks still seal every covered root, so pruning fires.
-std::vector<workload::TraceEvent> InterleaveWatermarks(
-    std::vector<workload::TraceEvent> events, size_t window) {
-  if (window == 0) return events;
-  // Node ids are assigned in creation order, so a running counter maps
-  // each creation event to its NodeId and each node to its root ordinal.
-  std::vector<size_t> node_root;   // node index -> root ordinal
-  std::vector<size_t> last_touch;  // root ordinal -> last event index
-  auto touch = [&](uint32_t node, size_t i) {
-    if (node < node_root.size()) last_touch[node_root[node]] = i;
-  };
-  for (size_t i = 0; i < events.size(); ++i) {
-    const workload::TraceEvent& e = events[i];
-    switch (e.kind) {
-      case workload::TraceEventKind::kRoot:
-        node_root.push_back(last_touch.size());
-        last_touch.push_back(i);
-        break;
-      case workload::TraceEventKind::kSub:
-      case workload::TraceEventKind::kLeaf:
-        if (e.parent < node_root.size()) {
-          node_root.push_back(node_root[e.parent]);
-          last_touch[node_root.back()] = i;
-        }
-        break;
-      case workload::TraceEventKind::kIntraWeak:
-      case workload::TraceEventKind::kIntraStrong:
-        touch(e.parent, i);
-        touch(e.a, i);
-        touch(e.b, i);
-        break;
-      case workload::TraceEventKind::kConflict:
-      case workload::TraceEventKind::kWeakOutput:
-      case workload::TraceEventKind::kStrongOutput:
-      case workload::TraceEventKind::kWeakInput:
-      case workload::TraceEventKind::kStrongInput:
-        touch(e.a, i);
-        touch(e.b, i);
-        break;
-      case workload::TraceEventKind::kCommit:
-        touch(e.parent, i);
-        break;
-      default:
-        break;
-    }
-  }
-  // A watermark covering the first k roots may go after the last event
-  // touching any of them (prefix max of last_touch).
-  std::vector<std::pair<size_t, uint64_t>> inserts;  // (after index, k)
-  size_t horizon = 0;
-  for (size_t k = window; k <= last_touch.size(); k += window) {
-    for (size_t r = k - window; r < k; ++r) {
-      horizon = std::max(horizon, last_touch[r]);
-    }
-    inserts.emplace_back(horizon, static_cast<uint64_t>(k));
-  }
-  std::vector<workload::TraceEvent> out;
-  out.reserve(events.size() + inserts.size());
-  size_t next = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    out.push_back(events[i]);
-    while (next < inserts.size() && inserts[next].first == i) {
-      workload::TraceEvent mark;
-      mark.kind = workload::TraceEventKind::kCommitThrough;
-      mark.a = static_cast<uint32_t>(inserts[next].second);
-      out.push_back(mark);
-      ++next;
-    }
-  }
-  return out;
-}
-
 std::vector<workload::TraceEvent> GenerateSessionEvents(
     size_t quota, uint64_t seed, size_t commit_window, workload::AdtMix adt,
     uint32_t adt_instances) {
@@ -282,7 +206,8 @@ std::vector<workload::TraceEvent> GenerateSessionEvents(
       if (events->size() > quota) events->resize(quota);
       // Watermarks go in after the quota cut so they only cover roots
       // whose events all made it into the stream.
-      return InterleaveWatermarks(std::move(events).value(), commit_window);
+      return workload::InterleaveWatermarks(std::move(events).value(),
+                                            commit_window);
     }
     roots *= 2;
   }
@@ -904,23 +829,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opt.endpoint.host = next("--host");
     } else if (arg == "--port") {
-      opt.endpoint.port = std::atoi(next("--port"));
+      opt.endpoint.port =
+          static_cast<int>(UintFlagOrExit("--port", next("--port"), 0, 65535));
     } else if (arg == "--unix") {
       opt.endpoint.unix_path = next("--unix");
     } else if (arg == "--sessions") {
-      opt.sessions = std::strtoul(next("--sessions"), nullptr, 10);
+      opt.sessions = UintFlagOrExit("--sessions", next("--sessions"));
     } else if (arg == "--threads") {
-      opt.threads = std::strtoul(next("--threads"), nullptr, 10);
+      opt.threads = UintFlagOrExit("--threads", next("--threads"));
     } else if (arg == "--events") {
-      opt.total_events = std::strtoul(next("--events"), nullptr, 10);
+      opt.total_events = UintFlagOrExit("--events", next("--events"));
     } else if (arg == "--batch") {
-      opt.batch = std::strtoul(next("--batch"), nullptr, 10);
+      opt.batch = UintFlagOrExit("--batch", next("--batch"));
     } else if (arg == "--processes") {
-      opt.processes = std::strtoul(next("--processes"), nullptr, 10);
-      if (opt.processes == 0) {
-        std::cerr << "--processes must be positive\n";
-        return 2;
-      }
+      opt.processes = UintFlagOrExit("--processes", next("--processes"), 1);
     } else if (arg == "--protocol") {
       auto protocol = service::ParseWireProtocol(next("--protocol"));
       if (!protocol.ok()) {
@@ -929,7 +851,7 @@ int main(int argc, char** argv) {
       }
       opt.protocol = *protocol;
     } else if (arg == "--theta") {
-      opt.theta = std::strtod(next("--theta"), nullptr);
+      opt.theta = DoubleFlagOrExit("--theta", next("--theta"));
     } else if (arg == "--adt") {
       auto mix = workload::ParseAdtMix(next("--adt"));
       if (!mix.ok()) {
@@ -938,22 +860,18 @@ int main(int argc, char** argv) {
       }
       opt.adt = *mix;
     } else if (arg == "--adt-instances") {
-      opt.adt_instances =
-          static_cast<uint32_t>(std::strtoul(next("--adt-instances"),
-                                             nullptr, 10));
-      if (opt.adt_instances == 0) {
-        std::cerr << "--adt-instances must be positive\n";
-        return 2;
-      }
+      opt.adt_instances = static_cast<uint32_t>(UintFlagOrExit(
+          "--adt-instances", next("--adt-instances"), 1, UINT32_MAX));
     } else if (arg == "--commit-window") {
-      opt.commit_window = std::strtoul(next("--commit-window"), nullptr, 10);
+      opt.commit_window =
+          UintFlagOrExit("--commit-window", next("--commit-window"));
     } else if (arg == "--rate") {
-      opt.rate = std::strtod(next("--rate"), nullptr);
+      opt.rate = DoubleFlagOrExit("--rate", next("--rate"));
     } else if (arg == "--rates") {
       std::istringstream list(next("--rates"));
       std::string token;
       while (std::getline(list, token, ',')) {
-        const double rate = std::strtod(token.c_str(), nullptr);
+        const double rate = DoubleFlagOrExit("--rates", token);
         if (rate <= 0) {
           std::cerr << "--rates needs positive events/sec values\n";
           return 2;
@@ -961,7 +879,7 @@ int main(int argc, char** argv) {
         opt.rates.push_back(rate);
       }
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next("--seed"), nullptr, 10);
+      opt.seed = UintFlagOrExit("--seed", next("--seed"));
     } else if (arg == "--no-verify") {
       opt.verify = false;
     } else if (arg == "--json") {
@@ -969,9 +887,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--shutdown") {
       opt.send_shutdown = true;
     } else if (arg == "--kill-pid") {
-      opt.kill_pid = static_cast<pid_t>(std::atoi(next("--kill-pid")));
+      opt.kill_pid = static_cast<pid_t>(
+          UintFlagOrExit("--kill-pid", next("--kill-pid"), 1, INT32_MAX));
     } else if (arg == "--kill-after") {
-      opt.kill_after = std::strtoul(next("--kill-after"), nullptr, 10);
+      opt.kill_after = UintFlagOrExit("--kill-after", next("--kill-after"));
     } else if (arg == "--state") {
       opt.state_path = next("--state");
     } else if (arg == "--resume") {

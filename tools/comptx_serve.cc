@@ -55,8 +55,8 @@
 #include "distributed/controller.h"
 #include "durability/wal.h"
 #include "service/server.h"
+#include "util/cli_flags.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 #include "util/version.h"
 
 namespace {
@@ -117,17 +117,7 @@ int main(int argc, char** argv) {
     constexpr uint64_t kAny = UINT64_MAX;
     const auto number = [&](const char* flag, uint64_t min,
                             uint64_t max) -> uint64_t {
-      auto value = ParseUint64(flag, next(flag));
-      if (value.ok() && *value < min) {
-        value = Status::InvalidArgument(StrCat(flag, " must be >= ", min));
-      } else if (value.ok() && *value > max) {
-        value = Status::InvalidArgument(StrCat(flag, " must be <= ", max));
-      }
-      if (!value.ok()) {
-        std::cerr << value.status().message() << "\n";
-        std::exit(2);
-      }
-      return *value;
+      return UintFlagOrExit(flag, next(flag), min, max);
     };
     if (arg == "--version") {
       PrintToolVersion("comptx_serve");

@@ -33,6 +33,7 @@
 
 #include "testing/campaign.h"
 #include "testing/witness.h"
+#include "util/cli_flags.h"
 #include "util/thread_pool.h"
 #include "util/version.h"
 
@@ -130,21 +131,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       const char* v = need_value(i, "--seed");
       if (v == nullptr) return 2;
-      char* end = nullptr;
-      options.seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::cerr << "--seed needs an unsigned integer, got '" << v << "'\n";
-        return 2;
-      }
+      options.seed = UintFlagOrExit("--seed", v);
     } else if (arg == "--traces") {
       const char* v = need_value(i, "--traces");
       if (v == nullptr) return 2;
-      long traces = std::strtol(v, nullptr, 10);
-      if (traces < 1) {
-        std::cerr << "--traces needs a positive count\n";
-        return 2;
-      }
-      options.traces = static_cast<uint32_t>(traces);
+      options.traces =
+          static_cast<uint32_t>(UintFlagOrExit("--traces", v, 1, UINT32_MAX));
     } else if (arg == "--out") {
       const char* v = need_value(i, "--out");
       if (v == nullptr) return 2;
@@ -165,21 +157,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-shrink-calls") {
       const char* v = need_value(i, "--max-shrink-calls");
       if (v == nullptr) return 2;
-      long calls = std::strtol(v, nullptr, 10);
-      if (calls < 1) {
-        std::cerr << "--max-shrink-calls needs a positive count\n";
-        return 2;
-      }
-      options.shrink.max_predicate_calls = static_cast<uint32_t>(calls);
+      options.shrink.max_predicate_calls = static_cast<uint32_t>(
+          UintFlagOrExit("--max-shrink-calls", v, 1, UINT32_MAX));
     } else if (arg == "--threads") {
       const char* v = need_value(i, "--threads");
       if (v == nullptr) return 2;
-      long threads = std::strtol(v, nullptr, 10);
-      if (threads < 1) {
-        std::cerr << "--threads needs a positive count\n";
-        return 2;
-      }
-      ThreadPool::SetGlobalThreads(static_cast<size_t>(threads));
+      ThreadPool::SetGlobalThreads(UintFlagOrExit("--threads", v, 1));
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--replay") {

@@ -50,6 +50,7 @@
 #include "core/reduction.h"
 #include "distributed/topology.h"
 #include "online/certifier.h"
+#include "util/cli_flags.h"
 #include "util/version.h"
 #include "workload/trace.h"
 
@@ -129,20 +130,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next("--trace");
     } else if (arg == "--roots") {
-      roots = static_cast<uint32_t>(std::strtoul(next("--roots"), nullptr, 10));
+      roots = static_cast<uint32_t>(
+          UintFlagOrExit("--roots", next("--roots"), 0, UINT32_MAX));
     } else if (arg == "--seed") {
-      seed = std::strtoull(next("--seed"), nullptr, 10);
+      seed = UintFlagOrExit("--seed", next("--seed"));
     } else if (arg == "--disorder") {
-      disorder = std::strtod(next("--disorder"), nullptr);
+      disorder = DoubleFlagOrExit("--disorder", next("--disorder"));
     } else if (arg == "--phases") {
-      options.phases =
-          static_cast<size_t>(std::strtoul(next("--phases"), nullptr, 10));
+      options.phases = UintFlagOrExit("--phases", next("--phases"));
     } else if (arg == "--kill") {
       drill.node = next("--kill");
       have_drill = true;
     } else if (arg == "--kill-phase") {
-      drill.after_phase =
-          static_cast<size_t>(std::strtoul(next("--kill-phase"), nullptr, 10));
+      drill.after_phase = UintFlagOrExit("--kill-phase", next("--kill-phase"));
     } else if (arg == "--json") {
       json_path = next("--json");
     } else if (arg == "--out") {

@@ -69,9 +69,6 @@ void DumpRecord(uint64_t lsn, const durability::WalRecord& record) {
                 << " rejected=" << record.rejected
                 << " certifiable=" << (record.certifiable ? 1 : 0);
       break;
-    case durability::WalRecordType::kCommitWatermark:
-      std::cout << " commit_through=" << record.commit_through;
-      break;
     case durability::WalRecordType::kStreamCursor:
       std::cout << " edge=" << record.edge << " cursor_seq="
                 << record.cursor_seq << " mapping_bytes="
@@ -123,11 +120,6 @@ bool CheckWal(const std::string& path, const CheckOptions& options) {
         break;
       case durability::WalRecordType::kClose:
         lifecycle = "closed";
-        break;
-      case durability::WalRecordType::kCommitWatermark:
-        // A watermark record occupies one event seq slot of its own.
-        ++events;
-        watermark = std::max(watermark, record.seq);
         break;
       case durability::WalRecordType::kStreamCursor:
         // Does not consume an event seq slot (certifier replay skips
