@@ -75,6 +75,7 @@ StatusOr<NodeId> CompositeSystem::AddSubtransaction(NodeId parent,
   n.kind = NodeKind::kTransaction;
   n.parent = parent;
   n.owner_schedule = scheduler;
+  n.host = node(parent).owner_schedule;
   AppendNode(std::move(n));
   nodes_[parent.index()].children.push_back(id);
   schedules_[scheduler.index()].transactions.push_back(id);
@@ -92,6 +93,7 @@ StatusOr<NodeId> CompositeSystem::AddLeaf(NodeId parent, std::string name) {
   n.name = std::move(name);
   n.kind = NodeKind::kLeaf;
   n.parent = parent;
+  n.host = node(parent).owner_schedule;
   AppendNode(std::move(n));
   nodes_[parent.index()].children.push_back(id);
   return id;
@@ -260,9 +262,7 @@ Schedule& CompositeSystem::mutable_schedule(ScheduleId id) {
 }
 
 ScheduleId CompositeSystem::HostScheduleOf(NodeId id) const {
-  const Node& n = node(id);
-  if (!n.parent.valid()) return ScheduleId();
-  return node(n.parent).owner_schedule;
+  return node(id).host;
 }
 
 std::vector<NodeId> CompositeSystem::LiveNodes() const {

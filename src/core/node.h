@@ -41,6 +41,10 @@ struct Node {
   /// node (Def 4 point 1 guarantees uniqueness).  Invalid for leaves.
   ScheduleId owner_schedule;
 
+  /// The schedule this node is an operation of: the parent's owner
+  /// schedule, fixed at creation.  Invalid for roots.
+  ScheduleId host;
+
   /// For transactions: operations O_t in creation order.  Empty for leaves.
   std::vector<NodeId> children;
 

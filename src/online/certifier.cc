@@ -262,7 +262,18 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       const ScheduleId host = cs_.HostScheduleOf(a);
       new_weak_.clear();
       weak_output_.AddClosing(a, b, closing_, new_weak_);
+      // A commuting pair implied through a leaf generator (a, b) is already
+      // a path x -> a -> b -> y in every front that holds it, and with
+      // forgetting its pull-up is forgotten: it stays in the closure, which
+      // OnConflict, CanPrune and Rebuild read, but the engine never sees it
+      // (docs/THEORY.md, "Implied weak output pairs").
+      const bool leaf_generator = options_.forgetting &&
+                                  cs_.node(a).IsLeaf() && cs_.node(b).IsLeaf();
       for (const auto& [x, y] : new_weak_) {
+        if (leaf_generator && (x != a || y != b) &&
+            !cs_.EffectiveConflict(host, x, y)) {
+          continue;
+        }
         engine_.OnClosedWeakOutput(host, x, y);
       }
       return Status::OK();

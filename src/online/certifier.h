@@ -86,7 +86,10 @@ struct CertifierStats {
 ///     per-container closures would;
 ///   - each new fact is routed to the affected front levels, where
 ///     acyclicity is maintained by incremental topological ordering
-///     (Pearce-Kelly) rather than full DFS;
+///     (Pearce-Kelly) rather than full DFS.  A commuting weak output pair
+///     implied through a generator that joins two leaves is the exception:
+///     a path already implies its edge, so only the closure keeps it
+///     (docs/THEORY.md, "Implied weak output pairs");
 ///   - observed-order pairs cascade their pull-up images level by level
 ///     through core PullUpObservedPair, the exact per-pair rule the batch
 ///     reducer uses.

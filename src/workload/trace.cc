@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <tuple>
@@ -27,8 +28,9 @@ Status CheckName(const std::string& name) {
 }
 
 /// Parses one non-empty trace line into an event; "end" yields nullopt.
-/// Numeric fields go through istream extraction, so a field is whatever
-/// `>>` reads for a uint32_t and text after the last field is ignored.
+/// Each field is one blank-separated token; a numeric field must be an
+/// unsigned decimal that fits 32 bits (ParseUint64: no sign, no prefix),
+/// and a token after the last field makes the record malformed.
 /// `fields` is scratch, reused across lines so a long trace does not
 /// build a stream per line.
 StatusOr<std::optional<TraceEvent>> ParseLine(std::istringstream& fields,
@@ -42,18 +44,23 @@ StatusOr<std::optional<TraceEvent>> ParseLine(std::istringstream& fields,
   if (layout == nullptr) {
     return Status::InvalidArgument(StrCat("unknown record kind '", kind, "'"));
   }
+  const auto malformed = [&] {
+    return Status::InvalidArgument(StrCat("malformed ", kind, " record"));
+  };
   TraceEvent e;
   e.kind = layout->kind;
+  std::string token;
   for (const EventField& field : layout->fields()) {
+    if (!(fields >> token)) return malformed();
     if (field.role == FieldRole::kName) {
-      fields >> e.name;
-    } else {
-      fields >> e.*field.slot;
+      e.name = std::move(token);
+      continue;
     }
+    const StatusOr<uint64_t> value = ParseUint64(kind, token);
+    if (!value.ok() || *value > UINT32_MAX) return malformed();
+    e.*field.slot = static_cast<uint32_t>(*value);
   }
-  if (fields.fail()) {
-    return Status::InvalidArgument(StrCat("malformed ", kind, " record"));
-  }
+  if (fields >> token) return malformed();
   return std::optional<TraceEvent>(std::move(e));
 }
 

@@ -408,5 +408,141 @@ TEST(Certifier, ScheduleDeclarationsDoNotRebuild) {
   EXPECT_EQ(certifier.Verdict().order, batch->order);
 }
 
+// ------------------------------------------------ implied closure pairs
+//
+// A commuting weak output pair implied through a generator whose ends are
+// both leaves stays in the certifier's closure but reaches no front graph
+// (docs/THEORY.md, "Implied weak output pairs").  Each case holds the
+// online verdict to batch after every event of its whole stream, then
+// replays the stream in stages to read the engine's counts.
+
+/// Ingests `lines` (trace records, one per line, no header) into
+/// `certifier`, asserting each is accepted.
+void IngestLines(Certifier& certifier, const std::string& lines) {
+  auto events = workload::ParseTraceEvents("comptx-trace v1\n" + lines +
+                                           "end\n");
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(certifier.IngestBatch(*events), 0u) << lines;
+}
+
+/// Batch CheckCompC of the whole of `lines`.
+CompCResult BatchOf(const std::string& lines, bool forgetting = true) {
+  auto cs = workload::LoadTrace("comptx-trace v1\n" + lines + "end\n");
+  EXPECT_TRUE(cs.ok()) << cs.status().ToString();
+  auto batch = CheckCompC(*cs, BatchPrefixOptions(forgetting));
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  return *batch;
+}
+
+/// One schedule S, roots T1 T2 T3 with leaves a=1, b=3, c=5.
+constexpr char kThreeLeaves[] =
+    "schedule S\n"
+    "root 0 T1\nleaf 0 a\nroot 0 T2\nleaf 2 b\nroot 0 T3\nleaf 4 c\n";
+
+TEST(ImpliedPairs, CommutingMiddleKeepsTheConflictingPairsCalcEdge) {
+  // Malta & Martinez: a <out b <out c where only a and c conflict.  b
+  // commutes with both, so the path a -> b -> c carries no calculation
+  // edge: the implied pair (a, c) must keep its own, whether its
+  // conflict precedes the order or follows it.
+  for (const char* relations :
+       {"conflict 1 5\nweak_out 1 3\nweak_out 3 5\n",
+        "weak_out 1 3\nweak_out 3 5\nconflict 1 5\n"}) {
+    const std::string ordered = std::string(kThreeLeaves) + relations;
+    // T3 before T1 as input contradicts the conflict order a -> c.
+    const std::string contradicted = "weak_in 0 4 0\n";
+    ExpectPrefixAgreement("comptx-trace v1\n" + ordered + contradicted +
+                          "end\n");
+
+    Certifier certifier;
+    IngestLines(certifier, ordered);
+    EXPECT_TRUE(certifier.Certifiable()) << relations;
+    EXPECT_EQ(certifier.Stats().calc_edges, 1u) << relations;  // T1 -> T3
+    EXPECT_EQ(certifier.SerialWitness(),
+              (std::vector<NodeId>{NodeId(0), NodeId(2), NodeId(4)}))
+        << relations;
+    IngestLines(certifier, contradicted);
+    ASSERT_FALSE(certifier.Certifiable()) << relations;
+    EXPECT_EQ(certifier.Verdict().failure->level, 1u) << relations;
+    const CompCResult batch = BatchOf(ordered + contradicted);
+    ASSERT_FALSE(batch.correct);
+    EXPECT_EQ(batch.failure->level, 1u);
+  }
+}
+
+TEST(ImpliedPairs, GeneratorThroughATransactionKeepsTheLevelZeroPair) {
+  // a <out t <out c with t a subtransaction: t joins the fronts only at
+  // its owner's level 1, so front 0 has no path a -> t -> c and the
+  // implied (a, c) must stay an explicit level-0 edge.  Pulling c before
+  // a down onto front 0 then closes a cycle there first.
+  const std::string lines =
+      "schedule S\nschedule R\n"
+      "root 0 T1\nleaf 0 a\nroot 0 T2\nsub 2 1 t\nroot 0 T3\nleaf 4 c\n"
+      "weak_out 1 3\nweak_out 3 5\nstrong_in 0 4 0\n";
+  ExpectPrefixAgreement("comptx-trace v1\n" + lines + "end\n");
+  const CompCResult batch = BatchOf(lines);
+  ASSERT_FALSE(batch.correct);
+  EXPECT_EQ(batch.failure->level, 0u);
+  Certifier certifier;
+  IngestLines(certifier, lines);
+  ASSERT_FALSE(certifier.Certifiable());
+  EXPECT_EQ(certifier.Verdict().order, 2u);
+  EXPECT_EQ(certifier.Verdict().failure->level, 0u);
+}
+
+TEST(ImpliedPairs, WithoutForgettingNoPairIsSkipped) {
+  // No conflicts: with forgetting, the pull-ups of the three pairs are
+  // forgotten and the implied (a, c) is skipped, leaving a -> b -> c on
+  // front 0.  Without forgetting every pair is explicit on both fronts.
+  const std::string lines =
+      std::string(kThreeLeaves) + "weak_out 1 3\nweak_out 3 5\n";
+  CertifierOptions options;
+  for (const bool forgetting : {true, false}) {
+    options.forgetting = forgetting;
+    ExpectPrefixAgreement("comptx-trace v1\n" + lines + "end\n", options);
+    Certifier certifier(options);
+    IngestLines(certifier, lines);
+    EXPECT_TRUE(certifier.Certifiable());
+    EXPECT_EQ(BatchOf(lines, forgetting).correct, certifier.Certifiable());
+    const CertifierStats stats = certifier.Stats();
+    EXPECT_EQ(stats.closure_pairs, 3u);
+    EXPECT_EQ(stats.cc_edges, forgetting ? 2u : 6u) << forgetting;
+    EXPECT_EQ(stats.observed_pairs, forgetting ? 2u : 6u) << forgetting;
+  }
+}
+
+TEST(ImpliedPairs, AClashReplaysSkippedPairsExplicitly) {
+  // Four chained leaves, each conflicting only with its neighbours: three
+  // implied pairs are skipped.  A clash after them rebuilds the engine
+  // from the closure, explicitly; later events skip again, and an input
+  // order contradicting the chain still fails like batch.
+  const std::string chain =
+      "schedule S\nadt Q\nadtop 0 inc\nadtop 0 get\n"
+      "root 0 T0\nleaf 0 x0\nroot 0 T1\nleaf 2 x1\n"
+      "root 0 T2\nleaf 4 x2\nroot 0 T3\nleaf 6 x3\n"
+      "conflict 1 3\nweak_out 1 3\nconflict 3 5\nweak_out 3 5\n"
+      "conflict 5 7\nweak_out 5 7\n";
+  const std::string clash = "clash 0 1\n";
+  const std::string extension =
+      "root 0 T4\nleaf 8 x4\nconflict 7 9\nweak_out 7 9\n";
+  const std::string contradicted = "weak_in 0 8 0\n";
+  const std::string lines = chain + clash + extension + contradicted;
+  ExpectPrefixAgreement("comptx-trace v1\n" + lines + "end\n");
+
+  Certifier certifier;
+  IngestLines(certifier, chain);
+  const CertifierStats skipped = certifier.Stats();
+  EXPECT_EQ(skipped.closure_pairs, 6u);
+  EXPECT_EQ(skipped.cc_edges, 6u);  // 3 per front
+  IngestLines(certifier, clash);
+  EXPECT_EQ(certifier.Stats().rebuilds, skipped.rebuilds + 1);
+  EXPECT_EQ(certifier.Stats().cc_edges, 9u);  // all 6 on front 0
+  IngestLines(certifier, extension);
+  EXPECT_EQ(certifier.Stats().cc_edges, 11u);  // (x3, x4) on both fronts
+  EXPECT_TRUE(certifier.Certifiable());
+  IngestLines(certifier, contradicted);
+  EXPECT_FALSE(certifier.Certifiable());
+  EXPECT_FALSE(BatchOf(lines).correct);
+}
+
 }  // namespace
 }  // namespace comptx::online

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/builder.h"
 #include "test_helpers.h"
 
@@ -30,6 +32,15 @@ TEST(CompositeSystemTest, ConstructionBasics) {
   EXPECT_EQ(cs.HostScheduleOf(*sub), top);
   EXPECT_EQ(cs.HostScheduleOf(*leaf), bottom);
   EXPECT_FALSE(cs.HostScheduleOf(*root).valid());
+  EXPECT_EQ(cs.node(*sub).host, top);
+  EXPECT_EQ(cs.node(*leaf).host, bottom);
+}
+
+TEST(CompositeSystemTest, HostScheduleFitsThePaddingOfNode) {
+  // `host` sits in the four bytes of padding after `owner_schedule`, so
+  // storing it per node costs nothing (LP64 with a 32-byte std::string).
+  if (sizeof(void*) != 8 || sizeof(std::string) != 32) GTEST_SKIP();
+  EXPECT_EQ(sizeof(Node), 312u);
 }
 
 TEST(CompositeSystemTest, RejectsBadReferences) {

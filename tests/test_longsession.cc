@@ -653,6 +653,43 @@ TEST(LongSessionProperty, ARebuildThatClearsAFailureLeavesNothingToPrune) {
   EXPECT_EQ(probe.certifier.Stats().pruned_nodes, 2u);
 }
 
+// ------------------------------------------------ implied closure pairs
+
+/// Each leaf of the window chain is weak-output-ordered after every
+/// live leaf before it, but conflicts only with its predecessor: the
+/// implied pairs commute, stay in the closure and reach no front graph
+/// (docs/THEORY.md, "Implied weak output pairs").  So the front graphs
+/// hold O(1) edges per live node, not O(window).
+TEST(LongSessionProperty, WindowChainKeepsCcEdgesLinearInTheLiveNodes) {
+  constexpr uint32_t kWindow = 128;
+  constexpr uint32_t kRoots = 5 * kWindow;
+  Certifier certifier;
+  workload::WindowChain stream(kWindow);
+  CompositeSystem mirror;  // every accepted event, never pruned
+  std::vector<workload::TraceEvent> chunk;
+  size_t most_closure_pairs = 0;
+  for (uint32_t root = 0; root < kRoots; ++root) {
+    chunk.clear();
+    stream.NextRoot(chunk);
+    ASSERT_EQ(certifier.IngestBatch(chunk), 0u) << "root " << root;
+    for (const auto& event : chunk) {
+      ASSERT_TRUE(workload::ApplyTraceEvent(mirror, event).ok());
+    }
+    const CertifierStats stats = certifier.Stats();
+    ASSERT_LE(stats.cc_edges, 2 * stats.live_nodes)
+        << "after root " << root << " (closure pairs "
+        << stats.closure_pairs << ")";
+    most_closure_pairs = std::max(most_closure_pairs, stats.closure_pairs);
+  }
+  // The closure itself still spans the window quadratically.
+  EXPECT_GT(most_closure_pairs, size_t{kWindow} * kWindow / 2);
+  EXPECT_GT(certifier.Stats().pruned_nodes, 0u);
+  auto batch = CheckCompC(mirror, BatchPrefixOptions());
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_TRUE(batch->correct);
+  EXPECT_EQ(certifier.Certifiable(), batch->correct);
+}
+
 // -------------------------------------------------------------- soak
 
 uint64_t ReadVmRssBytes() {

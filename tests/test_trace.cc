@@ -119,6 +119,14 @@ TEST(TraceTest, MalformedLinesKeepTheirCapturedMessages) {
       {"tag 1 2", "malformed tag record"},
       {"conflict 4294967296 1", "malformed conflict record"},
       {"end", "'end' is not an event"},
+      // Numeric fields are strict unsigned decimals, and nothing may
+      // follow the last field.
+      {"conflict 1 2 junk", "malformed conflict record"},
+      {"conflict -1 2", "malformed conflict record"},
+      {"conflict +3 2", "malformed conflict record"},
+      {"adtop -1 x", "malformed adtop record"},
+      {"conflict 0x1 2", "malformed conflict record"},
+      {"root 0 T extra", "malformed root record"},
   };
   for (const auto& [line, message] : cases) {
     auto parsed = workload::ParseTraceEventLine(line);
@@ -126,10 +134,10 @@ TEST(TraceTest, MalformedLinesKeepTheirCapturedMessages) {
     EXPECT_EQ(parsed.status().message(), message) << line;
   }
   const std::pair<const char*, const char*> accepted[] = {
-      {"conflict 1 2 junk", "conflict 1 2"},
-      {"conflict -1 2", "conflict 4294967295 2"},
-      {"conflict +3 2", "conflict 3 2"},
-      {"adtop -1 x", "adtop 4294967295 x"},
+      {"conflict 1 2", "conflict 1 2"},
+      {"conflict  01\t2 ", "conflict 1 2"},
+      {"conflict 4294967295 2", "conflict 4294967295 2"},
+      {"adtop 3 x", "adtop 3 x"},
   };
   for (const auto& [line, formatted] : accepted) {
     auto parsed = workload::ParseTraceEventLine(line);
