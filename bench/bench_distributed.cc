@@ -119,6 +119,7 @@ StatusOr<Pass> RunTopology(const distributed::TopologySpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::string serve_binary;
   std::string data_root;
   std::string out_path = "BENCH_distributed.json";
@@ -222,7 +223,7 @@ int main(int argc, char** argv) {
   std::error_code ec;
   fs::remove_all(data_root, ec);
   return bench::WriteReport(
-      out_path, "E17_distributed_certification",
+      run_start, out_path, "E17_distributed_certification",
       bench::Json()
           .Set("topology", "fork_join_3_process")
           .Set("phases", kPhases)

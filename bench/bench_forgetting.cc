@@ -32,6 +32,7 @@ using namespace comptx;  // NOLINT
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   constexpr int kTrials = 300;
   std::vector<bench::Json> rows;
   for (double conflict : {0.05, 0.1, 0.15, 0.2, 0.3}) {
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
                       .Set("gain_forgetting", comp_c.rate() - no_forget.rate())
                       .Mismatches(violations));
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_forgetting.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_forgetting.json",
                             "E8_forgetting_ablation",
                             bench::Json()
                                 .Set("topology", "layered_dag")

@@ -51,6 +51,7 @@ Digraph RandomGraph(size_t n, size_t edges, uint64_t seed) {
 
 int main(int argc, char** argv) {
   namespace bench = comptx::bench;
+  const bench::RunStart run_start;
   std::vector<bench::Json> rows;
   const auto row = [](const char* op, size_t nodes, const bench::Stats& us) {
     return bench::Json()
@@ -98,7 +99,8 @@ int main(int argc, char** argv) {
                                   QuotientGraph(quotient_dag, block, blocks));
                             })));
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_graph.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_graph.json",
                             "E9_graph_substrate",
                             bench::Json().Set("rows", rows));
 }

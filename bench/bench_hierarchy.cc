@@ -66,6 +66,7 @@ Rates Sweep(workload::TopologyKind kind, double conflict, bool preserve,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   constexpr int kTrials = 300;
   std::vector<bench::Json> rows;
   for (bool preserve : {false, true}) {
@@ -94,7 +95,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_hierarchy.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_hierarchy.json",
                             "E4_correctness_hierarchy",
                             bench::Json().Set("rows", rows));
 }

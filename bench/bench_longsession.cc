@@ -159,6 +159,7 @@ std::vector<Checkpoint> RunSession(const std::vector<uint64_t>& marks,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::string out_path = "BENCH_longsession.json";
   uint64_t total_events = 10'000'000;
   uint32_t window = 16;
@@ -271,7 +272,7 @@ int main(int argc, char** argv) {
                             .Set("restore_us", cp.restore_us));
   }
   const int code = bench::WriteReport(
-      out_path, "E15_long_session",
+      run_start, out_path, "E15_long_session",
       bench::Json()
           .Set("workload", "streaming_window_chain")
           .Set("total_events", last.events)

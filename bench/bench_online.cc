@@ -243,6 +243,7 @@ WindowRow RunWindow(uint32_t roots) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::vector<Row> rows;
   std::vector<bench::Json> json_rows;
   for (const uint32_t roots : {4, 8, 16, 32, 64}) {
@@ -302,6 +303,7 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) pruning_exercised &= r.pruned_nodes > 0;
 
   const int code = bench::WriteReport(
+      run_start,
       argc > 1 ? argv[1] : "BENCH_online.json", "E10_online_certification",
       bench::Json()
           .Set("topology", "layered_dag")

@@ -67,6 +67,7 @@ std::vector<Shape> MakeShapes() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   constexpr int kTrials = 60;
   std::vector<bench::Json> rows;
   for (Shape& shape : MakeShapes()) {
@@ -105,7 +106,8 @@ int main(int argc, char** argv) {
       bench::AddRow(rows, std::move(row));
     }
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_protocols.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_protocols.json",
                             "E6_protocol_correctness",
                             bench::Json()
                                 .Set("items_per_component", 8)

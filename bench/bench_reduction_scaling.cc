@@ -76,6 +76,7 @@ constexpr BaselineRow kMainBaseline[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::vector<bench::Json> batch_rows;
   for (const BaselineRow& base : kMainBaseline) {
     const CompositeSystem cs =
@@ -172,6 +173,7 @@ int main(int argc, char** argv) {
   ThreadPool::SetGlobalThreads(1);
 
   return bench::WriteReport(
+      run_start,
       argc > 1 ? argv[1] : "BENCH_reduction.json", "E5_reduction_scaling",
       bench::Json()
           .Set("workload",

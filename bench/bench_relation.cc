@@ -50,6 +50,7 @@ MapSet MakeMapSet(const Pairs& pairs) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::vector<bench::Json> rows;
   // Times `dense` and `map_set` (each returns its result) and records one
   // row comparing them.
@@ -139,7 +140,8 @@ int main(int argc, char** argv) {
                                                      .PairCount());
                                  })));
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_relation.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_relation.json",
                             "E9_relation_substrate",
                             bench::Json().Set("rows", rows));
 }

@@ -185,6 +185,7 @@ Row RunMix(const Mix& mix) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_semantics.json";
   using workload::AdtMix;
   using workload::TopologyKind;
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
                             .Mismatches(r.one_sided_violations));
   }
   const int code = bench::WriteReport(
-      argc > 1 ? argv[1] : "BENCH_semantics.json",
+      run_start, argc > 1 ? argv[1] : "BENCH_semantics.json",
       "E16_semantic_commutativity",
       bench::Json()
           .Set("semantic_admits_extra", total_admits_extra)

@@ -221,6 +221,7 @@ bench::Json MeasureCell(
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::string mode = "all";
   std::string out_path = "BENCH_service.json";
   for (int i = 1; i < argc; ++i) {
@@ -281,7 +282,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::WriteReport(
-      out_path, "E13_certification_service",
+      run_start, out_path, "E13_certification_service",
       bench::Json()
           .Set("transport", "tcp_loopback")
           .Set("sessions", kSessions)

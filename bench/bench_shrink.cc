@@ -43,6 +43,7 @@ std::vector<workload::TraceEvent> GenerateEvents(uint32_t roots,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   std::vector<bench::Json> rows;
   for (const bool named_root : {true, false}) {
     for (const uint32_t roots : {3u, 6u, 12u}) {
@@ -85,7 +86,8 @@ int main(int argc, char** argv) {
                               .Mismatches(!system.ok() || !predicate(*system)));
     }
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_shrink.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_shrink.json",
                             "E11_shrink_throughput",
                             bench::Json().Set("rows", rows));
 }

@@ -77,6 +77,7 @@ SweepResult Sweep(workload::TopologyKind kind, double conflict,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   constexpr int kTrials = 200;
   struct Row {
     const char* experiment;
@@ -109,7 +110,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_theorems.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_theorems.json",
                             "E1-E3_theorem_validation",
                             bench::Json().Set("rows", cells));
 }

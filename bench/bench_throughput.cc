@@ -32,6 +32,7 @@ using namespace comptx::runtime;  // NOLINT
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   constexpr int kTrials = 40;
   std::vector<bench::Json> rows;
   for (double conflict_prob : {0.0, 0.3, 0.7}) {
@@ -75,7 +76,8 @@ int main(int argc, char** argv) {
                     .Set("restarts_mean", restarts.mean()));
     }
   }
-  return bench::WriteReport(argc > 1 ? argv[1] : "BENCH_throughput.json",
+  return bench::WriteReport(run_start,
+                            argc > 1 ? argv[1] : "BENCH_throughput.json",
                             "E7_protocol_makespan",
                             bench::Json()
                                 .Set("shape", "dag(3x2)")

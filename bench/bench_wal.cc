@@ -189,6 +189,7 @@ Pass RunPass(durability::FsyncPolicy policy, uint64_t snapshot_events,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::RunStart run_start;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_wal.json";
   const fs::path dir =
       fs::temp_directory_path() /
@@ -238,7 +239,7 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(dir);
   return bench::WriteReport(
-      out_path, "E14_wal_durability",
+      run_start, out_path, "E14_wal_durability",
       bench::Json()
           .Set("sessions", kSessions)
           .Set("client_threads", kClientThreads)

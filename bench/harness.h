@@ -124,6 +124,14 @@ inline std::string GitSha() {
   return sha.empty() ? "unknown" : sha;
 }
 
+/// The commit a bench run measures, read when the run starts.  Construct
+/// one first thing in main and pass it to WriteReport, which reads the SHA
+/// again: a tree edited or restored during the run would otherwise stamp
+/// the report with code the run did not measure.
+struct RunStart {
+  std::string git_sha = GitSha();
+};
+
 /// One JSON object, fields in insertion order.  Nested objects and rows
 /// render on one line; a top-level row list puts each row on its own.
 class Json {
@@ -235,13 +243,20 @@ inline void AddRow(std::vector<Json>& rows, Json row) {
 
 /// Writes `experiment`'s BENCH document to `path`: the experiment name,
 /// git SHA, hardware_concurrency, kRepeats and the summed row mismatches,
-/// then `fields`.  Returns the bench's exit code: 0, or 1 if the file
-/// cannot be written or any row disagrees with its oracle.
-inline int WriteReport(const std::string& path, std::string_view experiment,
-                       const Json& fields) {
+/// then `fields`.  Returns the bench's exit code: 0, or 1 if the SHA
+/// changed since `start` (nothing is written), the file cannot be
+/// written or any row disagrees with its oracle.
+inline int WriteReport(const RunStart& start, const std::string& path,
+                       std::string_view experiment, const Json& fields) {
+  const std::string sha = GitSha();
+  if (sha != start.git_sha) {
+    std::cerr << "not writing " << path << ": git_sha was " << start.git_sha
+              << " when the run started and is " << sha << " now\n";
+    return 1;
+  }
   Json doc;
   doc.Set("experiment", experiment)
-      .Set("git_sha", GitSha())
+      .Set("git_sha", sha)
       .Set("hardware_concurrency", std::thread::hardware_concurrency())
       .Set("repeats", kRepeats)
       .Set("mismatches", fields.mismatches())

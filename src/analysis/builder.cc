@@ -82,10 +82,11 @@ void CompositeSystemBuilder::ExecuteInOrder(
 
   // Intra-transaction orders are honored by the output (Def 3.2).
   for (NodeId txn : s.transactions) {
-    const Node& t = cs_.node(txn);
-    t.weak_intra.ForEach(
-        [&](NodeId a, NodeId b) { COMPTX_CHECK_OK(cs_.AddWeakOutput(a, b)); });
-    t.strong_intra.ForEach([&](NodeId a, NodeId b) {
+    const std::vector<NodeId>& ops = cs_.node(txn).children;
+    cs_.weak_intra().ForEachFrom(ops, [&](NodeId a, NodeId b) {
+      COMPTX_CHECK_OK(cs_.AddWeakOutput(a, b));
+    });
+    cs_.strong_intra().ForEachFrom(ops, [&](NodeId a, NodeId b) {
       COMPTX_CHECK_OK(cs_.AddStrongOutput(a, b));
     });
   }

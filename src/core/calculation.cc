@@ -125,9 +125,7 @@ std::optional<CycleWitness> FindCalculationViolation(
         }
       }
     }
-    ctx.closed_weak_intra[txn.index()].ForEach([&](NodeId a, NodeId b) {
-      intra.AddEdge(members.LocalOf(a), members.LocalOf(b));
-    });
+    AddRelationEdges(ctx.closed_weak_intra, members, intra);
     if (auto cycle = graph::FindCycle(intra)) {
       CycleWitness witness;
       for (uint32_t local : *cycle) {

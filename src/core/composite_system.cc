@@ -13,6 +13,8 @@ CompositeSystem CompositeSystem::Clone() const {
   copy.nodes_ = nodes_;
   copy.live_nodes_ = live_nodes_;
   copy.schedules_ = schedules_;
+  copy.weak_intra_ = weak_intra_;
+  copy.strong_intra_ = strong_intra_;
   if (spec_) copy.spec_ = std::make_unique<CommutativitySpec>(*spec_);
   return copy;
 }
@@ -175,13 +177,13 @@ Status CompositeSystem::AddIntraWeak(NodeId txn, NodeId a, NodeId b) {
         StrCat("(", a, ", ", b, ") is not a pair of distinct operations of ",
                txn));
   }
-  nodes_[txn.index()].weak_intra.Add(a, b);
+  weak_intra_.Add(a, b);
   return Status::OK();
 }
 
 Status CompositeSystem::AddIntraStrong(NodeId txn, NodeId a, NodeId b) {
   COMPTX_RETURN_IF_ERROR(AddIntraWeak(txn, a, b));
-  nodes_[txn.index()].strong_intra.Add(a, b);
+  strong_intra_.Add(a, b);
   return Status::OK();
 }
 
@@ -251,11 +253,6 @@ const Schedule& CompositeSystem::schedule(ScheduleId id) const {
   return schedules_[id.index()];
 }
 
-Node& CompositeSystem::mutable_node(NodeId id) {
-  COMPTX_CHECK(HasNode(id)) << "node id out of range: " << id;
-  return nodes_[id.index()];
-}
-
 Schedule& CompositeSystem::mutable_schedule(ScheduleId id) {
   COMPTX_CHECK(HasSchedule(id)) << "schedule id out of range: " << id;
   return schedules_[id.index()];
@@ -302,6 +299,8 @@ Status CompositeSystem::ReleaseSubtree(NodeId root) {
   ForEachDescendant(root, [&](NodeId d) { subtree.push_back(d); });
   for (NodeId n : subtree) {
     const Node& nd = node(n);
+    weak_intra_.RemoveSource(n);
+    strong_intra_.RemoveSource(n);
     if (nd.parent.valid()) {
       Schedule& host = schedules_[HostScheduleOf(n).index()];
       host.conflicts.RemoveNode(n);

@@ -10,6 +10,7 @@
 
 #include "core/commutativity.h"
 #include "core/node.h"
+#include "core/relation.h"
 #include "core/schedule.h"
 #include "util/id_window.h"
 #include "util/status.h"
@@ -159,6 +160,12 @@ class CompositeSystem {
   const Node& node(NodeId id) const;
   const Schedule& schedule(ScheduleId id) const;
 
+  /// The intra orders ≺_t and ≪_t of all transactions (Def 2), one
+  /// relation per kind: the O_t are disjoint, so a pair belongs to its
+  /// source's parent, and t's pairs are the rows of its children.
+  const Relation& weak_intra() const { return weak_intra_; }
+  const Relation& strong_intra() const { return strong_intra_; }
+
   /// True iff `id` names an existing (assigned and not released) node.
   bool HasNode(NodeId id) const {
     return nodes_.Contains(id.index()) && nodes_[id.index()].id.valid();
@@ -267,8 +274,10 @@ class CompositeSystem {
   // ---- Internal mutation (used by generators) ----------------------------
 
   /// Mutable access for construction helpers; prefer the typed mutators.
-  Node& mutable_node(NodeId id);
   Schedule& mutable_schedule(ScheduleId id);
+  /// Unchecked intra orders, for fault injection.
+  Relation& mutable_weak_intra() { return weak_intra_; }
+  Relation& mutable_strong_intra() { return strong_intra_; }
 
  private:
   Status CheckOperationPair(NodeId a, NodeId b, ScheduleId* host) const;
@@ -282,6 +291,8 @@ class CompositeSystem {
   IdWindow<Node> nodes_;
   size_t live_nodes_ = 0;
   std::vector<Schedule> schedules_;
+  Relation weak_intra_;
+  Relation strong_intra_;
   std::unique_ptr<CommutativitySpec> spec_;
   /// ReleaseSubtree's subtree buffer, reused across calls.
   std::vector<NodeId> release_scratch_;

@@ -24,31 +24,23 @@ SystemContext::SystemContext(const CompositeSystem& system)
   COMPTX_CHECK(!cs.HasReleased())
       << "SystemContext requires the whole forest: "
       << cs.RequireWholeForest().ToString();
-  const size_t schedule_count = cs.ScheduleCount();
-  closed_weak_output.resize(schedule_count);
-  closed_strong_output.resize(schedule_count);
-  closed_weak_input.resize(schedule_count);
-  closed_strong_input.resize(schedule_count);
-  for (size_t s = 0; s < schedule_count; ++s) {
+  closed_weak_output.resize(cs.ScheduleCount());
+  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
     const Schedule& sched = cs.schedule(ScheduleId(s));
-    const std::vector<NodeId> ops = cs.OperationsOf(ScheduleId(s));
-    closed_weak_output[s] = ClosureWithin(sched.weak_output, ops);
-    closed_strong_output[s] = ClosureWithin(sched.strong_output, ops);
-    closed_weak_input[s] = ClosureWithin(sched.weak_input, sched.transactions);
-    closed_strong_input[s] =
-        ClosureWithin(sched.strong_input, sched.transactions);
-  }
-  closed_weak_intra.resize(cs.NodeCount());
-  closed_strong_intra.resize(cs.NodeCount());
-  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    const Node& n = cs.node(NodeId(v));
-    if (!n.IsTransaction()) continue;
-    closed_weak_intra[v] = ClosureWithin(n.weak_intra, n.children);
-    closed_strong_intra[v] = ClosureWithin(n.strong_intra, n.children);
+    closed_weak_output[s] =
+        ClosureWithin(sched.weak_output, cs.OperationsOf(ScheduleId(s)));
+    closed_weak_input.UnionWith(
+        ClosureWithin(sched.weak_input, sched.transactions));
+    closed_strong_input.UnionWith(
+        ClosureWithin(sched.strong_input, sched.transactions));
   }
   host_schedule.resize(cs.NodeCount());
   for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    host_schedule[v] = cs.HostScheduleOf(NodeId(v));
+    const Node& n = cs.node(NodeId(v));
+    host_schedule[v] = n.host;
+    closed_weak_intra.UnionWith(ClosureWithin(cs.weak_intra(), n.children));
+    closed_strong_intra.UnionWith(
+        ClosureWithin(cs.strong_intra(), n.children));
   }
 }
 
@@ -82,7 +74,6 @@ void AddPulledDownPairs(const SystemContext& ctx,
 void ComputeFrontInputOrders(const SystemContext& ctx, Front& front) {
   front.weak_input = Relation();
   front.strong_input = Relation();
-  const CompositeSystem& cs = ctx.cs;
   const NodeBitSet membership(front.nodes);
 
   auto add_weak = [&](NodeId x, NodeId y) {
@@ -95,14 +86,10 @@ void ComputeFrontInputOrders(const SystemContext& ctx, Front& front) {
   };
   // Weak input orders are pairs directly in the front; strong temporal
   // orders are pulled down from every strong constraint.
-  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
-    ctx.closed_weak_input[s].ForEach(add_weak);
-    ctx.closed_strong_input[s].ForEach(add_strong);
-  }
-  for (size_t v = 0; v < cs.NodeCount(); ++v) {
-    ctx.closed_weak_intra[v].ForEach(add_weak);
-    ctx.closed_strong_intra[v].ForEach(add_strong);
-  }
+  ctx.closed_weak_input.ForEach(add_weak);
+  ctx.closed_strong_input.ForEach(add_strong);
+  ctx.closed_weak_intra.ForEach(add_weak);
+  ctx.closed_strong_intra.ForEach(add_strong);
 
   // Strong orders are also weak orders (Def 1).
   front.weak_input.UnionWith(front.strong_input);

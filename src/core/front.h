@@ -66,15 +66,14 @@ struct SystemContext {
   SubtreeIndex subtree;
   InvocationGraphResult ig;
 
-  /// Per schedule: output orders closed within O_S.
+  /// Per schedule: the weak output order closed within O_S.
   std::vector<Relation> closed_weak_output;
-  std::vector<Relation> closed_strong_output;
-  /// Per schedule: input orders closed within T_S.
-  std::vector<Relation> closed_weak_input;
-  std::vector<Relation> closed_strong_input;
-  /// Per node (transactions only): intra orders closed within the children.
-  std::vector<Relation> closed_weak_intra;
-  std::vector<Relation> closed_strong_intra;
+  /// Input orders closed within each T_S, intra orders within each O_t;
+  /// the sets are disjoint, so one relation per kind holds them all.
+  Relation closed_weak_input;
+  Relation closed_strong_input;
+  Relation closed_weak_intra;
+  Relation closed_strong_intra;
 
   /// Cached CompositeSystem::HostScheduleOf per node (invalid for roots);
   /// the conflict machinery probes this millions of times per reduction.

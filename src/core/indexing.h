@@ -99,13 +99,20 @@ class NodeBitSet {
 /// Adds `rel`'s pairs to `g` (over `index`'s local ids).  Pairs with an
 /// endpoint outside the index are silently dropped (this is the common
 /// "restrict to a front" operation).  The source lookup is hoisted per row.
+/// A relation with more rows than a sorted index has nodes (a system-wide
+/// intra order read for one transaction) is read at the index's rows
+/// only: the same edges in the same order, in O(domain).
 inline void AddRelationEdges(const Relation& rel, const NodeIndexMap& index,
                              graph::Digraph& g) {
-  const size_t rows = rel.SourceCount();
+  const std::vector<NodeId>& nodes = index.nodes();
+  const bool by_domain = rel.SourceCount() > nodes.size() &&
+                         std::is_sorted(nodes.begin(), nodes.end());
+  const size_t rows = by_domain ? nodes.size() : rel.SourceCount();
   for (size_t i = 0; i < rows; ++i) {
-    auto la = index.TryLocalOf(rel.SourceAt(i));
+    const NodeId a = by_domain ? nodes[i] : rel.SourceAt(i);
+    auto la = index.TryLocalOf(a);
     if (!la) continue;
-    for (uint32_t to : rel.SuccessorsAt(i)) {
+    for (uint32_t to : by_domain ? rel.SuccessorIds(a) : rel.SuccessorsAt(i)) {
       if (auto lb = index.TryLocalOf(NodeId(to))) g.AddEdge(*la, *lb);
     }
   }
@@ -124,7 +131,9 @@ inline graph::Digraph RelationToDigraph(const Relation& rel,
 /// dropped before closing.
 inline Relation ClosureWithin(const Relation& rel,
                               const std::vector<NodeId>& domain) {
-  if (rel.empty() || domain.empty()) return Relation();
+  // One probe per node skips a domain without rows (most transactions).
+  const auto has_row = [&](NodeId v) { return !rel.SuccessorIds(v).empty(); };
+  if (std::none_of(domain.begin(), domain.end(), has_row)) return Relation();
   // Sorting the domain makes local order coincide with id order, so the
   // closure rows enumerate in ascending global id and every insert below
   // hits the relation's append fast path (no binary search, no shifting).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/ids.h"
-#include "core/relation.h"
 
 namespace comptx {
 
@@ -25,9 +24,9 @@ enum class NodeKind : uint8_t {
 /// One node of the computational forest.  Passive data owned by
 /// CompositeSystem; ids inside refer to the owning system's arenas.
 ///
-/// For a transaction node (Def 2), `children` is O_t and `weak_intra` /
-/// `strong_intra` are the intra-transaction orders (with the consistency
-/// requirement strong ⊆ weak, enforced by CompositeSystem's mutators).
+/// For a transaction node (Def 2), `children` is O_t; its orders ≺_t and
+/// ≪_t are the rows of those children in the owning system's
+/// CompositeSystem::weak_intra / strong_intra.
 struct Node {
   NodeId id;
   std::string name;
@@ -47,11 +46,6 @@ struct Node {
 
   /// For transactions: operations O_t in creation order.  Empty for leaves.
   std::vector<NodeId> children;
-
-  /// Weak intra-transaction order over `children` (Def 2's precedence).
-  Relation weak_intra;
-  /// Strong intra-transaction order over `children`; subset of weak_intra.
-  Relation strong_intra;
 
   /// Semantic tag: global operation-class index into the owning system's
   /// CommutativitySpec, or kInvalidIndex when untagged.  Untagged nodes

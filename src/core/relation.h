@@ -32,8 +32,8 @@ struct Row {
 /// node id in a SlotPool, plus `sources_`, the sources in ascending order
 /// (the deterministic iteration path).  The pool's directory is windowed
 /// to the span of source ids actually present (sources are sparse in the
-/// global id space — a per-transaction intra order touches a handful of
-/// ids out of thousands — so the window, like the rows' bitsets, keeps
+/// global id space — one schedule's input order touches a handful of ids
+/// out of thousands — so the window, like the rows' bitsets, keeps
 /// memory proportional to the pairs stored while every probe is O(1)).
 /// Dropping a row clears it in place and frees its slot with its element
 /// and bitset storage, so a store whose sources come and go (the online
@@ -132,6 +132,13 @@ class Relation {
   template <typename F>
   void ForEachSuccessor(NodeId a, F f) const {
     for (uint32_t to : SuccessorIds(a)) f(NodeId(to));
+  }
+
+  /// ForEach restricted to the rows of `sources`, in that order: one
+  /// transaction's pairs of a system-wide intra order, in O(children).
+  template <typename F>
+  void ForEachFrom(const std::vector<NodeId>& sources, F f) const {
+    for (NodeId a : sources) ForEachSuccessor(a, [&](NodeId b) { f(a, b); });
   }
 
   /// Number of distinct sources (rows); with SourceAt/SuccessorsAt this

@@ -1,6 +1,5 @@
 #include "core/validate.h"
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,17 +43,35 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
                      "recursion)"});
   }
 
-  // Intra-transaction orders (Def 2): partial orders with strong ⊆ weak.
+  // Def 2: every intra pair orders two distinct operations of one
+  // transaction, its source's parent (only raw injection breaks this).
+  bool siblings = true;
+  for (const Relation* intra : {&cs.weak_intra(), &cs.strong_intra()}) {
+    intra->ForEach([&](NodeId a, NodeId b) {
+      siblings = siblings && a != b && cs.HasNode(a) && cs.HasNode(b) &&
+                 cs.node(a).parent.valid() &&
+                 cs.node(a).parent == cs.node(b).parent;
+    });
+  }
+  if (!siblings) {
+    diags.push_back({DiagSeverity::kError, DiagCode::kIntraOrderNotHonored,
+                     "intra orders", 0,
+                     "an intra order pair is not two sibling operations",
+                     "order siblings only (Def 2)"});
+  }
+
+  // Per transaction, the rows of its children: partial orders with
+  // strong ⊆ weak.
   for (size_t ni = 0; ni < cs.NodeCount(); ++ni) {
     const Node& n = cs.node(NodeId(static_cast<uint32_t>(ni)));
     if (!n.IsTransaction()) continue;
     const std::string location = StrCat("transaction ", n.name);
-    CheckPartialOrder(n.weak_intra, n.children,
+    CheckPartialOrder(cs.weak_intra(), n.children,
                       StrCat("weak intra order of ", n.name),
                       DiagCode::kCyclicIntraOrder, location, diags);
-    Relation weak_closed = ClosureWithin(n.weak_intra, n.children);
+    Relation weak_closed = ClosureWithin(cs.weak_intra(), n.children);
     bool strong_in_weak = true;
-    n.strong_intra.ForEach([&](NodeId a, NodeId b) {
+    cs.strong_intra().ForEachFrom(n.children, [&](NodeId a, NodeId b) {
       if (!weak_closed.Contains(a, b)) strong_in_weak = false;
     });
     if (!strong_in_weak) {
@@ -66,6 +83,16 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
     }
   }
 
+  // Input orders closed within T_S, once per schedule: Defs 3.1-3.3 read a
+  // schedule's own, Def 4.7 a callee's.
+  std::vector<Relation> weak_in(cs.ScheduleCount());
+  std::vector<Relation> strong_in(cs.ScheduleCount());
+  for (size_t si = 0; si < cs.ScheduleCount(); ++si) {
+    const Schedule& s = cs.schedule(ScheduleId(static_cast<uint32_t>(si)));
+    weak_in[si] = ClosureWithin(s.weak_input, s.transactions);
+    strong_in[si] = ClosureWithin(s.strong_input, s.transactions);
+  }
+
   for (size_t si = 0; si < cs.ScheduleCount(); ++si) {
     const Schedule& s = cs.schedule(ScheduleId(static_cast<uint32_t>(si)));
     const std::vector<NodeId> ops = cs.OperationsOf(s.id);
@@ -75,9 +102,7 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
     CheckPartialOrder(s.weak_input, s.transactions,
                       StrCat("weak input order of schedule ", s.name),
                       DiagCode::kCyclicInputOrder, location, diags);
-    Relation weak_in_closed = ClosureWithin(s.weak_input, s.transactions);
-    Relation strong_in_closed = ClosureWithin(s.strong_input, s.transactions);
-    if (!weak_in_closed.ContainsAllOf(s.strong_input)) {
+    if (!weak_in[si].ContainsAllOf(s.strong_input)) {
       diags.push_back(
           {DiagSeverity::kError, DiagCode::kStrongInputNotInWeak, location, 0,
            StrCat("schedule ", s.name,
@@ -128,7 +153,7 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
                     " and ", cs.node(o2).name)});
         return;
       }
-      if (weak_in_closed.Contains(t1, t2) && bwd) {
+      if (weak_in[si].Contains(t1, t2) && bwd) {
         diags.push_back(
             {DiagSeverity::kError, DiagCode::kConflictAgainstInput, location,
              0,
@@ -138,7 +163,7 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
              "flip the weak output order of the conflicting pair"});
         return;
       }
-      if (weak_in_closed.Contains(t2, t1) && fwd) {
+      if (weak_in[si].Contains(t2, t1) && fwd) {
         diags.push_back(
             {DiagSeverity::kError, DiagCode::kConflictAgainstInput, location,
              0,
@@ -152,8 +177,13 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
     // Def 3.2: intra-transaction orders are honored by the output orders.
     for (NodeId txn : s.transactions) {
       const Node& t = cs.node(txn);
-      bool ok = weak_out_closed.ContainsAllOf(t.weak_intra) &&
-                strong_out_closed.ContainsAllOf(t.strong_intra);
+      bool ok = true;
+      cs.weak_intra().ForEachFrom(t.children, [&](NodeId a, NodeId b) {
+        ok = ok && weak_out_closed.Contains(a, b);
+      });
+      cs.strong_intra().ForEachFrom(t.children, [&](NodeId a, NodeId b) {
+        ok = ok && strong_out_closed.Contains(a, b);
+      });
       if (!ok) {
         diags.push_back(
             {DiagSeverity::kError, DiagCode::kIntraOrderNotHonored, location,
@@ -167,7 +197,7 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
 
     // Def 3.3: strong input order forces all operation pairs to be
     // strongly ordered in the output.
-    strong_in_closed.ForEach([&](NodeId t1, NodeId t2) {
+    strong_in[si].ForEach([&](NodeId t1, NodeId t2) {
       for (NodeId o1 : cs.node(t1).children) {
         for (NodeId o2 : cs.node(t2).children) {
           if (!strong_out_closed.Contains(o1, o2)) {
@@ -189,23 +219,6 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
 
     // Def 4.7: output orders over operations that are transactions of one
     // common schedule must be passed on as that schedule's input orders.
-    // The callee input closures are cached — recomputing them per pair
-    // would make validation quadratic in the closure size.
-    std::map<uint32_t, Relation> weak_input_cache;
-    std::map<uint32_t, Relation> strong_input_cache;
-    auto closed_input_of = [&](const Schedule& callee,
-                               bool strong) -> const Relation& {
-      auto& cache = strong ? strong_input_cache : weak_input_cache;
-      auto it = cache.find(callee.id.index());
-      if (it == cache.end()) {
-        const Relation& input =
-            strong ? callee.strong_input : callee.weak_input;
-        it = cache.emplace(callee.id.index(),
-                           ClosureWithin(input, callee.transactions))
-                 .first;
-      }
-      return it->second;
-    };
     auto check_propagation = [&](const Relation& out_closed, bool strong) {
       out_closed.ForEach([&](NodeId a, NodeId b) {
         const Node& na = cs.node(a);
@@ -213,8 +226,7 @@ std::vector<Diagnostic> CollectModelDiagnostics(const CompositeSystem& cs) {
         if (!na.IsTransaction() || !nb.IsTransaction()) return;
         if (na.owner_schedule != nb.owner_schedule) return;
         const Schedule& callee = cs.schedule(na.owner_schedule);
-        const Relation& input_closed = closed_input_of(callee, strong);
-        if (!input_closed.Contains(a, b)) {
+        if (!(strong ? strong_in : weak_in)[callee.id.index()].Contains(a, b)) {
           diags.push_back(
               {DiagSeverity::kError, DiagCode::kOutputNotPropagated, location,
                0,

@@ -32,10 +32,7 @@ bool IsLevelByLevelSerializable(const CompositeSystem& cs) {
   }
   // Multilevel transactions respect program order: each transaction's
   // intra orders are requirements every level must honor.
-  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    const Node& n = cs.node(NodeId(v));
-    if (n.IsTransaction()) base.UnionWith(n.weak_intra);
-  }
+  base.UnionWith(cs.weak_intra());
   return graph::IsAcyclic(PulledUpOrderGraph(cs, base));
 }
 

@@ -1,7 +1,5 @@
 #include "criteria/oracle.h"
 
-#include <map>
-
 #include "core/indexing.h"
 #include "criteria/conflict_consistency.h"
 #include "graph/cycle_finder.h"
@@ -10,10 +8,11 @@ namespace comptx::criteria {
 
 namespace {
 
-/// Demand accumulator: per meet transaction (by node id) and one extra
-/// bucket for the root level.
+/// Demand accumulator: the demands met at a transaction, all in one
+/// relation (a pair's meet is its source's parent, and operation sets are
+/// disjoint), and one extra bucket for the root level.
 struct Demands {
-  std::map<NodeId, Relation> per_transaction;
+  Relation at_meet;
   Relation root_level;
 };
 
@@ -52,7 +51,7 @@ void WalkUp(const CompositeSystem& cs, NodeId a, NodeId b, bool can_die,
     NodeId pa = a_root ? a : na.parent;
     NodeId pb = b_root ? b : nb.parent;
     if (pa == pb) {
-      demands.per_transaction[pa].Add(a, b);
+      demands.at_meet.Add(a, b);
       return;
     }
     a = pa;
@@ -110,11 +109,10 @@ StatusOr<bool> HierarchicalSerializabilityOracle(const CompositeSystem& cs) {
   for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
     const Node& n = cs.node(NodeId(v));
     if (!n.IsTransaction() || n.children.size() < 2) continue;
-    Relation combined = n.weak_intra;
-    auto it = demands.per_transaction.find(NodeId(v));
-    if (it != demands.per_transaction.end()) combined.UnionWith(it->second);
     NodeIndexMap index(n.children);
-    if (!graph::IsAcyclic(RelationToDigraph(combined, index))) return false;
+    graph::Digraph combined = RelationToDigraph(cs.weak_intra(), index);
+    AddRelationEdges(demands.at_meet, index, combined);
+    if (!graph::IsAcyclic(combined)) return false;
   }
 
   // Root-level demands must admit a total root order.

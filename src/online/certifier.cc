@@ -158,14 +158,13 @@ void Certifier::Rebuild() {
     engine_.OnClosedWeakOutput(cs_.HostScheduleOf(a), a, b);
   });
   weak_input_.ForEach(
-      [&](NodeId a, NodeId b) { engine_.OnClosedWeakInput(a, b); });
+      [&](NodeId a, NodeId b) { engine_.OnClosedWeak(a, b); });
   strong_input_.ForEach(
-      [&](NodeId a, NodeId b) { engine_.OnClosedStrongInput(a, b); });
-  weak_intra_.ForEach([&](NodeId a, NodeId b) {
-    engine_.OnClosedWeakIntra(cs_.node(a).parent, a, b);
-  });
+      [&](NodeId a, NodeId b) { engine_.OnClosedStrong(a, b); });
+  weak_intra_.ForEach(
+      [&](NodeId a, NodeId b) { engine_.OnClosedWeakIntra(a, b); });
   strong_intra_.ForEach(
-      [&](NodeId a, NodeId b) { engine_.OnClosedStrongIntra(a, b); });
+      [&](NodeId a, NodeId b) { engine_.OnClosedStrong(a, b); });
   // Besides a commit, a replay is the one place a sealed subtree can
   // become prunable: it may clear a failure (a retroactive commute erases
   // the conflicts of a cycle), and pruning waits on a certifiable engine.
@@ -293,8 +292,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       // Strong pairs are weak too.
       if (strong) strong_input_.AddClosing(a, b, closing_, new_strong_);
       weak_input_.AddClosing(a, b, closing_, new_weak_);
-      for (const auto& [x, y] : new_strong_) engine_.OnClosedStrongInput(x, y);
-      for (const auto& [x, y] : new_weak_) engine_.OnClosedWeakInput(x, y);
+      for (const auto& [x, y] : new_strong_) engine_.OnClosedStrong(x, y);
+      for (const auto& [x, y] : new_weak_) engine_.OnClosedWeak(x, y);
       return Status::OK();
     }
     case TraceEventKind::kIntraWeak:
@@ -313,10 +312,8 @@ Status Certifier::IngestLocked(const TraceEvent& e) {
       // Strong implies weak.
       if (strong) strong_intra_.AddClosing(a, b, closing_, new_strong_);
       weak_intra_.AddClosing(a, b, closing_, new_weak_);
-      for (const auto& [x, y] : new_strong_) engine_.OnClosedStrongIntra(x, y);
-      for (const auto& [x, y] : new_weak_) {
-        engine_.OnClosedWeakIntra(txn, x, y);
-      }
+      for (const auto& [x, y] : new_strong_) engine_.OnClosedStrong(x, y);
+      for (const auto& [x, y] : new_weak_) engine_.OnClosedWeakIntra(x, y);
       return Status::OK();
     }
     case TraceEventKind::kCommit: {

@@ -260,7 +260,11 @@ class Certifier {
 
   /// The incrementally maintained transitive closures, one per order kind
   /// across every schedule and transaction, each kept closed by
-  /// LiveRelation::AddClosing.
+  /// LiveRelation::AddClosing.  The strong input and strong intra pairs
+  /// reach the engine through one handler but are closed apart: a
+  /// subtransaction is a transaction of its schedule and a child of its
+  /// parent, so closing their union would chain an input pair into an
+  /// intra pair and make pairs that neither order implies.
   LiveRelation weak_output_;
   LiveRelation weak_input_;
   LiveRelation strong_input_;

@@ -223,29 +223,20 @@ void OnlineFrontEngine::OnClosedWeakOutput(ScheduleId s, NodeId a, NodeId b) {
   }
 }
 
-void OnlineFrontEngine::OnClosedWeakInput(NodeId t1, NodeId t2) {
-  const uint32_t lo = std::max(SpanBegin(t1), SpanBegin(t2));
-  const uint32_t hi = std::min(SpanEnd(t1), SpanEnd(t2));
-  for (uint32_t j = lo; j <= hi; ++j) CcEdge(j, t1, t2);
+void OnlineFrontEngine::OnClosedWeak(NodeId u, NodeId v) {
+  const uint32_t lo = std::max(SpanBegin(u), SpanBegin(v));
+  const uint32_t hi = std::min(SpanEnd(u), SpanEnd(v));
+  for (uint32_t j = lo; j <= hi; ++j) CcEdge(j, u, v);
 }
 
-void OnlineFrontEngine::OnClosedStrongInput(NodeId t1, NodeId t2) {
-  StrongPair(t1, t2);
-}
-
-void OnlineFrontEngine::OnClosedWeakIntra(NodeId p, NodeId a, NodeId b) {
-  const uint32_t lo = std::max(SpanBegin(a), SpanBegin(b));
-  const uint32_t hi = std::min(SpanEnd(a), SpanEnd(b));
-  for (uint32_t j = lo; j <= hi; ++j) CcEdge(j, a, b);
+void OnlineFrontEngine::OnClosedWeakIntra(NodeId a, NodeId b) {
+  OnClosedWeak(a, b);
+  const NodeId p = cs_->node(a).parent;
   // Def 14: the intra test of p includes its closed weak intra order.
   IntraEdge(schedule_levels_[cs_->node(p).owner_schedule.index()], p, a, b);
 }
 
-void OnlineFrontEngine::OnClosedStrongIntra(NodeId a, NodeId b) {
-  StrongPair(a, b);
-}
-
-void OnlineFrontEngine::StrongPair(NodeId u, NodeId v) {
+void OnlineFrontEngine::OnClosedStrong(NodeId u, NodeId v) {
   // A repeated pair was pulled down when first seen, and onto later
   // nodes by OnNodeAdded.
   if (!strong_.Add(u, v)) return;

@@ -87,17 +87,16 @@ class OnlineFrontEngine {
   /// The closed weak output order of schedule `s` gained (a, b).
   void OnClosedWeakOutput(ScheduleId s, NodeId a, NodeId b);
 
-  /// The closed weak input order of a schedule gained (t1, t2).
-  void OnClosedWeakInput(NodeId t1, NodeId t2);
+  /// The closed weak input order of a schedule, or weak intra order of a
+  /// transaction, gained (u, v): a CC edge on every level both share.
+  void OnClosedWeak(NodeId u, NodeId v);
 
-  /// The closed strong input order of a schedule gained (t1, t2).
-  void OnClosedStrongInput(NodeId t1, NodeId t2);
+  /// OnClosedWeak for an intra pair, plus an edge in its parent's block.
+  void OnClosedWeakIntra(NodeId a, NodeId b);
 
-  /// The closed weak intra order of transaction `p` gained (a, b).
-  void OnClosedWeakIntra(NodeId p, NodeId a, NodeId b);
-
-  /// The closed strong intra order of some transaction gained (a, b).
-  void OnClosedStrongIntra(NodeId a, NodeId b);
+  /// The closed strong input order of a schedule or strong intra order of
+  /// a transaction gained (u, v); both are pulled down alike (Def 16).
+  void OnClosedStrong(NodeId u, NodeId v);
 
   // ---- Verdict ----------------------------------------------------------
 
@@ -193,9 +192,6 @@ class OnlineFrontEngine {
 
   /// Adds the internal edge a -> b of the level-i block of transaction p.
   void IntraEdge(uint32_t i, NodeId p, NodeId a, NodeId b);
-
-  /// Records a closed strong pair and pulls it down onto every front.
-  void StrongPair(NodeId u, NodeId v);
 
   void Fail(uint32_t level, OnlineFailure::Step step,
             const std::vector<NodeId>& witness, const std::string& what);

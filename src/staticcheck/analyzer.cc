@@ -79,10 +79,7 @@ bool HasStrongOrders(const CompositeSystem& cs) {
     if (sched.strong_output.PairCount() > 0) return true;
     if (sched.strong_input.PairCount() > 0) return true;
   }
-  for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    if (cs.node(NodeId(v)).strong_intra.PairCount() > 0) return true;
-  }
-  return false;
+  return !cs.strong_intra().empty();
 }
 
 /// Fills per-scheduler explanations: sharing, cross-root conflict

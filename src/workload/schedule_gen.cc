@@ -212,9 +212,10 @@ Status PopulateExecution(CompositeSystem& cs, const ExecutionGenSpec& spec,
     // orders, and all cross pairs of input-ordered transactions.
     graph::Digraph constraints(ops.size());
     for (NodeId txn : sched.transactions) {
-      cs.node(txn).weak_intra.ForEach([&](NodeId a, NodeId b) {
-        constraints.AddEdge(index.LocalOf(a), index.LocalOf(b));
-      });
+      cs.weak_intra().ForEachFrom(
+          cs.node(txn).children, [&](NodeId a, NodeId b) {
+            constraints.AddEdge(index.LocalOf(a), index.LocalOf(b));
+          });
     }
     weak_in_closed.ForEach([&](NodeId t1, NodeId t2) {
       for (NodeId a : cs.node(t1).children) {
@@ -231,12 +232,12 @@ Status PopulateExecution(CompositeSystem& cs, const ExecutionGenSpec& spec,
     // disorder flips can be rejected when they would create a cycle.
     graph::Digraph output_graph(ops.size());
     for (NodeId txn : sched.transactions) {
-      const Node& t = cs.node(txn);
-      t.weak_intra.ForEach([&](NodeId a, NodeId b) {
+      const std::vector<NodeId>& children = cs.node(txn).children;
+      cs.weak_intra().ForEachFrom(children, [&](NodeId a, NodeId b) {
         COMPTX_CHECK_OK(cs.AddWeakOutput(a, b));
         output_graph.AddEdge(index.LocalOf(a), index.LocalOf(b));
       });
-      t.strong_intra.ForEach([&](NodeId a, NodeId b) {
+      cs.strong_intra().ForEachFrom(children, [&](NodeId a, NodeId b) {
         COMPTX_CHECK_OK(cs.AddStrongOutput(a, b));
         output_graph.AddEdge(index.LocalOf(a), index.LocalOf(b));
       });

@@ -260,27 +260,27 @@ StatusOr<std::string> SaveTrace(const CompositeSystem& cs) {
       emit(TraceEventKind::kTag);
     }
   }
-  const auto emit_pairs = [&](const auto& relation, TraceEventKind kind) {
-    relation.ForEach([&](NodeId a, NodeId b) {
+  const auto emit_pair = [&](TraceEventKind kind) {
+    return [&, kind](NodeId a, NodeId b) {
       e.a = num(a);
       e.b = num(b);
       emit(kind);
-    });
+    };
   };
   for (uint32_t s = 0; s < cs.ScheduleCount(); ++s) {
     const Schedule& sched = cs.schedule(ScheduleId(s));
     e.schedule = s;
-    emit_pairs(sched.conflicts, TraceEventKind::kConflict);
-    emit_pairs(sched.weak_output, TraceEventKind::kWeakOutput);
-    emit_pairs(sched.strong_output, TraceEventKind::kStrongOutput);
-    emit_pairs(sched.weak_input, TraceEventKind::kWeakInput);
-    emit_pairs(sched.strong_input, TraceEventKind::kStrongInput);
+    sched.conflicts.ForEach(emit_pair(TraceEventKind::kConflict));
+    sched.weak_output.ForEach(emit_pair(TraceEventKind::kWeakOutput));
+    sched.strong_output.ForEach(emit_pair(TraceEventKind::kStrongOutput));
+    sched.weak_input.ForEach(emit_pair(TraceEventKind::kWeakInput));
+    sched.strong_input.ForEach(emit_pair(TraceEventKind::kStrongInput));
   }
   for (NodeId id : live) {
-    const Node& n = cs.node(id);
+    const std::vector<NodeId>& ops = cs.node(id).children;
     e.parent = num(id);
-    emit_pairs(n.weak_intra, TraceEventKind::kIntraWeak);
-    emit_pairs(n.strong_intra, TraceEventKind::kIntraStrong);
+    cs.weak_intra().ForEachFrom(ops, emit_pair(TraceEventKind::kIntraWeak));
+    cs.strong_intra().ForEachFrom(ops, emit_pair(TraceEventKind::kIntraStrong));
   }
   COMPTX_RETURN_IF_ERROR(dangling);
   out += "end\n";

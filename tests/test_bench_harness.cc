@@ -69,7 +69,8 @@ TEST(BenchHarnessTest, ReportStampsTheRunAndSumsRowMismatches) {
 
   const std::filesystem::path path =
       std::filesystem::path(::testing::TempDir()) / "bench_harness.json";
-  EXPECT_EQ(WriteReport(path.string(), "harness_selftest", fields), 1);
+  const RunStart start;
+  EXPECT_EQ(WriteReport(start, path.string(), "harness_selftest", fields), 1);
   std::ifstream in(path);
   std::ostringstream text;
   text << in.rdbuf();
@@ -83,8 +84,17 @@ TEST(BenchHarnessTest, ReportStampsTheRunAndSumsRowMismatches) {
                                                       << json;
   }
   std::filesystem::remove(path);
-  EXPECT_EQ(WriteReport(path.string(), "harness_selftest", Json()), 0);
+  EXPECT_EQ(WriteReport(start, path.string(), "harness_selftest", Json()), 0);
   std::filesystem::remove(path);
+}
+
+TEST(BenchHarnessTest, ReportRefusesATreeThatChangedDuringTheRun) {
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "bench_moved.json";
+  std::filesystem::remove(path);
+  const RunStart start{GitSha() + "-not-this-tree"};
+  EXPECT_EQ(WriteReport(start, path.string(), "harness_selftest", Json()), 1);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/builder.h"
 #include "test_helpers.h"
@@ -36,11 +38,11 @@ TEST(CompositeSystemTest, ConstructionBasics) {
   EXPECT_EQ(cs.node(*leaf).host, bottom);
 }
 
-TEST(CompositeSystemTest, HostScheduleFitsThePaddingOfNode) {
-  // `host` sits in the four bytes of padding after `owner_schedule`, so
-  // storing it per node costs nothing (LP64 with a 32-byte std::string).
+TEST(CompositeSystemTest, NodeRecordHoldsNoRelations) {
+  // Ids, name, children and tags only (LP64 with a 32-byte std::string):
+  // the intra orders live in the system, one relation per kind.
   if (sizeof(void*) != 8 || sizeof(std::string) != 32) GTEST_SKIP();
-  EXPECT_EQ(sizeof(Node), 312u);
+  EXPECT_LE(sizeof(Node), 96u);
 }
 
 TEST(CompositeSystemTest, RejectsBadReferences) {
@@ -127,6 +129,43 @@ TEST(CompositeSystemTest, CloneIsDeep) {
                                                               stack.s2));
   EXPECT_FALSE(stack.cs.schedule(ScheduleId(0))
                    .conflicts.Contains(stack.s1, stack.s2));
+}
+
+TEST(CompositeSystemTest, ReleaseSubtreeDropsItsIntraRows) {
+  analysis::CompositeSystemBuilder b;
+  ScheduleId top = b.Schedule("top");
+  ScheduleId bottom = b.Schedule("bottom");
+  // Per root {root, sub, leaf, x, y}: a strong pair sourced at an internal
+  // node and a weak pair sourced at a leaf.
+  std::vector<NodeId> trees[2];
+  for (int r = 0; r < 2; ++r) {
+    const std::string n = std::to_string(r);
+    NodeId root = b.Root(top, "T" + n);
+    NodeId sub = b.Sub(root, bottom, "s" + n);
+    NodeId leaf = b.Leaf(root, "a" + n);
+    NodeId x = b.Leaf(sub, "x" + n);
+    NodeId y = b.Leaf(sub, "y" + n);
+    b.IntraStrong(root, sub, leaf);
+    b.IntraWeak(sub, x, y);
+    trees[r] = {root, sub, leaf, x, y};
+  }
+  CompositeSystem cs = std::move(b.Take());
+  const CompositeSystem copy = cs.Clone();
+  ASSERT_TRUE(cs.ReleaseSubtree(trees[0][0]).ok());
+
+  for (const Relation* intra : {&cs.weak_intra(), &cs.strong_intra()}) {
+    for (size_t i = 0; i < intra->SourceCount(); ++i) {
+      for (NodeId gone : trees[0]) EXPECT_NE(intra->SourceAt(i), gone);
+    }
+  }
+  using Pairs = std::vector<std::pair<NodeId, NodeId>>;
+  const std::vector<NodeId>& kept = trees[1];
+  EXPECT_EQ(cs.weak_intra().Pairs(),
+            (Pairs{{kept[1], kept[2]}, {kept[3], kept[4]}}));
+  EXPECT_EQ(cs.strong_intra().Pairs(), (Pairs{{kept[1], kept[2]}}));
+  // The clone taken before the release keeps both roots' pairs.
+  EXPECT_EQ(copy.weak_intra().PairCount(), 4u);
+  EXPECT_EQ(copy.strong_intra().PairCount(), 2u);
 }
 
 TEST(SubtreeIndexTest, MembershipQueries) {

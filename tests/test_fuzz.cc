@@ -43,15 +43,13 @@ void MutateOnce(CompositeSystem& cs, Rng& rng) {
     case 3:
       cs.mutable_schedule(s).conflicts.Add(a, b);
       break;
+    // Raw intra pairs between any two nodes: sourced at a root, a leaf or
+    // an internal node, between siblings or not.
     case 4:
-      if (cs.node(a).IsTransaction()) {
-        cs.mutable_node(a).weak_intra.Add(b, a);
-      }
+      cs.mutable_weak_intra().Add(b, a);
       break;
     case 5:
-      if (cs.node(a).IsTransaction()) {
-        cs.mutable_node(a).strong_intra.Add(a, b);
-      }
+      cs.mutable_strong_intra().Add(a, b);
       break;
   }
 }

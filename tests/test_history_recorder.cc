@@ -124,8 +124,8 @@ TEST(HistoryRecorderTest, IntraChainsAreStrong) {
   NodeId r = cs->Roots()[0];
   const Node& root_node = cs->node(r);
   ASSERT_EQ(root_node.children.size(), 2u);
-  EXPECT_TRUE(root_node.strong_intra.Contains(root_node.children[0],
-                                              root_node.children[1]));
+  EXPECT_TRUE(cs->strong_intra().Contains(root_node.children[0],
+                                         root_node.children[1]));
 }
 
 TEST(HistoryRecorderTest, EmptyHistoryBuildsEmptySystem) {

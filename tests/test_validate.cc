@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "analysis/builder.h"
 #include "analysis/figures.h"
 #include "core/composite_system.h"
@@ -130,8 +132,31 @@ TEST(ValidateTest, StrongIntraOutsideWeakIntraRejected) {
   NodeId y = b.Leaf(t, "y");
   CompositeSystem cs = std::move(b.Take());
   // Bypass the typed mutators to inject the inconsistency.
-  cs.mutable_node(t).strong_intra.Add(x, y);
+  cs.mutable_strong_intra().Add(x, y);
   EXPECT_FALSE(cs.Validate().ok());
+}
+
+TEST(ValidateTest, IntraPairsOutsideOneTransactionRejected) {
+  analysis::CompositeSystemBuilder b;
+  ScheduleId top = b.Schedule("top");
+  ScheduleId bottom = b.Schedule("bottom");
+  NodeId t = b.Root(top, "T");
+  NodeId s = b.Sub(t, bottom, "s");
+  NodeId x = b.Leaf(s, "x");
+  NodeId y = b.Leaf(t, "y");
+  const CompositeSystem base = std::move(b.Take());
+  ASSERT_TRUE(base.Validate().ok());
+  // Injected raw: sourced at a root, between cousins, and reflexive.
+  const std::pair<NodeId, NodeId> pairs[] = {{t, y}, {x, y}, {y, y}};
+  for (const auto& [from, to] : pairs) {
+    for (const bool strong : {false, true}) {
+      CompositeSystem cs = base.Clone();
+      (strong ? cs.mutable_strong_intra() : cs.mutable_weak_intra())
+          .Add(from, to);
+      EXPECT_FALSE(cs.Validate().ok())
+          << "(" << from << ", " << to << ") strong=" << strong;
+    }
+  }
 }
 
 }  // namespace
