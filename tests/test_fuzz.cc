@@ -8,6 +8,8 @@
 
 #include "analysis/sweep.h"
 #include "core/correctness.h"
+#include "core/diagnostic.h"
+#include "core/validate.h"
 #include "graph/cycle_finder.h"
 #include "graph/tarjan_scc.h"
 #include "graph/topological_sort.h"
@@ -116,6 +118,73 @@ TEST(FuzzValidationTest, MutatedSystemsNeverCrash) {
   // The mutation set must exercise both outcomes to mean anything.
   EXPECT_GT(still_valid, 0);
   EXPECT_GT(rejected, 0);
+}
+
+/// A valid two-level system with every order kind MutateOnce touches:
+/// R orders u1 before u2 (conflicting) and v1 before u1 (T1's intra
+/// order), S gets u1 before u2 as input (Def 4.7) and orders the
+/// conflicting leaves x1, x2 the same way; w2 is ordered with nothing.
+constexpr char kEveryOrderKind[] =
+    "comptx-trace v1\n"
+    "schedule R\nschedule S\n"
+    "root 0 T1\nsub 0 1 u1\nleaf 0 v1\nleaf 1 x1\n"
+    "root 0 T2\nsub 4 1 u2\nleaf 5 x2\nleaf 4 w2\n"
+    "conflict 1 5\nweak_out 1 5\nweak_out 2 1\nweak_in 1 1 5\n"
+    "conflict 3 6\nweak_out 3 6\nintra_weak 0 2 1\nend\n";
+constexpr ScheduleId kR(0), kS(1);
+constexpr NodeId kU1(1), kV1(2), kU2(5), kW2(7);
+
+/// One ill-formed pair of each kind MutateOnce injects, each into a fresh
+/// copy of a valid system: Validate must reject it, and the first error
+/// must carry that kind's diagnostic code (a rejection for some other
+/// reason would not show that the kind is caught).
+TEST(FuzzValidationTest, EachMutationKindIsRejectedWithItsCode) {
+  struct Case {
+    const char* kind;
+    DiagCode expected;
+    void (*inject)(CompositeSystem&);
+  };
+  const Case cases[] = {
+      {"weak_output: u2 before u1 against u1 before u2",
+       DiagCode::kCyclicOutputOrder,
+       [](CompositeSystem& cs) {
+         cs.mutable_schedule(kR).weak_output.Add(kU2, kU1);
+       }},
+      {"strong_output: u2 before u1, outside the weak output order",
+       DiagCode::kStrongOutputNotInWeak,
+       [](CompositeSystem& cs) {
+         cs.mutable_schedule(kR).strong_output.Add(kU2, kU1);
+       }},
+      {"weak_input: u2 before u1 against u1 before u2",
+       DiagCode::kCyclicInputOrder,
+       [](CompositeSystem& cs) {
+         cs.mutable_schedule(kS).weak_input.Add(kU2, kU1);
+       }},
+      {"conflicts: v1 and w2 of distinct transactions, unordered",
+       DiagCode::kConflictUnordered,
+       [](CompositeSystem& cs) {
+         cs.mutable_schedule(kR).conflicts.Add(kV1, kW2);
+       }},
+      {"weak intra: u1 before v1 against v1 before u1",
+       DiagCode::kCyclicIntraOrder,
+       [](CompositeSystem& cs) { cs.mutable_weak_intra().Add(kU1, kV1); }},
+      {"strong intra: u1 before v1, outside the weak intra order",
+       DiagCode::kStrongIntraNotInWeak,
+       [](CompositeSystem& cs) { cs.mutable_strong_intra().Add(kU1, kV1); }},
+  };
+  for (const Case& c : cases) {
+    auto cs = workload::LoadTrace(kEveryOrderKind);
+    ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+    ASSERT_TRUE(cs->Validate().ok()) << cs->Validate().ToString();
+    c.inject(*cs);
+    const Status status = cs->Validate();
+    ASSERT_FALSE(status.ok()) << c.kind;
+    const std::vector<Diagnostic> diags = CollectModelDiagnostics(*cs);
+    ASSERT_FALSE(diags.empty()) << c.kind;
+    EXPECT_EQ(DiagCodeName(diags.front().code), DiagCodeName(c.expected))
+        << c.kind << ": " << diags.front().message;
+    EXPECT_EQ(status.message(), diags.front().message) << c.kind;
+  }
 }
 
 TEST(FuzzGraphTest, SccAgreesWithClosure) {

@@ -153,7 +153,9 @@ int Certify(const std::string& text, const CliOptions& cli) {
               << " observed_pairs=" << stats.observed_pairs
               << " cc_edges=" << stats.cc_edges
               << " calc_edges=" << stats.calc_edges
-              << " closure_pairs=" << stats.closure_pairs << "\n";
+              << " closure_pairs=" << stats.closure_pairs
+              << " weak_output_generators=" << stats.weak_output_generators
+              << "\n";
   }
   return verdict.certifiable ? 0 : 1;
 }
