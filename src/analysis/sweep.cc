@@ -1,6 +1,7 @@
 #include "analysis/sweep.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -8,19 +9,20 @@ namespace comptx::analysis {
 
 namespace {
 
-/// Decides one system by reduction.
+/// Decides one system by reduction.  A verdict carries no serial
+/// witness, so the reduction alone decides it (Theorem 1).
 SweepVerdict DecideOne(const CompositeSystem& cs,
                        const ReductionOptions& options) {
   SweepVerdict verdict;
-  auto result = CheckCompC(cs, options);
+  auto result = RunReduction(cs, options);
   if (!result.ok()) {
     verdict.status_message = result.status().ToString();
     return verdict;
   }
   verdict.ok = true;
-  verdict.comp_c = result->correct;
+  verdict.comp_c = result->comp_c;
   verdict.order = result->order;
-  verdict.failure = result->failure;
+  verdict.failure = std::move(result->failure);
   return verdict;
 }
 

@@ -110,33 +110,54 @@ std::optional<CycleWitness> FindCalculationViolation(
 
   // Intra-block test: each group's constraints together with the
   // transaction's weak intra order must be acyclic.  The first violating
-  // group is reported.
+  // group is reported.  All groups share one graph, group after group and
+  // each in child order; no edge joins two groups, so the depth-first
+  // search meets them in turn and finds the first violating group's cycle
+  // exactly as a graph of that group alone would.
+  constexpr uint32_t kNotMember = UINT32_MAX;
+  std::vector<uint32_t> member_of(index.size(), kNotMember);
+  std::vector<uint32_t> front_local;  // member -> front local index
   for (NodeId txn : group_transactions) {
     const Node& t = cs.node(txn);
     if (t.children.size() < 2) continue;
-    NodeIndexMap members(t.children);
-    graph::Digraph intra(members.size());
-    for (NodeId a : t.children) {
-      uint32_t la = index.LocalOf(a);
-      for (uint32_t lw : constraints.OutNeighbors(la)) {
-        NodeId b = index.GlobalOf(lw);
-        if (auto mb = members.TryLocalOf(b)) {
-          intra.AddEdge(members.LocalOf(a), *mb);
-        }
-      }
+    for (NodeId op : t.children) {
+      const uint32_t local = index.LocalOf(op);
+      member_of[local] = static_cast<uint32_t>(front_local.size());
+      front_local.push_back(local);
     }
-    AddRelationEdges(ctx.closed_weak_intra, members, intra);
-    if (auto cycle = graph::FindCycle(intra)) {
-      CycleWitness witness;
-      for (uint32_t local : *cycle) {
-        witness.nodes.push_back(members.GlobalOf(local));
-      }
-      witness.description =
-          StrCat("no calculation for transaction ", t.name,
-                 ": the observed order contradicts its intra-transaction ",
-                 "order (Def 14)");
-      return witness;
+  }
+  graph::Digraph intra(front_local.size());
+  // A row gets its constraint edges first, then its intra order, both
+  // kept to the row's own group.
+  auto add_in_group = [&](uint32_t m, uint32_t local_b) {
+    const uint32_t mb = member_of[local_b];
+    if (mb != kNotMember && block_of[local_b] == block_of[front_local[m]]) {
+      intra.AddEdge(m, mb);
     }
+  };
+  for (uint32_t m = 0; m < front_local.size(); ++m) {
+    for (uint32_t lw : constraints.OutNeighbors(front_local[m])) {
+      add_in_group(m, lw);
+    }
+  }
+  for (uint32_t m = 0; m < front_local.size(); ++m) {
+    const NodeId a = index.GlobalOf(front_local[m]);
+    for (uint32_t to : ctx.closed_weak_intra.SuccessorIds(a)) {
+      if (auto lb = index.TryLocalOf(NodeId(to))) add_in_group(m, *lb);
+    }
+  }
+  if (auto cycle = graph::FindCycle(intra)) {
+    CycleWitness witness;
+    for (uint32_t m : *cycle) {
+      witness.nodes.push_back(index.GlobalOf(front_local[m]));
+    }
+    const Node& t =
+        cs.node(block_rep[block_of[front_local[cycle->front()]]]);
+    witness.description =
+        StrCat("no calculation for transaction ", t.name,
+               ": the observed order contradicts its intra-transaction ",
+               "order (Def 14)");
+    return witness;
   }
   return std::nullopt;
 }

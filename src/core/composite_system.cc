@@ -393,10 +393,10 @@ std::vector<std::pair<NodeId, NodeId>> CompositeSystem::CrossRootConflicts(
 SubtreeIndex::SubtreeIndex(const CompositeSystem& cs)
     : enter_(cs.NodeCount(), 0), exit_(cs.NodeCount(), 0) {
   uint32_t clock = 0;
-  // Iterative preorder/postorder numbering per root.
+  // Iterative preorder/postorder numbering per root; frame = (node,
+  // entered?).  The stack is empty between roots and reused.
+  std::vector<std::pair<NodeId, bool>> stack;
   for (NodeId root : cs.Roots()) {
-    // Frame: (node, entered?).
-    std::vector<std::pair<NodeId, bool>> stack;
     stack.emplace_back(root, false);
     while (!stack.empty()) {
       auto [cur, entered] = stack.back();

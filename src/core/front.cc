@@ -24,39 +24,74 @@ SystemContext::SystemContext(const CompositeSystem& system)
   COMPTX_CHECK(!cs.HasReleased())
       << "SystemContext requires the whole forest: "
       << cs.RequireWholeForest().ToString();
-  closed_weak_output.resize(cs.ScheduleCount());
-  for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
-    const Schedule& sched = cs.schedule(ScheduleId(s));
-    closed_weak_output[s] =
-        ClosureWithin(sched.weak_output, cs.OperationsOf(ScheduleId(s)));
-    closed_weak_input.UnionWith(
-        ClosureWithin(sched.weak_input, sched.transactions));
-    closed_strong_input.UnionWith(
-        ClosureWithin(sched.strong_input, sched.transactions));
-  }
   host_schedule.resize(cs.NodeCount());
   for (uint32_t v = 0; v < cs.NodeCount(); ++v) {
-    const Node& n = cs.node(NodeId(v));
-    host_schedule[v] = n.host;
-    closed_weak_intra.UnionWith(ClosureWithin(cs.weak_intra(), n.children));
-    closed_strong_intra.UnionWith(
-        ClosureWithin(cs.strong_intra(), n.children));
+    host_schedule[v] = cs.node(NodeId(v)).host;
   }
+  // Each order kind is closed once.  Its pairs are kept only inside their
+  // container — O_S for a schedule's output order, T_S for its input
+  // orders, one transaction's children for the intra orders — exactly the
+  // pairs a closure within each container would see.  Containers are
+  // disjoint, so closing all kept pairs together gives the union of the
+  // per-container closures.  Without validation a pair may leave its
+  // container (or name no node); it is dropped, as the container's domain
+  // would drop it.
+  const auto in = [&](NodeId v, ScheduleId Node::*field, ScheduleId c) {
+    return cs.HasNode(v) && cs.node(v).*field == c;
+  };
+  closed_weak_output.reserve(cs.ScheduleCount());
+  for (uint32_t s = 0; s < cs.ScheduleCount(); ++s) {
+    const ScheduleId sid(s);
+    closed_weak_output.push_back(ClosureOfPairs([&](const auto& emit) {
+      cs.schedule(sid).weak_output.ForEach([&](NodeId a, NodeId b) {
+        if (in(a, &Node::host, sid) && in(b, &Node::host, sid)) emit(a, b);
+      });
+    }));
+  }
+  const auto close_input = [&](Relation Schedule::*order) {
+    return ClosureOfPairs([&](const auto& emit) {
+      for (uint32_t s = 0; s < cs.ScheduleCount(); ++s) {
+        const ScheduleId sid(s);
+        (cs.schedule(sid).*order).ForEach([&](NodeId a, NodeId b) {
+          if (in(a, &Node::owner_schedule, sid) &&
+              in(b, &Node::owner_schedule, sid)) {
+            emit(a, b);
+          }
+        });
+      }
+    });
+  };
+  closed_weak_input = close_input(&Schedule::weak_input);
+  closed_strong_input = close_input(&Schedule::strong_input);
+  const auto siblings = [&](NodeId a, NodeId b) {
+    return cs.HasNode(a) && cs.HasNode(b) && cs.node(a).parent.valid() &&
+           cs.node(a).parent == cs.node(b).parent;
+  };
+  const auto close_intra = [&](const Relation& order) {
+    return ClosureOfPairs([&](const auto& emit) {
+      order.ForEach([&](NodeId a, NodeId b) {
+        if (siblings(a, b)) emit(a, b);
+      });
+    });
+  };
+  closed_weak_intra = close_intra(cs.weak_intra());
+  closed_strong_intra = close_intra(cs.strong_intra());
 }
 
 namespace {
 
 /// Adds (x, y) to `out` for every front pair with x in subtree(a), y in
 /// subtree(b).  This is the pull-down of a strong constraint a ≪ b to the
-/// front.
+/// front.  `in_a` and `in_b` are scratch, reused across constraints.
 void AddPulledDownPairs(const SystemContext& ctx,
                         const std::vector<NodeId>& front_nodes, NodeId a,
-                        NodeId b, Relation& out) {
+                        NodeId b, std::vector<NodeId>& in_a,
+                        std::vector<NodeId>& in_b, Relation& out) {
   // Collect front members of each subtree (a front node is in at most one
   // of them since a and b are siblings or co-scheduled transactions, whose
   // subtrees are disjoint).
-  std::vector<NodeId> in_a;
-  std::vector<NodeId> in_b;
+  in_a.clear();
+  in_b.clear();
   for (NodeId x : front_nodes) {
     if (ctx.subtree.InSubtree(a, x)) {
       in_a.push_back(x);
@@ -75,20 +110,31 @@ void ComputeFrontInputOrders(const SystemContext& ctx, Front& front) {
   front.weak_input = Relation();
   front.strong_input = Relation();
   const NodeBitSet membership(front.nodes);
+  std::vector<NodeId> in_a;
+  std::vector<NodeId> in_b;
 
-  auto add_weak = [&](NodeId x, NodeId y) {
-    if (membership.Contains(x) && membership.Contains(y)) {
-      front.weak_input.Add(x, y);
+  std::vector<uint32_t> row;
+  // Weak input orders are the pairs directly in the front, added row by
+  // row so each row is sized once.
+  auto add_weak = [&](const Relation& closed) {
+    for (size_t i = 0; i < closed.SourceCount(); ++i) {
+      const NodeId a = closed.SourceAt(i);
+      if (!membership.Contains(a)) continue;
+      row.clear();
+      for (uint32_t to : closed.SuccessorsAt(i)) {
+        if (membership.Contains(NodeId(to))) row.push_back(to);
+      }
+      front.weak_input.AddAll(a, row);
     }
   };
+  // Strong temporal orders are pulled down from every strong constraint.
   auto add_strong = [&](NodeId x, NodeId y) {
-    AddPulledDownPairs(ctx, front.nodes, x, y, front.strong_input);
+    AddPulledDownPairs(ctx, front.nodes, x, y, in_a, in_b,
+                       front.strong_input);
   };
-  // Weak input orders are pairs directly in the front; strong temporal
-  // orders are pulled down from every strong constraint.
-  ctx.closed_weak_input.ForEach(add_weak);
+  add_weak(ctx.closed_weak_input);
   ctx.closed_strong_input.ForEach(add_strong);
-  ctx.closed_weak_intra.ForEach(add_weak);
+  add_weak(ctx.closed_weak_intra);
   ctx.closed_strong_intra.ForEach(add_strong);
 
   // Strong orders are also weak orders (Def 1).

@@ -28,20 +28,21 @@ namespace comptx {
 /// table (hashing, rehashing) and a sorted array (log n probes).
 class NodeIndexMap {
  public:
-  explicit NodeIndexMap(const std::vector<NodeId>& nodes) : globals_(nodes) {
-    if (nodes.empty()) return;
+  explicit NodeIndexMap(std::vector<NodeId> nodes)
+      : globals_(std::move(nodes)) {
+    if (globals_.empty()) return;
     uint32_t lo = UINT32_MAX;
     uint32_t hi = 0;
-    for (NodeId id : nodes) {
+    for (NodeId id : globals_) {
       lo = std::min(lo, id.index());
       hi = std::max(hi, id.index());
     }
     base_ = lo;
     local_.assign(size_t(hi) - lo + 1, kMissing);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      uint32_t& slot = local_[nodes[i].index() - base_];
+    for (size_t i = 0; i < globals_.size(); ++i) {
+      uint32_t& slot = local_[globals_[i].index() - base_];
       COMPTX_CHECK(slot == kMissing)
-          << "duplicate node in index map: " << nodes[i];
+          << "duplicate node in index map: " << globals_[i];
       slot = static_cast<uint32_t>(i);
     }
   }
@@ -126,6 +127,23 @@ inline graph::Digraph RelationToDigraph(const Relation& rel,
   return g;
 }
 
+/// The closure of `g` as a Relation over `index`'s global ids.  Local
+/// order must follow id order, so every row is appended in ascending id
+/// order and sized once.
+inline Relation ClosureRelation(const graph::Digraph& g,
+                                const NodeIndexMap& index) {
+  graph::TransitiveClosure closure(g);
+  Relation out;
+  std::vector<uint32_t> row;
+  for (uint32_t a = 0; a < index.size(); ++a) {
+    row.clear();
+    closure.ForEachReachable(
+        a, [&](uint32_t b) { row.push_back(index.GlobalOf(b).index()); });
+    out.AddAll(index.GlobalOf(a), row);
+  }
+  return out;
+}
+
 /// The transitive closure of `rel` restricted to `domain`, returned as a
 /// Relation over the original NodeIds.  Pairs leaving the domain are
 /// dropped before closing.
@@ -134,23 +152,33 @@ inline Relation ClosureWithin(const Relation& rel,
   // One probe per node skips a domain without rows (most transactions).
   const auto has_row = [&](NodeId v) { return !rel.SuccessorIds(v).empty(); };
   if (std::none_of(domain.begin(), domain.end(), has_row)) return Relation();
-  // Sorting the domain makes local order coincide with id order, so the
-  // closure rows enumerate in ascending global id and every insert below
-  // hits the relation's append fast path (no binary search, no shifting).
   std::vector<NodeId> sorted = domain;
   std::sort(sorted.begin(), sorted.end());
-  NodeIndexMap index(sorted);
-  graph::Digraph g = RelationToDigraph(rel, index);
-  graph::TransitiveClosure closure(g);
-  Relation out;
-  std::vector<uint32_t> scratch;
-  for (uint32_t a = 0; a < index.size(); ++a) {
-    scratch.clear();
-    closure.ForEachReachable(
-        a, [&](uint32_t b) { scratch.push_back(index.GlobalOf(b).index()); });
-    out.AddAll(index.GlobalOf(a), scratch);
-  }
-  return out;
+  const NodeIndexMap index(std::move(sorted));
+  return ClosureRelation(RelationToDigraph(rel, index), index);
+}
+
+/// The transitive closure of the pairs that `for_each_pair(emit)` passes
+/// to `emit(a, b)`, over just the nodes they touch.  The walk is where a
+/// caller drops the pairs it does not want, so no filtered copy of a
+/// relation is built; it runs twice (nodes, then edges) and must emit the
+/// same pairs both times.
+template <typename ForEachPair>
+Relation ClosureOfPairs(const ForEachPair& for_each_pair) {
+  std::vector<NodeId> touched;
+  for_each_pair([&](NodeId a, NodeId b) {
+    touched.push_back(a);
+    touched.push_back(b);
+  });
+  if (touched.empty()) return Relation();
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  const NodeIndexMap index(std::move(touched));
+  graph::Digraph g(index.size());
+  for_each_pair([&](NodeId a, NodeId b) {
+    g.AddEdge(index.LocalOf(a), index.LocalOf(b));
+  });
+  return ClosureRelation(g, index);
 }
 
 }  // namespace comptx

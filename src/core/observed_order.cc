@@ -13,14 +13,24 @@ void ApplyLeafRuleObserved(const SystemContext& ctx, Front& front) {
   // A level-k schedule's operations left the front when the level-k front
   // was built, so schedules at or below the front's level are skipped —
   // their pairs could only fail the membership test anyway.
+  // Rows are added whole, so each observed row is sized once.
+  std::vector<uint32_t> row;
   for (size_t s = 0; s < cs.ScheduleCount(); ++s) {
     if (ctx.ig.schedule_level[s] <= front.level) continue;
-    ctx.closed_weak_output[s].ForEach([&](NodeId a, NodeId b) {
-      if (!membership.Contains(a) || !membership.Contains(b)) return;
-      if (cs.node(a).IsLeaf() || cs.node(b).IsLeaf()) {
-        front.observed.Add(a, b);
+    const Relation& closed = ctx.closed_weak_output[s];
+    for (size_t i = 0; i < closed.SourceCount(); ++i) {
+      const NodeId a = closed.SourceAt(i);
+      if (!membership.Contains(a)) continue;
+      const bool a_leaf = cs.node(a).IsLeaf();
+      row.clear();
+      for (uint32_t to : closed.SuccessorsAt(i)) {
+        const NodeId b(to);
+        if (membership.Contains(b) && (a_leaf || cs.node(b).IsLeaf())) {
+          row.push_back(to);
+        }
       }
-    });
+      front.observed.AddAll(a, row);
+    }
   }
 }
 

@@ -1,8 +1,7 @@
 #include "core/reduction.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "core/calculation.h"
 #include "core/observed_order.h"
@@ -29,16 +28,17 @@ namespace {
 
 /// Pulls the observed order of `prev` up into `next` (Def 10 points 2-4).
 ///
-/// `rep` maps a grouped operation to its level-i transaction and every
-/// other node to itself.  Same-schedule pairs that the schedule declares
+/// `rep`, indexed by node id, holds a grouped operation's level-i
+/// transaction and an invalid id for every other node, which stands for
+/// itself.  Same-schedule pairs that the schedule declares
 /// non-conflicting are dropped when pulled up ("forgotten", Fig 4) unless
 /// the ablation flag disables forgetting.
 void PullUpObserved(const SystemContext& ctx, const Front& prev,
-                    const std::unordered_map<NodeId, NodeId>& rep,
-                    bool forgetting, Front& next) {
+                    const std::vector<NodeId>& rep, bool forgetting,
+                    Front& next) {
   auto rep_of = [&](NodeId x) {
-    auto it = rep.find(x);
-    return it == rep.end() ? x : it->second;
+    const NodeId r = rep[x.index()];
+    return r.valid() ? r : x;
   };
   prev.observed.ForEach([&](NodeId a, NodeId b) {
     if (auto image = PullUpObservedPair(ctx.cs, a, b, rep_of(a), rep_of(b),
@@ -69,10 +69,20 @@ void AddScheduleSerializationOrders(const SystemContext& ctx,
   }
 }
 
+/// True iff a level > 0 front failed its CC check: the reducer then
+/// exposes that front and keeps the last good one below it.
+bool FailedAboveLevelZero(const std::optional<ReductionFailure>& failure) {
+  return failure.has_value() &&
+         failure->step == ReductionFailureStep::kConflictConsistency &&
+         failure->level > 0;
+}
+
 }  // namespace
 
 Reducer::Reducer(const CompositeSystem& cs, const ReductionOptions& options)
-    : options_(options), ctx_(std::make_unique<SystemContext>(cs)) {
+    : options_(options),
+      ctx_(std::make_unique<SystemContext>(cs)),
+      rep_(cs.NodeCount()) {
   order_ = ctx_->ig.order;
   transactions_at_level_.resize(order_ + 1);
   schedules_at_level_.resize(order_ + 1);
@@ -101,6 +111,10 @@ StatusOr<Reducer> Reducer::Create(const CompositeSystem& cs,
   return reducer;
 }
 
+Front Reducer::TakeLastGoodFront() && {
+  return std::move(FailedAboveLevelZero(failure_) ? previous_ : current_);
+}
+
 const std::vector<NodeId>& Reducer::TransactionsAtLevel(uint32_t level) const {
   COMPTX_CHECK_LE(level, order_);
   return transactions_at_level_[level];
@@ -124,23 +138,22 @@ bool Reducer::Step() {
   // transactions; keep everything else (roots propagate).
   Front next;
   next.level = level;
-  std::unordered_map<NodeId, NodeId> rep;
-  std::unordered_set<NodeId> removed;
   for (NodeId txn : groups) {
-    for (NodeId op : cs.node(txn).children) {
-      rep.emplace(op, txn);
-      removed.insert(op);
-    }
+    for (NodeId op : cs.node(txn).children) rep_[op.index()] = txn;
   }
+  next.nodes.reserve(current_.nodes.size() + groups.size());
   for (NodeId node : current_.nodes) {
-    if (removed.count(node) == 0) next.nodes.push_back(node);
+    if (!rep_[node.index()].valid()) next.nodes.push_back(node);
   }
   next.nodes.insert(next.nodes.end(), groups.begin(), groups.end());
   std::sort(next.nodes.begin(), next.nodes.end());
 
   // Def 16 steps 3 & 4: pull up the observed order and conflicts; pairs
   // involving removed operations disappear with their operations.
-  PullUpObserved(*ctx_, current_, rep, options_.forgetting, next);
+  PullUpObserved(*ctx_, current_, rep_, options_.forgetting, next);
+  for (NodeId txn : groups) {
+    for (NodeId op : cs.node(txn).children) rep_[op.index()] = NodeId();
+  }
   AddScheduleSerializationOrders(*ctx_, schedules_at_level_[level], next);
   ApplyLeafRuleObserved(*ctx_, next);
   ComputeGeneralizedConflicts(*ctx_, next);
@@ -151,7 +164,8 @@ bool Reducer::Step() {
     failed_ = true;
     failure_ = ReductionFailure{
         level, ReductionFailureStep::kConflictConsistency, *violation};
-    current_ = std::move(next);  // expose the offending front.
+    // Expose the offending front; keep the last good one below it.
+    previous_ = std::exchange(current_, std::move(next));
     return false;
   }
 
@@ -164,27 +178,16 @@ StatusOr<ReductionResult> RunReduction(const CompositeSystem& cs,
   COMPTX_ASSIGN_OR_RETURN(Reducer reducer, Reducer::Create(cs, options));
   ReductionResult result;
   result.order = reducer.order();
-
-  auto record_front = [&](const Front& front) {
-    if (!options.keep_fronts) result.fronts.clear();
-    result.fronts.push_back(front);
-  };
-  record_front(reducer.current());
-
-  while (!reducer.Done()) {
-    if (reducer.Step()) {
-      record_front(reducer.current());
-    } else {
-      // On a CC failure the reducer exposes the offending partial front;
-      // keep it for diagnostics when fronts are retained.
-      const std::optional<ReductionFailure>& failure = reducer.failure();
-      if (options.keep_fronts && failure.has_value() &&
-          failure->step == ReductionFailureStep::kConflictConsistency &&
-          failure->level > 0) {
-        result.fronts.push_back(reducer.current());
-      }
-      break;
-    }
+  // Without keep_fronts no level is copied: the one front kept is moved
+  // out of the reducer at the end.
+  if (options.keep_fronts) result.fronts.push_back(reducer.current());
+  while (!reducer.Done() && reducer.Step()) {
+    if (options.keep_fronts) result.fronts.push_back(reducer.current());
+  }
+  // On a level > 0 CC failure the reducer exposes the offending partial
+  // front; keep it for diagnostics when fronts are retained.
+  if (options.keep_fronts && FailedAboveLevelZero(reducer.failure())) {
+    result.fronts.push_back(reducer.current());
   }
 
   result.comp_c = !reducer.Failed();
@@ -196,6 +199,9 @@ StatusOr<ReductionResult> RunReduction(const CompositeSystem& cs,
           << "non-root node " << cs.node(node).name << " in the level "
           << result.order << " front";
     }
+  }
+  if (!options.keep_fronts) {
+    result.fronts.push_back(std::move(reducer).TakeLastGoodFront());
   }
   return result;
 }

@@ -114,6 +114,11 @@ class Reducer {
   bool Failed() const { return failed_; }
   const std::optional<ReductionFailure>& failure() const { return failure_; }
 
+  /// Moves out the deepest front that passed its checks: current(), or,
+  /// after a failed level > 0 conflict-consistency check, the front below
+  /// the offending one.  The reducer must not be used afterwards.
+  Front TakeLastGoodFront() &&;
+
   /// The transactions that will be (or were) grouped at `level`.
   const std::vector<NodeId>& TransactionsAtLevel(uint32_t level) const;
 
@@ -130,7 +135,12 @@ class Reducer {
   uint32_t order_ = 0;
   std::vector<std::vector<NodeId>> transactions_at_level_;
   std::vector<std::vector<ScheduleId>> schedules_at_level_;
+  /// Per node id: the level's transaction of a grouped operation, else
+  /// invalid.  Filled and cleared within each Step().
+  std::vector<NodeId> rep_;
   Front current_;
+  /// The front below current() after a failed level > 0 CC check.
+  Front previous_;
   bool failed_ = false;
   std::optional<ReductionFailure> failure_;
 };

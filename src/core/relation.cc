@@ -86,10 +86,18 @@ size_t Relation::RemoveSource(NodeId a) {
   return removed;
 }
 
-void Relation::AddAll(NodeId src, const std::vector<uint32_t>& targets) {
+void Relation::AddAll(NodeId src, std::span<const uint32_t> targets) {
   if (targets.empty()) return;
   COMPTX_CHECK(src.valid());
   relation_internal::Row& row = store_.RowOf(src.index());
+  const auto [lo, hi] = std::minmax_element(targets.begin(), targets.end());
+  row.bits.Cover(*lo, *hi);
+  // Geometric, so a row that gains targets over many calls still grows
+  // by doubling.
+  const size_t want = row.elems.size() + targets.size();
+  if (want > row.elems.capacity()) {
+    row.elems.reserve(std::max(want, 2 * row.elems.capacity()));
+  }
   for (uint32_t t : targets) {
     if (row.Insert(t)) ++pair_count_;
   }

@@ -91,10 +91,10 @@ class Relation {
   /// Removes every pair with source `a`; returns how many there were.
   size_t RemoveSource(NodeId a);
 
-  /// Adds (src, t) for every t in `targets`, resolving the row only once.
-  /// The bulk path for closure materialization, where one source gains
-  /// hundreds of targets at a time.
-  void AddAll(NodeId src, const std::vector<uint32_t>& targets);
+  /// Adds (src, t) for every t in `targets`, resolving the row and sizing
+  /// its storage only once.  The bulk path for closure materialization,
+  /// where one source gains hundreds of targets at a time.
+  void AddAll(NodeId src, std::span<const uint32_t> targets);
 
   /// True iff (a, b) is in the relation.
   bool Contains(NodeId a, NodeId b) const {

@@ -10,9 +10,10 @@ namespace {
 
 /// The union of observed and input orders as a digraph over local indices.
 graph::Digraph AllOrdersDigraph(const Front& front, const NodeIndexMap& index) {
-  graph::Digraph g = RelationToDigraph(front.observed, index);
-  g.UnionWith(RelationToDigraph(front.weak_input, index));
-  g.UnionWith(RelationToDigraph(front.strong_input, index));
+  graph::Digraph g(index.size());
+  AddRelationEdges(front.observed, index, g);
+  AddRelationEdges(front.weak_input, index, g);
+  AddRelationEdges(front.strong_input, index, g);
   return g;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bitrow.h"
@@ -34,17 +35,14 @@ class Digraph {
   /// True iff the edge `from -> to` is present.
   bool HasEdge(NodeIndex from, NodeIndex to) const;
 
-  size_t NodeCount() const { return out_.size(); }
+  size_t NodeCount() const { return rows_.size(); }
   size_t EdgeCount() const { return edge_count_; }
 
-  /// Successors of `node`, in insertion order.
-  const std::vector<NodeIndex>& OutNeighbors(NodeIndex node) const {
-    return out_[node];
-  }
-
-  /// Predecessors of `node`, in insertion order.
-  const std::vector<NodeIndex>& InNeighbors(NodeIndex node) const {
-    return in_[node];
+  /// Successors of `node`, in insertion order (first insertion wins).
+  /// The span is invalidated by the next AddEdge or AddNode.
+  std::span<const NodeIndex> OutNeighbors(NodeIndex node) const {
+    const Row& row = rows_[node];
+    return {arena_.data() + row.begin, row.size};
   }
 
   /// True iff any node has an edge to itself.
@@ -58,10 +56,30 @@ class Digraph {
   void UnionWith(const Digraph& other);
 
  private:
-  std::vector<std::vector<NodeIndex>> out_;
-  std::vector<std::vector<NodeIndex>> in_;
-  /// Per-source membership bits deduplicating AddEdge in O(1); replaces
-  /// the old hashed edge set, which dominated graph-build profiles.
+  /// One node's successors: arena_[begin, begin + size), with room up to
+  /// begin + capacity.
+  struct Row {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+
+  /// Rows up to this long deduplicate AddEdge by scanning themselves;
+  /// a longer row gets a membership bitset in `seen_`.
+  static constexpr size_t kScanLimit = 16;
+
+  /// Appends `to` to the row of `from`, moving the row to the arena's end
+  /// with twice the room when it is full (in place when it already ends
+  /// the arena, as it does while a builder adds one source's edges).
+  void Append(NodeIndex from, NodeIndex to);
+
+  std::vector<Row> rows_;
+  /// Every row's successors in one buffer, so a graph allocates per
+  /// buffer growth, not per node.
+  std::vector<NodeIndex> arena_;
+  /// Per source, the bits of a row longer than kScanLimit (empty for
+  /// short rows); sized only once some row outgrows the limit, so the
+  /// sparse graphs of the reduction never allocate it.
   std::vector<BitRow> seen_;
   size_t edge_count_ = 0;
 };

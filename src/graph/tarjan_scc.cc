@@ -5,7 +5,7 @@
 namespace comptx::graph {
 
 bool SccResult::AllTrivial(const Digraph& g) const {
-  if (components.size() != g.NodeCount()) return false;
+  if (ComponentCount() != g.NodeCount()) return false;
   return !g.HasSelfLoop();
 }
 
@@ -15,6 +15,7 @@ SccResult TarjanScc(const Digraph& g) {
 
   SccResult result;
   result.component_of.assign(n, kUnvisited);
+  result.members.reserve(n);
 
   std::vector<uint32_t> index(n, kUnvisited);
   std::vector<uint32_t> lowlink(n, 0);
@@ -44,17 +45,18 @@ SccResult TarjanScc(const Digraph& g) {
         }
       } else {
         if (lowlink[v] == index[v]) {
-          std::vector<NodeIndex> component;
+          const auto component =
+              static_cast<uint32_t>(result.ComponentCount());
           NodeIndex w;
           do {
             w = scc_stack.back();
             scc_stack.pop_back();
             on_stack[w] = false;
-            result.component_of[w] =
-                static_cast<uint32_t>(result.components.size());
-            component.push_back(w);
+            result.component_of[w] = component;
+            result.members.push_back(w);
           } while (w != v);
-          result.components.push_back(std::move(component));
+          result.offsets.push_back(
+              static_cast<uint32_t>(result.members.size()));
         }
         call_stack.pop_back();
         if (!call_stack.empty()) {

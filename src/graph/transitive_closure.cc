@@ -12,7 +12,8 @@ TransitiveClosure::TransitiveClosure(const Digraph& g)
   // condensation: when we process components in order 0, 1, ..., every
   // successor component of the one being processed is already final.
   SccResult scc = TarjanScc(g);
-  for (const auto& component : scc.components) {
+  for (size_t c = 0; c < scc.ComponentCount(); ++c) {
+    const std::span<const NodeIndex> component = scc.Component(c);
     // Within a non-trivial SCC every member reaches every member.
     for (NodeIndex v : component) {
       for (NodeIndex w : g.OutNeighbors(v)) {

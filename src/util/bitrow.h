@@ -42,6 +42,23 @@ class BitRow {
     return true;
   }
 
+  /// Widens the window to cover ids [lo, hi] (lo <= hi) at once, so a
+  /// bulk insert over that range sizes the words a single time.
+  void Cover(uint32_t lo, uint32_t hi) {
+    const uint32_t lw = lo >> 6;
+    const uint32_t hw = hi >> 6;
+    if (words_.empty()) {
+      base_word_ = lw;
+      words_.assign(hw - lw + 1, 0);
+      return;
+    }
+    if (lw < base_word_) {
+      words_.insert(words_.begin(), base_word_ - lw, 0);
+      base_word_ = lw;
+    }
+    if (hw - base_word_ >= words_.size()) words_.resize(hw - base_word_ + 1, 0);
+  }
+
   /// Clears the bit for `id`; returns true iff it was set.  Zero words at
   /// either edge of the window are released, so a row whose ids drift
   /// upward over a long session keeps a window as wide as its live ids.

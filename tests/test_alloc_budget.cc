@@ -1,7 +1,7 @@
-// Allocation budget of the online certifier's steady state (ctest label
-// `online`).  This executable replaces the global operator new with a
-// counting one, so it is built only without sanitizers (which install
-// their own allocator).
+// Allocation budgets (ctest label `online`): the online certifier's
+// steady state and the batch reducer.  This executable replaces the
+// global operator new with a counting one, so it is built only without
+// sanitizers (which install their own allocator).
 //
 // A long session whose window is bounded recycles everything the engine
 // keeps per node — relation rows, cycle-graph vertex slots, scratch
@@ -25,9 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "core/correctness.h"
 #include "online/certifier.h"
 #include "util/rng.h"
 #include "workload/trace.h"
+#include "workload/workload_spec.h"
 
 namespace {
 
@@ -195,6 +197,75 @@ TEST(AllocationBudgetTest, SteadyStateIngestAllocatesAtMostOncePerEvent) {
   EXPECT_LE(allocations, kMeasured)
       << per_event << " heap allocations per event over " << kMeasured
       << " events";
+}
+
+/// A batch_audit-shaped corpus: layered DAGs at 16, 32 and 64 roots, half
+/// from order-preserving schedulers at depth 2 (mostly Comp-C: the full
+/// reduction and the serial witness), half plain at depth 3 (failing
+/// early), with the conflict density scaled by size.
+struct AuditSystem {
+  CompositeSystem cs;
+  size_t events = 0;
+};
+
+std::vector<AuditSystem> AuditCorpus(uint64_t seed, size_t count) {
+  Rng rng(seed);
+  std::vector<AuditSystem> corpus;
+  for (size_t i = 0; i < count; ++i) {
+    workload::WorkloadSpec spec;
+    spec.topology.kind = workload::TopologyKind::kLayeredDag;
+    const uint32_t roots = 16u << ((i / 2) % 3);
+    const bool preserving = i % 2 == 0;
+    spec.topology.depth = preserving ? 2 : 3;
+    spec.topology.branches = 2;
+    spec.topology.roots = roots;
+    spec.topology.fanout = 2;
+    spec.execution.conflict_prob = (preserving ? 0.32 : 0.8) / roots;
+    spec.execution.intra_weak_prob = 0.2;
+    spec.execution.order_preserving_outputs = preserving;
+    auto cs = workload::GenerateSystem(spec, rng.Next());
+    EXPECT_TRUE(cs.ok()) << cs.status().ToString();
+    if (!cs.ok()) continue;
+    // Events as a trace carries them: one per node, pair and schedule.
+    auto text = workload::SaveTrace(*cs);
+    EXPECT_TRUE(text.ok());
+    auto events = workload::ParseTraceEvents(text.ok() ? *text : "");
+    EXPECT_TRUE(events.ok());
+    corpus.push_back({std::move(cs).value(), events.ok() ? events->size() : 0});
+  }
+  return corpus;
+}
+
+TEST(AllocationBudgetTest, BatchCheckStaysUnderHalfTheParentsAllocations) {
+  const std::vector<AuditSystem> corpus = AuditCorpus(7, 48);
+  ReductionOptions options;
+  options.validate = false;
+  options.keep_fronts = false;
+  size_t events = 0;
+  size_t comp_c = 0;
+  uint64_t allocations = 0;
+  for (const AuditSystem& system : corpus) {
+    events += system.events;
+    const uint64_t before = g_allocations.load();
+    auto result = CheckCompC(system.cs, options);
+    allocations += g_allocations.load() - before;
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (result->correct) ++comp_c;
+  }
+  const double per_event =
+      static_cast<double>(allocations) / static_cast<double>(events);
+  std::printf("%zu systems (%zu Comp-C), %zu events: %.3f heap allocations "
+              "per event in CheckCompC\n",
+              corpus.size(), comp_c, events, per_event);
+  EXPECT_EQ(corpus.size(), 48u);
+  EXPECT_GT(comp_c, 0u);
+  EXPECT_LT(comp_c, corpus.size());
+  // The reducer at 21914bd, which closed every order per container and
+  // copied the front at every level, made 9.46 allocations
+  // per event on this corpus.
+  constexpr double kParentPerEvent = 9.46;
+  EXPECT_LE(per_event, kParentPerEvent / 2)
+      << allocations << " heap allocations over " << events << " events";
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace comptx::graph {
 namespace {
 
@@ -23,7 +26,44 @@ TEST(DigraphTest, AddNodeGrows) {
   EXPECT_EQ(b, 1u);
   g.AddEdge(a, b);
   EXPECT_EQ(g.OutNeighbors(a).size(), 1u);
-  EXPECT_EQ(g.InNeighbors(b).size(), 1u);
+  const Digraph r = g.Reversed();
+  ASSERT_EQ(r.OutNeighbors(b).size(), 1u);
+  EXPECT_EQ(r.OutNeighbors(b)[0], a);
+  EXPECT_TRUE(r.OutNeighbors(a).empty());
+}
+
+// Witness cycles follow out-neighbour order, so rows keep insertion order
+// with the first occurrence winning, also while rows are interleaved,
+// outgrow their room and pass the length where deduplication switches
+// from a scan to a bitset.
+TEST(DigraphTest, OutNeighborsKeepInsertionOrderAcrossRowGrowth) {
+  constexpr NodeIndex kNodes = 64;
+  Digraph g(kNodes);
+  std::vector<std::vector<NodeIndex>> expected(3);
+  for (NodeIndex i = 0; i < kNodes; ++i) {
+    for (NodeIndex from = 0; from < 3; ++from) {
+      const NodeIndex to = (i * 7 + from * 13) % kNodes;
+      const bool is_new = std::find(expected[from].begin(),
+                                    expected[from].end(),
+                                    to) == expected[from].end();
+      EXPECT_EQ(g.AddEdge(from, to), is_new);
+      if (is_new) expected[from].push_back(to);
+      // Re-adding an earlier target never moves it.
+      EXPECT_FALSE(g.AddEdge(from, expected[from].front()));
+    }
+  }
+  for (NodeIndex from = 0; from < 3; ++from) {
+    const auto row = g.OutNeighbors(from);
+    EXPECT_EQ(std::vector<NodeIndex>(row.begin(), row.end()),
+              expected[from]);
+    for (NodeIndex to = 0; to < kNodes; ++to) {
+      const bool listed = std::find(expected[from].begin(),
+                                    expected[from].end(),
+                                    to) != expected[from].end();
+      EXPECT_EQ(g.HasEdge(from, to), listed) << from << " -> " << to;
+    }
+  }
+  EXPECT_EQ(g.EdgeCount(), 3 * size_t{kNodes});
 }
 
 TEST(DigraphTest, SelfLoops) {
