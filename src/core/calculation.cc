@@ -114,8 +114,7 @@ std::optional<CycleWitness> FindCalculationViolation(
   // each in child order; no edge joins two groups, so the depth-first
   // search meets them in turn and finds the first violating group's cycle
   // exactly as a graph of that group alone would.
-  constexpr uint32_t kNotMember = UINT32_MAX;
-  std::vector<uint32_t> member_of(index.size(), kNotMember);
+  std::vector<uint32_t> member_of(index.size());  // set for members only
   std::vector<uint32_t> front_local;  // member -> front local index
   for (NodeId txn : group_transactions) {
     const Node& t = cs.node(txn);
@@ -128,11 +127,11 @@ std::optional<CycleWitness> FindCalculationViolation(
   }
   graph::Digraph intra(front_local.size());
   // A row gets its constraint edges first, then its intra order, both
-  // kept to the row's own group.
+  // kept to the row's own group (a node sharing a member's block is a
+  // member of the same group).
   auto add_in_group = [&](uint32_t m, uint32_t local_b) {
-    const uint32_t mb = member_of[local_b];
-    if (mb != kNotMember && block_of[local_b] == block_of[front_local[m]]) {
-      intra.AddEdge(m, mb);
+    if (block_of[local_b] == block_of[front_local[m]]) {
+      intra.AddEdge(m, member_of[local_b]);
     }
   };
   for (uint32_t m = 0; m < front_local.size(); ++m) {

@@ -58,9 +58,11 @@ struct ReductionResult {
   uint32_t order = 0;
 
   /// The constructed fronts, level 0 upward.  If the reduction failed, the
-  /// last entry is the deepest successfully constructed front.  Empty when
-  /// options.keep_fronts is false, except for the final front which is
-  /// always kept when the reduction succeeds.
+  /// last entry is the deepest successfully constructed front, or the
+  /// offending front of a level > 0 CC failure.  When options.keep_fronts
+  /// is false it holds one front: the final one on success, else the
+  /// deepest that passed its checks (the level-0 front itself when that
+  /// one fails).
   std::vector<Front> fronts;
 
   /// Set iff !comp_c.
